@@ -8,9 +8,8 @@ minimize, over the complete cases, the penalized criterion
 
 where theta(w) stacks the per-candidate linear predictors on the
 complete-case rows (so theta(w) is linear in w and G is convex).  The
-minimizer is found by projected gradient descent with Euclidean simplex
-projection and Armijo backtracking, finished by an active-set Newton
-polish that drives the simplex KKT residual to tolerance.
+minimizer is found by a primal active-set Newton method on the simplex,
+which stops once the simplex KKT residual is within tolerance.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataError, NumericalError
 from .glm import (
@@ -202,12 +200,8 @@ def kkt_residual(w, grad) -> float:
 class OptOptions:
     """Knobs for the simplex weight optimizer."""
 
-    max_iter: int = 5000
+    max_iter: int = 500
     kkt_tol: float = 1e-7
-    obj_tol: float = 1e-9
-    pgd_iters: int = 400
-    armijo_shrink: float = 0.5
-    step_grow: float = 1.3
 
 
 @dataclass
@@ -221,202 +215,87 @@ class WeightFit:
     iterations: int
 
 
-def _pgd(ctx, lambda_n, w, opts):
-    """Projected gradient descent with Armijo-type backtracking."""
-    f = criterion(ctx, w, lambda_n)
-    theta0 = ctx.theta_matrix @ w
-    bpp = float(np.max(ctx.family.b_double_prime(theta0)))
-    lip = 2.0 / ctx.family.phi * max(bpp, 1e-8) * np.linalg.norm(ctx.theta_matrix, 2) ** 2
-    t = 1.0 / max(lip, 1e-12)
-    iters = 0
-    for iters in range(1, opts.pgd_iters + 1):
-        g = criterion_gradient(ctx, w, lambda_n)
-        if kkt_residual(w, g) <= opts.kkt_tol:
-            return w, f, iters
-        accepted = False
-        for _ in range(60):
-            w_new = project_to_simplex(w - t * g)
-            d = w_new - w
-            dn = float(d @ d)
-            if dn == 0.0:
-                break
-            f_new = criterion(ctx, w_new, lambda_n)
-            if np.isfinite(f_new) and f_new <= f + g @ d + dn / (2.0 * t) + 1e-12:
-                accepted = True
-                break
-            t *= opts.armijo_shrink
-        if not accepted:
-            break
-        w, f = w_new, f_new
-        t *= opts.step_grow
-    return w, f, iters
-
-
-def _face_newton(ctx, lambda_n, w, opts, max_rounds=60):
-    """Active-set Newton refinement on the simplex.
-
-    Newton steps on the current face (equality constraint sum w = 1, the
-    inactive coordinates pinned at zero) with step clipping at the
-    boundary; coordinates whose gradient violates the KKT conditions are
-    released back into the face.  G is smooth and convex, so every
-    accepted step decreases it and the loop terminates at a KKT point up
-    to numerical precision.
-    """
-    K = w.size
-    f = criterion(ctx, w, lambda_n)
-    for _ in range(max_rounds):
-        g = criterion_gradient(ctx, w, lambda_n)
-        if kkt_residual(w, g) <= opts.kkt_tol * 0.5:
-            break
-        active = w > ACTIVE_TOL
-        # Release the most violated inactive coordinate, if any.
-        mu = float(np.min(g[active]))
-        violated = np.flatnonzero(~active & (g < mu - 1e-14))
-        if violated.size:
-            active[violated[np.argmin(g[violated])]] = True
-        A = np.flatnonzero(active)
-        wA = w[A].copy()
-        wA /= wA.sum()
-
-        improved = False
-        for _ in range(30):
-            w_full = np.zeros(K)
-            w_full[A] = wA
-            gA = criterion_gradient(ctx, w_full, lambda_n)[A]
-            if wA.size == 1 or np.max(gA) - np.min(gA) <= opts.kkt_tol * 0.25:
-                break
-            HA = _criterion_hessian(ctx, w_full)[np.ix_(A, A)]
-            reg = 1e-12 * max(np.trace(HA) / wA.size, 1.0)
-            m = wA.size
-            kkt_mat = np.zeros((m + 1, m + 1))
-            kkt_mat[:m, :m] = HA + reg * np.eye(m)
-            kkt_mat[:m, m] = 1.0
-            kkt_mat[m, :m] = 1.0
-            rhs = np.concatenate([-gA, [0.0]])
-            try:
-                sol = scipy.linalg.solve(kkt_mat, rhs)
-            except scipy.linalg.LinAlgError:
-                break
-            d = sol[:m]
-            if not np.all(np.isfinite(d)):
-                break
-            # Clip the step at the nonnegativity boundary.
-            neg = d < 0
-            a_max = 1.0
-            if neg.any():
-                a_max = min(1.0, float(np.min(-wA[neg] / d[neg])))
-            a = a_max
-            f_cur = criterion(ctx, w_full, lambda_n)
-            stepped = False
-            for _ in range(40):
-                w_try = wA + a * d
-                w_try = np.maximum(w_try, 0.0)
-                s = w_try.sum()
-                if s > 0:
-                    w_try /= s
-                w_tf = np.zeros(K)
-                w_tf[A] = w_try
-                f_try = criterion(ctx, w_tf, lambda_n)
-                if np.isfinite(f_try) and f_try <= f_cur + 1e-14:
-                    wA = w_try
-                    stepped = True
-                    improved = improved or f_try < f_cur
-                    break
-                a *= 0.5
-            if not stepped:
-                break
-            if np.any(wA <= ACTIVE_TOL):
-                wA = np.where(wA <= ACTIVE_TOL, 0.0, wA)
-                wA /= wA.sum()
-                keep = wA > 0
-                A = A[keep]
-                wA = wA[keep]
-
-        w_new = np.zeros(K)
-        w_new[A] = wA
-        f_new = criterion(ctx, w_new, lambda_n)
-        if f_new <= f + 1e-14:
-            w, f = w_new, f_new
-        if not improved and not violated.size:
-            break
-    return w, f
-
-
 def optimize_weights(
     ctx: CriterionContext, lambda_n: float, opts: OptOptions | None = None
 ) -> WeightFit:
     """Minimize the criterion over the weight simplex.
 
-    Projected gradient descent from uniform weights, followed by an
-    active-set Newton polish; the criterion is convex in w (b convex,
-    theta linear in w), so any KKT point is a global minimum.  Returns
-    the best iterate with ``converged=False`` when the KKT residual is
-    still above tolerance after ``max_iter`` total iterations.
+    Primal active-set Newton method (Nocedal & Wright, *Numerical
+    Optimization*, ch. 16) started at the best vertex.  Each iteration
+    releases the most KKT-violating zero weight into the face when its
+    violation exceeds the face's own gradient spread, takes a Newton step
+    on the face (sum w = 1, the other weights pinned at zero), clips it at
+    the nonnegativity boundary and backtracks on G.  When the Newton
+    direction is unusable (non-finite, not a descent direction, or not
+    moving the released weight off zero) the face-projected gradient is
+    used instead.  The criterion is convex in w (b convex, theta linear in
+    w), so a KKT point is a global minimum.  Every iteration counts against
+    ``max_iter``; ``converged`` is true only when the KKT residual is
+    within ``kkt_tol``.
     """
     opts = opts or OptOptions()
     K = ctx.K
-    if K == 1:
-        w = np.ones(1)
-        return WeightFit(
-            weights=WeightVector(w),
-            criterion_value=criterion(ctx, w, lambda_n),
-            kkt_residual=0.0,
-            converged=True,
-            iterations=0,
-        )
-
-    w = np.full(K, 1.0 / K)
-    f0 = criterion(ctx, w, lambda_n)
-    if not np.isfinite(f0):
-        raise NumericalError("criterion is not finite at the uniform weights")
-
-    total_iters = 0
-    pgd_budget = min(opts.pgd_iters, opts.max_iter)
-    w, f, used = _pgd(ctx, lambda_n, w, opts)
-    total_iters += used
-
-    g = criterion_gradient(ctx, w, lambda_n)
-    if kkt_residual(w, g) > opts.kkt_tol:
-        w, f = _face_newton(ctx, lambda_n, w, opts)
-        total_iters += 1
-
-    # Safeguard: a vertex or the uniform point may still dominate if the
-    # polish stalled; restart from the best such point once.
-    probes = [np.full(K, 1.0 / K)] + [np.eye(K)[k] for k in range(K)]
-    probe_vals = [criterion(ctx, p, lambda_n) for p in probes]
-    best_probe = int(np.argmin(probe_vals))
-    if probe_vals[best_probe] < f - opts.obj_tol:
-        w2, f2 = _face_newton(ctx, lambda_n, probes[best_probe], opts)
-        if f2 < f:
-            w, f = w2, f2
-        total_iters += 1
-
-    # Run remaining PGD budget only if KKT is still unmet.
+    vertices = np.eye(K)
+    vals = np.array([criterion(ctx, v, lambda_n) for v in vertices])
+    vals[~np.isfinite(vals)] = np.inf
+    k = int(np.argmin(vals))
+    w, f = vertices[k], float(vals[k])
+    if not np.isfinite(f):
+        raise NumericalError("criterion is not finite at any vertex of the simplex")
     g = criterion_gradient(ctx, w, lambda_n)
     res = kkt_residual(w, g)
-    while res > opts.kkt_tol and total_iters < opts.max_iter:
-        extra = OptOptions(
-            max_iter=opts.max_iter,
-            kkt_tol=opts.kkt_tol,
-            obj_tol=opts.obj_tol,
-            pgd_iters=min(pgd_budget, opts.max_iter - total_iters),
-        )
-        w, f, used = _pgd(ctx, lambda_n, w, extra)
-        total_iters += max(used, 1)
-        w, f = _face_newton(ctx, lambda_n, w, opts)
-        g = criterion_gradient(ctx, w, lambda_n)
-        new_res = kkt_residual(w, g)
-        if new_res >= res - 1e-16:
-            res = new_res
+    iters = 0
+    while res > opts.kkt_tol and iters < opts.max_iter:
+        iters += 1
+        face = w > 0
+        g_min = float(np.min(g[face]))
+        violation = np.where(face, -np.inf, g_min - g)
+        j = int(np.argmax(violation))
+        released = bool(violation[j] > np.max(g[face]) - g_min)
+        face[j] |= released
+        A = np.flatnonzero(face)
+        gA = g[A]
+        m = A.size
+        kkt_mat = np.ones((m + 1, m + 1))
+        kkt_mat[m, m] = 0.0
+        H = _criterion_hessian(ctx, w)[np.ix_(A, A)]
+        kkt_mat[:m, :m] = H + 1e-12 * max(np.trace(H) / m, 1.0) * np.eye(m)
+        try:
+            d = np.linalg.solve(kkt_mat, np.append(-gA, 0.0))[:m]
+        except np.linalg.LinAlgError:
+            d = np.full(m, np.nan)
+        if (
+            not np.all(np.isfinite(d))
+            or gA @ d >= 0
+            or (released and d[np.searchsorted(A, j)] <= 0)
+        ):
+            d = np.mean(gA) - gA
+        # d sums to zero and is nonzero, so some weight decreases.
+        neg = d < 0
+        a = min(1.0, float(np.min(-w[A][neg] / d[neg])))
+        slope = float(gA @ d)
+        slack = 4.0 * np.finfo(float).eps * abs(f)
+        for _ in range(60):
+            w_try = np.zeros(K)
+            w_try[A] = np.maximum(w[A] + a * d, 0.0)
+            w_try[w_try <= ACTIVE_TOL] = 0.0
+            w_try /= w_try.sum()
+            f_try = criterion(ctx, w_try, lambda_n)
+            if f_try <= f + 1e-4 * a * slope + slack:
+                break
+            a *= 0.5
+        else:
             break
-        res = new_res
+        w, f = w_try, f_try
+        g = criterion_gradient(ctx, w, lambda_n)
+        res = kkt_residual(w, g)
 
     return WeightFit(
         weights=WeightVector(w),
         criterion_value=f,
         kkt_residual=res,
         converged=bool(res <= opts.kkt_tol),
-        iterations=total_iters,
+        iterations=iters,
     )
 
 

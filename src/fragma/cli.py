@@ -70,7 +70,7 @@ def _patterns_report(data: FragmentaryDataset, index) -> str:
     lines.append(f"subjects: {data.n}    columns: {data.p}    patterns: {index.K}")
     lines.append("")
     width = max(len(c) for c in data.column_names)
-    head = "  k   exact   cover   p_k   " + "  ".join(
+    head = "  k     |T|     |S|   p_k   " + "  ".join(
         c.rjust(width) for c in data.column_names
     )
     lines.append(head)
@@ -85,12 +85,12 @@ def _patterns_report(data: FragmentaryDataset, index) -> str:
         )
     if data.n <= 30:
         lines.append("")
-        lines.append("subject rows per pattern (1-based; exact = availability equals the "
-                     "pattern, cover = availability includes it):")
+        lines.append("subject rows per pattern (1-based; T = availability equals the "
+                     "pattern, S = availability includes it):")
         for k in range(1, index.K + 1):
             t = (index.t_sets[k - 1] + 1).tolist()
             s = (index.s_sets[k - 1] + 1).tolist()
-            lines.append(f"  pattern {k}: exact={t} cover={s}")
+            lines.append(f"  pattern {k}: T={t} S={s}")
     return "\n".join(lines) + "\n"
 
 
@@ -253,9 +253,9 @@ def cmd_compare(args) -> int:
 
     eval_rows = np.flatnonzero(test.mask[:, lead].all(axis=1))
     summary = []
-    cache: dict[tuple, AveragedModel] = {}
     for m in methods:
         fit = fits[m]
+        cache: dict[tuple, AveragedModel] = {}
         preds = []
         for i in range(test.n):
             theta = np.nan
@@ -426,13 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument("--methods", default=DEFAULT_COMPARE_METHODS)
     p_cmp.add_argument("--split", type=float, default=0.75)
-    p_cmp.add_argument(
-        "--stratify-pattern",
-        action="store_true",
-        default=True,
-        dest="stratify_pattern",
-        help="split within each availability pattern (always on)",
-    )
     p_cmp.add_argument("--groups", default=None, help="JSON sidecar of column groups")
     p_cmp.set_defaults(func=cmd_compare)
 

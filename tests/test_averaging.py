@@ -23,7 +23,7 @@ from fragma.averaging import (
 )
 from fragma.datasets import adni_like, random_fragmentary
 from fragma.errors import DataError
-from fragma.glm import BINOMIAL, GAUSSIAN, fit_all_candidates, fit_glm, loglik
+from fragma.glm import BINOMIAL, GAUSSIAN, POISSON, fit_all_candidates, fit_glm, loglik
 from fragma.patterns import build_pattern_index
 
 from oracles import (
@@ -226,19 +226,36 @@ def test_optimizer_flags_non_convergence_on_tiny_budget(rng):
     from fragma.averaging import OptOptions
 
     ctx = random_logistic_ctx(rng, n1=120, K=6)
-    fit = optimize_weights(ctx, 2.0, OptOptions(max_iter=1, pgd_iters=1, kkt_tol=1e-14))
+    fit = optimize_weights(ctx, 2.0, OptOptions(max_iter=1, kkt_tol=1e-14))
     assert not fit.converged
+    assert fit.iterations <= 1
     assert np.all(np.asarray(fit.weights) >= 0)
     assert abs(np.asarray(fit.weights).sum() - 1.0) < 1e-12
 
 
 def test_optimizer_kkt_residual(rng):
-    for _ in range(30):
-        ctx = random_logistic_ctx(rng, n1=int(rng.integers(20, 200)), K=int(rng.integers(2, 9)))
-        fit = optimize_weights(ctx, 2.0)
+    for t in range(60):
+        n1 = int(rng.integers(20, 200))
+        ctx = random_logistic_ctx(rng, n1=n1, K=int(rng.integers(2, 9)))
+        family = (BINOMIAL, GAUSSIAN, POISSON)[t % 3]
+        cols = ctx.theta_matrix.copy()
+        if t % 4 == 3:
+            # near-duplicate candidate columns: a nearly flat direction in w
+            cols[:, 1] = cols[:, 0] + 1e-6 * rng.standard_normal(n1)
+        if family is GAUSSIAN:
+            y = cols[:, 0] + rng.standard_normal(n1)
+        elif family is POISSON:
+            cols = 0.3 * cols
+            y = rng.poisson(np.exp(cols[:, 0])).astype(float)
+        else:
+            y = ctx.y_cc
+        ctx = CriterionContext(cols, y, ctx.p_sizes, family)
+        lam = float(rng.choice([0.0, 2.0, np.log(n1)]))
+        fit = optimize_weights(ctx, lam)
         assert fit.converged
         assert fit.kkt_residual <= 1e-7
-        g = criterion_gradient(ctx, np.asarray(fit.weights), 2.0)
+        assert fit.iterations <= 30
+        g = criterion_gradient(ctx, np.asarray(fit.weights), lam)
         assert np.isclose(kkt_residual(np.asarray(fit.weights), g), fit.kkt_residual)
 
 

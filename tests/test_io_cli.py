@@ -297,6 +297,22 @@ def test_cli_compare_runs_and_is_reproducible(tmp_path):
     assert (out1 / "predictions_opt1.csv").read_bytes() == (out2 / "predictions_opt1.csv").read_bytes()
 
 
+def test_cli_compare_refits_per_method(tmp_path):
+    # opt2's sub-pattern refits must use opt2's penalty, whatever ran before it
+    data, _ = adni_like(seed=6, scale=0.25)
+    f = tmp_path / "d.csv"
+    dataset_to_csv(data, f)
+    args = ["compare", "--input", str(f), "--response", "y", "--seed", "3"]
+    alone, after_opt1 = tmp_path / "alone", tmp_path / "after_opt1"
+    assert run_cli(*args, "--methods", "opt2", "--out", str(alone)) == 0
+    assert run_cli(*args, "--methods", "opt1,opt2", "--out", str(after_opt1)) == 0
+    with open(alone / "predictions_opt2.csv") as fh:
+        assert any(r["rule"] == "restricted" for r in csv.DictReader(fh))
+    assert (alone / "predictions_opt2.csv").read_bytes() == (
+        after_opt1 / "predictions_opt2.csv"
+    ).read_bytes()
+
+
 def test_cli_simulate_outputs_and_determinism(tmp_path):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     args = [
