@@ -68,6 +68,5 @@ fits = {
 
 print(f"{'method':8s}  test deviance per obs")
 for name, fit in fits.items():
-    beta = fit.beta_combined if hasattr(fit, "beta_combined") else fit.beta_effective
-    theta = X_eval @ beta[lead]
+    theta = X_eval @ fit.beta_combined[lead]
     print(f"{name:8s}  {deviance(theta):.4f}")

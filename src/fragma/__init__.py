@@ -27,7 +27,6 @@ from .averaging import (
     project_to_simplex,
 )
 from .baselines import (
-    BaselineResult,
     fit_cc,
     fit_glasso,
     fit_imp,
@@ -40,6 +39,7 @@ from .glm import (
     GAUSSIAN,
     POISSON,
     CandidateModel,
+    CandidateStore,
     ExponentialFamily,
     FitOptions,
     fit_candidate,
@@ -62,9 +62,9 @@ from .sim import SimConfig, SimResult, generate_replication, run_study
 
 __all__ = [
     "AveragedModel",
-    "BaselineResult",
     "BINOMIAL",
     "CandidateModel",
+    "CandidateStore",
     "CriterionContext",
     "DataError",
     "ExponentialFamily",

@@ -22,12 +22,12 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .glm import (
     CandidateModel,
+    CandidateStore,
     ExponentialFamily,
     FitOptions,
-    fit_all_candidates,
     get_family,
 )
-from .patterns import FragmentaryDataset, Pattern, PatternIndex, build_pattern_index, restrict_to
+from .patterns import FragmentaryDataset, PatternIndex, build_pattern_index
 
 PROB_CLAMP = 1e-12
 ACTIVE_TOL = 1e-10
@@ -301,15 +301,21 @@ def optimize_weights(
 
 @dataclass
 class AveragedModel:
-    """Candidate set, selected weights and the combined coefficient vector."""
+    """Candidate set, weights and the combined coefficient vector.
+
+    The averaged fit and every baseline return one.  ``lambda_n`` and
+    ``criterion_value`` are set where a penalized criterion chose the
+    weights; a ``zero_impute`` model zero-fills unobserved query cells.
+    """
 
     candidates: list[CandidateModel]
     weights: WeightVector
     beta_combined: np.ndarray
-    lambda_n: float
-    criterion_value: float
     family: ExponentialFamily
     column_names: list[str]
+    lambda_n: float | None = None
+    criterion_value: float | None = None
+    zero_impute: bool = False
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -326,6 +332,7 @@ class AveragedModel:
             "column_names": list(self.column_names),
             "lambda_n": self.lambda_n,
             "criterion_value": self.criterion_value,
+            **({"zero_impute": True} if self.zero_impute else {}),
             "weights": np.asarray(self.weights).tolist(),
             "beta_combined": self.beta_combined.tolist(),
             "candidates": [c.to_dict() for c in self.candidates],
@@ -338,10 +345,11 @@ class AveragedModel:
             candidates=[CandidateModel.from_dict(c) for c in d["candidates"]],
             weights=WeightVector(np.asarray(d["weights"], dtype=float)),
             beta_combined=np.asarray(d["beta_combined"], dtype=float),
-            lambda_n=float(d["lambda_n"]),
-            criterion_value=float(d["criterion_value"]),
             family=get_family(d["family"]),
             column_names=list(d["column_names"]),
+            lambda_n=d.get("lambda_n"),
+            criterion_value=d.get("criterion_value"),
+            zero_impute=bool(d.get("zero_impute", False)),
             diagnostics=dict(d.get("diagnostics", {})),
         )
 
@@ -385,20 +393,20 @@ def fit_averaged(
     fit_opts: FitOptions | None = None,
     opt_opts: OptOptions | None = None,
     index: PatternIndex | None = None,
-    candidates: list[CandidateModel] | None = None,
+    store: CandidateStore | None = None,
 ) -> AveragedModel:
     """Full pipeline: pattern index, per-pattern fits, weight selection.
 
     ``lambda_n`` may be a float or the mode strings ``"opt1"`` (2) /
-    ``"opt2"`` (log of the weighting sample size).  Precomputed ``index``
-    and ``candidates`` may be supplied to share fits across penalty
-    settings.
+    ``"opt2"`` (log of the weighting sample size).  A precomputed
+    ``index`` may be supplied.  A shared ``store`` (which then supplies
+    the fit options) shares candidate fits across penalty settings,
+    sub-pattern refits and baselines.
     """
     family = get_family(family)
     if index is None:
         index = build_pattern_index(data)
-    if candidates is None:
-        candidates = fit_all_candidates(data, index, family, fit_opts)
+    candidates = (store or CandidateStore(data, family, fit_opts)).fit_all(index)
 
     lead = set(index.patterns[0].indices)
     usable = [c for c in candidates if set(c.pattern.indices) <= lead]
@@ -435,21 +443,26 @@ def fit_averaged(
     )
 
 
-def predict(model: AveragedModel, x_full) -> tuple[float, float]:
-    """Averaged prediction for a query observing the leading pattern.
+def predict(model: AveragedModel, x):
+    """Prediction for one query row (length p) or an (m, p) block of rows.
 
-    Returns ``(theta_hat, mean_hat)`` with ``mean_hat = b'(theta_hat)``.
+    Rows must observe the model's support (NaN marks unobserved) unless
+    the model zero-imputes.  Returns ``(theta_hat, mean_hat)``, mean =
+    b'(theta): floats for a row, arrays for a block.
     """
-    x = np.asarray(x_full, dtype=float)
-    lead = list(model.candidates[0].pattern.indices)
-    vals = x[lead]
-    if not np.all(np.isfinite(vals)):
-        missing = [j for j, v in zip(lead, vals) if not np.isfinite(v)]
-        names = [model.column_names[j] for j in missing]
-        raise ValueError(f"required covariates unobserved in query: {names}")
+    x = np.asarray(x, dtype=float)
+    if model.zero_impute:
+        x = np.where(np.isfinite(x), x, 0.0)
     support = model.support
-    theta = float(x[support] @ model.beta_combined[support])
-    mean = float(model.family.b_prime(theta))
+    vals = x[..., support]
+    unobserved = ~np.isfinite(vals).reshape(-1, len(support)).all(axis=0)
+    if unobserved.any():
+        names = [model.column_names[j] for j in np.asarray(support)[unobserved]]
+        raise ValueError(f"required covariates unobserved in query: {names}")
+    theta = vals @ model.beta_combined[support]
+    mean = model.family.b_prime(theta)
+    if theta.ndim == 0:
+        return float(theta), float(mean)
     return theta, mean
 
 
@@ -461,15 +474,17 @@ def predict_for_pattern(
     fit_opts: FitOptions | None = None,
     opt_opts: OptOptions | None = None,
     return_model: bool = False,
+    store: CandidateStore | None = None,
 ):
     """Predict for a query observing only a sub-pattern of the columns.
 
     The query pattern is read off the finite entries of ``x_star``
-    (length p, NaN marking unobserved).  The data are restricted to those
-    columns, the candidate universe is rebuilt (only patterns contained
-    in the query pattern survive), weights are reselected on the
-    restricted complete cases, and the query is scored.  When the query
-    observes everything this reduces to the unrestricted pipeline.
+    (length p, NaN marking unobserved).  The data are indexed through
+    those columns (only patterns contained in the query pattern survive),
+    weights are reselected on that index's complete cases, and the query
+    is scored; candidates come from ``store`` when given.  The model is in
+    the data's own column numbers.  When the query observes everything
+    this reduces to the unrestricted pipeline.
     """
     x_star = np.asarray(x_star, dtype=float)
     if x_star.shape != (data.p,):
@@ -477,10 +492,9 @@ def predict_for_pattern(
     observed = np.flatnonzero(np.isfinite(x_star))
     if observed.size == 0:
         raise DataError("query observes no covariate")
-    target = Pattern(tuple(int(j) for j in observed))
-    restricted = restrict_to(data, target)
-    model = fit_averaged(restricted, family, lambda_n, fit_opts, opt_opts)
-    theta, mean = predict(model, x_star[observed])
+    index = build_pattern_index(data, columns=observed)
+    model = fit_averaged(data, family, lambda_n, fit_opts, opt_opts, index=index, store=store)
+    theta, mean = predict(model, x_star)
     if return_model:
         return theta, mean, model
     return theta, mean

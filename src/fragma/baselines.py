@@ -1,18 +1,18 @@
 """Comparator methods: CC, smoothed AIC/BIC, zero-imputation averaging, group lasso.
 
-Each baseline returns a :class:`BaselineResult` whose ``beta_effective``
-is embedded into the full coefficient space, so predictions share one
-code path regardless of how a method selected or combined covariates.
+Each baseline returns an :class:`~fragma.averaging.AveragedModel` whose
+coefficients are embedded into the full coefficient space, so every method
+predicts through one code path.  CC and the smoothed criteria draw their
+candidates from a :class:`~fragma.glm.CandidateStore` that may be shared.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .averaging import (
+    AveragedModel,
     CriterionContext,
     WeightVector,
     build_criterion_context,
@@ -21,41 +21,30 @@ from .averaging import (
 )
 from .errors import DataError, NumericalError
 from .glm import (
+    CandidateModel,
+    CandidateStore,
     ExponentialFamily,
     FitOptions,
     check_full_rank,
-    fit_all_candidates,
-    fit_candidate,
     fit_glm,
     get_family,
     loglik,
 )
-from .patterns import FragmentaryDataset, PatternIndex, build_pattern_index
+from .patterns import FragmentaryDataset, Pattern, PatternIndex, build_pattern_index
 
 
-@dataclass
-class BaselineResult:
-    """A fitted comparator method."""
-
-    method: str
-    beta_effective: np.ndarray
-    weights: WeightVector | None = None
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def support(self) -> list[int]:
-        return list(self.metadata.get("support", np.flatnonzero(self.beta_effective)))
-
-    def linear_predictor(self, x_full) -> float:
-        x = np.asarray(x_full, dtype=float)
-        if self.metadata.get("zero_impute"):
-            x = np.where(np.isfinite(x), x, 0.0)
-        support = self.support
-        vals = x[support]
-        if not np.all(np.isfinite(vals)):
-            missing = [j for j, v in zip(support, vals) if not np.isfinite(v)]
-            raise ValueError(f"covariates {missing} required by {self.method} are unobserved")
-        return float(vals @ self.beta_effective[support])
+def _single_glm(
+    data: FragmentaryDataset, family, cand: CandidateModel, diagnostics: dict | None = None
+) -> AveragedModel:
+    """One GLM as a model: a single candidate with unit weight."""
+    return AveragedModel(
+        candidates=[cand],
+        weights=WeightVector([1.0]),
+        beta_combined=combine_coefficients([cand], [1.0], data.p),
+        family=family,
+        column_names=list(data.column_names),
+        diagnostics=diagnostics or {},
+    )
 
 
 def fit_cc(
@@ -63,25 +52,13 @@ def fit_cc(
     family,
     opts: FitOptions | None = None,
     index: PatternIndex | None = None,
-) -> BaselineResult:
+    store: CandidateStore | None = None,
+) -> AveragedModel:
     """Single GLM on the complete cases: identical to candidate model 1."""
     family = get_family(family)
     if index is None:
         index = build_pattern_index(data)
-    cand = fit_candidate(data, index, 1, family, opts)
-    beta = np.zeros(data.p)
-    beta[list(cand.pattern.indices)] = cand.beta
-    return BaselineResult(
-        method="cc",
-        beta_effective=beta,
-        metadata={
-            "support": list(cand.pattern.indices),
-            "n_k": cand.n_k,
-            "p_k": cand.p_k,
-            "converged": cand.converged,
-            "loglik": cand.loglik,
-        },
-    )
+    return _single_glm(data, family, (store or CandidateStore(data, family, opts)).fit(index, 1))
 
 
 def smoothed_ic_weights(ic_values: np.ndarray) -> np.ndarray:
@@ -100,9 +77,9 @@ def fit_smoothed_ic(
     flavor: str,
     opts: FitOptions | None = None,
     index: PatternIndex | None = None,
-    candidates=None,
     ic_sample: str = "own",
-) -> BaselineResult:
+    store: CandidateStore | None = None,
+) -> AveragedModel:
     """Candidate averaging with smoothed AIC/BIC weights.
 
     By default each candidate's information criterion uses the
@@ -121,8 +98,7 @@ def fit_smoothed_ic(
     family = get_family(family)
     if index is None:
         index = build_pattern_index(data)
-    if candidates is None:
-        candidates = fit_all_candidates(data, index, family, opts)
+    candidates = (store or CandidateStore(data, family, opts)).fit_all(index)
 
     p_sizes = np.array([c.p_k for c in candidates], dtype=float)
     if ic_sample == "cc":
@@ -138,13 +114,13 @@ def fit_smoothed_ic(
     ic = -2.0 * ll + pen * p_sizes
 
     w = smoothed_ic_weights(ic)
-    beta = combine_coefficients(candidates, w, data.p)
-    support = sorted({j for c in candidates for j in c.pattern.indices})
-    return BaselineResult(
-        method=f"s{flavor}",
-        beta_effective=beta,
+    return AveragedModel(
+        candidates=candidates,
         weights=WeightVector(w),
-        metadata={"support": support, "ic": ic.tolist(), "ic_sample": ic_sample},
+        beta_combined=combine_coefficients(candidates, w, data.p),
+        family=family,
+        column_names=list(data.column_names),
+        diagnostics={"ic": ic.tolist(), "ic_sample": ic_sample},
     )
 
 
@@ -155,7 +131,7 @@ def fit_imp(
     opts: FitOptions | None = None,
     index: PatternIndex | None = None,
     opt_opts=None,
-) -> BaselineResult:
+) -> AveragedModel:
     """Zero-imputation averaging.
 
     Unavailable cells are replaced by zeros; each candidate pattern's
@@ -177,30 +153,23 @@ def fit_imp(
         beta, info = fit_glm(
             X, data.y, family, opts, column_names=[data.column_names[j] for j in cols]
         )
-        cands.append((pattern, beta))
+        cands.append(CandidateModel(pattern, beta, n, pattern.size, **info))
         thetas.append(X @ beta)
     theta_matrix = np.column_stack(thetas)
     p_sizes = np.array([p.size for p in index.patterns], dtype=float)
     ctx = CriterionContext(theta_matrix, data.y, p_sizes, family)
     lam = 2.0 if lambda_mode == "opt1" else float(np.log(n))
     wfit = optimize_weights(ctx, lam, opt_opts)
-
-    beta = np.zeros(data.p)
-    for wk, (pattern, b) in zip(np.asarray(wfit.weights), cands):
-        beta[list(pattern.indices)] += wk * b
-    support = sorted({j for p in index.patterns for j in p.indices})
-    method = "imp1" if lambda_mode == "opt1" else "imp2"
-    return BaselineResult(
-        method=method,
-        beta_effective=beta,
+    return AveragedModel(
+        candidates=cands,
         weights=wfit.weights,
-        metadata={
-            "support": support,
-            "zero_impute": True,
-            "lambda_n": lam,
-            "criterion_value": wfit.criterion_value,
-            "kkt_residual": wfit.kkt_residual,
-        },
+        beta_combined=combine_coefficients(cands, wfit.weights, data.p),
+        family=family,
+        column_names=list(data.column_names),
+        lambda_n=lam,
+        criterion_value=wfit.criterion_value,
+        zero_impute=True,
+        diagnostics={"kkt_residual": wfit.kkt_residual},
     )
 
 
@@ -438,7 +407,7 @@ def fit_glasso(
     opts: FitOptions | None = None,
     index: PatternIndex | None = None,
     path_tol: float = 1e-8,
-) -> BaselineResult:
+) -> AveragedModel:
     """Group-lasso selection on the complete cases, then an unpenalized refit.
 
     ``groups`` maps names to original column indices and should partition
@@ -521,18 +490,18 @@ def fit_glasso(
         column_names=[data.column_names[j] for j in selected_cols],
     )
 
-    beta_full = np.zeros(data.p)
-    beta_full[selected_cols] = beta_refit
-    return BaselineResult(
-        method="glasso",
-        beta_effective=beta_full,
-        metadata={
-            "support": selected_cols,
+    cand = CandidateModel(
+        Pattern(tuple(selected_cols)), beta_refit, int(refit_rows.size), len(selected_cols), **info
+    )
+    return _single_glm(
+        data,
+        family,
+        cand,
+        {
             "selected_groups": selected_groups,
             "lambda": float(lambdas[best]),
             "lambda_max": float(lam_max),
             "cv_loss": cv_loss.tolist(),
-            "n_refit": int(refit_rows.size),
-            "refit_converged": info["converged"],
+            "n_refit": cand.n_k,
         },
     )

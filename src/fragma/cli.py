@@ -1,8 +1,8 @@
 """Command-line front end: fit, predict, compare, simulate, screen.
 
-Every subcommand writes a ``config.json`` into its output directory with
-the resolved arguments, sufficient to re-run the command bit-identically.
-Exit codes: 0 success, 1 numerical failure, 2 input error.
+Every subcommand writes a ``config.json`` into its output directory that
+records the resolved arguments and the package version; no subcommand
+reads it back.  Exit codes: 0 success, 1 numerical failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .averaging import (
 )
 from .baselines import fit_cc, fit_glasso, fit_imp, fit_smoothed_ic
 from .errors import DataError, NumericalError
-from .glm import FitOptions, get_family
+from .glm import CandidateStore, FitOptions, get_family
 from .io import (
     format_cell,
     read_fragmentary_csv,
@@ -31,7 +31,7 @@ from .io import (
     read_matrix_csv,
     write_csv,
 )
-from .patterns import FragmentaryDataset, build_pattern_index
+from .patterns import FragmentaryDataset, build_pattern_index, split_rows_by_pattern
 from .screening import screen_groups
 from .sim import ALL_METHODS, SimConfig, run_study
 
@@ -140,6 +140,13 @@ def _align_query(header, values, column_names):
     return q
 
 
+def _prediction_rows(rules, theta, mean) -> list[list]:
+    return [
+        [i + 1, rule, f"{t:.17g}", f"{m:.17g}"]
+        for i, (rule, t, m) in enumerate(zip(rules, theta.tolist(), mean.tolist()))
+    ]
+
+
 def cmd_predict(args) -> int:
     out = _out_dir(args)
     _write_config(out, args)
@@ -155,35 +162,31 @@ def cmd_predict(args) -> int:
         )
         if train.column_names != model.column_names:
             raise DataError("training CSV columns do not match the model's columns")
+        store = CandidateStore(train, model.family)
 
-    lead = set(model.candidates[0].pattern.indices)
-    cache: dict[tuple, tuple] = {}
-    rows = []
-    for i in range(q.shape[0]):
-        obs = frozenset(np.flatnonzero(np.isfinite(q[i])).tolist())
-        if lead <= obs:
-            theta, mean = predict(model, q[i])
-            rule = "full"
+    lead = list(model.candidates[0].pattern.indices)
+    observed = np.isfinite(q)
+    theta, mean = np.empty((2, q.shape[0]))
+    rules = np.empty(q.shape[0], dtype=object)
+    for rows in split_rows_by_pattern(observed):
+        obs = np.flatnonzero(observed[rows[0]])
+        if observed[rows[0], lead].all():
+            sub, rule = model, "full"
         else:
             if train is None:
                 raise DataError(
-                    f"query row {i + 1} observes only a sub-pattern; "
+                    f"query row {rows[0] + 1} observes only a sub-pattern; "
                     "re-fitting requires --train"
                 )
-            key = tuple(sorted(obs))
-            if key not in cache:
-                x_star = np.where(np.isfinite(q[i]), q[i], np.nan)
-                cache[key] = predict_for_pattern(
-                    train, model.family, model.lambda_n, x_star, return_model=True
-                )[2]
-            sub = cache[key]
-            theta, mean = predict(sub, q[i][list(key)])
-            rule = "restricted:" + "+".join(
-                model.column_names[j] for j in sorted(obs)
-            )
-        rows.append([i + 1, rule, f"{theta:.17g}", f"{mean:.17g}"])
-    write_csv(out / "predictions.csv", ["row", "rule", "theta", "mean"], rows)
-    print(f"wrote {out / 'predictions.csv'} ({len(rows)} rows)")
+            sub = predict_for_pattern(
+                train, model.family, model.lambda_n, q[rows[0]], return_model=True, store=store
+            )[2]
+            rule = "restricted:" + "+".join(model.column_names[j] for j in obs)
+        theta[rows], mean[rows] = predict(sub, q[rows])
+        rules[rows] = rule
+    write_csv(out / "predictions.csv", ["row", "rule", "theta", "mean"],
+              _prediction_rows(rules, theta, mean))
+    print(f"wrote {out / 'predictions.csv'} ({q.shape[0]} rows)")
     return 0
 
 
@@ -236,14 +239,15 @@ def cmd_compare(args) -> int:
     index = build_pattern_index(train)
     lead = list(index.patterns[0].indices)
     fopts = _fit_options(args)
+    store = CandidateStore(train, family, fopts)
     fits = {}
     for m in methods:
         if m in ("opt1", "opt2"):
-            fits[m] = fit_averaged(train, family, m, fit_opts=fopts, index=index)
+            fits[m] = fit_averaged(train, family, m, index=index, store=store)
         elif m == "cc":
-            fits[m] = fit_cc(train, family, opts=fopts, index=index)
+            fits[m] = fit_cc(train, family, index=index, store=store)
         elif m in ("saic", "sbic"):
-            fits[m] = fit_smoothed_ic(train, family, m[1:], opts=fopts, index=index)
+            fits[m] = fit_smoothed_ic(train, family, m[1:], index=index, store=store)
         elif m in ("imp1", "imp2"):
             fits[m] = fit_imp(
                 train, family, "opt1" if m == "imp1" else "opt2", opts=fopts, index=index
@@ -252,39 +256,32 @@ def cmd_compare(args) -> int:
             fits[m] = fit_glasso(train, family, groups, seed=args.seed, opts=fopts, index=index)
 
     eval_rows = np.flatnonzero(test.mask[:, lead].all(axis=1))
+    xq = np.where(test.mask, test.x, np.nan)
     summary = []
     for m in methods:
         fit = fits[m]
-        cache: dict[tuple, AveragedModel] = {}
-        preds = []
-        for i in range(test.n):
-            theta = np.nan
-            rule = "unavailable"
-            xq = np.where(test.mask[i], test.x[i], np.nan)
+        theta = np.full(test.n, np.nan)
+        rules = np.full(test.n, "unavailable", dtype=object)
+        for rows in split_rows_by_pattern(test.mask):
+            if fit.zero_impute:
+                sub, rule = fit, "zero-imputed"
+            elif m not in ("opt1", "opt2") or test.mask[rows[0], lead].all():
+                sub, rule = fit, "full"
+            else:
+                sub, rule = None, "restricted"
             try:
-                if isinstance(fit, AveragedModel):
-                    obs = frozenset(np.flatnonzero(test.mask[i]).tolist())
-                    if set(lead) <= obs:
-                        theta, _ = predict(fit, xq)
-                        rule = "full"
-                    else:
-                        key = tuple(sorted(obs))
-                        if key not in cache:
-                            cache[key] = predict_for_pattern(
-                                train, family, fit.lambda_n, xq, return_model=True
-                            )[2]
-                        theta, _ = predict(cache[key], xq[list(key)])
-                        rule = "restricted"
-                else:
-                    theta = fit.linear_predictor(xq)
-                    rule = "zero-imputed" if fit.metadata.get("zero_impute") else "full"
+                if sub is None:
+                    sub = predict_for_pattern(
+                        train, family, fit.lambda_n, xq[rows[0]], return_model=True, store=store
+                    )[2]
+                theta[rows] = predict(sub, xq[rows])[0]
             except (ValueError, DataError, NumericalError):
-                pass
-            mean = float(family.b_prime(theta)) if np.isfinite(theta) else np.nan
-            preds.append([i + 1, rule, f"{theta:.17g}", f"{mean:.17g}"])
+                continue
+            rules[rows] = rule
+        preds = _prediction_rows(rules, theta, family.b_prime(theta))
         write_csv(out / f"predictions_{m}.csv", ["row", "rule", "theta", "mean"], preds)
 
-        theta_eval = np.array([float(preds[i][2]) for i in eval_rows])
+        theta_eval = theta[eval_rows]
         ok = np.isfinite(theta_eval)
         y_eval = test.y[eval_rows][ok]
         loss = (
@@ -312,8 +309,6 @@ def cmd_simulate(args) -> int:
         methods=methods,
     )
     result = run_study(cfg)
-    with open(out / "config.json", "w") as fh:
-        json.dump({"command": "simulate", "version": __version__, **cfg.to_dict()}, fh, indent=2)
 
     rows = []
     for rep in range(cfg.reps):

@@ -12,7 +12,7 @@ textbook ones by a data-only constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -189,7 +189,8 @@ def fit_glm(
     """Maximize the GLM log-likelihood by Fisher scoring with step halving.
 
     Returns the coefficient vector and a diagnostics dict (loglik,
-    converged, iterations, ridged, trace).  The fit is flagged
+    converged, iterations, ridged, trace: the fit fields of
+    :class:`CandidateModel`).  The fit is flagged
     non-converged when the score max-norm stays above ``grad_tol`` after
     ``max_iter`` iterations; a ridge term is added to the weighted normal
     equations once the coefficient norm passes ``divergence_norm``
@@ -284,17 +285,7 @@ def fit_candidate(
     beta, info = fit_glm(
         X, y, family, opts, column_names=[data.column_names[j] for j in cols]
     )
-    return CandidateModel(
-        pattern=pattern,
-        beta=beta,
-        n_k=n_k,
-        p_k=p_k,
-        loglik=info["loglik"],
-        converged=info["converged"],
-        iterations=info["iterations"],
-        ridged=info["ridged"],
-        trace=info["trace"],
-    )
+    return CandidateModel(pattern, beta, n_k, p_k, **info)
 
 
 def fit_all_candidates(
@@ -305,6 +296,34 @@ def fit_all_candidates(
 ) -> list[CandidateModel]:
     """Fit every candidate model of the index, in pattern order."""
     return [fit_candidate(data, index, k, family, opts) for k in range(1, index.K + 1)]
+
+
+class CandidateStore:
+    """The candidate fits of one run on one dataset, family and options.
+
+    A candidate on columns C is fitted on every subject observing C, in
+    row order, whichever pattern index asks for it, so fits are keyed by C
+    and shared by the main model, sub-pattern refits and baselines.
+    """
+
+    def __init__(self, data: FragmentaryDataset, family, opts: FitOptions | None = None):
+        self.data = data
+        self.family = get_family(family)
+        self.opts = opts
+        self._fits: dict[tuple[int, ...], CandidateModel] = {}
+
+    def fit(self, index: PatternIndex, k: int) -> CandidateModel:
+        """Candidate k (1-based pattern id) of ``index``, fitted at most once per store."""
+        pattern = index.patterns[k - 1]
+        cand = self._fits.get(pattern.indices)
+        if cand is None:
+            cand = fit_candidate(self.data, index, k, self.family, self.opts)
+            self._fits[pattern.indices] = cand
+        return replace(cand, pattern=pattern, beta=cand.beta.copy())
+
+    def fit_all(self, index: PatternIndex) -> list[CandidateModel]:
+        """Every candidate of ``index``, in pattern order."""
+        return [self.fit(index, k) for k in range(1, index.K + 1)]
 
 
 def linear_predictor(model: CandidateModel, x_full: np.ndarray) -> float:

@@ -4,7 +4,10 @@ A fragmentary dataset observes, for each subject, only a subset of the
 covariate columns.  This module groups subjects by their availability
 pattern and derives, for every distinct pattern, the two subject sets the
 averaging machinery needs: the subjects whose pattern equals it exactly,
-and the (larger) set of subjects observing at least those columns.
+and the (larger) set of subjects observing at least those columns.  An
+index can also be taken through a subset of the columns (the data as a
+sub-pattern query sees it), still in the dataset's own row and column
+numbers.
 """
 
 from __future__ import annotations
@@ -107,9 +110,6 @@ class Pattern:
     def size(self) -> int:
         return len(self.indices)
 
-    def contains(self, other: "Pattern") -> bool:
-        return set(other.indices) <= set(self.indices)
-
 
 @dataclass
 class PatternIndex:
@@ -120,9 +120,11 @@ class PatternIndex:
     * ``t_sets[k]``  — subjects whose availability equals the pattern exactly;
     * ``s_sets[k]``  — subjects observing at least all of the pattern's columns;
     * ``projections[k]`` — the 0/1 selection matrix of shape (p_k, p) mapping a
-      full-length vector onto the pattern's coordinates.
+      full-length vector onto the pattern's coordinates (built on access).
 
-    Subject indices are 0-based row numbers of the originating dataset.
+    Subject indices are 0-based row numbers and pattern indices 0-based
+    column numbers of the originating dataset.  ``columns`` are the columns
+    the index sees; subjects observing none of them belong to no pattern.
     ``subject_order`` is the permutation that would group subjects into
     contiguous pattern blocks; rows are never physically reordered.
     """
@@ -130,9 +132,8 @@ class PatternIndex:
     patterns: list[Pattern]
     t_sets: list[np.ndarray]
     s_sets: list[np.ndarray]
-    projections: list[np.ndarray]
-    n: int
     p: int
+    columns: tuple[int, ...]
     subject_order: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -148,11 +149,27 @@ class PatternIndex:
 
     @property
     def full_first(self) -> bool:
-        """True when the first pattern covers every column."""
-        return self.patterns[0].size == self.p
+        """True when the first pattern covers every column the index sees."""
+        return self.patterns[0].size == len(self.columns)
+
+    @property
+    def projections(self) -> list[np.ndarray]:
+        eye = np.eye(self.p)
+        return [eye[list(pat.indices)] for pat in self.patterns]
 
 
-def build_pattern_index(data: FragmentaryDataset) -> PatternIndex:
+def split_rows_by_pattern(mask: np.ndarray) -> list[np.ndarray]:
+    """Row numbers of each distinct row of a boolean mask, in order of first appearance."""
+    mask = np.ascontiguousarray(mask, dtype=bool)
+    keys = mask.view(np.dtype((np.void, mask.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+    return [groups[u] for u in np.argsort(first)]
+
+
+def build_pattern_index(data: FragmentaryDataset, columns=None) -> PatternIndex:
     """Decompose a fragmentary dataset into its availability patterns.
 
     The pattern with the most columns comes first (ties broken
@@ -160,51 +177,37 @@ def build_pattern_index(data: FragmentaryDataset) -> PatternIndex:
     order of first appearance over the subject rows, matching the usual
     convention of rearranging subjects into contiguous pattern blocks.
 
+    With ``columns`` the data are seen through those columns only, as
+    :func:`restrict_to` would restrict them, but rows and columns keep
+    their numbers in ``data``: patterns are intersected with ``columns``
+    and subjects observing none of them are left out.
+
     Returns
     -------
     PatternIndex
-        All K distinct patterns with exact-match sets, superset sets and
-        projection matrices; 1 <= K <= 2**p - 1.
+        All K distinct patterns with exact-match and superset sets;
+        1 <= K <= 2**p - 1.
     """
-    n, p = data.mask.shape
-    uniq, inverse = np.unique(data.mask, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
+    p = data.p
+    cols = np.arange(p) if columns is None else np.asarray(Pattern(tuple(columns)).indices)
+    if cols[0] < 0 or cols[-1] >= p:
+        raise DataError(f"columns {cols.tolist()} reference columns outside 0..{p - 1}")
+    mask = data.mask[:, cols]
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        raise DataError("no subject observes any of the index columns")
+    groups = split_rows_by_pattern(mask[rows])
 
-    n_uniq = uniq.shape[0]
-    first_row = np.full(n_uniq, n, dtype=int)
-    np.minimum.at(first_row, inverse, np.arange(n))
-
-    sizes = uniq.sum(axis=1)
-    index_tuples = [tuple(np.flatnonzero(row)) for row in uniq]
+    index_tuples = [tuple(cols[mask[rows[g[0]]]].tolist()) for g in groups]
     # Leader: largest pattern, lexicographic tie-break; rest by first appearance.
-    leader = min(range(n_uniq), key=lambda u: (-sizes[u], index_tuples[u]))
-    order = [leader] + sorted(
-        (u for u in range(n_uniq) if u != leader), key=lambda u: first_row[u]
-    )
+    leader = min(range(len(groups)), key=lambda u: (-len(index_tuples[u]), index_tuples[u]))
+    order = [leader] + [u for u in range(len(groups)) if u != leader]
 
-    patterns: list[Pattern] = []
-    t_sets: list[np.ndarray] = []
-    s_sets: list[np.ndarray] = []
-    projections: list[np.ndarray] = []
-    for rank, u in enumerate(order):
-        idx = index_tuples[u]
-        patterns.append(Pattern(indices=idx, id=rank + 1))
-        t_sets.append(np.flatnonzero(inverse == u))
-        s_sets.append(np.flatnonzero(data.mask[:, list(idx)].all(axis=1)))
-        pi = np.zeros((len(idx), p))
-        pi[np.arange(len(idx)), list(idx)] = 1.0
-        projections.append(pi)
-
-    subject_order = np.concatenate(t_sets)
-    return PatternIndex(
-        patterns=patterns,
-        t_sets=t_sets,
-        s_sets=s_sets,
-        projections=projections,
-        n=n,
-        p=p,
-        subject_order=subject_order,
-    )
+    patterns = [Pattern(indices=index_tuples[u], id=rank + 1) for rank, u in enumerate(order)]
+    t_sets = [rows[groups[u]] for u in order]
+    s_sets = [np.flatnonzero(data.mask[:, list(pat.indices)].all(axis=1)) for pat in patterns]
+    return PatternIndex(patterns, t_sets, s_sets, p, tuple(cols.tolist()),
+                        subject_order=np.concatenate(t_sets))
 
 
 def restrict_to(data: FragmentaryDataset, target: Pattern) -> FragmentaryDataset:

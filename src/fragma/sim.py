@@ -11,7 +11,6 @@ distributions on the complete cases.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,10 +20,11 @@ from .averaging import (
     build_criterion_context,
     kl_loss,
     optimize_weights,
+    predict,
 )
 from .baselines import fit_glasso, fit_imp, fit_smoothed_ic
 from .errors import NumericalError
-from .glm import BINOMIAL, FitOptions, fit_all_candidates
+from .glm import BINOMIAL, CandidateStore, FitOptions
 from .patterns import FragmentaryDataset, build_pattern_index
 
 BETA_CASES = ("decay", "flat", "rise")
@@ -167,7 +167,7 @@ class _RepFits:
     """Shared per-replication pipeline pieces reused across methods."""
 
     index: object
-    candidates: list
+    store: CandidateStore
     ctx: object
     cc_rows: np.ndarray
 
@@ -179,10 +179,12 @@ def _shared_fits(
 ) -> _RepFits:
     if index is None:
         index = build_pattern_index(data)
-    candidates = fit_all_candidates(data, index, BINOMIAL, fit_opts)
+    store = CandidateStore(data, BINOMIAL, fit_opts)
     # The withheld last covariate makes the leading pattern non-full by design.
-    ctx = build_criterion_context(data, index, candidates, BINOMIAL, warn_incomplete=False)
-    return _RepFits(index=index, candidates=candidates, ctx=ctx, cc_rows=index.s_sets[0])
+    ctx = build_criterion_context(
+        data, index, store.fit_all(index), BINOMIAL, warn_incomplete=False
+    )
+    return _RepFits(index=index, store=store, ctx=ctx, cc_rows=index.s_sets[0])
 
 
 def evaluate_method(
@@ -208,24 +210,17 @@ def evaluate_method(
     elif method == "cc":
         theta_cc = ctx.theta_matrix[:, 0]
     elif method in ("saic", "sbic"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = fit_smoothed_ic(
-                data,
-                BINOMIAL,
-                flavor=method[1:],
-                index=shared.index,
-                candidates=shared.candidates,
-            )
+        res = fit_smoothed_ic(
+            data, BINOMIAL, flavor=method[1:], index=shared.index, store=shared.store
+        )
         theta_cc = ctx.theta_matrix @ np.asarray(res.weights)
     elif method in ("imp1", "imp2"):
         res = fit_imp(data, BINOMIAL, lambda_mode="opt1" if method == "imp1" else "opt2",
                       index=shared.index)
-        x0 = data.filled(0.0)[shared.cc_rows]
-        theta_cc = x0[:, res.support] @ res.beta_effective[res.support]
+        theta_cc = predict(res, data.x[shared.cc_rows])[0]
     elif method == "glasso":
         res = fit_glasso(data, BINOMIAL, sim_groups(data.p), seed=seed, path_tol=1e-6)
-        theta_cc = data.x[np.ix_(shared.cc_rows, res.support)] @ res.beta_effective[res.support]
+        theta_cc = predict(res, data.x[shared.cc_rows])[0]
     else:
         raise ValueError(f"unknown method {method!r}")
 

@@ -279,13 +279,13 @@ def test_criterion_8_degenerate_reductions():
     imp = fit_imp(data, BINOMIAL, "opt1")
     imp_ok = (
         np.max(np.abs(np.asarray(opt.weights) - np.asarray(imp.weights))) <= 1e-10
-        and np.max(np.abs(opt.beta_combined - imp.beta_effective)) <= 1e-10
+        and np.max(np.abs(opt.beta_combined - imp.beta_combined)) <= 1e-10
     )
     pred_ok = True
     for _ in range(5):
         xq = rng.standard_normal(p)
         t_opt, _ = predict(opt, xq)
-        if abs(t_opt - imp.linear_predictor(xq)) > 1e-10:
+        if abs(t_opt - predict(imp, xq)[0]) > 1e-10:
             pred_ok = False
 
     # oracle predictor has zero loss

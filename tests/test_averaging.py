@@ -24,7 +24,7 @@ from fragma.averaging import (
 from fragma.datasets import adni_like, random_fragmentary
 from fragma.errors import DataError
 from fragma.glm import BINOMIAL, GAUSSIAN, POISSON, fit_all_candidates, fit_glm, loglik
-from fragma.patterns import build_pattern_index
+from fragma.patterns import build_pattern_index, restrict_to
 
 from oracles import (
     bernoulli_kl2,
@@ -286,7 +286,7 @@ def test_vertex_weight_predicts_like_single_candidate(rng):
 
 def test_prediction_equals_weighted_candidate_loop(rng):
     data, index, candidates, ctx, fam = fragmentary_pipeline(rng, n=90, p=4)
-    model = fit_averaged(data, fam, 2.0, index=index, candidates=candidates)
+    model = fit_averaged(data, fam, 2.0, index=index)
     from fragma.glm import linear_predictor
 
     for _ in range(10):
@@ -320,9 +320,24 @@ def test_zero_coefficients_predict_half(rng):
 
 def test_predict_requires_leading_pattern(rng):
     data, index, candidates, ctx, fam = fragmentary_pipeline(rng, n=70, p=4)
-    model = fit_averaged(data, fam, 2.0, index=index, candidates=candidates)
+    model = fit_averaged(data, fam, 2.0, index=index)
     x = rng.standard_normal(data.p)
     x[list(model.candidates[0].pattern.indices)[0]] = np.nan
+    with pytest.raises(ValueError):
+        predict(model, x)
+
+
+def test_predict_block_matches_rows_and_rejects_missing_support(rng):
+    data, index, candidates, ctx, fam = fragmentary_pipeline(rng, n=90, p=4)
+    model = fit_averaged(data, fam, 2.0, index=index)
+    x = rng.standard_normal((25, data.p))
+    theta, mean = predict(model, x)
+    assert theta.shape == mean.shape == (25,)
+    for i in range(25):
+        t_row, m_row = predict(model, x[i])
+        assert abs(theta[i] - t_row) <= 1e-12
+        assert abs(mean[i] - m_row) <= 1e-12
+    x[7, model.support[-1]] = np.nan
     with pytest.raises(ValueError):
         predict(model, x)
 
@@ -330,6 +345,43 @@ def test_predict_requires_leading_pattern(rng):
 # ---------------------------------------------------------------------------
 # sub-pattern prediction
 # ---------------------------------------------------------------------------
+
+def test_columns_index_refit_matches_restricted_oracle():
+    # Oracle: restrict the data to the query columns and rebuild the index
+    # there.  The index taken through the query's columns and the refit
+    # drawn from it must give the same candidates (after mapping restricted
+    # columns back) and bitwise-equal betas, weights and criterion values.
+    data, _ = adni_like(seed=3, scale=0.5)
+    rng = np.random.default_rng(1)
+    for pat in build_pattern_index(data).patterns[1:]:
+        cols = np.asarray(pat.indices)
+        kept_rows = np.flatnonzero(data.mask[:, cols].any(axis=1))
+        restricted = restrict_to(data, pat)
+        oracle_index = build_pattern_index(restricted)
+        derived = build_pattern_index(data, columns=cols)
+        assert [tuple(cols[list(q.indices)]) for q in oracle_index.patterns] == [
+            q.indices for q in derived.patterns
+        ]
+        assert derived.full_first == oracle_index.full_first
+        for k in range(derived.K):
+            assert np.array_equal(kept_rows[oracle_index.t_sets[k]], derived.t_sets[k])
+            assert np.array_equal(kept_rows[oracle_index.s_sets[k]], derived.s_sets[k])
+
+        x_star = np.full(data.p, np.nan)
+        x_star[cols] = rng.standard_normal(cols.size)
+        for lam in ("opt1", "opt2"):
+            oracle = fit_averaged(restricted, BINOMIAL, lam)
+            _, _, model = predict_for_pattern(data, BINOMIAL, lam, x_star, return_model=True)
+            assert [tuple(cols[list(c.pattern.indices)]) for c in oracle.candidates] == [
+                c.pattern.indices for c in model.candidates
+            ]
+            for c_oracle, c_model in zip(oracle.candidates, model.candidates):
+                assert np.array_equal(c_oracle.beta, c_model.beta)
+            assert np.array_equal(np.asarray(oracle.weights), np.asarray(model.weights))
+            assert oracle.criterion_value == model.criterion_value
+            assert oracle.lambda_n == model.lambda_n
+            assert np.array_equal(oracle.beta_combined, model.beta_combined[cols])
+
 
 def test_predict_for_pattern_adni_blocks_keeps_five_candidates():
     data, groups = adni_like(seed=5, scale=0.2)

@@ -44,7 +44,7 @@ def test_cc_equals_first_candidate_exactly(rng):
     index = build_pattern_index(data)
     res = fit_cc(data, BINOMIAL, index=index)
     cand = fit_candidate(data, index, 1, BINOMIAL)
-    assert np.array_equal(res.beta_effective[list(cand.pattern.indices)], cand.beta)
+    assert np.array_equal(res.beta_combined[list(cand.pattern.indices)], cand.beta)
     assert res.support == list(cand.pattern.indices)
 
 
@@ -55,7 +55,7 @@ def test_cc_on_fully_observed_equals_plain_glm(rng):
     data = FragmentaryDataset(y, x, np.ones((n, p), bool), [f"c{j}" for j in range(p)])
     res = fit_cc(data, BINOMIAL)
     direct, _ = fit_glm(x, y, BINOMIAL)
-    assert np.max(np.abs(res.beta_effective - direct)) < 1e-12
+    assert np.max(np.abs(res.beta_combined - direct)) < 1e-12
 
 
 def test_cc_rejects_underdetermined_toy():
@@ -117,11 +117,11 @@ def test_imp_equals_opt_when_fully_observed(rng):
     opt = fit_averaged(data, BINOMIAL, "opt1")
     imp = fit_imp(data, BINOMIAL, "opt1")
     assert np.max(np.abs(np.asarray(opt.weights) - np.asarray(imp.weights))) < 1e-10
-    assert np.max(np.abs(opt.beta_combined - imp.beta_effective)) < 1e-10
+    assert np.max(np.abs(opt.beta_combined - imp.beta_combined)) < 1e-10
     for _ in range(5):
         xq = rng.standard_normal(p)
         t_opt, _ = predict(opt, xq)
-        assert np.isclose(t_opt, imp.linear_predictor(xq), atol=1e-10)
+        assert np.isclose(t_opt, predict(imp, xq)[0], atol=1e-10)
 
 
 def test_imp_candidate_fits_equal_zero_filled_irls(rng):
@@ -139,9 +139,9 @@ def test_imp_candidate_fits_equal_zero_filled_irls(rng):
     # recompute the imp candidate for the two-column pattern
     beta_imp, _ = fit_glm(x0[:, [0, 1]], y, BINOMIAL)
     assert np.max(np.abs(beta_imp - direct)) < 1e-12
-    assert res.metadata["zero_impute"]
+    assert res.zero_impute
     # prediction path zero-fills unobserved entries
-    t = res.linear_predictor(np.array([1.0, np.nan]))
+    t, _ = predict(res, np.array([1.0, np.nan]))
     assert np.isfinite(t)
 
 
@@ -153,13 +153,13 @@ def test_imp_single_pattern_reduces_to_one_glm(rng):
     res = fit_imp(data, BINOMIAL, "opt2")
     direct, _ = fit_glm(x, y, BINOMIAL)
     assert np.asarray(res.weights).tolist() == [1.0]
-    assert np.max(np.abs(res.beta_effective - direct)) < 1e-12
+    assert np.max(np.abs(res.beta_combined - direct)) < 1e-12
 
 
 def test_imp_lambda_mode_uses_full_sample_size(rng):
     data = random_fragmentary(rng, 50, 3, family="binomial", ensure_full=True)
     res = fit_imp(data, BINOMIAL, "opt2")
-    assert np.isclose(res.metadata["lambda_n"], np.log(data.n))
+    assert np.isclose(res.lambda_n, np.log(data.n))
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +215,13 @@ def test_fit_glasso_end_to_end(rng):
     )
     groups = {"signal": [1, 2, 3], "noise": [4, 5, 6]}
     res = fit_glasso(data, BINOMIAL, groups, seed=3)
-    assert "signal" in res.metadata["selected_groups"]
+    assert "signal" in res.diagnostics["selected_groups"]
     assert 0 in res.support
     # refit uses every subject observing the selected columns
     expected_rows = int(data.mask[:, res.support].all(axis=1).sum())
-    assert res.metadata["n_refit"] == expected_rows
-    if "noise" not in res.metadata["selected_groups"]:
-        assert res.metadata["n_refit"] == n
+    assert res.diagnostics["n_refit"] == expected_rows
+    if "noise" not in res.diagnostics["selected_groups"]:
+        assert res.diagnostics["n_refit"] == n
 
 
 def test_fit_glasso_respects_group_restriction_to_observed_columns(rng):

@@ -313,6 +313,33 @@ def test_cli_compare_refits_per_method(tmp_path):
     ).read_bytes()
 
 
+def test_cli_compare_fits_each_candidate_column_set_once(tmp_path, monkeypatch):
+    # the main fits, the baselines built from the same candidates and every
+    # sub-pattern refit share one store of candidate fits
+    import fragma.glm
+
+    fitted = []
+    original = fragma.glm.fit_candidate
+
+    def counting(data, index, k, *args, **kwargs):
+        fitted.append(index.patterns[k - 1].indices)
+        return original(data, index, k, *args, **kwargs)
+
+    monkeypatch.setattr(fragma.glm, "fit_candidate", counting)
+    data, _ = adni_like(seed=6, scale=0.25)
+    f = tmp_path / "d.csv"
+    dataset_to_csv(data, f)
+    out = tmp_path / "c"
+    assert run_cli(
+        "compare", "--input", str(f), "--response", "y", "--seed", "3",
+        "--methods", "opt1,opt2,cc,saic,sbic", "--out", str(out),
+    ) == 0
+    with open(out / "predictions_opt1.csv") as fh:
+        assert any(r["rule"] == "restricted" for r in csv.DictReader(fh))
+    assert fitted
+    assert len(fitted) == len(set(fitted))
+
+
 def test_cli_simulate_outputs_and_determinism(tmp_path):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     args = [
