@@ -121,14 +121,17 @@ def build_criterion_context(
 ) -> CriterionContext:
     """Per-candidate linear predictors on the weighting sample.
 
-    The weighting sample is S of the leading (maximal) pattern; when that
-    pattern covers every column this is the complete-case sample.  Every
-    candidate pattern must be contained in the leading pattern, otherwise
-    its predictor is undefined on those rows.
+    The weighting sample is every subject of ``data`` observing the leading
+    (maximal) pattern's columns: for an index built on ``data`` its S set,
+    the complete-case sample when that pattern covers every column, and all
+    subjects of a zero-imputed ``data.filled()``.  Every candidate's columns
+    must be observed on those rows, otherwise its predictor is undefined
+    there; for an index built on ``data`` that means every candidate
+    pattern is contained in the leading one.
     """
     family = get_family(family)
-    rows = index.s_sets[0]
-    lead = set(index.patterns[0].indices)
+    lead = list(index.patterns[0].indices)
+    rows = np.flatnonzero(data.mask[:, lead].all(axis=1))
     if warn_incomplete and not index.full_first:
         warnings.warn(
             "no subject observes every column; selecting weights on the "
@@ -137,12 +140,13 @@ def build_criterion_context(
         )
     cols = []
     for cand in candidates:
-        if not set(cand.pattern.indices) <= lead:
+        sub = np.ix_(rows, list(cand.pattern.indices))
+        if not data.mask[sub].all():
             raise DataError(
                 f"candidate pattern {cand.pattern.indices} not contained in the "
-                f"weighting pattern {tuple(sorted(lead))}"
+                f"weighting pattern {tuple(lead)}"
             )
-        cols.append(data.x[np.ix_(rows, list(cand.pattern.indices))] @ cand.beta)
+        cols.append(data.x[sub] @ cand.beta)
     theta_matrix = np.column_stack(cols)
     p_sizes = np.array([c.p_k for c in candidates], dtype=float)
     return CriterionContext(theta_matrix, data.y[rows], p_sizes, family)

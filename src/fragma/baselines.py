@@ -3,7 +3,9 @@
 Each baseline returns an :class:`~fragma.averaging.AveragedModel` whose
 coefficients are embedded into the full coefficient space, so every method
 predicts through one code path.  CC and the smoothed criteria draw their
-candidates from a :class:`~fragma.glm.CandidateStore` that may be shared.
+candidates from a :class:`~fragma.glm.CandidateStore` that may be shared;
+imp1 and imp2 share one on the zero-imputed data.  The group lasso is
+solved at each penalty level by one active-set Newton loop.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from scipy.special import logsumexp
 
 from .averaging import (
     AveragedModel,
-    CriterionContext,
     WeightVector,
     build_criterion_context,
     combine_coefficients,
@@ -131,34 +132,26 @@ def fit_imp(
     opts: FitOptions | None = None,
     index: PatternIndex | None = None,
     opt_opts=None,
+    store: CandidateStore | None = None,
 ) -> AveragedModel:
     """Zero-imputation averaging.
 
     Unavailable cells are replaced by zeros; each candidate pattern's
     covariate subset is then fitted on all n subjects, and weights are
     selected by the same penalized criterion evaluated on all n subjects,
-    with penalty level 2 (``opt1``) or log n (``opt2``).
+    with penalty level 2 (``opt1``) or log n (``opt2``).  Candidates come
+    from ``store``, which must hold fits on ``data.filled()``; imp1 and
+    imp2 on the same data can share one.
     """
     family = get_family(family)
     if index is None:
         index = build_pattern_index(data)
-    x0 = data.filled(0.0)
-    n = data.n
-
-    cands = []
-    thetas = []
-    for pattern in index.patterns:
-        cols = list(pattern.indices)
-        X = x0[:, cols]
-        beta, info = fit_glm(
-            X, data.y, family, opts, column_names=[data.column_names[j] for j in cols]
-        )
-        cands.append(CandidateModel(pattern, beta, n, pattern.size, **info))
-        thetas.append(X @ beta)
-    theta_matrix = np.column_stack(thetas)
-    p_sizes = np.array([p.size for p in index.patterns], dtype=float)
-    ctx = CriterionContext(theta_matrix, data.y, p_sizes, family)
-    lam = 2.0 if lambda_mode == "opt1" else float(np.log(n))
+    store = store or CandidateStore(data.filled(), family, opts)
+    if not store.data.mask.all():
+        raise ValueError("fit_imp needs a candidate store on the zero-imputed data.filled()")
+    cands = store.fit_all(index)
+    ctx = build_criterion_context(store.data, index, cands, family, warn_incomplete=False)
+    lam = 2.0 if lambda_mode == "opt1" else float(np.log(data.n))
     wfit = optimize_weights(ctx, lam, opt_opts)
     return AveragedModel(
         candidates=cands,
@@ -198,6 +191,32 @@ def _block_soft_threshold(beta, groups, t, lam):
     return out
 
 
+def _kkt_parts(grad, beta, groups, lam, unpenalized) -> tuple[float, float]:
+    """KKT residual on the active coordinates and the largest zero-group violation.
+
+    The active coordinates are the unpenalized ones and the nonzero groups,
+    where the objective is differentiable; a zero group violates its
+    subgradient bound by ``||grad_g|| - lam * sqrt(|g|)`` when that is positive.
+    """
+    active = float(np.max(np.abs(grad[unpenalized]), initial=0.0))
+    violation = 0.0
+    for g in groups:
+        w = lam * np.sqrt(len(g))
+        norm = np.linalg.norm(beta[g])
+        if norm == 0.0:
+            violation = max(violation, float(np.linalg.norm(grad[g])) - w)
+        else:
+            active = max(active, float(np.linalg.norm(grad[g] + w * beta[g] / norm)))
+    return active, violation
+
+
+def _unpenalized(p: int, groups) -> np.ndarray:
+    penalized = np.zeros(p, dtype=bool)
+    for g in groups:
+        penalized[g] = True
+    return np.flatnonzero(~penalized)
+
+
 def fit_group_lasso_at(
     X: np.ndarray,
     y: np.ndarray,
@@ -205,149 +224,92 @@ def fit_group_lasso_at(
     lam: float,
     groups: list[np.ndarray],
     beta0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 20000,
+    tol: float = 1e-8,
+    max_iter: int = 500,
 ) -> np.ndarray:
-    """Group-lasso GLM at a single penalty level by proximal gradient.
+    """Group-lasso GLM at a single penalty level by an active-set Newton method.
 
-    Minimizes -loglik(beta) + lam * sum_g sqrt(|g|) * ||beta_g||_2, with
-    coordinates outside every group unpenalized.  FISTA-style momentum
-    with backtracking on the smooth part (``tol`` bounds the relative
-    objective decrease at the stop), then a Newton polish on the active
-    coordinates, where the objective is smooth, to pin down the
-    stationarity conditions.
+    Minimizes -loglik(beta) + lam * sum_g sqrt(|g|) * ||beta_g||_2 (Meier,
+    van de Geer and Bühlmann 2008), with coordinates outside every group
+    unpenalized, starting from ``beta0`` (zero by default).  Each iteration
+    compares the KKT residual on the active coordinates (the unpenalized
+    ones and the nonzero groups, where the objective is smooth) with the
+    largest violation of a zero group's subgradient bound.  When the active
+    residual is the larger it takes a damped Newton step on the active
+    coordinates, setting to zero every group the step drives through the
+    kink at the origin; otherwise it takes one backtracked proximal-gradient
+    step, which releases the violating group.  A step is accepted under
+    Armijo, on the gradient's first-order change plus the exact penalty
+    change, with a 4 eps |f| roundoff slack.  The loop stops when both
+    residuals are within ``tol`` (see :func:`group_lasso_kkt_residual`),
+    when a step decreased neither the objective beyond roundoff nor the
+    residual, when no step is accepted, or after ``max_iter`` iterations.
     """
-    n, p = X.shape
     family = get_family(family)
+    p = X.shape[1]
+    unpen = _unpenalized(p, groups)
     beta = np.zeros(p) if beta0 is None else beta0.copy()
 
     def smooth(b):
         theta = X @ b
         return float((np.sum(family.b(theta)) - y @ theta) / family.phi)
 
-    def smooth_grad(b):
-        theta = X @ b
-        return X.T @ (family.b_prime(theta) - y) / family.phi
-
-    def objective(b):
-        return smooth(b) + _group_penalty(b, groups, lam)
-
-    t = 1.0 / max(
-        1e-12,
-        float(np.max(family.b_double_prime(X @ beta)))
-        * np.linalg.norm(X, 2) ** 2
-        / family.phi,
-    )
-    z = beta.copy()
-    mom = 1.0
-    f_prev = objective(beta)
-    # The first-order phase only needs to identify the active groups; the
-    # Newton polish below is quadratically convergent once they are fixed.
-    for it in range(min(max_iter, 400)):
-        g = smooth_grad(z)
-        fz = smooth(z)
-        smooth_cand = np.inf
-        for _ in range(80):
-            cand = _block_soft_threshold(z - t * g, groups, t, lam)
-            d = cand - z
-            smooth_cand = smooth(cand)
-            if smooth_cand <= fz + g @ d + (d @ d) / (2.0 * t) + 1e-12:
-                break
-            t *= 0.5
-        beta_new = cand
-        f_new = smooth_cand + _group_penalty(beta_new, groups, lam)
-        # FISTA restart on non-monotone steps.
-        if f_new > f_prev:
-            z = beta.copy()
-            mom = 1.0
-            continue
-        mom_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * mom**2))
-        z = beta_new + (mom - 1.0) / mom_new * (beta_new - beta)
-        if abs(f_prev - f_new) <= tol * max(1.0, abs(f_new)) and it > 1:
-            beta = beta_new
+    pen = _group_penalty(beta, groups, lam)
+    f = smooth(beta) + pen
+    stalled, res_before = False, np.inf
+    for _ in range(max_iter):
+        theta = X @ beta
+        grad = X.T @ (family.b_prime(theta) - y) / family.phi
+        res_active, violation = _kkt_parts(grad, beta, groups, lam, unpen)
+        res = max(res_active, violation)
+        if res <= tol or (stalled and res >= res_before):
             break
-        beta, f_prev, mom = beta_new, f_new, mom_new
-        t *= 1.1
-    return _polish_group_lasso(X, y, family, beta, lam, groups, t, objective, smooth_grad)
-
-
-def _polish_group_lasso(X, y, family, beta, lam, groups, t, objective, smooth_grad):
-    """Newton refinement on the active coordinates of a group-lasso solution.
-
-    Alternates damped Newton steps on the smooth-within-active-set
-    restriction with a prox-gradient step whenever a zeroed group
-    violates its subgradient bound; only objective-decreasing steps are
-    accepted, so the FISTA solution is never made worse.
-    """
-    p = X.shape[1]
-    grouped = np.zeros(p, dtype=bool)
-    for g in groups:
-        grouped[g] = True
-    unpen = np.flatnonzero(~grouped)
-
-    for _ in range(5):
-        for _ in range(40):
-            active_groups = [g for g in groups if np.linalg.norm(beta[g]) > 0]
-            coords = np.concatenate([unpen] + [g for g in active_groups]) if (
-                len(unpen) or active_groups
-            ) else np.array([], dtype=int)
-            if coords.size == 0:
-                break
-            coords = np.sort(coords)
-            grad = smooth_grad(beta)
+        if res_active >= violation:
+            nonzero = [g for g in groups if np.linalg.norm(beta[g]) > 0.0]
+            coords = np.sort(np.concatenate([unpen, *nonzero]))
             pen_grad = np.zeros(p)
-            theta = X @ beta
-            d2 = family.b_double_prime(theta) / family.phi
-            hess = X[:, coords].T @ (d2[:, None] * X[:, coords])
-            pen_hess = np.zeros((coords.size, coords.size))
-            pos = {j: t_ for t_, j in enumerate(coords)}
-            for g in active_groups:
+            pen_hess = np.zeros((p, p))
+            for g in nonzero:
                 norm = np.linalg.norm(beta[g])
                 u = beta[g] / norm
                 w = lam * np.sqrt(len(g))
                 pen_grad[g] = w * u
-                ii = [pos[j] for j in g]
-                pen_hess[np.ix_(ii, ii)] = w * (np.eye(len(g)) - np.outer(u, u)) / norm
-            total_grad = grad[coords] + pen_grad[coords]
-            if np.max(np.abs(total_grad), initial=0.0) <= 1e-10:
-                break
-            h = hess + pen_hess + 1e-12 * np.eye(coords.size)
+                pen_hess[np.ix_(g, g)] = w * (np.eye(len(g)) - np.outer(u, u)) / norm
+            Xc = X[:, coords]
+            hess = Xc.T @ ((family.b_double_prime(theta) / family.phi)[:, None] * Xc)
+            hess += pen_hess[np.ix_(coords, coords)] + 1e-12 * np.eye(coords.size)
             try:
-                step = np.linalg.solve(h, total_grad)
+                d = -np.linalg.solve(hess, (grad + pen_grad)[coords])
             except np.linalg.LinAlgError:
                 break
-            f_cur = objective(beta)
-            a = 1.0
-            accepted = False
-            for _ in range(40):
-                cand = beta.copy()
-                cand[coords] -= a * step
-                # zero out groups the step drove (numerically) through the kink
-                for g in active_groups:
-                    if np.linalg.norm(cand[g]) < 1e-13:
-                        cand[g] = 0.0
-                if objective(cand) < f_cur - 1e-16:
-                    beta = cand
-                    accepted = True
-                    break
-                a *= 0.5
-            if not accepted:
+
+            def trial(a):
+                b = beta.copy()
+                b[coords] += a * d
+                for g in nonzero:
+                    if b[g] @ beta[g] <= 0.0:
+                        b[g] = 0.0
+                return b
+        else:
+            lipschitz = float(np.max(family.b_double_prime(theta))) * np.linalg.norm(X, 2) ** 2
+            t = family.phi / max(1e-12, lipschitz)
+
+            def trial(a):
+                return _block_soft_threshold(beta - a * t * grad, groups, a * t, lam)
+
+        slack = 4.0 * np.finfo(float).eps * abs(f)
+        a = 1.0
+        for _ in range(60):
+            cand = trial(a)
+            pen_try = _group_penalty(cand, groups, lam)
+            f_try = smooth(cand) + pen_try
+            if f_try <= f + 1e-4 * (grad @ (cand - beta) + pen_try - pen) + slack:
                 break
-        # release a zeroed group only if its subgradient bound is violated
-        violated = None
-        grad = smooth_grad(beta)
-        for g in groups:
-            if np.linalg.norm(beta[g]) == 0.0:
-                slack = np.linalg.norm(grad[g]) - lam * np.sqrt(len(g))
-                if slack > 1e-12:
-                    violated = True
-        if not violated:
-            break
-        prox = _block_soft_threshold(beta - t * smooth_grad(beta), groups, t, lam)
-        if objective(prox) < objective(beta):
-            beta = prox
+            a *= 0.5
         else:
             break
+        stalled, res_before = f_try >= f - slack, res
+        beta, f, pen = cand, f_try, pen_try
     return beta
 
 
@@ -355,29 +317,22 @@ def group_lasso_kkt_residual(X, y, family, beta, lam, groups) -> float:
     """Largest violation of the group-lasso stationarity conditions."""
     family = get_family(family)
     grad = X.T @ (family.b_prime(X @ beta) - y) / family.phi
-    resid = 0.0
-    penalized = np.zeros(X.shape[1], dtype=bool)
-    for g in groups:
-        penalized[g] = True
-        gn = np.linalg.norm(grad[g])
-        w = lam * np.sqrt(len(g))
-        if np.linalg.norm(beta[g]) == 0.0:
-            resid = max(resid, gn - w)
-        else:
-            sub = grad[g] + w * beta[g] / np.linalg.norm(beta[g])
-            resid = max(resid, float(np.linalg.norm(sub)))
-    if (~penalized).any():
-        resid = max(resid, float(np.max(np.abs(grad[~penalized]))))
-    return float(resid)
+    return max(_kkt_parts(grad, beta, groups, lam, _unpenalized(X.shape[1], groups)))
 
 
-def lambda_max_group_lasso(X, y, family, groups, unpenalized) -> float:
-    """Smallest penalty level at which every group is zeroed."""
+def lambda_max_group_lasso(
+    X, y, family, groups, unpenalized, opts: FitOptions | None = None
+) -> float:
+    """Smallest penalty level at which every group is zeroed.
+
+    The unpenalized coordinates are fitted by :func:`~fragma.glm.fit_glm`
+    with ``opts``.
+    """
     family = get_family(family)
     p = X.shape[1]
     beta = np.zeros(p)
     if len(unpenalized):
-        sub, _ = fit_glm(X[:, unpenalized], y, family)
+        sub, _ = fit_glm(X[:, unpenalized], y, family, opts)
         beta[unpenalized] = sub
     grad = X.T @ (family.b_prime(X @ beta) - y) / family.phi
     return max(float(np.linalg.norm(grad[g])) / np.sqrt(len(g)) for g in groups)
@@ -406,16 +361,16 @@ def fit_glasso(
     lambda_min_ratio: float = 1e-3,
     opts: FitOptions | None = None,
     index: PatternIndex | None = None,
-    path_tol: float = 1e-8,
 ) -> AveragedModel:
     """Group-lasso selection on the complete cases, then an unpenalized refit.
 
     ``groups`` maps names to original column indices and should partition
     the non-intercept columns; columns in no group stay unpenalized.  The
     penalty level is chosen by ``cv_folds``-fold cross-validated deviance
-    over a geometric grid below the all-zero threshold; the final model is
-    an ordinary GLM refit using every subject that observes all selected
-    covariates.
+    over a geometric grid below the all-zero threshold, each path solved by
+    :func:`fit_group_lasso_at` warm-started from the previous level; the
+    final model is an ordinary GLM refit, with ``opts``, using every subject
+    that observes all selected covariates.
     """
     family = get_family(family)
     if index is None:
@@ -447,7 +402,7 @@ def fit_glasso(
         raise DataError("groups overlap")
     unpenalized = np.setdiff1d(np.arange(len(lead)), grouped)
 
-    lam_max = lambda_max_group_lasso(X, y, family, group_pos, unpenalized)
+    lam_max = lambda_max_group_lasso(X, y, family, group_pos, unpenalized, opts)
     lambdas = np.geomspace(lam_max, lam_max * lambda_min_ratio, n_lambdas)
 
     folds = _stratified_folds(y, cv_folds, seed)
@@ -457,16 +412,14 @@ def fit_glasso(
         te = ~tr
         beta = None
         for i, lam in enumerate(lambdas):
-            beta = fit_group_lasso_at(
-                X[tr], y[tr], family, lam, group_pos, beta0=beta, tol=path_tol
-            )
+            beta = fit_group_lasso_at(X[tr], y[tr], family, lam, group_pos, beta0=beta)
             theta_te = X[te] @ beta
             cv_loss[i] += -2.0 * loglik(family, theta_te, y[te])
     best = int(np.argmin(cv_loss))
 
     beta = None
     for lam in lambdas[: best + 1]:
-        beta = fit_group_lasso_at(X, y, family, lam, group_pos, beta0=beta, tol=path_tol)
+        beta = fit_group_lasso_at(X, y, family, lam, group_pos, beta0=beta)
     selected_groups = [
         name
         for name, g in zip(group_names, group_pos)

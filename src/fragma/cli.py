@@ -240,6 +240,7 @@ def cmd_compare(args) -> int:
     lead = list(index.patterns[0].indices)
     fopts = _fit_options(args)
     store = CandidateStore(train, family, fopts)
+    imp_store = CandidateStore(train.filled(), family, fopts)
     fits = {}
     for m in methods:
         if m in ("opt1", "opt2"):
@@ -250,7 +251,7 @@ def cmd_compare(args) -> int:
             fits[m] = fit_smoothed_ic(train, family, m[1:], index=index, store=store)
         elif m in ("imp1", "imp2"):
             fits[m] = fit_imp(
-                train, family, "opt1" if m == "imp1" else "opt2", opts=fopts, index=index
+                train, family, "opt1" if m == "imp1" else "opt2", index=index, store=imp_store
             )
         elif m == "glasso":
             fits[m] = fit_glasso(train, family, groups, seed=args.seed, opts=fopts, index=index)

@@ -268,12 +268,17 @@ def fit_candidate(
     family: ExponentialFamily,
     opts: FitOptions | None = None,
 ) -> CandidateModel:
-    """Fit candidate model k (1-based pattern id) on its superset sample S_k."""
+    """Fit candidate model k (1-based pattern id) on every subject observing its columns.
+
+    For an index built on ``data`` these subjects are its superset sample
+    S_k; ``data`` may also be a zero-imputed copy (``data.filled()``), where
+    every subject observes every column.
+    """
     if not 1 <= k <= index.K:
         raise ValueError(f"pattern id {k} outside 1..{index.K}")
     pattern = index.patterns[k - 1]
-    rows = index.s_sets[k - 1]
     cols = list(pattern.indices)
+    rows = np.flatnonzero(data.mask[:, cols].all(axis=1))
     n_k, p_k = rows.size, len(cols)
     if n_k < p_k:
         raise RankDeficientError(

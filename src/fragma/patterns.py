@@ -80,9 +80,14 @@ class FragmentaryDataset:
         x = np.where(self.mask, self.x, np.nan)
         return FragmentaryDataset(self.y.copy(), x, self.mask.copy(), list(self.column_names))
 
-    def filled(self, value: float = 0.0) -> np.ndarray:
-        """Covariate matrix with unobserved cells replaced by ``value``."""
-        return np.where(self.mask, self.x, value)
+    def filled(self) -> "FragmentaryDataset":
+        """Zero-imputed copy: unobserved cells set to zero and marked observed."""
+        return FragmentaryDataset(
+            self.y.copy(),
+            np.where(self.mask, self.x, 0.0),
+            np.ones_like(self.mask),
+            list(self.column_names),
+        )
 
 
 @dataclass(frozen=True)

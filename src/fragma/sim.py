@@ -168,6 +168,7 @@ class _RepFits:
 
     index: object
     store: CandidateStore
+    imp_store: CandidateStore  # fits on the zero-imputed data, for imp1 and imp2
     ctx: object
     cc_rows: np.ndarray
 
@@ -184,7 +185,13 @@ def _shared_fits(
     ctx = build_criterion_context(
         data, index, store.fit_all(index), BINOMIAL, warn_incomplete=False
     )
-    return _RepFits(index=index, store=store, ctx=ctx, cc_rows=index.s_sets[0])
+    return _RepFits(
+        index=index,
+        store=store,
+        imp_store=CandidateStore(data.filled(), BINOMIAL, fit_opts),
+        ctx=ctx,
+        cc_rows=index.s_sets[0],
+    )
 
 
 def evaluate_method(
@@ -216,10 +223,10 @@ def evaluate_method(
         theta_cc = ctx.theta_matrix @ np.asarray(res.weights)
     elif method in ("imp1", "imp2"):
         res = fit_imp(data, BINOMIAL, lambda_mode="opt1" if method == "imp1" else "opt2",
-                      index=shared.index)
+                      index=shared.index, store=shared.imp_store)
         theta_cc = predict(res, data.x[shared.cc_rows])[0]
     elif method == "glasso":
-        res = fit_glasso(data, BINOMIAL, sim_groups(data.p), seed=seed, path_tol=1e-6)
+        res = fit_glasso(data, BINOMIAL, sim_groups(data.p), seed=seed, index=shared.index)
         theta_cc = predict(res, data.x[shared.cc_rows])[0]
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -15,7 +15,15 @@ from fragma.baselines import (
 )
 from fragma.datasets import random_fragmentary, table1_toy
 from fragma.errors import RankDeficientError
-from fragma.glm import BINOMIAL, GAUSSIAN, fit_candidate, fit_glm
+from fragma.glm import (
+    BINOMIAL,
+    GAUSSIAN,
+    POISSON,
+    CandidateStore,
+    FitOptions,
+    fit_candidate,
+    fit_glm,
+)
 from fragma.patterns import FragmentaryDataset, build_pattern_index
 
 from oracles import (
@@ -25,11 +33,17 @@ from oracles import (
 )
 
 
-def grouped_logistic_data(rng, n=60, p=6, n_groups=2):
+def grouped_glm_data(rng, n=60, p=6, n_groups=2, family=BINOMIAL):
     X = np.column_stack([np.ones(n), rng.standard_normal((n, p))])
     beta = np.zeros(p + 1)
     beta[1:4] = [1.0, -0.8, 0.6]
-    y = (rng.random(n) < expit(X @ beta)).astype(float)
+    theta = X @ beta
+    if family is GAUSSIAN:
+        y = theta + rng.standard_normal(n)
+    elif family is POISSON:
+        y = rng.poisson(np.exp(0.5 * theta)).astype(float)
+    else:
+        y = (rng.random(n) < expit(theta)).astype(float)
     step = p // n_groups
     groups = [np.arange(1 + s * step, 1 + (s + 1) * step) for s in range(n_groups)]
     return X, y, groups
@@ -162,12 +176,36 @@ def test_imp_lambda_mode_uses_full_sample_size(rng):
     assert np.isclose(res.lambda_n, np.log(data.n))
 
 
+def test_imp_modes_share_one_zero_filled_store(rng, monkeypatch):
+    import fragma.glm
+
+    data = random_fragmentary(rng, 120, 4, family="binomial", ensure_full=True)
+    index = build_pattern_index(data)
+    calls = []
+    original = fragma.glm.fit_glm
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fragma.glm, "fit_glm", counting)
+    store = CandidateStore(data.filled(), BINOMIAL)
+    imp1 = fit_imp(data, BINOMIAL, "opt1", index=index, store=store)
+    imp2 = fit_imp(data, BINOMIAL, "opt2", index=index, store=store)
+    assert len(calls) == index.K
+    assert all(c.n_k == data.n for c in imp1.candidates + imp2.candidates)
+    alone = fit_imp(data, BINOMIAL, "opt2", index=index)
+    assert np.array_equal(alone.beta_combined, imp2.beta_combined)
+    with pytest.raises(ValueError, match="zero-imputed"):
+        fit_imp(data, BINOMIAL, "opt1", index=index, store=CandidateStore(data, BINOMIAL))
+
+
 # ---------------------------------------------------------------------------
 # group lasso
 # ---------------------------------------------------------------------------
 
 def test_group_lasso_zeroes_everything_at_lambda_max(rng):
-    X, y, groups = grouped_logistic_data(rng)
+    X, y, groups = grouped_glm_data(rng)
     lam_max = lambda_max_group_lasso(X, y, BINOMIAL, groups, np.array([0]))
     beta = fit_group_lasso_at(X, y, BINOMIAL, lam_max * 1.0001, groups)
     for g in groups:
@@ -175,14 +213,14 @@ def test_group_lasso_zeroes_everything_at_lambda_max(rng):
 
 
 def test_group_lasso_unpenalized_equals_mle(rng):
-    X, y, groups = grouped_logistic_data(rng)
+    X, y, groups = grouped_glm_data(rng)
     beta = fit_group_lasso_at(X, y, BINOMIAL, 0.0, groups, tol=1e-13, max_iter=100000)
     mle, _ = fit_glm(X, y, BINOMIAL)
     assert np.max(np.abs(beta - mle)) < 1e-5
 
 
 def test_group_lasso_matches_slow_oracle_objective(rng):
-    X, y, groups = grouped_logistic_data(rng, n=60)
+    X, y, groups = grouped_glm_data(rng, n=60)
     lam_max = lambda_max_group_lasso(X, y, BINOMIAL, groups, np.array([0]))
     lam = 0.3 * lam_max
     beta = fit_group_lasso_at(X, y, BINOMIAL, lam, groups, tol=1e-13, max_iter=100000)
@@ -193,12 +231,33 @@ def test_group_lasso_matches_slow_oracle_objective(rng):
 
 
 def test_group_lasso_kkt_conditions(rng):
-    X, y, groups = grouped_logistic_data(rng, n=80)
-    lam_max = lambda_max_group_lasso(X, y, BINOMIAL, groups, np.array([0]))
-    for frac in (0.7, 0.3, 0.1):
-        lam = frac * lam_max
-        beta = fit_group_lasso_at(X, y, BINOMIAL, lam, groups, tol=1e-14, max_iter=200000)
-        assert group_lasso_kkt_residual(X, y, BINOMIAL, beta, lam, groups) <= 1e-6
+    # warm-started descending paths, so zero groups get released along the way
+    for family in (BINOMIAL, GAUSSIAN, POISSON):
+        X, y, groups = grouped_glm_data(rng, n=80, family=family)
+        lam_max = lambda_max_group_lasso(X, y, family, groups, np.array([0]))
+        beta = None
+        for frac in (0.9, 0.7, 0.5, 0.3, 0.1, 0.03):
+            lam = frac * lam_max
+            beta = fit_group_lasso_at(X, y, family, lam, groups, beta0=beta)
+            assert group_lasso_kkt_residual(X, y, family, beta, lam, groups) <= 1e-6
+
+
+def test_group_lasso_keeps_its_iteration_budget(rng):
+    X, y, groups = grouped_glm_data(rng)
+    b = rng.standard_normal(X.shape[1])
+    beta = fit_group_lasso_at(X, y, BINOMIAL, 1.0, groups, beta0=b, max_iter=0)
+    assert np.array_equal(beta, b)
+
+
+def test_lambda_max_fits_unpenalized_coordinates_with_given_options(rng):
+    X, y, groups = grouped_glm_data(rng)
+    # no IRLS iteration: the unpenalized intercept stays at zero
+    lam_max = lambda_max_group_lasso(
+        X, y, BINOMIAL, groups, np.array([0]), FitOptions(max_iter=0)
+    )
+    grad = X.T @ (0.5 - y)
+    expected = max(np.linalg.norm(grad[g]) / np.sqrt(len(g)) for g in groups)
+    assert lam_max == pytest.approx(expected)
 
 
 def test_fit_glasso_end_to_end(rng):
