@@ -119,7 +119,8 @@ def cmd_fit(args) -> int:
         cols = [model.column_names[j] for j in cand.pattern.indices]
         lines.append(
             f"  {k + 1}: n_k={cand.n_k} p_k={cand.p_k} weight={w[k]:.6f} "
-            f"loglik={cand.loglik:.4f} converged={cand.converged} columns={cols}"
+            f"loglik={cand.loglik:.4f} converged={cand.converged} "
+            f"iterations={cand.iterations} stop={cand.stop} columns={cols}"
         )
     lines.append(f"lambda_n={model.lambda_n:.6g}  criterion={model.criterion_value:.8g}")
     (out / "report.txt").write_text("\n".join(lines) + "\n")
@@ -394,8 +395,21 @@ def build_parser() -> argparse.ArgumentParser:
     fitlike.add_argument("--input", required=True, help="pattern-structured CSV")
     fitlike.add_argument("--response", required=True, help="response column name")
     fitlike.add_argument("--add-intercept", action="store_true", dest="add_intercept")
-    fitlike.add_argument("--max-iter", type=int, default=100, dest="max_iter")
-    fitlike.add_argument("--grad-tol", type=float, default=1e-8, dest="grad_tol")
+    fitlike.add_argument(
+        "--max-iter",
+        type=int,
+        default=100,
+        dest="max_iter",
+        help="cap on IRLS iterations per GLM fit; a fit stopped by it is not converged",
+    )
+    fitlike.add_argument(
+        "--grad-tol",
+        type=float,
+        default=1e-8,
+        dest="grad_tol",
+        help="early stop once max|score| falls to this value; fits also stop "
+        "when the Newton decrement reaches the log-likelihood's roundoff",
+    )
     fitlike.add_argument("--ridge", type=float, default=1e-8)
 
     p_fit = sub.add_parser("fit", parents=[common, fitlike], help="fit an averaged model")

@@ -84,7 +84,17 @@ def get_family(name) -> ExponentialFamily:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs for the IRLS fit (exposed as CLI flags)."""
+    """Knobs for the IRLS fit (exposed as CLI flags).
+
+    ``max_iter`` caps the Fisher-scoring iterations.  ``grad_tol`` is an
+    early stop: the fit ends once max|score| falls to it.  Whatever its
+    value, the fit also ends when the Newton decrement reaches the
+    roundoff of the log-likelihood (see :func:`fit_glm`), so it never
+    spins at an optimum whose score cannot get below ``grad_tol``.
+    ``ridge`` is added to the Hessian once the coefficient norm passes
+    ``divergence_norm``; ``keep_trace`` records the log-likelihood of
+    every iteration.
+    """
 
     max_iter: int = 100
     grad_tol: float = 1e-8
@@ -105,6 +115,7 @@ class CandidateModel:
     converged: bool
     iterations: int
     ridged: bool = False
+    stop: str | None = None
     trace: list = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
@@ -118,6 +129,7 @@ class CandidateModel:
             "converged": self.converged,
             "iterations": self.iterations,
             "ridged": self.ridged,
+            "stop": self.stop,
         }
 
     @classmethod
@@ -131,6 +143,7 @@ class CandidateModel:
             converged=bool(d["converged"]),
             iterations=int(d["iterations"]),
             ridged=bool(d.get("ridged", False)),
+            stop=d.get("stop"),
         )
 
 
@@ -179,6 +192,10 @@ def check_full_rank(X: np.ndarray, column_names=None, pivot_tol: float = 1e-10):
         )
 
 
+# A Newton decrement this small relative to |loglik| is at its roundoff floor.
+_DECREMENT_EPS = 16 * np.finfo(float).eps
+
+
 def fit_glm(
     X: np.ndarray,
     y: np.ndarray,
@@ -189,12 +206,29 @@ def fit_glm(
     """Maximize the GLM log-likelihood by Fisher scoring with step halving.
 
     Returns the coefficient vector and a diagnostics dict (loglik,
-    converged, iterations, ridged, trace: the fit fields of
-    :class:`CandidateModel`).  The fit is flagged
-    non-converged when the score max-norm stays above ``grad_tol`` after
-    ``max_iter`` iterations; a ridge term is added to the weighted normal
-    equations once the coefficient norm passes ``divergence_norm``
-    (separation guard), and the fit is flagged accordingly.
+    converged, iterations, ridged, stop, trace: the fit fields of
+    :class:`CandidateModel`).  The fit ends, with ``stop`` set to the
+    reason, on the first of:
+
+    * ``score``: max|score| <= ``grad_tol`` (tested before the Newton
+      direction is solved, and once more after the last allowed iteration);
+    * ``decrement``: the Newton decrement ``score @ direction`` is at most
+      ``16 * eps * max(|loglik|, 1)``, so a full Newton step gains no more
+      than the roundoff of the log-likelihood (Boyd & Vandenberghe,
+      *Convex Optimization*, 9.5).  Step halving cannot judge such a step,
+      so the full step is taken unless it loses more than that roundoff:
+      as the last step of Newton's quadratic convergence it brings the
+      coefficients to machine precision;
+    * ``no_step``: 30 step halvings found no step that keeps the
+      log-likelihood non-decreasing;
+    * ``max_iter``: ``max_iter`` iterations were spent.
+
+    ``converged`` is true exactly when the fit stopped at a first-order
+    point, ``score`` or ``decrement``.  ``iterations`` counts the
+    iterations that solved a Newton direction.  A ridge term is added to
+    the weighted normal equations once the coefficient norm passes
+    ``divergence_norm`` (separation guard), and the fit is flagged
+    ``ridged``.
     """
     opts = opts or FitOptions()
     X = np.asarray(X, dtype=float)
@@ -207,14 +241,14 @@ def fit_glm(
     ll = loglik(family, theta, y)
     trace = [ll] if opts.keep_trace else None
     ridged = False
-    converged = False
+    stop = "max_iter"
     iterations = 0
 
     for iterations in range(1, opts.max_iter + 1):
         mu = family.b_prime(theta)
         score = X.T @ (y - mu) / family.phi
         if np.max(np.abs(score)) <= opts.grad_tol:
-            converged = True
+            stop = "score"
             iterations -= 1
             break
         w = family.b_double_prime(theta) / family.phi
@@ -225,6 +259,19 @@ def fit_glm(
             direction = scipy.linalg.solve(h, score, assume_a="pos")
         except scipy.linalg.LinAlgError:
             direction = np.linalg.lstsq(h, score, rcond=None)[0]
+        floor = _DECREMENT_EPS * max(abs(ll), 1.0)
+        if score @ direction <= floor:
+            # Too small a gain for step halving to judge: take the full step
+            # unless it loses more than the roundoff, and stop.
+            beta_try = beta + direction
+            theta_try = X @ beta_try
+            ll_try = loglik(family, theta_try, y)
+            if ll_try >= ll - floor:
+                beta, theta, ll = beta_try, theta_try, ll_try
+            if opts.keep_trace:
+                trace.append(ll)
+            stop = "decrement"
+            break
 
         # Step halving keeps the log-likelihood non-decreasing.
         step = 1.0
@@ -241,21 +288,22 @@ def fit_glm(
         if opts.keep_trace:
             trace.append(ll)
         if not accepted:
+            stop = "no_step"
             break
         if not ridged and np.linalg.norm(beta) > opts.divergence_norm:
             ridged = True
-    else:
-        iterations = opts.max_iter
 
-    if not converged:
+    if stop == "max_iter":
         score = X.T @ (y - family.b_prime(theta)) / family.phi
-        converged = np.max(np.abs(score)) <= opts.grad_tol
+        if np.max(np.abs(score)) <= opts.grad_tol:
+            stop = "score"
 
     info = {
         "loglik": ll,
-        "converged": bool(converged),
+        "converged": stop in ("score", "decrement"),
         "iterations": iterations,
         "ridged": ridged,
+        "stop": stop,
         "trace": trace,
     }
     return beta, info

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, logit
 
-from fragma.datasets import random_fragmentary
+from fragma.datasets import adni_like, random_fragmentary
 from fragma.errors import RankDeficientError
 from fragma.glm import (
     BINOMIAL,
@@ -20,6 +22,7 @@ from fragma.glm import (
 )
 from fragma.patterns import Pattern, build_pattern_index
 from fragma.glm import CandidateModel
+from fragma.sim import SimConfig, generate_replication
 
 from oracles import central_difference_gradient, logistic_mle_oracle
 
@@ -52,6 +55,7 @@ def test_gaussian_irls_equals_least_squares(rng):
     assert np.max(np.abs(beta - ref)) < 1e-8
     assert info["iterations"] == 1
     assert info["converged"]
+    assert info["stop"] in ("decrement", "score")
 
 
 def test_logistic_fit_matches_grid_oracle(rng):
@@ -138,6 +142,41 @@ def test_non_convergence_is_flagged(rng):
     assert not info["converged"]
     assert info["iterations"] == 1
     assert np.all(np.isfinite(beta))
+    assert info["stop"] == "max_iter"
+
+
+def test_score_stop_before_any_step(rng):
+    X, y = logistic_design(rng, n=50, p=3)
+    beta, info = fit_glm(X, y, BINOMIAL, FitOptions(grad_tol=1e6))
+    assert info["converged"] and info["stop"] == "score"
+    assert info["iterations"] == 0
+    assert np.all(beta == 0.0)
+
+
+def test_fit_at_roundoff_floor_converges_in_either_memory_order():
+    # Zero-imputed candidate designs of the simulation cell; some of these
+    # spun to the iteration cap in one memory order and not the other.
+    for seed in range(3):
+        data, _ = generate_replication(SimConfig(n=400, rho=0.6, seed=seed), rep=0)
+        filled = data.filled()
+        for pattern in build_pattern_index(data).patterns:
+            X = np.ascontiguousarray(filled.x[:, list(pattern.indices)])
+            beta_c, info_c = fit_glm(X, filled.y, BINOMIAL)
+            beta_f, info_f = fit_glm(np.asfortranarray(X), filled.y, BINOMIAL)
+            assert info_c["converged"] and info_f["converged"]
+            assert info_c["iterations"] == info_f["iterations"] <= 10
+            assert np.max(np.abs(beta_c - beta_f)) <= 1e-12
+
+
+def test_intercept_only_fit_is_logit_of_mean():
+    data, _ = adni_like(0)
+    cc = build_pattern_index(data).s_sets[0]
+    X, y = data.x[np.ix_(cc, [0])], data.y[cc]
+    assert X.shape == (409, 1) and np.all(X == 1.0)
+    beta, info = fit_glm(X, y, BINOMIAL)
+    assert info["converged"]
+    assert info["iterations"] <= 10
+    assert abs(beta[0] - logit(y.mean())) <= 1e-12
 
 
 def test_separation_guard_keeps_estimates_finite(rng):
@@ -217,3 +256,7 @@ def test_candidate_model_round_trips_json():
     assert m2.pattern.indices == m.pattern.indices
     assert np.array_equal(m2.beta, m.beta)
     assert m2.loglik == m.loglik
+    d = replace(m, stop="decrement").to_dict()
+    assert CandidateModel.from_dict(d).stop == "decrement"
+    del d["stop"]  # a model.json written before fits recorded their stop reason
+    assert CandidateModel.from_dict(d).stop is None

@@ -193,6 +193,9 @@ def test_cli_fit_fully_observed(tmp_path):
     report = (out / "report.txt").read_text()
     assert "patterns: 1" in report
     assert "weight=1.000000" in report
+    stop = model["candidates"][0]["stop"]
+    assert stop in ("score", "decrement")
+    assert f"converged=True iterations={model['candidates'][0]['iterations']} stop={stop} " in report
     assert (out / "config.json").exists()
 
 
