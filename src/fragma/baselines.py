@@ -5,10 +5,14 @@ coefficients are embedded into the full coefficient space, so every method
 predicts through one code path.  CC and the smoothed criteria draw their
 candidates from a :class:`~fragma.glm.CandidateStore` that may be shared;
 imp1 and imp2 share one on the zero-imputed data.  The group lasso is
-solved at each penalty level by one active-set Newton loop.
+solved by one active-set Newton loop, which takes a batch of problems: its
+cross-validated path solves every fold of a penalty level in one call, on
+a coordinate layout where every group is a contiguous block.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -170,51 +174,66 @@ def fit_imp(
 # Group lasso
 # ---------------------------------------------------------------------------
 
-def _group_penalty(beta, groups, lam):
-    total = 0.0
-    for g in groups:
-        bg = beta[g]
-        total += np.sqrt(len(g)) * np.sqrt(bg @ bg)
-    return lam * total
+@dataclass(frozen=True)
+class _Blocks:
+    """Coordinates permuted so that each group is one contiguous slice.
+
+    ``order`` lists the ``u`` unpenalized coordinates first, in their
+    original order, then each group's coordinates; in that layout group g
+    is the slice starting at ``u + starts[g]``, of length ``sizes[g]``.
+    Group-wise sums are then one ``np.add.reduceat`` and per-group values
+    reach their coordinates by one ``np.repeat``.  Every method takes and
+    returns full-width (F, p) arrays in this layout.
+    """
+
+    order: np.ndarray
+    u: int
+    starts: np.ndarray
+    sizes: np.ndarray
+
+    @classmethod
+    def of(cls, p: int, groups) -> "_Blocks":
+        grouped = np.concatenate(groups).astype(int)
+        penalized = np.zeros(p, dtype=bool)
+        penalized[grouped] = True
+        unpen = np.flatnonzero(~penalized)
+        sizes = np.fromiter(map(len, groups), dtype=int, count=len(groups))
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        return cls(np.concatenate([unpen, grouped]), unpen.size, starts, sizes)
+
+    def sums(self, V: np.ndarray) -> np.ndarray:
+        """Sum over every group of every row of ``V``, shape (F, G)."""
+        return np.add.reduceat(V[:, self.u :], self.starts, axis=1)
+
+    def norms(self, B: np.ndarray) -> np.ndarray:
+        """Euclidean norm of every group of every row of ``B``, shape (F, G)."""
+        return np.sqrt(self.sums(np.square(B)))
+
+    def spread(self, V: np.ndarray, fill=0.0) -> np.ndarray:
+        """Per-group values (F, G) repeated onto their coordinates, ``fill`` elsewhere."""
+        head = np.full((V.shape[0], self.u), fill, dtype=V.dtype)
+        return np.concatenate([head, np.repeat(V, self.sizes, axis=1)], axis=1)
 
 
-def _block_soft_threshold(beta, groups, t, lam):
-    out = beta.copy()
-    for g in groups:
-        bg = beta[g]
-        norm = np.sqrt(bg @ bg)
-        thresh = t * lam * np.sqrt(len(g))
-        if norm <= thresh:
-            out[g] = 0.0
-        else:
-            out[g] = bg * (1.0 - thresh / norm)
-    return out
-
-
-def _kkt_parts(grad, beta, groups, lam, unpenalized) -> tuple[float, float]:
+def _kkt_parts(grad, B, norm, blocks: _Blocks, w) -> tuple[np.ndarray, np.ndarray]:
     """KKT residual on the active coordinates and the largest zero-group violation.
 
-    The active coordinates are the unpenalized ones and the nonzero groups,
-    where the objective is differentiable; a zero group violates its
-    subgradient bound by ``||grad_g|| - lam * sqrt(|g|)`` when that is positive.
+    Both for each row of the block-layout coefficients ``B`` (F, p), whose
+    group norms are ``norm``; ``w`` holds each group's penalty weight
+    ``lam * sqrt(|g|)``.  The active coordinates are the unpenalized ones
+    and the nonzero groups, where the objective is differentiable; a zero
+    group violates its subgradient bound by ``||grad_g|| - w_g`` when that
+    is positive.
     """
-    active = float(np.max(np.abs(grad[unpenalized]), initial=0.0))
-    violation = 0.0
-    for g in groups:
-        w = lam * np.sqrt(len(g))
-        norm = np.linalg.norm(beta[g])
-        if norm == 0.0:
-            violation = max(violation, float(np.linalg.norm(grad[g])) - w)
-        else:
-            active = max(active, float(np.linalg.norm(grad[g] + w * beta[g] / norm)))
+    nonzero = norm > 0.0
+    scale = np.divide(w, norm, out=np.zeros_like(norm), where=nonzero)
+    active_grad = blocks.norms(grad + blocks.spread(scale) * B)
+    active = np.maximum(
+        np.abs(grad[:, : blocks.u]).max(axis=1, initial=0.0),
+        np.where(nonzero, active_grad, 0.0).max(axis=1, initial=0.0),
+    )
+    violation = np.where(nonzero, 0.0, blocks.norms(grad) - w).max(axis=1, initial=0.0)
     return active, violation
-
-
-def _unpenalized(p: int, groups) -> np.ndarray:
-    penalized = np.zeros(p, dtype=bool)
-    for g in groups:
-        penalized[g] = True
-    return np.flatnonzero(~penalized)
 
 
 def fit_group_lasso_at(
@@ -226,116 +245,178 @@ def fit_group_lasso_at(
     beta0: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iter: int = 500,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Group-lasso GLM at a single penalty level by an active-set Newton method.
+    """Group-lasso GLMs at one penalty level by an active-set Newton method.
 
     Minimizes -loglik(beta) + lam * sum_g sqrt(|g|) * ||beta_g||_2 (Meier,
     van de Geer and Bühlmann 2008), with coordinates outside every group
-    unpenalized, starting from ``beta0`` (zero by default).  Each iteration
-    compares the KKT residual on the active coordinates (the unpenalized
-    ones and the nonzero groups, where the objective is smooth) with the
-    largest violation of a zero group's subgradient bound.  When the active
-    residual is the larger it takes a damped Newton step on the active
-    coordinates, setting to zero every group the step drives through the
-    kink at the origin; otherwise it takes one backtracked proximal-gradient
-    step, which releases the violating group.  A step is accepted under
-    Armijo, on the gradient's first-order change plus the exact penalty
-    change, with a 4 eps |f| roundoff slack.  The loop stops when both
+    unpenalized, starting from ``beta0`` (zero by default).  With ``rows``,
+    an (n, F) boolean mask, it solves F problems at once, problem f on the
+    rows of ``X`` marked in column f (the training rows of a CV fold), and
+    takes and returns (F, p) coefficients; without it, the single problem
+    on every row, with (p,) coefficients.  The coordinates are permuted
+    once so that every group is a contiguous block, and the loss, gradient
+    and Hessian of all F problems come from the full ``X`` weighted by the
+    mask, so no rows are copied.
+
+    Each iteration compares, for every problem, the KKT residual on the
+    active coordinates (the unpenalized ones and the nonzero groups, where
+    the objective is smooth) with the largest violation of a zero group's
+    subgradient bound.  When the active residual is the larger, the problem
+    takes a damped Newton step on its active coordinates, setting to zero
+    every group the step drives through the kink at the origin; otherwise
+    it takes one backtracked proximal-gradient step, which releases the
+    violating group.  Each problem's step is accepted under its own Armijo
+    test, on the gradient's first-order change plus the exact penalty
+    change, with a roundoff slack of 4 eps (|loss| + penalty): the loss
+    and the penalty can cancel, so 4 eps |f| can fall below the roundoff
+    of evaluating them.  A problem stops, and is frozen, when both its
     residuals are within ``tol`` (see :func:`group_lasso_kkt_residual`),
-    when a step decreased neither the objective beyond roundoff nor the
-    residual, when no step is accepted, or after ``max_iter`` iterations.
+    when its last step decreased neither the objective beyond roundoff nor
+    the residual, or when no step is accepted; all problems share the
+    budget of ``max_iter`` iterations.
     """
     family = get_family(family)
-    p = X.shape[1]
-    unpen = _unpenalized(p, groups)
-    beta = np.zeros(p) if beta0 is None else beta0.copy()
+    n, p = X.shape
+    blocks = _Blocks.of(p, groups)
+    w = lam * np.sqrt(blocks.sizes)
+    mask = np.ones((1, n), dtype=bool) if rows is None else np.asarray(rows, dtype=bool).T
+    F = mask.shape[0]
+    Xb = X[:, blocks.order]
+    B = np.zeros((F, p)) if beta0 is None else np.reshape(beta0, (F, p))[:, blocks.order]
+    seg = blocks.spread(np.arange(blocks.sizes.size)[None, :], fill=-1)[0]
+    same_group = seg[:, None] == seg[None, :]
+    diag = np.arange(p)
+    spectral = None  # ||X_f||_2^2 of each problem, on the first proximal step
 
-    def smooth(b):
-        theta = X @ b
-        return float((np.sum(family.b(theta)) - y @ theta) / family.phi)
+    def loss_of(B):
+        theta = B @ Xb.T
+        return np.sum(np.where(mask, family.b(theta) - y * theta, 0.0), axis=1) / family.phi
 
-    pen = _group_penalty(beta, groups, lam)
-    f = smooth(beta) + pen
-    stalled, res_before = False, np.inf
+    loss, pen = loss_of(B), blocks.norms(B) @ w
+    roundoff = 4.0 * np.finfo(float).eps
+    done = np.zeros(F, dtype=bool)
+    stalled = np.zeros(F, dtype=bool)
+    res_before = np.full(F, np.inf)
     for _ in range(max_iter):
-        theta = X @ beta
-        grad = X.T @ (family.b_prime(theta) - y) / family.phi
-        res_active, violation = _kkt_parts(grad, beta, groups, lam, unpen)
-        res = max(res_active, violation)
-        if res <= tol or (stalled and res >= res_before):
+        theta = B @ Xb.T
+        grad = np.where(mask, family.b_prime(theta) - y, 0.0) @ Xb / family.phi
+        norm = blocks.norms(B)
+        res_active, violation = _kkt_parts(grad, B, norm, blocks, w)
+        res = np.maximum(res_active, violation)
+        done |= (res <= tol) | (stalled & (res >= res_before))
+        if done.all():
             break
-        if res_active >= violation:
-            nonzero = [g for g in groups if np.linalg.norm(beta[g]) > 0.0]
-            coords = np.sort(np.concatenate([unpen, *nonzero]))
-            pen_grad = np.zeros(p)
-            pen_hess = np.zeros((p, p))
-            for g in nonzero:
-                norm = np.linalg.norm(beta[g])
-                u = beta[g] / norm
-                w = lam * np.sqrt(len(g))
-                pen_grad[g] = w * u
-                pen_hess[np.ix_(g, g)] = w * (np.eye(len(g)) - np.outer(u, u)) / norm
-            Xc = X[:, coords]
-            hess = Xc.T @ ((family.b_double_prime(theta) / family.phi)[:, None] * Xc)
-            hess += pen_hess[np.ix_(coords, coords)] + 1e-12 * np.eye(coords.size)
+        nonzero = norm > 0.0
+        newton = ~done & (res_active >= violation)
+
+        # Newton direction on each Newton problem's active coordinates; the
+        # inactive ones get an identity row and a zero right-hand side, so d = 0.
+        D = np.zeros((F, p))
+        nidx = np.flatnonzero(newton)
+        if nidx.size:
+            active = blocks.spread(nonzero[nidx], fill=True)
+            inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=nonzero)[nidx]
+            coef = blocks.spread(w * inv)
+            unit = blocks.spread(inv) * B[nidx]
+            weight = np.where(mask[nidx], family.b_double_prime(theta[nidx]), 0.0) / family.phi
+            # loss Hessian plus the penalty's block-diagonal w_g (I - u u^T) / ||beta_g||
+            hess = Xb.T @ (weight[:, :, None] * Xb)
+            hess -= coef[:, :, None] * unit[:, :, None] * unit[:, None, :] * same_group
+            hess = np.where(active[:, :, None] & active[:, None, :], hess, 0.0)
+            hess[:, diag, diag] += np.where(active, coef + 1e-12, 1.0)
+            rhs = np.where(active, grad[nidx] + coef * B[nidx], 0.0)[:, :, None]
             try:
-                d = -np.linalg.solve(hess, (grad + pen_grad)[coords])
+                D[nidx] = -np.linalg.solve(hess, rhs)[:, :, 0]
             except np.linalg.LinAlgError:
-                break
+                # a singular system stops its own problem only
+                for k, i in enumerate(nidx):
+                    try:
+                        D[i] = -np.linalg.solve(hess[k], rhs[k, :, 0])
+                    except np.linalg.LinAlgError:
+                        done[i] = True
+                newton &= ~done
+        prox = ~done & ~newton
+        if prox.any():
+            if spectral is None:
+                spectral = np.linalg.eigvalsh(Xb.T @ (mask[:, :, None] * Xb))[:, -1]
+            curvature = np.max(np.where(mask, family.b_double_prime(theta), 0.0), axis=1)
+            t = family.phi / np.maximum(1e-12, curvature * spectral)
 
-            def trial(a):
-                b = beta.copy()
-                b[coords] += a * d
-                for g in nonzero:
-                    if b[g] @ beta[g] <= 0.0:
-                        b[g] = 0.0
-                return b
-        else:
-            lipschitz = float(np.max(family.b_double_prime(theta))) * np.linalg.norm(X, 2) ** 2
-            t = family.phi / max(1e-12, lipschitz)
+        def trial(a):
+            out = B + a[:, None] * D
+            # a group the Newton step drives through the origin is set to zero
+            through = nonzero & (blocks.sums(out * B) <= 0.0)
+            out = np.where(blocks.spread(through, fill=False), 0.0, out)
+            if prox.any():
+                step = a * t
+                z = B - step[:, None] * grad
+                thresh = step[:, None] * w
+                znorm = blocks.norms(z)
+                keep = znorm > thresh
+                shrink = np.where(keep, 1.0 - thresh / np.where(keep, znorm, 1.0), 0.0)
+                out = np.where(prox[:, None], z * blocks.spread(shrink, fill=1.0), out)
+            return out
 
-            def trial(a):
-                return _block_soft_threshold(beta - a * t * grad, groups, a * t, lam)
-
-        slack = 4.0 * np.finfo(float).eps * abs(f)
-        a = 1.0
+        # the roundoff of f is that of its larger part, even where they cancel
+        f = loss + pen
+        slack = roundoff * (np.abs(loss) + pen)
+        a = np.ones(F)
+        searching = ~done
+        B_new, loss_new, pen_new = B.copy(), loss.copy(), pen.copy()
         for _ in range(60):
             cand = trial(a)
-            pen_try = _group_penalty(cand, groups, lam)
-            f_try = smooth(cand) + pen_try
-            if f_try <= f + 1e-4 * (grad @ (cand - beta) + pen_try - pen) + slack:
+            loss_try, pen_try = loss_of(cand), blocks.norms(cand) @ w
+            decrease = np.sum(grad * (cand - B), axis=1) + pen_try - pen
+            ok = searching & (loss_try + pen_try <= f + 1e-4 * decrease + slack)
+            B_new[ok], loss_new[ok], pen_new[ok] = cand[ok], loss_try[ok], pen_try[ok]
+            searching &= ~ok
+            if not searching.any():
                 break
-            a *= 0.5
-        else:
-            break
-        stalled, res_before = f_try >= f - slack, res
-        beta, f, pen = cand, f_try, pen_try
-    return beta
+            a = np.where(searching, 0.5 * a, a)
+        moved = ~done & ~searching
+        done |= searching
+        stalled = np.where(moved, loss_new + pen_new >= f - slack, stalled)
+        res_before = np.where(moved, res, res_before)
+        B, loss, pen = B_new, loss_new, pen_new
+    beta = np.empty_like(B)
+    beta[:, blocks.order] = B
+    return beta[0] if rows is None else beta
 
 
 def group_lasso_kkt_residual(X, y, family, beta, lam, groups) -> float:
     """Largest violation of the group-lasso stationarity conditions."""
     family = get_family(family)
+    blocks = _Blocks.of(X.shape[1], groups)
     grad = X.T @ (family.b_prime(X @ beta) - y) / family.phi
-    return max(_kkt_parts(grad, beta, groups, lam, _unpenalized(X.shape[1], groups)))
+    B, G = beta[None, blocks.order], grad[None, blocks.order]
+    parts = _kkt_parts(G, B, blocks.norms(B), blocks, lam * np.sqrt(blocks.sizes))
+    return float(np.max(parts))
 
 
 def lambda_max_group_lasso(
     X, y, family, groups, unpenalized, opts: FitOptions | None = None
-) -> float:
-    """Smallest penalty level at which every group is zeroed.
+) -> tuple[float, dict | None]:
+    """Smallest penalty level at which every group is zeroed, and the fit behind it.
 
     The unpenalized coordinates are fitted by :func:`~fragma.glm.fit_glm`
-    with ``opts``.
+    with ``opts``; the second value records that fit's ``converged``,
+    ``iterations`` and ``stop`` (``None`` when every coordinate is in a
+    group).
     """
     family = get_family(family)
     p = X.shape[1]
     beta = np.zeros(p)
+    record = None
     if len(unpenalized):
-        sub, _ = fit_glm(X[:, unpenalized], y, family, opts)
+        sub, info = fit_glm(X[:, unpenalized], y, family, opts)
         beta[unpenalized] = sub
+        record = {k: info[k] for k in ("converged", "iterations", "stop")}
     grad = X.T @ (family.b_prime(X @ beta) - y) / family.phi
-    return max(float(np.linalg.norm(grad[g])) / np.sqrt(len(g)) for g in groups)
+    blocks = _Blocks.of(p, groups)
+    lam_max = float(np.max(blocks.norms(grad[None, blocks.order]) / np.sqrt(blocks.sizes)))
+    return lam_max, record
 
 
 def _stratified_folds(y: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -367,10 +448,16 @@ def fit_glasso(
     ``groups`` maps names to original column indices and should partition
     the non-intercept columns; columns in no group stay unpenalized.  The
     penalty level is chosen by ``cv_folds``-fold cross-validated deviance
-    over a geometric grid below the all-zero threshold, each path solved by
-    :func:`fit_group_lasso_at` warm-started from the previous level; the
-    final model is an ordinary GLM refit, with ``opts``, using every subject
-    that observes all selected covariates.
+    over a geometric grid below the all-zero threshold: each level is one
+    batched :func:`fit_group_lasso_at` call that solves all folds at once,
+    each fold warm-started from its fit at the previous level, and every
+    subject is scored under the fit of the fold that holds it out.  The
+    path on all complete cases is then followed down to the chosen level;
+    the final model is an ordinary GLM refit, with ``opts``, using every
+    subject that observes all selected covariates.  ``diagnostics`` records
+    the selected groups, the chosen and largest penalty levels, the CV
+    losses and, as ``lambda_max_fit``, the convergence record of the
+    unpenalized fit behind the largest level.
     """
     family = get_family(family)
     if index is None:
@@ -400,36 +487,28 @@ def fit_glasso(
     grouped = np.concatenate(group_pos)
     if np.unique(grouped).size != grouped.size:
         raise DataError("groups overlap")
-    unpenalized = np.setdiff1d(np.arange(len(lead)), grouped)
+    blocks = _Blocks.of(len(lead), group_pos)
+    unpenalized = blocks.order[: blocks.u]
 
-    lam_max = lambda_max_group_lasso(X, y, family, group_pos, unpenalized, opts)
+    lam_max, lam_max_fit = lambda_max_group_lasso(X, y, family, group_pos, unpenalized, opts)
     lambdas = np.geomspace(lam_max, lam_max * lambda_min_ratio, n_lambdas)
 
     folds = _stratified_folds(y, cv_folds, seed)
+    train = folds[:, None] != np.arange(cv_folds)
     cv_loss = np.zeros(n_lambdas)
-    for f in range(cv_folds):
-        tr = folds != f
-        te = ~tr
-        beta = None
-        for i, lam in enumerate(lambdas):
-            beta = fit_group_lasso_at(X[tr], y[tr], family, lam, group_pos, beta0=beta)
-            theta_te = X[te] @ beta
-            cv_loss[i] += -2.0 * loglik(family, theta_te, y[te])
+    betas = None
+    for i, lam in enumerate(lambdas):
+        betas = fit_group_lasso_at(X, y, family, lam, group_pos, beta0=betas, rows=train)
+        # every subject is held out by exactly one fold: score it under that fold's fit
+        cv_loss[i] = -2.0 * loglik(family, np.sum(X * betas[folds], axis=1), y)
     best = int(np.argmin(cv_loss))
 
     beta = None
     for lam in lambdas[: best + 1]:
         beta = fit_group_lasso_at(X, y, family, lam, group_pos, beta0=beta)
-    selected_groups = [
-        name
-        for name, g in zip(group_names, group_pos)
-        if np.linalg.norm(beta[g]) > 0
-    ]
-    selected_pos = sorted(
-        set(unpenalized.tolist())
-        | {t for name, g in zip(group_names, group_pos) if name in selected_groups for t in g}
-    )
-    selected_cols = [lead[t] for t in selected_pos]
+    kept = blocks.norms(beta[None, blocks.order]) > 0.0
+    selected_groups = [name for name, k in zip(group_names, kept[0]) if k]
+    selected_cols = [lead[t] for t in np.sort(blocks.order[blocks.spread(kept, fill=True)[0]])]
     if not selected_cols:
         raise NumericalError("group lasso selected no covariates and none are unpenalized")
 
@@ -454,6 +533,7 @@ def fit_glasso(
             "selected_groups": selected_groups,
             "lambda": float(lambdas[best]),
             "lambda_max": float(lam_max),
+            "lambda_max_fit": lam_max_fit,
             "cv_loss": cv_loss.tolist(),
             "n_refit": cand.n_k,
         },

@@ -104,14 +104,17 @@ def cmd_fit(args) -> int:
     report = _patterns_report(data, index)
     (out / "report.txt").write_text(report)
 
+    fopts = _fit_options(args)
     model = fit_averaged(
         data,
         get_family(args.family),
         _parse_lambda(getattr(args, "lam")),
-        fit_opts=_fit_options(args),
+        fit_opts=fopts,
     )
+    # predict refits sub-pattern candidates under the same IRLS options
+    options = {"max_iter": fopts.max_iter, "grad_tol": fopts.grad_tol, "ridge": fopts.ridge}
     with open(out / "model.json", "w") as fh:
-        json.dump(model.to_dict(), fh, indent=2)
+        json.dump({**model.to_dict(), "fit_options": options}, fh, indent=2)
 
     w = np.asarray(model.weights)
     lines = [report, "candidates and weights:"]
@@ -152,7 +155,8 @@ def cmd_predict(args) -> int:
     out = _out_dir(args)
     _write_config(out, args)
     with open(args.model) as fh:
-        model = AveragedModel.from_dict(json.load(fh))
+        saved = json.load(fh)
+    model = AveragedModel.from_dict(saved)
     header, values = read_matrix_csv(args.input, args.na_marker)
     q = _align_query(header, values, model.column_names)
 
@@ -163,7 +167,11 @@ def cmd_predict(args) -> int:
         )
         if train.column_names != model.column_names:
             raise DataError("training CSV columns do not match the model's columns")
-        store = CandidateStore(train, model.family)
+        try:
+            fopts = FitOptions(**saved.get("fit_options", {}))
+        except TypeError as exc:
+            raise DataError(f"model.json fit_options: {exc}") from exc
+        store = CandidateStore(train, model.family, fopts)
 
     lead = list(model.candidates[0].pattern.indices)
     observed = np.isfinite(q)

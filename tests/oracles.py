@@ -131,3 +131,24 @@ def logistic_group_lasso_objective(X, y, beta, lam, groups):
     theta = X @ beta
     nll = float(np.sum(np.logaddexp(0.0, theta)) - y @ theta)
     return nll + lam * sum(np.sqrt(len(g)) * np.linalg.norm(beta[g]) for g in groups)
+
+
+def per_fold_group_lasso_cv_loss(X, y, family, lambdas, groups, folds, fit_at):
+    """Cross-validated deviance of a group-lasso path, one fold at a time.
+
+    For each fold, a warm-started path of single fits
+    ``fit_at(X[tr], y[tr], family, lam, groups, beta0=...)`` on that fold's
+    training rows, each level scored by -2 * loglik on the held-out rows;
+    the solver is passed in, so this loop is the reference for how the
+    levels, folds and warm starts fit together.
+    """
+    cv_loss = np.zeros(len(lambdas))
+    for f in np.unique(folds):
+        tr = folds != f
+        te = ~tr
+        beta = None
+        for i, lam in enumerate(lambdas):
+            beta = fit_at(X[tr], y[tr], family, lam, groups, beta0=beta)
+            theta = X[te] @ beta
+            cv_loss[i] += -2.0 * float((y[te] @ theta - np.sum(family.b(theta))) / family.phi)
+    return cv_loss

@@ -4,6 +4,7 @@ from scipy.special import expit
 
 from fragma.averaging import fit_averaged, predict
 from fragma.baselines import (
+    _stratified_folds,
     fit_cc,
     fit_glasso,
     fit_group_lasso_at,
@@ -13,7 +14,7 @@ from fragma.baselines import (
     lambda_max_group_lasso,
     smoothed_ic_weights,
 )
-from fragma.datasets import random_fragmentary, table1_toy
+from fragma.datasets import adni_like, random_fragmentary, table1_toy
 from fragma.errors import RankDeficientError
 from fragma.glm import (
     BINOMIAL,
@@ -28,6 +29,7 @@ from fragma.patterns import FragmentaryDataset, build_pattern_index
 
 from oracles import (
     logistic_group_lasso_objective,
+    per_fold_group_lasso_cv_loss,
     slow_logistic_group_lasso,
     softmax_ic_weights,
 )
@@ -206,7 +208,7 @@ def test_imp_modes_share_one_zero_filled_store(rng, monkeypatch):
 
 def test_group_lasso_zeroes_everything_at_lambda_max(rng):
     X, y, groups = grouped_glm_data(rng)
-    lam_max = lambda_max_group_lasso(X, y, BINOMIAL, groups, np.array([0]))
+    lam_max, _ = lambda_max_group_lasso(X, y, BINOMIAL, groups, np.array([0]))
     beta = fit_group_lasso_at(X, y, BINOMIAL, lam_max * 1.0001, groups)
     for g in groups:
         assert np.allclose(beta[g], 0.0, atol=1e-8)
@@ -221,7 +223,7 @@ def test_group_lasso_unpenalized_equals_mle(rng):
 
 def test_group_lasso_matches_slow_oracle_objective(rng):
     X, y, groups = grouped_glm_data(rng, n=60)
-    lam_max = lambda_max_group_lasso(X, y, BINOMIAL, groups, np.array([0]))
+    lam_max, _ = lambda_max_group_lasso(X, y, BINOMIAL, groups, np.array([0]))
     lam = 0.3 * lam_max
     beta = fit_group_lasso_at(X, y, BINOMIAL, lam, groups, tol=1e-13, max_iter=100000)
     oracle = slow_logistic_group_lasso(X, y, lam, groups)
@@ -234,7 +236,7 @@ def test_group_lasso_kkt_conditions(rng):
     # warm-started descending paths, so zero groups get released along the way
     for family in (BINOMIAL, GAUSSIAN, POISSON):
         X, y, groups = grouped_glm_data(rng, n=80, family=family)
-        lam_max = lambda_max_group_lasso(X, y, family, groups, np.array([0]))
+        lam_max, _ = lambda_max_group_lasso(X, y, family, groups, np.array([0]))
         beta = None
         for frac in (0.9, 0.7, 0.5, 0.3, 0.1, 0.03):
             lam = frac * lam_max
@@ -249,10 +251,35 @@ def test_group_lasso_keeps_its_iteration_budget(rng):
     assert np.array_equal(beta, b)
 
 
+@pytest.mark.parametrize("family", [BINOMIAL, GAUSSIAN, POISSON])
+def test_group_lasso_batch_equals_separate_fits(rng, family):
+    X, y, groups = grouped_glm_data(rng, n=100, p=9, n_groups=3, family=family)
+    n, p = X.shape
+    lam_max, _ = lambda_max_group_lasso(X, y, family, groups, np.array([0]))
+    lam = 0.4 * lam_max
+    M = (rng.permutation(n) % 5)[:, None] != np.arange(5)
+    B0 = 0.3 * rng.standard_normal((5, p))
+    B0[1, 1:] = 0.0  # every group zero: proximal steps release them
+    # problem 2 starts at its own optimum, so it stops while the others keep going
+    B0[2] = fit_group_lasso_at(X[M[:, 2]], y[M[:, 2]], family, lam, groups, tol=1e-13)
+    B = fit_group_lasso_at(X, y, family, lam, groups, beta0=B0, rows=M)
+    assert B.shape == (5, p)
+    assert np.array_equal(B[2], B0[2])
+    for f in range(5):
+        m = M[:, f]
+        single = fit_group_lasso_at(X[m], y[m], family, lam, groups, beta0=B0[f])
+        assert np.max(np.abs(B[f] - single)) <= 1e-10
+        assert group_lasso_kkt_residual(X[m], y[m], family, B[f], lam, groups) <= 1e-6
+        if f != 2:
+            assert not np.allclose(B[f], B0[f])
+    unmoved = fit_group_lasso_at(X, y, family, lam, groups, beta0=B0, rows=M, max_iter=0)
+    assert np.array_equal(unmoved, B0)
+
+
 def test_lambda_max_fits_unpenalized_coordinates_with_given_options(rng):
     X, y, groups = grouped_glm_data(rng)
     # no IRLS iteration: the unpenalized intercept stays at zero
-    lam_max = lambda_max_group_lasso(
+    lam_max, record = lambda_max_group_lasso(
         X, y, BINOMIAL, groups, np.array([0]), FitOptions(max_iter=0)
     )
     grad = X.T @ (0.5 - y)
@@ -290,3 +317,42 @@ def test_fit_glasso_respects_group_restriction_to_observed_columns(rng):
     res = fit_glasso(data, BINOMIAL, groups, seed=1)
     assert set(res.support) <= set(range(5))
     assert 0 in res.support
+
+
+def test_fit_glasso_records_the_lambda_max_fit():
+    data, groups = adni_like(seed=2, scale=0.5)
+    res = fit_glasso(data, BINOMIAL, groups, opts=FitOptions(max_iter=1))
+    assert res.diagnostics["lambda_max_fit"] == {
+        "converged": False,
+        "iterations": 1,
+        "stop": "max_iter",
+    }
+    record = fit_glasso(data, BINOMIAL, groups).diagnostics["lambda_max_fit"]
+    assert record["converged"] and record["stop"] in ("score", "decrement")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fit_glasso_cv_path_matches_per_fold_oracle(seed):
+    data, groups = adni_like(seed=seed)
+    res = fit_glasso(data, BINOMIAL, groups, seed=seed)
+    index = build_pattern_index(data)
+    lead = list(index.patterns[0].indices)
+    X = data.x[np.ix_(index.s_sets[0], lead)]
+    y = data.y[index.s_sets[0]]
+    group_pos = [np.array([lead.index(j) for j in cols]) for cols in groups.values()]
+    lam_max = res.diagnostics["lambda_max"]
+    lambdas = np.geomspace(lam_max, lam_max * 1e-3, 50)
+    folds = _stratified_folds(y, 5, seed)
+    oracle = per_fold_group_lasso_cv_loss(
+        X, y, BINOMIAL, lambdas, group_pos, folds, fit_group_lasso_at
+    )
+    cv_loss = np.asarray(res.diagnostics["cv_loss"])
+    assert np.max(np.abs(cv_loss - oracle) / np.abs(oracle)) <= 1e-9
+    best = int(np.argmin(oracle))
+    assert int(np.argmin(cv_loss)) == best
+    assert res.diagnostics["lambda"] == lambdas[best]
+    beta = None
+    for lam in lambdas[: best + 1]:
+        beta = fit_group_lasso_at(X, y, BINOMIAL, lam, group_pos, beta0=beta)
+    selected = [name for name, g in zip(groups, group_pos) if np.linalg.norm(beta[g]) > 0]
+    assert res.diagnostics["selected_groups"] == selected

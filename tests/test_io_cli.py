@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from fragma.averaging import predict_for_pattern
 from fragma.cli import main
 from fragma.datasets import adni_like, table1_toy
 from fragma.errors import DataError
+from fragma.glm import CandidateStore, FitOptions
 from fragma.io import (
     read_fragmentary_csv,
     read_groups_sidecar,
@@ -272,6 +274,49 @@ def test_cli_predict_subpattern_requires_train(tmp_path):
         row = next(csv.DictReader(fh))
     assert row["rule"].startswith("restricted:")
     assert np.isfinite(float(row["theta"]))
+
+
+def test_cli_predict_refits_under_the_model_fit_options(tmp_path):
+    data, _ = adni_like(seed=4, scale=0.15)
+    train = tmp_path / "train.csv"
+    dataset_to_csv(data, train)
+    out = tmp_path / "fit"
+    assert run_cli(
+        "fit", "--input", str(train), "--response", "y", "--max-iter", "2",
+        "--ridge", "1e-3", "--out", str(out),
+    ) == 0
+    model = json.loads((out / "model.json").read_text())
+    assert model["fit_options"] == {"max_iter": 2, "grad_tol": 1e-8, "ridge": 1e-3}
+
+    cols = data.column_names
+    x_star = np.array([np.nan if c.startswith("CSF") else (1.0 if c == "intercept" else 0.1)
+                       for c in cols])
+    q = tmp_path / "q.csv"
+    q.write_text(",".join(cols) + "\n" + ",".join(
+        "NA" if np.isnan(v) else repr(float(v)) for v in x_star) + "\n")
+    assert run_cli(
+        "predict", "--model", str(out / "model.json"), "--input", str(q),
+        "--train", str(train), "--response", "y", "--out", str(tmp_path / "p"),
+    ) == 0
+    with open(tmp_path / "p" / "predictions.csv") as fh:
+        row = next(csv.DictReader(fh))
+
+    train_data = read_fragmentary_csv(train, "y")
+    opts = FitOptions(max_iter=2, grad_tol=1e-8, ridge=1e-3)
+    theta, mean = predict_for_pattern(
+        train_data, "binomial", model["lambda_n"], x_star,
+        store=CandidateStore(train_data, "binomial", opts),
+    )
+    assert row["rule"].startswith("restricted:")
+    assert float(row["theta"]) == theta
+    assert float(row["mean"]) == mean
+
+    model["fit_options"]["step"] = 1.0
+    (out / "model.json").write_text(json.dumps(model))
+    assert run_cli(
+        "predict", "--model", str(out / "model.json"), "--input", str(q),
+        "--train", str(train), "--response", "y", "--out", str(tmp_path / "p2"),
+    ) == 2
 
 
 def test_cli_compare_runs_and_is_reproducible(tmp_path):
