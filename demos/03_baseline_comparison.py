@@ -10,15 +10,9 @@ by predictive deviance.  The same protocol is available from the shell:
 
 import numpy as np
 
-from fragma import (
-    fit_averaged,
-    fit_cc,
-    fit_glasso,
-    fit_imp,
-    fit_smoothed_ic,
-)
+from fragma.baselines import ALL_METHODS, fit_method
 from fragma.datasets import adni_like
-from fragma.glm import BINOMIAL
+from fragma.glm import BINOMIAL, CandidateStore
 from fragma.patterns import FragmentaryDataset, build_pattern_index
 
 data, groups = adni_like(seed=2)
@@ -55,15 +49,14 @@ def deviance(theta):
     return 2.0 * float(np.mean(BINOMIAL.b(theta) - y_eval * theta))
 
 
+# one store of candidate fits for all methods, one on the zero-imputed data for imp1/imp2
+store = CandidateStore(train, BINOMIAL)
+imp_store = CandidateStore(train.filled(), BINOMIAL)
 fits = {
-    "opt1": fit_averaged(train, BINOMIAL, "opt1", index=tindex),
-    "opt2": fit_averaged(train, BINOMIAL, "opt2", index=tindex),
-    "cc": fit_cc(train, BINOMIAL, index=tindex),
-    "saic": fit_smoothed_ic(train, BINOMIAL, "aic", index=tindex),
-    "sbic": fit_smoothed_ic(train, BINOMIAL, "bic", index=tindex),
-    "imp1": fit_imp(train, BINOMIAL, "opt1", index=tindex),
-    "imp2": fit_imp(train, BINOMIAL, "opt2", index=tindex),
-    "glasso": fit_glasso(train, BINOMIAL, groups, seed=7, index=tindex),
+    m: fit_method(
+        m, train, BINOMIAL, index=tindex, store=store, imp_store=imp_store, groups=groups, seed=7
+    )
+    for m in ALL_METHODS
 }
 
 print(f"{'method':8s}  test deviance per obs")

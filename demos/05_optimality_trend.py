@@ -12,9 +12,15 @@ supporting report.
 
 import numpy as np
 
-from fragma.averaging import CriterionContext, kl_loss, optimize_weights
-from fragma.glm import BINOMIAL
-from fragma.sim import SimConfig, _shared_fits, generate_replication
+from fragma.averaging import (
+    CriterionContext,
+    build_criterion_context,
+    kl_loss,
+    optimize_weights,
+)
+from fragma.glm import BINOMIAL, CandidateStore
+from fragma.patterns import build_pattern_index
+from fragma.sim import SimConfig, generate_replication
 
 REPS = 20
 
@@ -24,9 +30,10 @@ for n in (400, 800, 1600):
     for rep in range(REPS):
         cfg = SimConfig(n=n, rho=0.6, beta_case="decay", reps=1, seed=500 + rep)
         data, truth = generate_replication(cfg, 0)
-        shared = _shared_fits(data)
-        ctx = shared.ctx
-        mu = truth.mean[shared.cc_rows]
+        index = build_pattern_index(data)
+        candidates = CandidateStore(data, BINOMIAL).fit_all(index)
+        ctx = build_criterion_context(data, index, candidates, BINOMIAL)
+        mu = truth.mean[index.s_sets[0]]
 
         w_hat = np.asarray(optimize_weights(ctx, 2.0).weights)
         kl_hat = kl_loss(ctx.theta_matrix @ w_hat, mu, BINOMIAL)

@@ -14,7 +14,6 @@ which stops once the simplex KKT residual is within tolerance.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +116,6 @@ def build_criterion_context(
     index: PatternIndex,
     candidates: list[CandidateModel],
     family: ExponentialFamily,
-    warn_incomplete: bool = True,
 ) -> CriterionContext:
     """Per-candidate linear predictors on the weighting sample.
 
@@ -132,12 +130,6 @@ def build_criterion_context(
     family = get_family(family)
     lead = list(index.patterns[0].indices)
     rows = np.flatnonzero(data.mask[:, lead].all(axis=1))
-    if warn_incomplete and not index.full_first:
-        warnings.warn(
-            "no subject observes every column; selecting weights on the "
-            "maximal pattern's superset sample",
-            stacklevel=2,
-        )
     cols = []
     for cand in candidates:
         sub = np.ix_(rows, list(cand.pattern.indices))
@@ -395,7 +387,6 @@ def fit_averaged(
     family,
     lambda_n="opt1",
     fit_opts: FitOptions | None = None,
-    opt_opts: OptOptions | None = None,
     index: PatternIndex | None = None,
     store: CandidateStore | None = None,
 ) -> AveragedModel:
@@ -405,7 +396,9 @@ def fit_averaged(
     ``"opt2"`` (log of the weighting sample size).  A precomputed
     ``index`` may be supplied.  A shared ``store`` (which then supplies
     the fit options) shares candidate fits across penalty settings,
-    sub-pattern refits and baselines.
+    sub-pattern refits and baselines.  Candidates whose columns are not all
+    in the leading (weighting) pattern are dropped and listed in
+    ``diagnostics["dropped_candidates"]``.
     """
     family = get_family(family)
     if index is None:
@@ -414,19 +407,13 @@ def fit_averaged(
 
     lead = set(index.patterns[0].indices)
     usable = [c for c in candidates if set(c.pattern.indices) <= lead]
-    if len(usable) < len(candidates):
-        dropped = [c.pattern.indices for c in candidates if set(c.pattern.indices) - lead]
-        warnings.warn(
-            f"dropping {len(dropped)} candidate(s) not contained in the weighting "
-            f"pattern: {dropped}",
-            stacklevel=2,
-        )
+    dropped = [list(c.pattern.indices) for c in candidates if set(c.pattern.indices) - lead]
     if not usable:
         raise NumericalError("no usable candidate model")
 
     ctx = build_criterion_context(data, index, usable, family)
     lam = resolve_lambda(lambda_n, ctx.n_cc)
-    wfit = optimize_weights(ctx, lam, opt_opts)
+    wfit = optimize_weights(ctx, lam)
     beta = combine_coefficients(usable, wfit.weights, data.p)
     return AveragedModel(
         candidates=usable,
@@ -443,6 +430,7 @@ def fit_averaged(
             "optimizer_iterations": wfit.iterations,
             "K": index.K,
             "weighting_pattern_is_full": index.full_first,
+            "dropped_candidates": dropped,
         },
     )
 
@@ -475,8 +463,6 @@ def predict_for_pattern(
     family,
     lambda_n,
     x_star,
-    fit_opts: FitOptions | None = None,
-    opt_opts: OptOptions | None = None,
     return_model: bool = False,
     store: CandidateStore | None = None,
 ):
@@ -497,7 +483,7 @@ def predict_for_pattern(
     if observed.size == 0:
         raise DataError("query observes no covariate")
     index = build_pattern_index(data, columns=observed)
-    model = fit_averaged(data, family, lambda_n, fit_opts, opt_opts, index=index, store=store)
+    model = fit_averaged(data, family, lambda_n, index=index, store=store)
     theta, mean = predict(model, x_star)
     if return_model:
         return theta, mean, model

@@ -8,6 +8,9 @@ imp1 and imp2 share one on the zero-imputed data.  The group lasso is
 solved by one active-set Newton loop, which takes a batch of problems: its
 cross-validated path solves every fold of a penalty level in one call, on
 a coordinate layout where every group is a contiguous block.
+
+:func:`fit_method` is the one map from a name in :data:`ALL_METHODS` to its
+fit; ``compare``, the simulation study and the demos all go through it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .averaging import (
     WeightVector,
     build_criterion_context,
     combine_coefficients,
+    fit_averaged,
     optimize_weights,
 )
 from .errors import DataError, NumericalError
@@ -82,40 +86,25 @@ def fit_smoothed_ic(
     flavor: str,
     opts: FitOptions | None = None,
     index: PatternIndex | None = None,
-    ic_sample: str = "own",
     store: CandidateStore | None = None,
 ) -> AveragedModel:
     """Candidate averaging with smoothed AIC/BIC weights.
 
-    By default each candidate's information criterion uses the
-    log-likelihood maximized on its own fitting sample
-    (``ic_sample="own"``); because larger subject sets produce larger
-    absolute deviances, the weights then concentrate on the candidate
-    with the most covariates and the smallest sample.  The alternative
-    ``ic_sample="cc"`` evaluates every candidate on the common
-    complete-case rows, making the criteria sample-size comparable; it is
-    provided for sensitivity checks.
+    Each candidate's information criterion uses the log-likelihood
+    maximized on its own fitting sample; because larger subject sets
+    produce larger absolute deviances, the weights concentrate on the
+    candidate with the most covariates and the smallest sample.
     """
     if flavor not in ("aic", "bic"):
         raise ValueError(f"flavor must be 'aic' or 'bic', got {flavor!r}")
-    if ic_sample not in ("cc", "own"):
-        raise ValueError(f"ic_sample must be 'cc' or 'own', got {ic_sample!r}")
     family = get_family(family)
     if index is None:
         index = build_pattern_index(data)
     candidates = (store or CandidateStore(data, family, opts)).fit_all(index)
 
     p_sizes = np.array([c.p_k for c in candidates], dtype=float)
-    if ic_sample == "cc":
-        ctx = build_criterion_context(data, index, candidates, family)
-        ll = np.array(
-            [loglik(family, ctx.theta_matrix[:, k], ctx.y_cc) for k in range(len(candidates))]
-        )
-        n_pen = np.full(len(candidates), ctx.n_cc, dtype=float)
-    else:
-        ll = np.array([c.loglik for c in candidates])
-        n_pen = np.array([c.n_k for c in candidates], dtype=float)
-    pen = 2.0 if flavor == "aic" else np.log(n_pen)
+    ll = np.array([c.loglik for c in candidates])
+    pen = 2.0 if flavor == "aic" else np.log([c.n_k for c in candidates])
     ic = -2.0 * ll + pen * p_sizes
 
     w = smoothed_ic_weights(ic)
@@ -125,7 +114,7 @@ def fit_smoothed_ic(
         beta_combined=combine_coefficients(candidates, w, data.p),
         family=family,
         column_names=list(data.column_names),
-        diagnostics={"ic": ic.tolist(), "ic_sample": ic_sample},
+        diagnostics={"ic": ic.tolist()},
     )
 
 
@@ -135,7 +124,6 @@ def fit_imp(
     lambda_mode: str = "opt1",
     opts: FitOptions | None = None,
     index: PatternIndex | None = None,
-    opt_opts=None,
     store: CandidateStore | None = None,
 ) -> AveragedModel:
     """Zero-imputation averaging.
@@ -154,9 +142,9 @@ def fit_imp(
     if not store.data.mask.all():
         raise ValueError("fit_imp needs a candidate store on the zero-imputed data.filled()")
     cands = store.fit_all(index)
-    ctx = build_criterion_context(store.data, index, cands, family, warn_incomplete=False)
+    ctx = build_criterion_context(store.data, index, cands, family)
     lam = 2.0 if lambda_mode == "opt1" else float(np.log(data.n))
-    wfit = optimize_weights(ctx, lam, opt_opts)
+    wfit = optimize_weights(ctx, lam)
     return AveragedModel(
         candidates=cands,
         weights=wfit.weights,
@@ -538,3 +526,57 @@ def fit_glasso(
             "n_refit": cand.n_k,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# Method table
+# ---------------------------------------------------------------------------
+
+ALL_METHODS = ("opt1", "opt2", "cc", "saic", "sbic", "imp1", "imp2", "glasso")
+DEFAULT_METHODS = ALL_METHODS[:-1]  # glasso needs column groups
+
+
+def check_methods(methods) -> tuple[str, ...]:
+    """The method names as a tuple; an empty list or an unknown name is a DataError."""
+    methods = tuple(methods)
+    if not methods:
+        raise DataError(f"no method given; choose from {ALL_METHODS}")
+    unknown = sorted(set(methods) - set(ALL_METHODS))
+    if unknown:
+        raise DataError(f"unknown methods {unknown}; choose from {ALL_METHODS}")
+    return methods
+
+
+def fit_method(
+    name: str,
+    data: FragmentaryDataset,
+    family,
+    *,
+    index: PatternIndex,
+    store: CandidateStore,
+    imp_store: CandidateStore,
+    groups=None,
+    seed: int = 0,
+) -> AveragedModel:
+    """Fit one of :data:`ALL_METHODS` on ``data``.
+
+    Every method uses the pattern ``index`` of ``data``.  The averaged fits,
+    CC and the smoothed criteria draw their candidates from ``store``;
+    imp1 and imp2 from ``imp_store``, a store on ``data.filled()``.  The
+    group lasso needs ``groups``, draws its CV folds from ``seed`` and fits
+    its GLMs with ``store.opts``.
+    """
+    if name in ("opt1", "opt2"):
+        return fit_averaged(data, family, name, index=index, store=store)
+    if name == "cc":
+        return fit_cc(data, family, index=index, store=store)
+    if name in ("saic", "sbic"):
+        return fit_smoothed_ic(data, family, name[1:], index=index, store=store)
+    if name in ("imp1", "imp2"):
+        lambda_mode = "opt1" if name == "imp1" else "opt2"
+        return fit_imp(data, family, lambda_mode, index=index, store=imp_store)
+    if name == "glasso":
+        if groups is None:
+            raise DataError("glasso requires column groups (a --groups sidecar)")
+        return fit_glasso(data, family, groups, seed=seed, opts=store.opts, index=index)
+    raise ValueError(f"unknown method {name!r}; choose from {ALL_METHODS}")

@@ -2,7 +2,10 @@
 
 Every subcommand writes a ``config.json`` into its output directory that
 records the resolved arguments and the package version; no subcommand
-reads it back.  Exit codes: 0 success, 1 numerical failure, 2 input error.
+reads it back.  Exit codes: 0 success, 1 numerical failure, 2 input error
+(such as an unknown or empty method list).  ``compare`` and ``simulate``
+fit every method through :func:`~fragma.baselines.fit_method` and write
+their fit records and failures to ``diagnostics.json``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .averaging import (
     predict,
     predict_for_pattern,
 )
-from .baselines import fit_cc, fit_glasso, fit_imp, fit_smoothed_ic
+from .baselines import DEFAULT_METHODS, check_methods, fit_method
 from .errors import DataError, NumericalError
 from .glm import CandidateStore, FitOptions, get_family
 from .io import (
@@ -33,9 +36,7 @@ from .io import (
 )
 from .patterns import FragmentaryDataset, build_pattern_index, split_rows_by_pattern
 from .screening import screen_groups
-from .sim import ALL_METHODS, SimConfig, run_study
-
-DEFAULT_COMPARE_METHODS = "opt1,opt2,cc,saic,sbic,imp1,imp2"
+from .sim import SimConfig, run_study
 
 
 def _out_dir(args) -> Path:
@@ -44,11 +45,19 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+
+
 def _write_config(out: Path, args) -> None:
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
     cfg["version"] = __version__
-    with open(out / "config.json", "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
+    _write_json(out / "config.json", cfg)
+
+
+def _parse_methods(text: str) -> tuple[str, ...]:
+    return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
 def _parse_lambda(text: str):
@@ -227,15 +236,10 @@ def cmd_compare(args) -> int:
     data = read_fragmentary_csv(
         args.input, args.response, args.na_marker, args.add_intercept
     )
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    unknown = set(methods) - set(ALL_METHODS)
-    if unknown:
-        raise DataError(f"unknown methods {sorted(unknown)}; choose from {ALL_METHODS}")
+    methods = check_methods(_parse_methods(args.methods))
     groups = None
     if args.groups:
         groups = read_groups_sidecar(args.groups, data.column_names)
-    if "glasso" in methods and groups is None:
-        raise DataError("glasso requires a --groups sidecar")
 
     rng = np.random.default_rng(args.seed)
     index_all = build_pattern_index(data)
@@ -250,28 +254,23 @@ def cmd_compare(args) -> int:
     fopts = _fit_options(args)
     store = CandidateStore(train, family, fopts)
     imp_store = CandidateStore(train.filled(), family, fopts)
-    fits = {}
-    for m in methods:
-        if m in ("opt1", "opt2"):
-            fits[m] = fit_averaged(train, family, m, index=index, store=store)
-        elif m == "cc":
-            fits[m] = fit_cc(train, family, index=index, store=store)
-        elif m in ("saic", "sbic"):
-            fits[m] = fit_smoothed_ic(train, family, m[1:], index=index, store=store)
-        elif m in ("imp1", "imp2"):
-            fits[m] = fit_imp(
-                train, family, "opt1" if m == "imp1" else "opt2", index=index, store=imp_store
-            )
-        elif m == "glasso":
-            fits[m] = fit_glasso(train, family, groups, seed=args.seed, opts=fopts, index=index)
+    fits = {
+        m: fit_method(
+            m, train, family, index=index, store=store, imp_store=imp_store,
+            groups=groups, seed=args.seed,
+        )
+        for m in methods
+    }
 
     eval_rows = np.flatnonzero(test.mask[:, lead].all(axis=1))
     xq = np.where(test.mask, test.x, np.nan)
     summary = []
+    diagnostics = {}
     for m in methods:
         fit = fits[m]
         theta = np.full(test.n, np.nan)
         rules = np.full(test.n, "unavailable", dtype=object)
+        unavailable = []
         for rows in split_rows_by_pattern(test.mask):
             if fit.zero_impute:
                 sub, rule = fit, "zero-imputed"
@@ -285,9 +284,11 @@ def cmd_compare(args) -> int:
                         train, family, fit.lambda_n, xq[rows[0]], return_model=True, store=store
                     )[2]
                 theta[rows] = predict(sub, xq[rows])[0]
-            except (ValueError, DataError, NumericalError):
+            except (ValueError, NumericalError) as exc:
+                unavailable.append({"rows": int(rows.size), "error": str(exc)})
                 continue
             rules[rows] = rule
+        diagnostics[m] = {"model": fit.diagnostics, "unavailable": unavailable}
         preds = _prediction_rows(rules, theta, family.b_prime(theta))
         write_csv(out / f"predictions_{m}.csv", ["row", "rule", "theta", "mean"], preds)
 
@@ -301,6 +302,7 @@ def cmd_compare(args) -> int:
         )
         summary.append([m, int(ok.sum()), f"{loss:.10g}"])
     write_csv(out / "kl_summary.csv", ["method", "n_eval", "loss_per_obs"], summary)
+    _write_json(out / "diagnostics.json", diagnostics)
     print(f"train={train.n} test={test.n} evaluated on {eval_rows.size} full-pattern test rows")
     print(f"wrote {out / 'kl_summary.csv'}")
     return 0
@@ -309,7 +311,7 @@ def cmd_compare(args) -> int:
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
     _write_config(out, args)
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    methods = _parse_methods(args.methods)
     cfg = SimConfig(
         n=args.n,
         beta_case=args.beta_case,
@@ -341,6 +343,7 @@ def cmd_simulate(args) -> int:
     write_csv(
         out / "summary.csv", ["method", "median", "q25", "q75", "mean", "failures"], srows
     )
+    _write_json(out / "diagnostics.json", result.diagnostics)
     print(f"simulate: n={cfg.n} rho={cfg.rho} beta={cfg.beta_case} reps={cfg.reps}")
     for m, s in result.summary.items():
         print(f"  {m}: median KL = {s['median']:.5f}")
@@ -442,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser(
         "compare", parents=[common, fitlike], help="train/test comparison of methods"
     )
-    p_cmp.add_argument("--methods", default=DEFAULT_COMPARE_METHODS)
+    p_cmp.add_argument("--methods", default=",".join(DEFAULT_METHODS))
     p_cmp.add_argument("--split", type=float, default=0.75)
     p_cmp.add_argument("--groups", default=None, help="JSON sidecar of column groups")
     p_cmp.set_defaults(func=cmd_compare)
@@ -454,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--beta-case", default="decay", choices=["decay", "flat", "rise"], dest="beta_case"
     )
     p_sim.add_argument("--reps", type=int, default=50)
-    p_sim.add_argument("--methods", default=DEFAULT_COMPARE_METHODS)
+    p_sim.add_argument("--methods", default=",".join(DEFAULT_METHODS))
     p_sim.set_defaults(func=cmd_simulate)
 
     p_scr = sub.add_parser(

@@ -6,7 +6,9 @@ covariate is withheld from every subject (so every candidate model is
 misspecified) and each of three 4-covariate groups is observed exactly
 when its leading covariate falls below 1.  Methods are scored by the
 per-observation KL-type loss between the true and fitted response
-distributions on the complete cases.
+distributions on the complete cases.  Each method is fitted through
+:func:`~fragma.baselines.fit_method`, the one method table that ``compare``
+also uses, on candidate stores shared within a replication.
 """
 
 from __future__ import annotations
@@ -16,19 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .averaging import (
-    build_criterion_context,
-    kl_loss,
-    optimize_weights,
-    predict,
-)
-from .baselines import fit_glasso, fit_imp, fit_smoothed_ic
-from .errors import NumericalError
-from .glm import BINOMIAL, CandidateStore, FitOptions
+from .averaging import kl_loss, predict
+from .baselines import DEFAULT_METHODS, check_methods, fit_method
+from .errors import DataError, NumericalError
+from .glm import BINOMIAL, CandidateStore
 from .patterns import FragmentaryDataset, build_pattern_index
 
 BETA_CASES = ("decay", "flat", "rise")
-ALL_METHODS = ("opt1", "opt2", "cc", "saic", "sbic", "imp1", "imp2", "glasso")
 
 N_GROUPS = 3
 GROUP_WIDTH = 4
@@ -56,29 +52,18 @@ class SimConfig:
     rho: float = 0.3
     reps: int = 50
     seed: int = 0
-    methods: tuple = ("opt1", "opt2", "cc", "saic", "sbic", "imp1", "imp2")
+    methods: tuple = DEFAULT_METHODS
 
     def __post_init__(self):
         if self.n < self.p:
-            raise ValueError("n must be at least p")
+            raise DataError("n must be at least p")
         if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must lie in [0, 1)")
+            raise DataError("rho must lie in [0, 1)")
         if self.beta_case not in BETA_CASES:
-            raise ValueError(f"unknown beta case {self.beta_case!r}")
-        unknown = set(self.methods) - set(ALL_METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods {sorted(unknown)}")
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "beta_case": self.beta_case,
-            "rho": self.rho,
-            "reps": self.reps,
-            "seed": self.seed,
-            "methods": list(self.methods),
-        }
+            raise DataError(f"unknown beta case {self.beta_case!r}")
+        if self.reps < 1:
+            raise DataError("reps must be at least 1")
+        check_methods(self.methods)
 
 
 @dataclass
@@ -162,85 +147,18 @@ def generate_replication(
     return data, TrueSignal(theta=theta, mean=mean, x_full=x)
 
 
-@dataclass
-class _RepFits:
-    """Shared per-replication pipeline pieces reused across methods."""
+def run_study(cfg: SimConfig) -> SimResult:
+    """Run all replications of one cell; deterministic given cfg.seed.
 
-    index: object
-    store: CandidateStore
-    imp_store: CandidateStore  # fits on the zero-imputed data, for imp1 and imp2
-    ctx: object
-    cc_rows: np.ndarray
-
-
-def _shared_fits(
-    data: FragmentaryDataset,
-    fit_opts: FitOptions | None = None,
-    index=None,
-) -> _RepFits:
-    if index is None:
-        index = build_pattern_index(data)
-    store = CandidateStore(data, BINOMIAL, fit_opts)
-    # The withheld last covariate makes the leading pattern non-full by design.
-    ctx = build_criterion_context(
-        data, index, store.fit_all(index), BINOMIAL, warn_incomplete=False
-    )
-    return _RepFits(
-        index=index,
-        store=store,
-        imp_store=CandidateStore(data.filled(), BINOMIAL, fit_opts),
-        ctx=ctx,
-        cc_rows=index.s_sets[0],
-    )
-
-
-def evaluate_method(
-    data: FragmentaryDataset,
-    truth: TrueSignal,
-    method: str,
-    shared: _RepFits | None = None,
-    seed: int = 0,
-    diagnostics: dict | None = None,
-) -> float:
-    """Per-observation KL loss of one method's complete-case predictions."""
-    if shared is None:
-        shared = _shared_fits(data)
-    ctx = shared.ctx
-    mu_cc = truth.mean[shared.cc_rows]
-
-    if method in ("opt1", "opt2"):
-        lam = 2.0 if method == "opt1" else float(np.log(ctx.n_cc))
-        wfit = optimize_weights(ctx, lam)
-        theta_cc = ctx.theta_matrix @ np.asarray(wfit.weights)
-        if diagnostics is not None:
-            diagnostics.setdefault("kkt_residuals", []).append(wfit.kkt_residual)
-    elif method == "cc":
-        theta_cc = ctx.theta_matrix[:, 0]
-    elif method in ("saic", "sbic"):
-        res = fit_smoothed_ic(
-            data, BINOMIAL, flavor=method[1:], index=shared.index, store=shared.store
-        )
-        theta_cc = ctx.theta_matrix @ np.asarray(res.weights)
-    elif method in ("imp1", "imp2"):
-        res = fit_imp(data, BINOMIAL, lambda_mode="opt1" if method == "imp1" else "opt2",
-                      index=shared.index, store=shared.imp_store)
-        theta_cc = predict(res, data.x[shared.cc_rows])[0]
-    elif method == "glasso":
-        res = fit_glasso(data, BINOMIAL, sim_groups(data.p), seed=seed, index=shared.index)
-        theta_cc = predict(res, data.x[shared.cc_rows])[0]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    return kl_loss(theta_cc, mu_cc, BINOMIAL, per_obs=True)
-
-
-def run_study(cfg: SimConfig, fit_opts: FitOptions | None = None) -> SimResult:
-    """Run all replications of one cell; deterministic given cfg.seed."""
+    ``diagnostics`` holds the regenerated-draw count, the failed (rep, method)
+    fits and, in fitting order, every weight optimizer's KKT residual.
+    """
     methods = list(cfg.methods)
     per_rep = np.full((cfg.reps, len(methods)), np.nan)
     cc_frac = np.zeros(cfg.reps)
-    diagnostics: dict = {"regenerated": 0, "failures": []}
+    diagnostics: dict = {"regenerated": 0, "failures": [], "kkt_residuals": []}
 
+    groups = sim_groups(cfg.p)
     min_cc = cfg.p - 1  # leading pattern has p - 1 columns
     for rep in range(cfg.reps):
         attempt = 0
@@ -260,16 +178,23 @@ def run_study(cfg: SimConfig, fit_opts: FitOptions | None = None) -> SimResult:
             diagnostics["regenerated"] += 1
             if attempt > 20:
                 raise NumericalError(f"replication {rep}: no usable draw in 20 attempts")
-        shared = _shared_fits(data, fit_opts, index=index)
-        cc_frac[rep] = shared.cc_rows.size / data.n
+        store = CandidateStore(data, BINOMIAL)
+        imp_store = CandidateStore(data.filled(), BINOMIAL)
+        cc_rows = index.s_sets[0]
+        cc_frac[rep] = cc_rows.size / data.n
         for m, method in enumerate(methods):
             try:
-                per_rep[rep, m] = evaluate_method(
-                    data, truth, method, shared=shared, seed=cfg.seed + rep,
-                    diagnostics=diagnostics,
+                model = fit_method(
+                    method, data, BINOMIAL, index=index, store=store, imp_store=imp_store,
+                    groups=groups, seed=cfg.seed + rep,
                 )
+                theta = predict(model, data.x[cc_rows])[0]
+                per_rep[rep, m] = kl_loss(theta, truth.mean[cc_rows], BINOMIAL, per_obs=True)
             except NumericalError as exc:
                 diagnostics["failures"].append({"rep": rep, "method": method, "error": str(exc)})
+                continue
+            if "kkt_residual" in model.diagnostics:
+                diagnostics["kkt_residuals"].append(model.diagnostics["kkt_residual"])
 
     summary = {}
     for m, method in enumerate(methods):

@@ -442,8 +442,8 @@ def test_no_complete_cases_drops_non_nested_candidates(rng):
     from fragma.patterns import FragmentaryDataset
 
     data = FragmentaryDataset(y, x, mask, ["intercept", "a", "b"])
-    with pytest.warns(UserWarning):
-        model = fit_averaged(data, BINOMIAL, 2.0)
+    model = fit_averaged(data, BINOMIAL, 2.0)
+    assert model.diagnostics["dropped_candidates"] == [[0, 2]]
     kept = {c.pattern.indices for c in model.candidates}
     assert (0, 1) in kept
     assert (0, 2) not in kept

@@ -110,14 +110,13 @@ def test_smoothed_ic_single_candidate(rng):
     assert np.asarray(res.weights).tolist() == [1.0]
 
 
-def test_smoothed_ic_weights_on_simplex_both_conventions(rng):
+def test_smoothed_ic_weights_on_simplex_both_flavors(rng):
     data = random_fragmentary(rng, 120, 4, family="binomial", ensure_full=True)
     for flavor in ("aic", "bic"):
-        for sample in ("own", "cc"):
-            res = fit_smoothed_ic(data, BINOMIAL, flavor, ic_sample=sample)
-            w = np.asarray(res.weights)
-            assert np.all(w >= 0)
-            assert abs(w.sum() - 1.0) < 1e-12
+        res = fit_smoothed_ic(data, BINOMIAL, flavor)
+        w = np.asarray(res.weights)
+        assert np.all(w >= 0)
+        assert abs(w.sum() - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -436,3 +436,65 @@ def test_cli_unknown_method_is_input_error(tmp_path):
         "--out", str(tmp_path / "o"),
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--methods", "opt1,nope"],
+        ["simulate", "--rho", "1.0"],
+        ["simulate", "--reps", "0"],
+        ["simulate", "--methods", ","],
+        ["compare", "--methods", ","],
+    ],
+    ids=["sim-unknown-method", "sim-rho", "sim-reps", "sim-no-method", "compare-no-method"],
+)
+def test_cli_bad_method_or_cell_is_input_error(tmp_path, argv):
+    if argv[0] == "compare":
+        data, _ = adni_like(seed=6, scale=0.1)
+        f = tmp_path / "d.csv"
+        dataset_to_csv(data, f)
+        argv = argv + ["--input", str(f), "--response", "y"]
+    else:
+        argv = argv + ["--n", "200"]
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "DataError" and error["exit_code"] == 2
+    assert not (out / "summary.csv").exists() and not (out / "kl_summary.csv").exists()
+
+
+def test_cli_compare_writes_diagnostics(tmp_path):
+    data, groups = adni_like(seed=6, scale=0.25)
+    f = tmp_path / "d.csv"
+    dataset_to_csv(data, f)
+    g = tmp_path / "groups.json"
+    g.write_text(json.dumps({n: [data.column_names[j] for j in cols] for n, cols in groups.items()}))
+    out = tmp_path / "c"
+    assert run_cli(
+        "compare", "--input", str(f), "--response", "y", "--seed", "3",
+        "--methods", "opt1,cc,glasso", "--groups", str(g), "--out", str(out),
+    ) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert list(diag) == ["cc", "glasso", "opt1"]
+    assert "selected_groups" in diag["glasso"]["model"]
+    assert "lambda_max_fit" in diag["glasso"]["model"]
+    assert diag["opt1"]["model"]["kkt_residual"] <= 1e-7
+    assert diag["opt1"]["unavailable"] == []
+    with open(out / "predictions_cc.csv") as fh:
+        n_unavailable = sum(r["rule"] == "unavailable" for r in csv.DictReader(fh))
+    assert n_unavailable > 0
+    assert sum(u["rows"] for u in diag["cc"]["unavailable"]) == n_unavailable
+    assert all("unobserved" in u["error"] for u in diag["cc"]["unavailable"])
+
+
+def test_cli_simulate_writes_diagnostics(tmp_path):
+    out = tmp_path / "s"
+    assert run_cli(
+        "simulate", "--n", "200", "--rho", "0.3", "--reps", "3",
+        "--methods", "opt1,cc", "--seed", "9", "--out", str(out),
+    ) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["regenerated"] >= 0 and diag["failures"] == []
+    assert len(diag["kkt_residuals"]) == 3
+    assert all(0.0 <= r <= 1e-7 for r in diag["kkt_residuals"])

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from fragma.averaging import kl_loss
-from fragma.glm import BINOMIAL
+from fragma.averaging import build_criterion_context, kl_loss, predict
+from fragma.baselines import fit_method
+from fragma.glm import BINOMIAL, CandidateStore
 from fragma.patterns import build_pattern_index
 from fragma.sim import (
     GROUP_WIDTH,
     N_GROUPS,
     SimConfig,
-    _shared_fits,
     beta_vector,
-    evaluate_method,
     generate_replication,
     run_study,
     sim_groups,
@@ -93,31 +92,60 @@ def test_truth_records_match_definitions():
 def test_oracle_predictor_has_zero_loss():
     cfg = SimConfig(n=400, rho=0.6, seed=21, reps=1)
     data, truth = generate_replication(cfg, 0)
-    shared = _shared_fits(data)
-    mu = truth.mean[shared.cc_rows]
-    theta_true = truth.theta[shared.cc_rows]
+    cc_rows = build_pattern_index(data).s_sets[0]
+    mu = truth.mean[cc_rows]
+    theta_true = truth.theta[cc_rows]
     assert abs(kl_loss(theta_true, mu, BINOMIAL, per_obs=True)) <= 1e-12
 
 
 def test_constant_half_prediction_matches_hand_loop():
     cfg = SimConfig(n=300, rho=0.3, seed=17, reps=1)
     data, truth = generate_replication(cfg, 0)
-    shared = _shared_fits(data)
-    mu = truth.mean[shared.cc_rows]
+    cc_rows = build_pattern_index(data).s_sets[0]
+    mu = truth.mean[cc_rows]
     val = kl_loss(np.zeros(mu.size), mu, BINOMIAL, per_obs=True)
     direct = bernoulli_kl2(mu, np.full(mu.size, 0.5)) / mu.size
     assert np.isclose(val, direct, atol=1e-10)
 
 
+def rep_stores(data):
+    """The pattern index and candidate stores one replication shares across methods."""
+    return {
+        "index": build_pattern_index(data),
+        "store": CandidateStore(data, BINOMIAL),
+        "imp_store": CandidateStore(data.filled(), BINOMIAL),
+    }
+
+
 def test_evaluate_method_perfect_and_unknown():
     cfg = SimConfig(n=300, rho=0.3, seed=23, reps=1)
     data, truth = generate_replication(cfg, 0)
-    shared = _shared_fits(data)
+    shared = rep_stores(data)
     with pytest.raises(ValueError):
-        evaluate_method(data, truth, "magic", shared=shared)
+        fit_method("magic", data, BINOMIAL, **shared)
+    cc_rows = shared["index"].s_sets[0]
     for method in ("opt1", "cc", "saic", "imp1"):
-        v = evaluate_method(data, truth, method, shared=shared)
+        model = fit_method(method, data, BINOMIAL, **shared)
+        theta = predict(model, data.x[cc_rows])[0]
+        v = kl_loss(theta, truth.mean[cc_rows], BINOMIAL, per_obs=True)
         assert np.isfinite(v) and v >= 0
+
+
+def test_scoring_by_predict_equals_theta_matrix_route():
+    # the sim scores every method by predict(model, x); for the methods
+    # built on the complete-case candidate fits that equals the criterion
+    # context's theta_matrix @ weights
+    for seed in (0, 1, 2):
+        cfg = SimConfig(n=400, rho=0.6, seed=seed, reps=1)
+        data, _ = generate_replication(cfg, 0)
+        shared = rep_stores(data)
+        index = shared["index"]
+        for method in ("opt1", "opt2", "cc", "saic", "sbic"):
+            model = fit_method(method, data, BINOMIAL, **shared)
+            ctx = build_criterion_context(data, index, model.candidates, BINOMIAL)
+            theta = predict(model, data.x[index.s_sets[0]])[0]
+            expected = ctx.theta_matrix @ np.asarray(model.weights)
+            assert np.max(np.abs(theta - expected)) <= 1e-12, method
 
 
 def test_run_study_deterministic_and_reduces_at_one_rep():
@@ -134,14 +162,14 @@ def test_run_study_deterministic_and_reduces_at_one_rep():
 def test_run_study_records_method_failures_as_nan(monkeypatch):
     import fragma.sim as simmod
 
-    real = simmod.evaluate_method
+    real = simmod.fit_method
 
-    def flaky(data, truth, method, **kw):
+    def flaky(method, data, family, **kw):
         if method == "cc":
             raise simmod.NumericalError("boom")
-        return real(data, truth, method, **kw)
+        return real(method, data, family, **kw)
 
-    monkeypatch.setattr(simmod, "evaluate_method", flaky)
+    monkeypatch.setattr(simmod, "fit_method", flaky)
     cfg = SimConfig(n=200, rho=0.3, reps=2, seed=41, methods=("opt1", "cc"))
     res = simmod.run_study(cfg)
     assert np.all(np.isnan(res.per_rep_kl[:, 1]))
