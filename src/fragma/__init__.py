@@ -24,7 +24,6 @@ from .averaging import (
     optimize_weights,
     predict,
     predict_for_pattern,
-    project_to_simplex,
 )
 from .baselines import (
     fit_cc,
@@ -45,7 +44,6 @@ from .glm import (
     fit_candidate,
     fit_glm,
     get_family,
-    linear_predictor,
     loglik,
 )
 from .io import read_fragmentary_csv, read_groups_sidecar
@@ -98,12 +96,10 @@ __all__ = [
     "get_family",
     "kl_loss",
     "lambda_default",
-    "linear_predictor",
     "loglik",
     "optimize_weights",
     "predict",
     "predict_for_pattern",
-    "project_to_simplex",
     "read_fragmentary_csv",
     "read_groups_sidecar",
     "restrict_to",

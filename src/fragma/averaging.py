@@ -19,33 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .glm import (
-    CandidateModel,
-    CandidateStore,
-    ExponentialFamily,
-    FitOptions,
-    get_family,
-)
+from .glm import CandidateModel, CandidateStore, ExponentialFamily, get_family
 from .patterns import FragmentaryDataset, PatternIndex, build_pattern_index
 
 PROB_CLAMP = 1e-12
 ACTIVE_TOL = 1e-10
-
-
-class ClampCounter:
-    """Counts probability/mean clamping events (diagnostic, resettable)."""
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n: int):
-        self.count += int(n)
-
-    def reset(self):
-        self.count = 0
-
-
-clamp_counter = ClampCounter()
 
 
 @dataclass
@@ -166,17 +144,6 @@ def _criterion_hessian(ctx: CriterionContext, w) -> np.ndarray:
     theta = ctx.theta_matrix @ np.asarray(w, dtype=float)
     d = ctx.family.b_double_prime(theta)
     return 2.0 / ctx.family.phi * (ctx.theta_matrix.T @ (d[:, None] * ctx.theta_matrix))
-
-
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the unit simplex (sort-based algorithm)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * ks > css)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
 
 
 def kkt_residual(w, grad) -> float:
@@ -369,16 +336,16 @@ def lambda_default(mode: str, n_1: int) -> float:
         return 2.0
     if mode == "opt2":
         return float(np.log(n_1))
-    raise ValueError(f"unknown lambda mode {mode!r}")
+    raise DataError(f"unknown lambda mode {mode!r}; choose 'opt1' or 'opt2'")
 
 
 def resolve_lambda(lambda_n, n_1: int) -> float:
-    """Accept a float or one of the named modes."""
+    """Accept a nonnegative float or one of the named modes; anything else is a DataError."""
     if isinstance(lambda_n, str):
         return lambda_default(lambda_n, n_1)
     value = float(lambda_n)
-    if value < 0:
-        raise ValueError("lambda_n must be nonnegative")
+    if not 0 <= value < np.inf:
+        raise DataError(f"lambda_n must be a nonnegative finite number, got {value!r}")
     return value
 
 
@@ -386,33 +353,38 @@ def fit_averaged(
     data: FragmentaryDataset,
     family,
     lambda_n="opt1",
-    fit_opts: FitOptions | None = None,
     index: PatternIndex | None = None,
     store: CandidateStore | None = None,
 ) -> AveragedModel:
     """Full pipeline: pattern index, per-pattern fits, weight selection.
 
     ``lambda_n`` may be a float or the mode strings ``"opt1"`` (2) /
-    ``"opt2"`` (log of the weighting sample size).  A precomputed
-    ``index`` may be supplied.  A shared ``store`` (which then supplies
-    the fit options) shares candidate fits across penalty settings,
-    sub-pattern refits and baselines.  Candidates whose columns are not all
-    in the leading (weighting) pattern are dropped and listed in
-    ``diagnostics["dropped_candidates"]``.
+    ``"opt2"`` (log of the weighting sample size); it is resolved before
+    any candidate is fitted.  A precomputed ``index`` may be supplied.  A
+    shared ``store`` (which then supplies the fit options) shares
+    candidate fits across penalty settings, sub-pattern refits and
+    baselines.  The weighting rows are the subjects of ``data`` observing
+    the leading pattern's columns; a candidate whose columns some
+    weighting row does not observe is dropped and listed in
+    ``diagnostics["dropped_candidates"]``.  For an index built on ``data``
+    these are the candidates not contained in the leading pattern; on a
+    zero-imputed ``data.filled()`` none is dropped.
     """
     family = get_family(family)
     if index is None:
         index = build_pattern_index(data)
-    candidates = (store or CandidateStore(data, family, fit_opts)).fit_all(index)
+    weighting = data.mask[:, list(index.patterns[0].indices)].all(axis=1)
+    lam = resolve_lambda(lambda_n, int(weighting.sum()))
+    candidates = (store or CandidateStore(data, family)).fit_all(index)
 
-    lead = set(index.patterns[0].indices)
-    usable = [c for c in candidates if set(c.pattern.indices) <= lead]
-    dropped = [list(c.pattern.indices) for c in candidates if set(c.pattern.indices) - lead]
+    observed = data.mask[weighting].all(axis=0)
+    keep = [bool(observed[list(c.pattern.indices)].all()) for c in candidates]
+    usable = [c for c, k in zip(candidates, keep) if k]
+    dropped = [list(c.pattern.indices) for c, k in zip(candidates, keep) if not k]
     if not usable:
         raise NumericalError("no usable candidate model")
 
     ctx = build_criterion_context(data, index, usable, family)
-    lam = resolve_lambda(lambda_n, ctx.n_cc)
     wfit = optimize_weights(ctx, lam)
     beta = combine_coefficients(usable, wfit.weights, data.p)
     return AveragedModel(
@@ -496,8 +468,8 @@ def kl_loss(theta_hat, theta_true_or_mu, family, per_obs: bool = False) -> float
     The second argument is the true mean vector (for the gaussian family
     the mean and the canonical parameter coincide, so the true theta is
     accepted unchanged).  Binomial means are clamped to
-    ``[1e-12, 1 - 1e-12]`` before taking the canonical link; clamping
-    events increment :data:`clamp_counter`.
+    ``[1e-12, 1 - 1e-12]`` before taking the canonical link, so a true
+    mean of 0 or 1 gives a finite loss.
 
     With ``per_obs=True`` the value is divided by the number of
     observations (the per-observation evaluation metric).
@@ -508,11 +480,7 @@ def kl_loss(theta_hat, theta_true_or_mu, family, per_obs: bool = False) -> float
     if th.shape != mu.shape:
         raise ValueError("theta_hat and the true mean must have equal length")
     if family.name == "binomial":
-        clamped = np.clip(mu, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        n_clamped = int(np.sum(clamped != mu))
-        if n_clamped:
-            clamp_counter.add(n_clamped)
-        mu = clamped
+        mu = np.clip(mu, PROB_CLAMP, 1.0 - PROB_CLAMP)
     theta0 = family.theta_from_mean(mu)
     val = 2.0 / family.phi * np.sum(family.b(th) - family.b(theta0) - mu * (th - theta0))
     if per_obs:

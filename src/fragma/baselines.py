@@ -15,19 +15,12 @@ fit; ``compare``, the simulation study and the demos all go through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .averaging import (
-    AveragedModel,
-    WeightVector,
-    build_criterion_context,
-    combine_coefficients,
-    fit_averaged,
-    optimize_weights,
-)
+from .averaging import AveragedModel, WeightVector, combine_coefficients, fit_averaged
 from .errors import DataError, NumericalError
 from .glm import (
     CandidateModel,
@@ -59,7 +52,6 @@ def _single_glm(
 def fit_cc(
     data: FragmentaryDataset,
     family,
-    opts: FitOptions | None = None,
     index: PatternIndex | None = None,
     store: CandidateStore | None = None,
 ) -> AveragedModel:
@@ -67,7 +59,7 @@ def fit_cc(
     family = get_family(family)
     if index is None:
         index = build_pattern_index(data)
-    return _single_glm(data, family, (store or CandidateStore(data, family, opts)).fit(index, 1))
+    return _single_glm(data, family, (store or CandidateStore(data, family)).fit(index, 1))
 
 
 def smoothed_ic_weights(ic_values: np.ndarray) -> np.ndarray:
@@ -84,7 +76,6 @@ def fit_smoothed_ic(
     data: FragmentaryDataset,
     family,
     flavor: str,
-    opts: FitOptions | None = None,
     index: PatternIndex | None = None,
     store: CandidateStore | None = None,
 ) -> AveragedModel:
@@ -100,7 +91,7 @@ def fit_smoothed_ic(
     family = get_family(family)
     if index is None:
         index = build_pattern_index(data)
-    candidates = (store or CandidateStore(data, family, opts)).fit_all(index)
+    candidates = (store or CandidateStore(data, family)).fit_all(index)
 
     p_sizes = np.array([c.p_k for c in candidates], dtype=float)
     ll = np.array([c.loglik for c in candidates])
@@ -121,41 +112,25 @@ def fit_smoothed_ic(
 def fit_imp(
     data: FragmentaryDataset,
     family,
-    lambda_mode: str = "opt1",
-    opts: FitOptions | None = None,
+    lambda_mode="opt1",
     index: PatternIndex | None = None,
     store: CandidateStore | None = None,
 ) -> AveragedModel:
-    """Zero-imputation averaging.
+    """Zero-imputation averaging: :func:`~fragma.averaging.fit_averaged` on ``data.filled()``.
 
-    Unavailable cells are replaced by zeros; each candidate pattern's
-    covariate subset is then fitted on all n subjects, and weights are
-    selected by the same penalized criterion evaluated on all n subjects,
-    with penalty level 2 (``opt1``) or log n (``opt2``).  Candidates come
-    from ``store``, which must hold fits on ``data.filled()``; imp1 and
-    imp2 on the same data can share one.
+    Unavailable cells are replaced by zeros, so every candidate pattern of
+    ``index`` (built on ``data``) is fitted, and the weights are selected,
+    on all n subjects: no candidate is dropped, and ``opt2`` means log n.
+    ``store`` must hold fits on ``data.filled()``; imp1 and imp2 on the
+    same data can share one.  The model zero-fills unobserved query cells.
     """
-    family = get_family(family)
     if index is None:
         index = build_pattern_index(data)
-    store = store or CandidateStore(data.filled(), family, opts)
+    store = store or CandidateStore(data.filled(), family)
     if not store.data.mask.all():
         raise ValueError("fit_imp needs a candidate store on the zero-imputed data.filled()")
-    cands = store.fit_all(index)
-    ctx = build_criterion_context(store.data, index, cands, family)
-    lam = 2.0 if lambda_mode == "opt1" else float(np.log(data.n))
-    wfit = optimize_weights(ctx, lam)
-    return AveragedModel(
-        candidates=cands,
-        weights=wfit.weights,
-        beta_combined=combine_coefficients(cands, wfit.weights, data.p),
-        family=family,
-        column_names=list(data.column_names),
-        lambda_n=lam,
-        criterion_value=wfit.criterion_value,
-        zero_impute=True,
-        diagnostics={"kkt_residual": wfit.kkt_residual},
-    )
+    model = fit_averaged(store.data, family, lambda_mode, index=index, store=store)
+    return replace(model, zero_impute=True)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,10 @@ def _parse_lambda(text: str):
         return "opt2"
     if text in ("2", "opt1"):
         return "opt1"
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise DataError(f"--lambda must be 2, log-n1 or a number, got {text!r}") from None
 
 
 def _fit_options(args) -> FitOptions:
@@ -106,6 +109,9 @@ def _patterns_report(data: FragmentaryDataset, index) -> str:
 def cmd_fit(args) -> int:
     out = _out_dir(args)
     _write_config(out, args)
+    lam = _parse_lambda(args.lam)
+    fopts = _fit_options(args)
+    family = get_family(args.family)
     data = read_fragmentary_csv(
         args.input, args.response, args.na_marker, args.add_intercept
     )
@@ -113,13 +119,7 @@ def cmd_fit(args) -> int:
     report = _patterns_report(data, index)
     (out / "report.txt").write_text(report)
 
-    fopts = _fit_options(args)
-    model = fit_averaged(
-        data,
-        get_family(args.family),
-        _parse_lambda(getattr(args, "lam")),
-        fit_opts=fopts,
-    )
+    model = fit_averaged(data, family, lam, store=CandidateStore(data, family, fopts))
     # predict refits sub-pattern candidates under the same IRLS options
     options = {"max_iter": fopts.max_iter, "grad_tol": fopts.grad_tol, "ridge": fopts.ridge}
     with open(out / "model.json", "w") as fh:
@@ -232,7 +232,10 @@ def _subset(data, rows):
 def cmd_compare(args) -> int:
     out = _out_dir(args)
     _write_config(out, args)
+    if not 0.0 < args.split < 1.0:
+        raise DataError(f"--split must lie strictly between 0 and 1, got {args.split}")
     family = get_family(args.family)
+    fopts = _fit_options(args)
     data = read_fragmentary_csv(
         args.input, args.response, args.na_marker, args.add_intercept
     )
@@ -251,7 +254,6 @@ def cmd_compare(args) -> int:
 
     index = build_pattern_index(train)
     lead = list(index.patterns[0].indices)
-    fopts = _fit_options(args)
     store = CandidateStore(train, family, fopts)
     imp_store = CandidateStore(train.filled(), family, fopts)
     fits = {

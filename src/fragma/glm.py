@@ -12,13 +12,13 @@ textbook ones by a data-only constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from .errors import NumericalError, RankDeficientError
+from .errors import DataError, NumericalError, RankDeficientError
 from .patterns import FragmentaryDataset, Pattern, PatternIndex
 
 
@@ -92,15 +92,19 @@ class FitOptions:
     roundoff of the log-likelihood (see :func:`fit_glm`), so it never
     spins at an optimum whose score cannot get below ``grad_tol``.
     ``ridge`` is added to the Hessian once the coefficient norm passes
-    ``divergence_norm``; ``keep_trace`` records the log-likelihood of
-    every iteration.
+    1e4 (a separation guard).  All three must be nonnegative; a negative
+    one is a :class:`~fragma.errors.DataError`.
     """
 
     max_iter: int = 100
     grad_tol: float = 1e-8
     ridge: float = 1e-8
-    divergence_norm: float = 1e4
-    keep_trace: bool = False
+
+    def __post_init__(self):
+        for name in ("max_iter", "grad_tol", "ridge"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise DataError(f"{name} must be nonnegative, got {value!r}")
 
 
 @dataclass
@@ -116,7 +120,6 @@ class CandidateModel:
     iterations: int
     ridged: bool = False
     stop: str | None = None
-    trace: list = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -194,6 +197,8 @@ def check_full_rank(X: np.ndarray, column_names=None, pivot_tol: float = 1e-10):
 
 # A Newton decrement this small relative to |loglik| is at its roundoff floor.
 _DECREMENT_EPS = 16 * np.finfo(float).eps
+# Past this coefficient norm the fit is taken to diverge and gets the ridge.
+_DIVERGENCE_NORM = 1e4
 
 
 def fit_glm(
@@ -206,7 +211,7 @@ def fit_glm(
     """Maximize the GLM log-likelihood by Fisher scoring with step halving.
 
     Returns the coefficient vector and a diagnostics dict (loglik,
-    converged, iterations, ridged, stop, trace: the fit fields of
+    converged, iterations, ridged, stop: the fit fields of
     :class:`CandidateModel`).  The fit ends, with ``stop`` set to the
     reason, on the first of:
 
@@ -227,7 +232,7 @@ def fit_glm(
     point, ``score`` or ``decrement``.  ``iterations`` counts the
     iterations that solved a Newton direction.  A ridge term is added to
     the weighted normal equations once the coefficient norm passes
-    ``divergence_norm`` (separation guard), and the fit is flagged
+    1e4 (separation guard), and the fit is flagged
     ``ridged``.
     """
     opts = opts or FitOptions()
@@ -239,7 +244,6 @@ def fit_glm(
     beta = np.zeros(p)
     theta = X @ beta
     ll = loglik(family, theta, y)
-    trace = [ll] if opts.keep_trace else None
     ridged = False
     stop = "max_iter"
     iterations = 0
@@ -268,8 +272,6 @@ def fit_glm(
             ll_try = loglik(family, theta_try, y)
             if ll_try >= ll - floor:
                 beta, theta, ll = beta_try, theta_try, ll_try
-            if opts.keep_trace:
-                trace.append(ll)
             stop = "decrement"
             break
 
@@ -285,12 +287,10 @@ def fit_glm(
                 accepted = True
                 break
             step *= 0.5
-        if opts.keep_trace:
-            trace.append(ll)
         if not accepted:
             stop = "no_step"
             break
-        if not ridged and np.linalg.norm(beta) > opts.divergence_norm:
+        if not ridged and np.linalg.norm(beta) > _DIVERGENCE_NORM:
             ridged = True
 
     if stop == "max_iter":
@@ -304,7 +304,6 @@ def fit_glm(
         "iterations": iterations,
         "ridged": ridged,
         "stop": stop,
-        "trace": trace,
     }
     return beta, info
 
@@ -378,14 +377,3 @@ class CandidateStore:
         """Every candidate of ``index``, in pattern order."""
         return [self.fit(index, k) for k in range(1, index.K + 1)]
 
-
-def linear_predictor(model: CandidateModel, x_full: np.ndarray) -> float:
-    """x restricted to the model's pattern, dotted with its coefficients."""
-    x_full = np.asarray(x_full, dtype=float)
-    vals = x_full[list(model.pattern.indices)]
-    if not np.all(np.isfinite(vals)):
-        missing = [
-            j for j, v in zip(model.pattern.indices, vals) if not np.isfinite(v)
-        ]
-        raise ValueError(f"covariates {missing} required by the model are unobserved")
-    return float(vals @ model.beta)

@@ -12,7 +12,7 @@ numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,11 +75,6 @@ class FragmentaryDataset:
     def p(self) -> int:
         return self.x.shape[1]
 
-    def poisoned(self) -> "FragmentaryDataset":
-        """Copy with unobserved cells set to NaN (the canonical payload)."""
-        x = np.where(self.mask, self.x, np.nan)
-        return FragmentaryDataset(self.y.copy(), x, self.mask.copy(), list(self.column_names))
-
     def filled(self) -> "FragmentaryDataset":
         """Zero-imputed copy: unobserved cells set to zero and marked observed."""
         return FragmentaryDataset(
@@ -130,8 +125,8 @@ class PatternIndex:
     Subject indices are 0-based row numbers and pattern indices 0-based
     column numbers of the originating dataset.  ``columns`` are the columns
     the index sees; subjects observing none of them belong to no pattern.
-    ``subject_order`` is the permutation that would group subjects into
-    contiguous pattern blocks; rows are never physically reordered.
+    Rows are never physically reordered: the T sets partition the subjects
+    the index sees.
     """
 
     patterns: list[Pattern]
@@ -139,7 +134,6 @@ class PatternIndex:
     s_sets: list[np.ndarray]
     p: int
     columns: tuple[int, ...]
-    subject_order: np.ndarray = field(default=None, repr=False)
 
     @property
     def K(self) -> int:
@@ -211,8 +205,7 @@ def build_pattern_index(data: FragmentaryDataset, columns=None) -> PatternIndex:
     patterns = [Pattern(indices=index_tuples[u], id=rank + 1) for rank, u in enumerate(order)]
     t_sets = [rows[groups[u]] for u in order]
     s_sets = [np.flatnonzero(data.mask[:, list(pat.indices)].all(axis=1)) for pat in patterns]
-    return PatternIndex(patterns, t_sets, s_sets, p, tuple(cols.tolist()),
-                        subject_order=np.concatenate(t_sets))
+    return PatternIndex(patterns, t_sets, s_sets, p, tuple(cols.tolist()))
 
 
 def restrict_to(data: FragmentaryDataset, target: Pattern) -> FragmentaryDataset:

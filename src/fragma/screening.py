@@ -36,7 +36,7 @@ def screen_groups(
     overlap with the response is an error.
     """
     if keep < 1:
-        raise ValueError("keep must be at least 1")
+        raise DataError(f"keep must be at least 1, got {keep}")
     out: dict[str, list[tuple[int, float]]] = {}
     for name, cols in groups.items():
         if not cols:

@@ -22,7 +22,7 @@ from .averaging import kl_loss, predict
 from .baselines import DEFAULT_METHODS, check_methods, fit_method
 from .errors import DataError, NumericalError
 from .glm import BINOMIAL, CandidateStore
-from .patterns import FragmentaryDataset, build_pattern_index
+from .patterns import FragmentaryDataset, build_pattern_index, cc_fraction
 
 BETA_CASES = ("decay", "flat", "rise")
 
@@ -181,7 +181,7 @@ def run_study(cfg: SimConfig) -> SimResult:
         store = CandidateStore(data, BINOMIAL)
         imp_store = CandidateStore(data.filled(), BINOMIAL)
         cc_rows = index.s_sets[0]
-        cc_frac[rep] = cc_rows.size / data.n
+        cc_frac[rep] = cc_fraction(index, data.n)
         for m, method in enumerate(methods):
             try:
                 model = fit_method(

@@ -7,6 +7,8 @@ differences, fixed-step proximal iterations).
 
 import numpy as np
 
+from fragma.patterns import FragmentaryDataset
+
 
 def brute_force_pattern_sets(mask):
     """All (pattern -> (T, S)) pairs by double loop over subjects and patterns."""
@@ -152,3 +154,30 @@ def per_fold_group_lasso_cv_loss(X, y, family, lambdas, groups, folds, fit_at):
             theta = X[te] @ beta
             cv_loss[i] += -2.0 * float((y[te] @ theta - np.sum(family.b(theta))) / family.phi)
     return cv_loss
+
+
+def poisoned(data):
+    """Copy of a dataset with its unobserved cells set to NaN."""
+    x = np.where(data.mask, data.x, np.nan)
+    return FragmentaryDataset(data.y.copy(), x, data.mask.copy(), list(data.column_names))
+
+
+def linear_predictor(model, x_full):
+    """A full-length row restricted to a candidate's pattern, dotted with its coefficients."""
+    x_full = np.asarray(x_full, dtype=float)
+    vals = x_full[list(model.pattern.indices)]
+    if not np.all(np.isfinite(vals)):
+        missing = [j for j, v in zip(model.pattern.indices, vals) if not np.isfinite(v)]
+        raise ValueError(f"covariates {missing} required by the model are unobserved")
+    return float(vals @ model.beta)
+
+
+def project_to_simplex(v):
+    """Euclidean projection onto the unit simplex (sort-based algorithm)."""
+    v = np.asarray(v, dtype=float)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    ks = np.arange(1, v.size + 1)
+    rho = np.nonzero(u * ks > css)[0][-1]
+    tau = css[rho] / (rho + 1.0)
+    return np.maximum(v - tau, 0.0)

@@ -21,7 +21,6 @@ from fragma.averaging import (
     optimize_weights,
     predict,
     fit_averaged,
-    project_to_simplex,
 )
 from fragma.baselines import fit_imp
 from fragma.datasets import random_fragmentary, table1_toy
@@ -33,6 +32,7 @@ from oracles import (
     brute_force_pattern_sets,
     logistic_criterion_by_terms,
     logistic_mle_oracle,
+    project_to_simplex,
     simplex_grid,
 )
 

@@ -7,7 +7,6 @@ from fragma.averaging import (
     CriterionContext,
     WeightVector,
     build_criterion_context,
-    clamp_counter,
     combine_coefficients,
     criterion,
     criterion_gradient,
@@ -18,18 +17,29 @@ from fragma.averaging import (
     optimize_weights,
     predict,
     predict_for_pattern,
-    project_to_simplex,
     resolve_lambda,
 )
+from fragma.baselines import fit_imp
 from fragma.datasets import adni_like, random_fragmentary
 from fragma.errors import DataError
-from fragma.glm import BINOMIAL, GAUSSIAN, POISSON, fit_all_candidates, fit_glm, loglik
-from fragma.patterns import build_pattern_index, restrict_to
+from fragma.glm import (
+    BINOMIAL,
+    GAUSSIAN,
+    POISSON,
+    CandidateStore,
+    fit_all_candidates,
+    fit_glm,
+    loglik,
+)
+from fragma.patterns import FragmentaryDataset, build_pattern_index, restrict_to
 
 from oracles import (
     bernoulli_kl2,
     central_difference_gradient,
+    linear_predictor,
     logistic_criterion_by_terms,
+    poisoned,
+    project_to_simplex,
     simplex_grid,
 )
 
@@ -43,7 +53,7 @@ def random_logistic_ctx(rng, n1=50, K=3, p_max=13):
 
 
 def fragmentary_pipeline(rng, n=80, p=5, family="binomial"):
-    data = random_fragmentary(rng, n, p, family=family, ensure_full=True).poisoned()
+    data = poisoned(random_fragmentary(rng, n, p, family=family, ensure_full=True))
     index = build_pattern_index(data)
     fam = BINOMIAL if family == "binomial" else GAUSSIAN
     candidates = fit_all_candidates(data, index, fam)
@@ -278,8 +288,6 @@ def test_vertex_weight_predicts_like_single_candidate(rng):
     )
     x = rng.standard_normal(data.p)
     theta, mean = predict(model, x)
-    from fragma.glm import linear_predictor
-
     assert np.isclose(theta, linear_predictor(candidates[0], x), atol=1e-12)
     assert np.isclose(mean, fam.b_prime(theta))
 
@@ -287,8 +295,6 @@ def test_vertex_weight_predicts_like_single_candidate(rng):
 def test_prediction_equals_weighted_candidate_loop(rng):
     data, index, candidates, ctx, fam = fragmentary_pipeline(rng, n=90, p=4)
     model = fit_averaged(data, fam, 2.0, index=index)
-    from fragma.glm import linear_predictor
-
     for _ in range(10):
         x = rng.standard_normal(data.p)
         theta, _ = predict(model, x)
@@ -427,11 +433,8 @@ def test_predict_for_pattern_rejects_empty_query(rng):
         predict_for_pattern(data, BINOMIAL, 2.0, np.full(data.p, np.nan))
 
 
-def test_no_complete_cases_drops_non_nested_candidates(rng):
-    # patterns {0,1} and {0,2}: nobody observes everything, so weighting
-    # happens on the maximal pattern's rows and the non-nested candidate
-    # is excluded from the average
-    n = 40
+def no_complete_case_data(rng, n=40):
+    """Patterns {0,1} and {0,2}: nobody observes every column."""
     mask = np.zeros((n, 3), dtype=bool)
     mask[:, 0] = True
     mask[: n // 2, 1] = True
@@ -439,15 +442,39 @@ def test_no_complete_cases_drops_non_nested_candidates(rng):
     x = np.where(mask, rng.standard_normal((n, 3)), np.nan)
     x[:, 0] = 1.0
     y = (rng.random(n) < 0.5).astype(float)
-    from fragma.patterns import FragmentaryDataset
+    return FragmentaryDataset(y, x, mask, ["intercept", "a", "b"])
 
-    data = FragmentaryDataset(y, x, mask, ["intercept", "a", "b"])
+
+def test_no_complete_cases_drops_non_nested_candidates(rng):
+    # weighting happens on the maximal pattern's rows and the non-nested
+    # candidate is excluded from the average
+    data = no_complete_case_data(rng)
     model = fit_averaged(data, BINOMIAL, 2.0)
     assert model.diagnostics["dropped_candidates"] == [[0, 2]]
     kept = {c.pattern.indices for c in model.candidates}
     assert (0, 1) in kept
     assert (0, 2) not in kept
     assert not model.diagnostics["weighting_pattern_is_full"]
+
+
+def test_imp_without_complete_cases_keeps_every_candidate(rng):
+    # zero-filled data observe everything, so imp weights both candidates on
+    # all n rows, exactly as building the criterion on the filled store does
+    data = no_complete_case_data(rng)
+    index = build_pattern_index(data)
+    store = CandidateStore(data.filled(), BINOMIAL)
+    for mode, lam in (("opt1", 2.0), ("opt2", float(np.log(data.n)))):
+        model = fit_imp(data, BINOMIAL, mode, index=index, store=store)
+        assert [c.pattern.indices for c in model.candidates] == [(0, 1), (0, 2)]
+        assert model.diagnostics["dropped_candidates"] == []
+        filled = CandidateStore(data.filled(), BINOMIAL)
+        cands = filled.fit_all(index)
+        wfit = optimize_weights(build_criterion_context(filled.data, index, cands, BINOMIAL), lam)
+        assert np.array_equal(np.asarray(model.weights), np.asarray(wfit.weights))
+        assert np.array_equal(model.beta_combined, combine_coefficients(cands, wfit.weights, 3))
+        assert model.criterion_value == wfit.criterion_value
+    with pytest.raises(ValueError, match="opt3"):
+        fit_imp(data, BINOMIAL, "opt3", index=index, store=store)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +507,9 @@ def test_kl_loss_nonnegative_and_per_obs(rng):
 
 
 def test_kl_loss_clamps_extreme_means():
-    clamp_counter.reset()
-    kl_loss(np.array([0.0, 0.0]), np.array([0.0, 1.0]), BINOMIAL)
-    assert clamp_counter.count == 2
+    theta = np.array([0.0, 0.0])
+    clamped = kl_loss(theta, np.array([1e-12, 1.0 - 1e-12]), BINOMIAL)
+    assert kl_loss(theta, np.array([0.0, 1.0]), BINOMIAL) == clamped
 
 
 def test_lambda_default():

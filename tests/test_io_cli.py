@@ -464,6 +464,39 @@ def test_cli_bad_method_or_cell_is_input_error(tmp_path, argv):
     assert not (out / "summary.csv").exists() and not (out / "kl_summary.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--lambda", "abc"],
+        ["fit", "--lambda", "-1"],
+        ["fit", "--max-iter", "-3"],
+        ["fit", "--grad-tol", "-1"],
+        ["fit", "--ridge", "-1"],
+        ["screen", "--keep", "0"],
+        ["compare", "--split", "0"],
+        ["compare", "--split", "-0.5"],
+    ],
+    ids=["lambda-text", "lambda-negative", "max-iter", "grad-tol", "ridge", "keep",
+         "split-zero", "split-negative"],
+)
+def test_cli_bad_argument_is_input_error(tmp_path, argv):
+    data, groups = adni_like(seed=6, scale=0.1)
+    f = tmp_path / "d.csv"
+    dataset_to_csv(data, f)
+    argv = argv + ["--input", str(f), "--response", "y"]
+    if argv[0] == "screen":
+        g = tmp_path / "groups.json"
+        g.write_text(json.dumps(
+            {n: [data.column_names[j] for j in cols] for n, cols in groups.items()}
+        ))
+        argv += ["--groups", str(g)]
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "DataError" and error["exit_code"] == 2
+    assert not (out / "model.json").exists() and not (out / "kl_summary.csv").exists()
+
+
 def test_cli_compare_writes_diagnostics(tmp_path):
     data, groups = adni_like(seed=6, scale=0.25)
     f = tmp_path / "d.csv"
