@@ -40,9 +40,7 @@ print(f"\nfully observed query: theta = {theta:+.4f}, P(y=1) = {mean:.4f}")
 # A query with no CSF measurements: restrict, refit, reselect weights.
 x_partial = x_full.copy()
 x_partial[groups["CSF"]] = np.nan
-theta_p, mean_p, sub = predict_for_pattern(
-    data, "binomial", 2.0, x_partial, return_model=True
-)
+theta_p, mean_p, sub = predict_for_pattern(data, "binomial", 2.0, x_partial)
 print(f"query without CSF: theta = {theta_p:+.4f}, P(y=1) = {mean_p:.4f} "
       f"({len(sub.candidates)} candidates remain after restriction)")
 

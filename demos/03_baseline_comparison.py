@@ -49,15 +49,9 @@ def deviance(theta):
     return 2.0 * float(np.mean(BINOMIAL.b(theta) - y_eval * theta))
 
 
-# one store of candidate fits for all methods, one on the zero-imputed data for imp1/imp2
+# one store of candidate fits for all methods (imp1/imp2 use its zero-imputed store)
 store = CandidateStore(train, BINOMIAL)
-imp_store = CandidateStore(train.filled(), BINOMIAL)
-fits = {
-    m: fit_method(
-        m, train, BINOMIAL, index=tindex, store=store, imp_store=imp_store, groups=groups, seed=7
-    )
-    for m in ALL_METHODS
-}
+fits = {m: fit_method(m, store, tindex, groups=groups, seed=7) for m in ALL_METHODS}
 
 print(f"{'method':8s}  test deviance per obs")
 for name, fit in fits.items():

@@ -89,6 +89,12 @@ class CriterionContext:
         return self.theta_matrix.shape[0]
 
 
+def _weighting_rows(data: FragmentaryDataset, index: PatternIndex):
+    """Rows of ``data`` observing the leading pattern's columns, and the columns all observe."""
+    rows = np.flatnonzero(data.mask[:, list(index.patterns[0].indices)].all(axis=1))
+    return rows, data.mask[rows].all(axis=0)
+
+
 def build_criterion_context(
     data: FragmentaryDataset,
     index: PatternIndex,
@@ -106,17 +112,16 @@ def build_criterion_context(
     pattern is contained in the leading one.
     """
     family = get_family(family)
-    lead = list(index.patterns[0].indices)
-    rows = np.flatnonzero(data.mask[:, lead].all(axis=1))
+    rows, observed = _weighting_rows(data, index)
     cols = []
     for cand in candidates:
-        sub = np.ix_(rows, list(cand.pattern.indices))
-        if not data.mask[sub].all():
+        idx = list(cand.pattern.indices)
+        if not observed[idx].all():
             raise DataError(
                 f"candidate pattern {cand.pattern.indices} not contained in the "
-                f"weighting pattern {tuple(lead)}"
+                f"weighting pattern {index.patterns[0].indices}"
             )
-        cols.append(data.x[sub] @ cand.beta)
+        cols.append(data.x[np.ix_(rows, idx)] @ cand.beta)
     theta_matrix = np.column_stack(cols)
     p_sizes = np.array([c.p_k for c in candidates], dtype=float)
     return CriterionContext(theta_matrix, data.y[rows], p_sizes, family)
@@ -373,11 +378,10 @@ def fit_averaged(
     family = get_family(family)
     if index is None:
         index = build_pattern_index(data)
-    weighting = data.mask[:, list(index.patterns[0].indices)].all(axis=1)
-    lam = resolve_lambda(lambda_n, int(weighting.sum()))
+    rows, observed = _weighting_rows(data, index)
+    lam = resolve_lambda(lambda_n, rows.size)
     candidates = (store or CandidateStore(data, family)).fit_all(index)
 
-    observed = data.mask[weighting].all(axis=0)
     keep = [bool(observed[list(c.pattern.indices)].all()) for c in candidates]
     usable = [c for c, k in zip(candidates, keep) if k]
     dropped = [list(c.pattern.indices) for c, k in zip(candidates, keep) if not k]
@@ -435,7 +439,6 @@ def predict_for_pattern(
     family,
     lambda_n,
     x_star,
-    return_model: bool = False,
     store: CandidateStore | None = None,
 ):
     """Predict for a query observing only a sub-pattern of the columns.
@@ -444,9 +447,10 @@ def predict_for_pattern(
     (length p, NaN marking unobserved).  The data are indexed through
     those columns (only patterns contained in the query pattern survive),
     weights are reselected on that index's complete cases, and the query
-    is scored; candidates come from ``store`` when given.  The model is in
-    the data's own column numbers.  When the query observes everything
-    this reduces to the unrestricted pipeline.
+    is scored; candidates come from ``store`` when given.  Returns
+    ``(theta, mean, model)``, the model in the data's own column numbers.
+    When the query observes everything this reduces to the unrestricted
+    pipeline.
     """
     x_star = np.asarray(x_star, dtype=float)
     if x_star.shape != (data.p,):
@@ -457,9 +461,7 @@ def predict_for_pattern(
     index = build_pattern_index(data, columns=observed)
     model = fit_averaged(data, family, lambda_n, index=index, store=store)
     theta, mean = predict(model, x_star)
-    if return_model:
-        return theta, mean, model
-    return theta, mean
+    return theta, mean, model
 
 
 def kl_loss(theta_hat, theta_true_or_mu, family, per_obs: bool = False) -> float:

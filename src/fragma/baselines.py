@@ -4,10 +4,11 @@ Each baseline returns an :class:`~fragma.averaging.AveragedModel` whose
 coefficients are embedded into the full coefficient space, so every method
 predicts through one code path.  CC and the smoothed criteria draw their
 candidates from a :class:`~fragma.glm.CandidateStore` that may be shared;
-imp1 and imp2 share one on the zero-imputed data.  The group lasso is
-solved by one active-set Newton loop, which takes a batch of problems: its
-cross-validated path solves every fold of a penalty level in one call, on
-a coordinate layout where every group is a contiguous block.
+imp1 and imp2 from its zero-imputed ``filled()`` store, and the group
+lasso's refit too.  The group lasso is solved by one active-set Newton
+loop, which takes a batch of problems: its cross-validated path solves
+every fold of a penalty level in one call, on a coordinate layout where
+every group is a contiguous block.
 
 :func:`fit_method` is the one map from a name in :data:`ALL_METHODS` to its
 fit; ``compare``, the simulation study and the demos all go through it.
@@ -59,7 +60,7 @@ def fit_cc(
     family = get_family(family)
     if index is None:
         index = build_pattern_index(data)
-    return _single_glm(data, family, (store or CandidateStore(data, family)).fit(index, 1))
+    return _single_glm(data, family, (store or CandidateStore(data, family)).fit(index.patterns[0]))
 
 
 def smoothed_ic_weights(ic_values: np.ndarray) -> np.ndarray:
@@ -121,15 +122,13 @@ def fit_imp(
     Unavailable cells are replaced by zeros, so every candidate pattern of
     ``index`` (built on ``data``) is fitted, and the weights are selected,
     on all n subjects: no candidate is dropped, and ``opt2`` means log n.
-    ``store`` must hold fits on ``data.filled()``; imp1 and imp2 on the
-    same data can share one.  The model zero-fills unobserved query cells.
+    The candidates come from ``store.filled()`` (``store`` is on ``data``),
+    which imp1 and imp2 share.  The model zero-fills unobserved query cells.
     """
     if index is None:
         index = build_pattern_index(data)
-    store = store or CandidateStore(data.filled(), family)
-    if not store.data.mask.all():
-        raise ValueError("fit_imp needs a candidate store on the zero-imputed data.filled()")
-    model = fit_averaged(store.data, family, lambda_mode, index=index, store=store)
+    filled = (store or CandidateStore(data, family)).filled()
+    model = fit_averaged(filled.data, family, lambda_mode, index=index, store=filled)
     return replace(model, zero_impute=True)
 
 
@@ -395,40 +394,45 @@ def _stratified_folds(y: np.ndarray, k: int, seed: int) -> np.ndarray:
     return fold
 
 
+# CV folds, penalty levels, and smallest / largest level of the group-lasso path.
+_CV_FOLDS = 5
+_N_LAMBDAS = 50
+_LAMBDA_MIN_RATIO = 1e-3
+
+
 def fit_glasso(
     data: FragmentaryDataset,
     family,
     groups,
-    cv_folds: int = 5,
     seed: int = 0,
-    n_lambdas: int = 50,
-    lambda_min_ratio: float = 1e-3,
-    opts: FitOptions | None = None,
     index: PatternIndex | None = None,
+    store: CandidateStore | None = None,
 ) -> AveragedModel:
     """Group-lasso selection on the complete cases, then an unpenalized refit.
 
     ``groups`` maps names to original column indices and should partition
     the non-intercept columns; columns in no group stay unpenalized.  The
-    penalty level is chosen by ``cv_folds``-fold cross-validated deviance
-    over a geometric grid below the all-zero threshold: each level is one
-    batched :func:`fit_group_lasso_at` call that solves all folds at once,
-    each fold warm-started from its fit at the previous level, and every
-    subject is scored under the fit of the fold that holds it out.  The
-    path on all complete cases is then followed down to the chosen level;
-    the final model is an ordinary GLM refit, with ``opts``, using every
-    subject that observes all selected covariates.  ``diagnostics`` records
-    the selected groups, the chosen and largest penalty levels, the CV
-    losses and, as ``lambda_max_fit``, the convergence record of the
-    unpenalized fit behind the largest level.
+    penalty level is chosen by 5-fold cross-validated deviance over 50
+    geometric levels from the all-zero threshold down to 1e-3 of it: each
+    level is one batched :func:`fit_group_lasso_at` call that solves all
+    folds at once, each fold warm-started from its fit at the previous
+    level, and every subject is scored under the fit of the fold that holds
+    it out.  The path on all complete cases is then followed down to the
+    chosen level; the final model is ``store``'s candidate (``store`` is on
+    ``data``; its options also fit the largest level) on the selected
+    columns: the GLM on every subject that observes them all.
+    ``diagnostics`` records the selected groups, the chosen and largest
+    penalty levels, the CV losses and, as ``lambda_max_fit``, the
+    convergence record of the unpenalized fit behind the largest level.
     """
     family = get_family(family)
+    store = store or CandidateStore(data, family)
     if index is None:
         index = build_pattern_index(data)
     lead = list(index.patterns[0].indices)
     rows = index.s_sets[0]
-    if rows.size < cv_folds:
-        raise DataError(f"complete-case sample ({rows.size}) smaller than cv_folds")
+    if rows.size < _CV_FOLDS:
+        raise DataError(f"complete-case sample ({rows.size}) smaller than {_CV_FOLDS} CV folds")
     X = data.x[np.ix_(rows, lead)]
     y = data.y[rows]
     check_full_rank(X, [data.column_names[j] for j in lead])
@@ -453,12 +457,12 @@ def fit_glasso(
     blocks = _Blocks.of(len(lead), group_pos)
     unpenalized = blocks.order[: blocks.u]
 
-    lam_max, lam_max_fit = lambda_max_group_lasso(X, y, family, group_pos, unpenalized, opts)
-    lambdas = np.geomspace(lam_max, lam_max * lambda_min_ratio, n_lambdas)
+    lam_max, lam_max_fit = lambda_max_group_lasso(X, y, family, group_pos, unpenalized, store.opts)
+    lambdas = np.geomspace(lam_max, lam_max * _LAMBDA_MIN_RATIO, _N_LAMBDAS)
 
-    folds = _stratified_folds(y, cv_folds, seed)
-    train = folds[:, None] != np.arange(cv_folds)
-    cv_loss = np.zeros(n_lambdas)
+    folds = _stratified_folds(y, _CV_FOLDS, seed)
+    train = folds[:, None] != np.arange(_CV_FOLDS)
+    cv_loss = np.zeros(_N_LAMBDAS)
     betas = None
     for i, lam in enumerate(lambdas):
         betas = fit_group_lasso_at(X, y, family, lam, group_pos, beta0=betas, rows=train)
@@ -475,19 +479,7 @@ def fit_glasso(
     if not selected_cols:
         raise NumericalError("group lasso selected no covariates and none are unpenalized")
 
-    refit_rows = np.flatnonzero(data.mask[:, selected_cols].all(axis=1))
-    X_refit = data.x[np.ix_(refit_rows, selected_cols)]
-    beta_refit, info = fit_glm(
-        X_refit,
-        data.y[refit_rows],
-        family,
-        opts,
-        column_names=[data.column_names[j] for j in selected_cols],
-    )
-
-    cand = CandidateModel(
-        Pattern(tuple(selected_cols)), beta_refit, int(refit_rows.size), len(selected_cols), **info
-    )
+    cand = store.fit(Pattern(tuple(selected_cols)))
     return _single_glm(
         data,
         family,
@@ -523,24 +515,15 @@ def check_methods(methods) -> tuple[str, ...]:
 
 
 def fit_method(
-    name: str,
-    data: FragmentaryDataset,
-    family,
-    *,
-    index: PatternIndex,
-    store: CandidateStore,
-    imp_store: CandidateStore,
-    groups=None,
-    seed: int = 0,
+    name: str, store: CandidateStore, index: PatternIndex, *, groups=None, seed: int = 0
 ) -> AveragedModel:
-    """Fit one of :data:`ALL_METHODS` on ``data``.
+    """Fit one of :data:`ALL_METHODS` on the data and family of ``store``.
 
-    Every method uses the pattern ``index`` of ``data``.  The averaged fits,
-    CC and the smoothed criteria draw their candidates from ``store``;
-    imp1 and imp2 from ``imp_store``, a store on ``data.filled()``.  The
-    group lasso needs ``groups``, draws its CV folds from ``seed`` and fits
-    its GLMs with ``store.opts``.
+    ``index`` is the pattern index of that data.  Every method draws its
+    GLMs from ``store`` (imp1 and imp2 from ``store.filled()``).  The group
+    lasso needs ``groups`` and draws its CV folds from ``seed``.
     """
+    data, family = store.data, store.family
     if name in ("opt1", "opt2"):
         return fit_averaged(data, family, name, index=index, store=store)
     if name == "cc":
@@ -549,9 +532,9 @@ def fit_method(
         return fit_smoothed_ic(data, family, name[1:], index=index, store=store)
     if name in ("imp1", "imp2"):
         lambda_mode = "opt1" if name == "imp1" else "opt2"
-        return fit_imp(data, family, lambda_mode, index=index, store=imp_store)
+        return fit_imp(data, family, lambda_mode, index=index, store=store)
     if name == "glasso":
         if groups is None:
             raise DataError("glasso requires column groups (a --groups sidecar)")
-        return fit_glasso(data, family, groups, seed=seed, opts=store.opts, index=index)
+        return fit_glasso(data, family, groups, seed=seed, index=index, store=store)
     raise ValueError(f"unknown method {name!r}; choose from {ALL_METHODS}")

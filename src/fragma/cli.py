@@ -197,7 +197,7 @@ def cmd_predict(args) -> int:
                     "re-fitting requires --train"
                 )
             sub = predict_for_pattern(
-                train, model.family, model.lambda_n, q[rows[0]], return_model=True, store=store
+                train, model.family, model.lambda_n, q[rows[0]], store=store
             )[2]
             rule = "restricted:" + "+".join(model.column_names[j] for j in obs)
         theta[rows], mean[rows] = predict(sub, q[rows])
@@ -255,14 +255,7 @@ def cmd_compare(args) -> int:
     index = build_pattern_index(train)
     lead = list(index.patterns[0].indices)
     store = CandidateStore(train, family, fopts)
-    imp_store = CandidateStore(train.filled(), family, fopts)
-    fits = {
-        m: fit_method(
-            m, train, family, index=index, store=store, imp_store=imp_store,
-            groups=groups, seed=args.seed,
-        )
-        for m in methods
-    }
+    fits = {m: fit_method(m, store, index, groups=groups, seed=args.seed) for m in methods}
 
     eval_rows = np.flatnonzero(test.mask[:, lead].all(axis=1))
     xq = np.where(test.mask, test.x, np.nan)
@@ -276,14 +269,14 @@ def cmd_compare(args) -> int:
         for rows in split_rows_by_pattern(test.mask):
             if fit.zero_impute:
                 sub, rule = fit, "zero-imputed"
-            elif m not in ("opt1", "opt2") or test.mask[rows[0], lead].all():
+            elif fit.lambda_n is None or test.mask[rows[0], lead].all():
                 sub, rule = fit, "full"
             else:
                 sub, rule = None, "restricted"
             try:
                 if sub is None:
                     sub = predict_for_pattern(
-                        train, family, fit.lambda_n, xq[rows[0]], return_model=True, store=store
+                        train, family, fit.lambda_n, xq[rows[0]], store=store
                     )[2]
                 theta[rows] = predict(sub, xq[rows])[0]
             except (ValueError, NumericalError) as exc:

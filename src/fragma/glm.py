@@ -169,7 +169,7 @@ def loglik_gradient(
     return X.T @ (y - family.b_prime(theta)) / family.phi
 
 
-def check_full_rank(X: np.ndarray, column_names=None, pivot_tol: float = 1e-10):
+def check_full_rank(X: np.ndarray, column_names=None):
     """Reject rank-deficient designs, naming the offending columns."""
     if X.shape[0] < X.shape[1]:
         names = list(column_names) if column_names is not None else []
@@ -180,7 +180,7 @@ def check_full_rank(X: np.ndarray, column_names=None, pivot_tol: float = 1e-10):
     _, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     scale = diag[0] if diag.size and diag[0] > 0 else 1.0
-    rank = int(np.sum(diag > pivot_tol * scale))
+    rank = int(np.sum(diag > _PIVOT_TOL * scale))
     if rank < X.shape[1]:
         bad = piv[rank:]
         names = (
@@ -199,6 +199,7 @@ def check_full_rank(X: np.ndarray, column_names=None, pivot_tol: float = 1e-10):
 _DECREMENT_EPS = 16 * np.finfo(float).eps
 # Past this coefficient norm the fit is taken to diverge and gets the ridge.
 _DIVERGENCE_NORM = 1e4
+_PIVOT_TOL = 1e-10  # a QR pivot below this share of the largest marks a dependent column
 
 
 def fit_glm(
@@ -310,26 +311,22 @@ def fit_glm(
 
 def fit_candidate(
     data: FragmentaryDataset,
-    index: PatternIndex,
-    k: int,
+    pattern: Pattern,
     family: ExponentialFamily,
     opts: FitOptions | None = None,
 ) -> CandidateModel:
-    """Fit candidate model k (1-based pattern id) on every subject observing its columns.
+    """Fit the GLM on ``pattern``'s columns on every subject observing them.
 
-    For an index built on ``data`` these subjects are its superset sample
-    S_k; ``data`` may also be a zero-imputed copy (``data.filled()``), where
-    every subject observes every column.
+    For a pattern of an index built on ``data`` these subjects are its
+    superset sample S_k; ``data`` may also be a zero-imputed copy
+    (``data.filled()``), where every subject observes every column.
     """
-    if not 1 <= k <= index.K:
-        raise ValueError(f"pattern id {k} outside 1..{index.K}")
-    pattern = index.patterns[k - 1]
     cols = list(pattern.indices)
     rows = np.flatnonzero(data.mask[:, cols].all(axis=1))
     n_k, p_k = rows.size, len(cols)
     if n_k < p_k:
         raise RankDeficientError(
-            f"candidate {k}: sample size {n_k} below dimension {p_k}",
+            f"candidate {pattern.id}: sample size {n_k} below dimension {p_k}",
             columns=[data.column_names[j] for j in cols],
         )
     X = data.x[np.ix_(rows, cols)]
@@ -347,7 +344,7 @@ def fit_all_candidates(
     opts: FitOptions | None = None,
 ) -> list[CandidateModel]:
     """Fit every candidate model of the index, in pattern order."""
-    return [fit_candidate(data, index, k, family, opts) for k in range(1, index.K + 1)]
+    return [fit_candidate(data, pattern, family, opts) for pattern in index.patterns]
 
 
 class CandidateStore:
@@ -363,17 +360,31 @@ class CandidateStore:
         self.family = get_family(family)
         self.opts = opts
         self._fits: dict[tuple[int, ...], CandidateModel] = {}
+        self._source: CandidateStore | None = None  # the store this one zero-fills
+        # data.filled() and its fits, kept apart from their store: no reference cycle
+        self._filled: tuple[FragmentaryDataset, dict] | None = None
 
-    def fit(self, index: PatternIndex, k: int) -> CandidateModel:
-        """Candidate k (1-based pattern id) of ``index``, fitted at most once per store."""
-        pattern = index.patterns[k - 1]
+    def fit(self, pattern: Pattern) -> CandidateModel:
+        """The candidate on ``pattern``'s columns, fitted at most once per store."""
         cand = self._fits.get(pattern.indices)
         if cand is None:
-            cand = fit_candidate(self.data, index, k, self.family, self.opts)
+            source = self._source
+            if source is not None and source.data.mask[:, list(pattern.indices)].all():
+                # zero-filling changed no cell of these columns: the same fit
+                cand = source.fit(pattern)
+            else:
+                cand = fit_candidate(self.data, pattern, self.family, self.opts)
             self._fits[pattern.indices] = cand
         return replace(cand, pattern=pattern, beta=cand.beta.copy())
 
     def fit_all(self, index: PatternIndex) -> list[CandidateModel]:
         """Every candidate of ``index``, in pattern order."""
-        return [self.fit(index, k) for k in range(1, index.K + 1)]
+        return [self.fit(pattern) for pattern in index.patterns]
 
+    def filled(self) -> "CandidateStore":
+        """This run's store on ``data.filled()``, same family and options; its fits are kept."""
+        if self._filled is None:
+            self._filled = (self.data.filled(), {})
+        store = CandidateStore(self._filled[0], self.family, self.opts)
+        store._fits, store._source = self._filled[1], self
+        return store

@@ -8,7 +8,7 @@ when its leading covariate falls below 1.  Methods are scored by the
 per-observation KL-type loss between the true and fitted response
 distributions on the complete cases.  Each method is fitted through
 :func:`~fragma.baselines.fit_method`, the one method table that ``compare``
-also uses, on candidate stores shared within a replication.
+also uses, on one candidate store per replication.
 """
 
 from __future__ import annotations
@@ -179,15 +179,11 @@ def run_study(cfg: SimConfig) -> SimResult:
             if attempt > 20:
                 raise NumericalError(f"replication {rep}: no usable draw in 20 attempts")
         store = CandidateStore(data, BINOMIAL)
-        imp_store = CandidateStore(data.filled(), BINOMIAL)
         cc_rows = index.s_sets[0]
         cc_frac[rep] = cc_fraction(index, data.n)
         for m, method in enumerate(methods):
             try:
-                model = fit_method(
-                    method, data, BINOMIAL, index=index, store=store, imp_store=imp_store,
-                    groups=groups, seed=cfg.seed + rep,
-                )
+                model = fit_method(method, store, index, groups=groups, seed=cfg.seed + rep)
                 theta = predict(model, data.x[cc_rows])[0]
                 per_rep[rep, m] = kl_loss(theta, truth.mean[cc_rows], BINOMIAL, per_obs=True)
             except NumericalError as exc:

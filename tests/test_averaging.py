@@ -377,7 +377,7 @@ def test_columns_index_refit_matches_restricted_oracle():
         x_star[cols] = rng.standard_normal(cols.size)
         for lam in ("opt1", "opt2"):
             oracle = fit_averaged(restricted, BINOMIAL, lam)
-            _, _, model = predict_for_pattern(data, BINOMIAL, lam, x_star, return_model=True)
+            _, _, model = predict_for_pattern(data, BINOMIAL, lam, x_star)
             assert [tuple(cols[list(c.pattern.indices)]) for c in oracle.candidates] == [
                 c.pattern.indices for c in model.candidates
             ]
@@ -396,9 +396,7 @@ def test_predict_for_pattern_adni_blocks_keeps_five_candidates():
     rng = np.random.default_rng(0)
     x_star[cols] = rng.standard_normal(len(cols))
     x_star[0] = 1.0
-    theta, mean, model = predict_for_pattern(
-        data, BINOMIAL, 2.0, x_star, return_model=True
-    )
+    theta, mean, model = predict_for_pattern(data, BINOMIAL, 2.0, x_star)
     assert len(model.candidates) == 5
     assert np.isfinite(theta)
     assert 0.0 < mean < 1.0
@@ -409,7 +407,7 @@ def test_predict_for_pattern_full_reduces_to_standard_pipeline(rng):
     model = fit_averaged(data, fam, 2.0)
     x = rng.standard_normal(data.p)
     t_full, m_full = predict(model, x)
-    t_sub, m_sub = predict_for_pattern(data, fam, 2.0, x)
+    t_sub, m_sub, _ = predict_for_pattern(data, fam, 2.0, x)
     assert np.isclose(t_full, t_sub, atol=1e-12)
     assert np.isclose(m_full, m_sub, atol=1e-12)
 
@@ -418,9 +416,7 @@ def test_predict_for_pattern_single_column_matches_direct_fit(rng):
     data, groups = adni_like(seed=11, scale=0.1)
     x_star = np.full(data.p, np.nan)
     x_star[0] = 1.0  # intercept only
-    theta, mean, model = predict_for_pattern(
-        data, BINOMIAL, 2.0, x_star, return_model=True
-    )
+    theta, mean, model = predict_for_pattern(data, BINOMIAL, 2.0, x_star)
     assert len(model.candidates) == 1
     assert np.asarray(model.weights).tolist() == [1.0]
     beta, _ = fit_glm(np.ones((data.n, 1)), data.y, BINOMIAL)
@@ -457,12 +453,23 @@ def test_no_complete_cases_drops_non_nested_candidates(rng):
     assert not model.diagnostics["weighting_pattern_is_full"]
 
 
+def test_criterion_context_rejects_a_candidate_the_weighting_rows_do_not_observe(rng):
+    # the weighting rows observe (0, 1); no predictor of (0, 2) exists on them
+    data = no_complete_case_data(rng)
+    index = build_pattern_index(data)
+    candidates = fit_all_candidates(data, index, BINOMIAL)
+    assert [c.pattern.indices for c in candidates] == [(0, 1), (0, 2)]
+    build_criterion_context(data, index, candidates[:1], BINOMIAL)
+    with pytest.raises(DataError, match=r"\(0, 2\) not contained in the weighting pattern"):
+        build_criterion_context(data, index, candidates, BINOMIAL)
+
+
 def test_imp_without_complete_cases_keeps_every_candidate(rng):
     # zero-filled data observe everything, so imp weights both candidates on
     # all n rows, exactly as building the criterion on the filled store does
     data = no_complete_case_data(rng)
     index = build_pattern_index(data)
-    store = CandidateStore(data.filled(), BINOMIAL)
+    store = CandidateStore(data, BINOMIAL)
     for mode, lam in (("opt1", 2.0), ("opt2", float(np.log(data.n)))):
         model = fit_imp(data, BINOMIAL, mode, index=index, store=store)
         assert [c.pattern.indices for c in model.candidates] == [(0, 1), (0, 2)]

@@ -25,7 +25,7 @@ from fragma.glm import (
     fit_candidate,
     fit_glm,
 )
-from fragma.patterns import FragmentaryDataset, build_pattern_index
+from fragma.patterns import FragmentaryDataset, Pattern, build_pattern_index
 
 from oracles import (
     logistic_group_lasso_objective,
@@ -59,7 +59,7 @@ def test_cc_equals_first_candidate_exactly(rng):
     data = random_fragmentary(rng, 80, 4, family="binomial", ensure_full=True)
     index = build_pattern_index(data)
     res = fit_cc(data, BINOMIAL, index=index)
-    cand = fit_candidate(data, index, 1, BINOMIAL)
+    cand = fit_candidate(data, index.patterns[0], BINOMIAL)
     assert np.array_equal(res.beta_combined[list(cand.pattern.indices)], cand.beta)
     assert res.support == list(cand.pattern.indices)
 
@@ -190,15 +190,13 @@ def test_imp_modes_share_one_zero_filled_store(rng, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(fragma.glm, "fit_glm", counting)
-    store = CandidateStore(data.filled(), BINOMIAL)
+    store = CandidateStore(data, BINOMIAL)
     imp1 = fit_imp(data, BINOMIAL, "opt1", index=index, store=store)
     imp2 = fit_imp(data, BINOMIAL, "opt2", index=index, store=store)
     assert len(calls) == index.K
     assert all(c.n_k == data.n for c in imp1.candidates + imp2.candidates)
     alone = fit_imp(data, BINOMIAL, "opt2", index=index)
     assert np.array_equal(alone.beta_combined, imp2.beta_combined)
-    with pytest.raises(ValueError, match="zero-imputed"):
-        fit_imp(data, BINOMIAL, "opt1", index=index, store=CandidateStore(data, BINOMIAL))
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +316,38 @@ def test_fit_glasso_respects_group_restriction_to_observed_columns(rng):
     assert 0 in res.support
 
 
+def test_fit_glasso_refits_through_the_store(monkeypatch):
+    import fragma.baselines
+    import fragma.glm
+
+    data, groups = adni_like(seed=0)
+    selected = tuple(fit_glasso(data, BINOMIAL, groups).support)
+    store = CandidateStore(data, BINOMIAL)
+    held = store.fit(Pattern(selected))
+    widths = []
+    original = fragma.glm.fit_glm
+
+    def counting(X, *args, **kwargs):
+        widths.append(X.shape[1])
+        return original(X, *args, **kwargs)
+
+    monkeypatch.setattr(fragma.glm, "fit_glm", counting)
+    monkeypatch.setattr(fragma.baselines, "fit_glm", counting)
+    res = fit_glasso(data, BINOMIAL, groups, store=store)
+    # the one GLM fitted is lambda_max's, on the unpenalized intercept
+    assert widths == [1]
+    (cand,) = res.candidates
+    assert cand.pattern.indices == selected
+    assert np.array_equal(cand.beta, held.beta)
+    assert (cand.n_k, cand.loglik, cand.iterations) == (held.n_k, held.loglik, held.iterations)
+    assert res.diagnostics["n_refit"] == held.n_k
+
+
 def test_fit_glasso_records_the_lambda_max_fit():
     data, groups = adni_like(seed=2, scale=0.5)
-    res = fit_glasso(data, BINOMIAL, groups, opts=FitOptions(max_iter=1))
+    res = fit_glasso(
+        data, BINOMIAL, groups, store=CandidateStore(data, BINOMIAL, FitOptions(max_iter=1))
+    )
     assert res.diagnostics["lambda_max_fit"] == {
         "converged": False,
         "iterations": 1,

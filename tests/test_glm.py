@@ -209,7 +209,7 @@ def test_fit_candidate_rejects_undersized_sample():
     )
     index = build_pattern_index(data)
     with pytest.raises(RankDeficientError):
-        fit_candidate(data, index, 1, GAUSSIAN)
+        fit_candidate(data, index.patterns[0], GAUSSIAN)
 
 
 def test_linear_predictor_examples():

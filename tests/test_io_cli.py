@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -303,7 +304,7 @@ def test_cli_predict_refits_under_the_model_fit_options(tmp_path):
 
     train_data = read_fragmentary_csv(train, "y")
     opts = FitOptions(max_iter=2, grad_tol=1e-8, ridge=1e-3)
-    theta, mean = predict_for_pattern(
+    theta, mean, _ = predict_for_pattern(
         train_data, "binomial", model["lambda_n"], x_star,
         store=CandidateStore(train_data, "binomial", opts),
     )
@@ -362,30 +363,37 @@ def test_cli_compare_refits_per_method(tmp_path):
 
 
 def test_cli_compare_fits_each_candidate_column_set_once(tmp_path, monkeypatch):
-    # the main fits, the baselines built from the same candidates and every
-    # sub-pattern refit share one store of candidate fits
+    # the main fits, the baselines, every sub-pattern refit, the imp fits and
+    # the group-lasso refit share one store of candidate fits: no GLM input
+    # (X, y) is fitted twice
+    import fragma.baselines
     import fragma.glm
 
-    fitted = []
-    original = fragma.glm.fit_candidate
+    inputs = []
+    original = fragma.glm.fit_glm
 
-    def counting(data, index, k, *args, **kwargs):
-        fitted.append(index.patterns[k - 1].indices)
-        return original(data, index, k, *args, **kwargs)
+    def counting(X, y, *args, **kwargs):
+        X, y = np.ascontiguousarray(X, dtype=float), np.ascontiguousarray(y, dtype=float)
+        digest = hashlib.blake2b(X.tobytes() + y.tobytes() + repr(X.shape).encode())
+        inputs.append(digest.digest())
+        return original(X, y, *args, **kwargs)
 
-    monkeypatch.setattr(fragma.glm, "fit_candidate", counting)
-    data, _ = adni_like(seed=6, scale=0.25)
+    monkeypatch.setattr(fragma.glm, "fit_glm", counting)
+    monkeypatch.setattr(fragma.baselines, "fit_glm", counting)
+    data, groups = adni_like(seed=0)
     f = tmp_path / "d.csv"
     dataset_to_csv(data, f)
+    g = tmp_path / "groups.json"
+    g.write_text(json.dumps({n: [data.column_names[j] for j in c] for n, c in groups.items()}))
     out = tmp_path / "c"
     assert run_cli(
-        "compare", "--input", str(f), "--response", "y", "--seed", "3",
-        "--methods", "opt1,opt2,cc,saic,sbic", "--out", str(out),
+        "compare", "--input", str(f), "--response", "y", "--seed", "0", "--groups", str(g),
+        "--methods", "opt1,opt2,cc,saic,sbic,imp1,imp2,glasso", "--out", str(out),
     ) == 0
     with open(out / "predictions_opt1.csv") as fh:
         assert any(r["rule"] == "restricted" for r in csv.DictReader(fh))
-    assert fitted
-    assert len(fitted) == len(set(fitted))
+    assert inputs
+    assert len(inputs) == len(set(inputs))
 
 
 def test_cli_simulate_outputs_and_determinism(tmp_path):

@@ -109,26 +109,48 @@ def test_constant_half_prediction_matches_hand_loop():
 
 
 def rep_stores(data):
-    """The pattern index and candidate stores one replication shares across methods."""
-    return {
-        "index": build_pattern_index(data),
-        "store": CandidateStore(data, BINOMIAL),
-        "imp_store": CandidateStore(data.filled(), BINOMIAL),
-    }
+    """The candidate store and pattern index one replication shares across methods."""
+    return CandidateStore(data, BINOMIAL), build_pattern_index(data)
 
 
 def test_evaluate_method_perfect_and_unknown():
     cfg = SimConfig(n=300, rho=0.3, seed=23, reps=1)
     data, truth = generate_replication(cfg, 0)
-    shared = rep_stores(data)
+    store, index = rep_stores(data)
     with pytest.raises(ValueError):
-        fit_method("magic", data, BINOMIAL, **shared)
-    cc_rows = shared["index"].s_sets[0]
+        fit_method("magic", store, index)
+    cc_rows = index.s_sets[0]
     for method in ("opt1", "cc", "saic", "imp1"):
-        model = fit_method(method, data, BINOMIAL, **shared)
+        model = fit_method(method, store, index)
         theta = predict(model, data.x[cc_rows])[0]
         v = kl_loss(theta, truth.mean[cc_rows], BINOMIAL, per_obs=True)
         assert np.isfinite(v) and v >= 0
+
+
+def test_imp_takes_a_column_set_every_subject_observes_from_the_store(monkeypatch):
+    import fragma.glm
+
+    data, _ = generate_replication(SimConfig(n=400, rho=0.6, seed=0, reps=1), 0)
+    store, index = rep_stores(data)
+    intercept = next(p for p in index.patterns if p.indices == (0,))
+    assert index.s_sets[index.patterns.index(intercept)].size == data.n
+    fitted = []
+    original = fragma.glm.fit_glm
+
+    def counting(X, y, family, opts=None, column_names=None):
+        fitted.append(tuple(column_names))
+        return original(X, y, family, opts, column_names)
+
+    monkeypatch.setattr(fragma.glm, "fit_glm", counting)
+    for method in ("opt1", "imp1", "imp2"):
+        model = fit_method(method, store, index)
+    imp = next(c for c in model.candidates if c.pattern.indices == (0,))
+    cand = store.fit(intercept)
+    assert np.array_equal(imp.beta, cand.beta)
+    assert (imp.n_k, imp.loglik, imp.iterations) == (cand.n_k, cand.loglik, cand.iterations)
+    assert fitted.count(("X1",)) == 1
+    # every other pattern once on the data and once zero-filled
+    assert len(fitted) == 2 * index.K - 1
 
 
 def test_scoring_by_predict_equals_theta_matrix_route():
@@ -138,10 +160,9 @@ def test_scoring_by_predict_equals_theta_matrix_route():
     for seed in (0, 1, 2):
         cfg = SimConfig(n=400, rho=0.6, seed=seed, reps=1)
         data, _ = generate_replication(cfg, 0)
-        shared = rep_stores(data)
-        index = shared["index"]
+        store, index = rep_stores(data)
         for method in ("opt1", "opt2", "cc", "saic", "sbic"):
-            model = fit_method(method, data, BINOMIAL, **shared)
+            model = fit_method(method, store, index)
             ctx = build_criterion_context(data, index, model.candidates, BINOMIAL)
             theta = predict(model, data.x[index.s_sets[0]])[0]
             expected = ctx.theta_matrix @ np.asarray(model.weights)
@@ -164,10 +185,10 @@ def test_run_study_records_method_failures_as_nan(monkeypatch):
 
     real = simmod.fit_method
 
-    def flaky(method, data, family, **kw):
+    def flaky(method, store, index, **kw):
         if method == "cc":
             raise simmod.NumericalError("boom")
-        return real(method, data, family, **kw)
+        return real(method, store, index, **kw)
 
     monkeypatch.setattr(simmod, "fit_method", flaky)
     cfg = SimConfig(n=200, rho=0.3, reps=2, seed=41, methods=("opt1", "cc"))
