@@ -181,6 +181,7 @@ class WeightFit:
     kkt_residual: float
     converged: bool
     iterations: int
+    stop: str  # "kkt", "max_iter" or "no_step"
 
 
 def optimize_weights(
@@ -199,7 +200,9 @@ def optimize_weights(
     used instead.  The criterion is convex in w (b convex, theta linear in
     w), so a KKT point is a global minimum.  Every iteration counts against
     ``max_iter``; ``converged`` is true only when the KKT residual is
-    within ``kkt_tol``.
+    within ``kkt_tol``.  ``stop`` names why the loop ended: ``kkt`` (the
+    residual is within ``kkt_tol``), ``max_iter`` (the budget is spent) or
+    ``no_step`` (60 backtracking halvings found no sufficient decrease).
     """
     opts = opts or OptOptions()
     K = ctx.K
@@ -213,7 +216,11 @@ def optimize_weights(
     g = criterion_gradient(ctx, w, lambda_n)
     res = kkt_residual(w, g)
     iters = 0
-    while res > opts.kkt_tol and iters < opts.max_iter:
+    stop = "kkt"
+    while res > opts.kkt_tol:
+        if iters >= opts.max_iter:
+            stop = "max_iter"
+            break
         iters += 1
         face = w > 0
         g_min = float(np.min(g[face]))
@@ -253,6 +260,7 @@ def optimize_weights(
                 break
             a *= 0.5
         else:
+            stop = "no_step"
             break
         w, f = w_try, f_try
         g = criterion_gradient(ctx, w, lambda_n)
@@ -264,6 +272,7 @@ def optimize_weights(
         kkt_residual=res,
         converged=bool(res <= opts.kkt_tol),
         iterations=iters,
+        stop=stop,
     )
 
 
@@ -404,6 +413,7 @@ def fit_averaged(
             "kkt_residual": wfit.kkt_residual,
             "optimizer_converged": wfit.converged,
             "optimizer_iterations": wfit.iterations,
+            "optimizer_stop": wfit.stop,
             "K": index.K,
             "weighting_pattern_is_full": index.full_first,
             "dropped_candidates": dropped,

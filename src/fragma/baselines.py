@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .averaging import AveragedModel, WeightVector, combine_coefficients, fit_averaged
 from .errors import DataError, NumericalError
@@ -70,7 +69,8 @@ def smoothed_ic_weights(ic_values: np.ndarray) -> np.ndarray:
     if not finite.any():
         raise NumericalError("all information criteria are infinite")
     logw = np.where(finite, -0.5 * ic, -np.inf)
-    return np.exp(logw - logsumexp(logw))
+    w = np.exp(logw - logw.max())
+    return w / w.sum()
 
 
 def fit_smoothed_ic(

@@ -135,6 +135,11 @@ def cmd_fit(args) -> int:
             f"iterations={cand.iterations} stop={cand.stop} columns={cols}"
         )
     lines.append(f"lambda_n={model.lambda_n:.6g}  criterion={model.criterion_value:.8g}")
+    diag = model.diagnostics
+    lines.append(
+        f"optimizer: stop={diag['optimizer_stop']} iterations={diag['optimizer_iterations']} "
+        f"kkt_residual={diag['kkt_residual']:.3g} converged={diag['optimizer_converged']}"
+    )
     (out / "report.txt").write_text("\n".join(lines) + "\n")
     print(f"fit: K={index.K} candidates, weighting sample {model.diagnostics['n_weighting']}")
     print(f"wrote {out / 'model.json'}")

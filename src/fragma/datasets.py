@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
+from .glm import expit
 from .patterns import FragmentaryDataset
 
 # Availability of the 10-subject, 8-covariate illustrative table

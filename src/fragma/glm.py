@@ -15,11 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-from scipy.special import expit
 
 from .errors import DataError, NumericalError, RankDeficientError
 from .patterns import FragmentaryDataset, Pattern, PatternIndex
+
+
+def expit(t):
+    """Logistic function 1 / (1 + exp(-t)): exactly 0 or 1 far in the tails."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -170,15 +174,26 @@ def loglik_gradient(
 
 
 def check_full_rank(X: np.ndarray, column_names=None):
-    """Reject rank-deficient designs, naming the offending columns."""
+    """Reject rank-deficient designs, naming the offending columns.
+
+    The rule is that of a Householder QR with column pivoting: the rank is
+    the number of pivots above ``_PIVOT_TOL`` times the first (the largest
+    column norm), and the columns pivoted past the rank are named.  Every
+    pivot is at least the smallest singular value of X, so a design whose
+    sigma_min clears twice that threshold is accepted on an unpivoted QR;
+    only the rest run the pivoted one.
+    """
     if X.shape[0] < X.shape[1]:
         names = list(column_names) if column_names is not None else []
         raise RankDeficientError(
             f"underdetermined design: {X.shape[0]} rows for {X.shape[1]} columns",
             columns=names,
         )
-    _, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
+    r = np.linalg.qr(X, mode="r")
+    sigma_min = np.linalg.svd(r, compute_uv=False).min(initial=np.inf)
+    if sigma_min > 2 * _PIVOT_TOL * np.linalg.norm(r, axis=0).max(initial=0.0):
+        return
+    diag, piv = _pivoted_qr(X)
     scale = diag[0] if diag.size and diag[0] > 0 else 1.0
     rank = int(np.sum(diag > _PIVOT_TOL * scale))
     if rank < X.shape[1]:
@@ -193,6 +208,34 @@ def check_full_rank(X: np.ndarray, column_names=None):
             f"dependent columns: {names}",
             columns=names,
         )
+
+
+def _pivoted_qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|diag(R)| and the column order of a Householder QR with column pivoting.
+
+    Each step pivots in the column of largest remaining norm (the first on
+    a tie), as LAPACK's xLAQP2 does, but takes the remaining norms exactly
+    instead of downdating them.
+    """
+    a = np.array(X, dtype=float)
+    p = a.shape[1]
+    piv = np.arange(p)
+    diag = np.zeros(p)
+    for i in range(p):
+        j = i + int(np.argmax(np.linalg.norm(a[i:, i:], axis=0)))
+        if j != i:
+            a[:, [i, j]] = a[:, [j, i]]
+            piv[[i, j]] = piv[[j, i]]
+        alpha, xnorm = a[i, i], np.linalg.norm(a[i + 1 :, i])
+        if xnorm == 0.0:
+            diag[i] = abs(alpha)
+        else:
+            beta = -np.copysign(np.hypot(alpha, xnorm), alpha)
+            diag[i] = abs(beta)
+            v = np.concatenate(([1.0], a[i + 1 :, i] / (alpha - beta)))
+            rest = a[i:, i + 1 :]
+            rest -= ((beta - alpha) / beta) * np.outer(v, v @ rest)
+    return diag, piv
 
 
 # A Newton decrement this small relative to |loglik| is at its roundoff floor.
@@ -261,8 +304,8 @@ def fit_glm(
         if ridged:
             h = h + opts.ridge * np.eye(p)
         try:
-            direction = scipy.linalg.solve(h, score, assume_a="pos")
-        except scipy.linalg.LinAlgError:
+            direction = np.linalg.solve(h, score)
+        except np.linalg.LinAlgError:
             direction = np.linalg.lstsq(h, score, rcond=None)[0]
         floor = _DECREMENT_EPS * max(abs(ll), 1.0)
         if score @ direction <= floor:

@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .averaging import kl_loss, predict
 from .baselines import DEFAULT_METHODS, check_methods, fit_method
 from .errors import DataError, NumericalError
-from .glm import BINOMIAL, CandidateStore
+from .glm import BINOMIAL, CandidateStore, expit
 from .patterns import FragmentaryDataset, build_pattern_index, cc_fraction
 
 BETA_CASES = ("decay", "flat", "rise")

@@ -103,6 +103,15 @@ def softmax_ic_weights(ic):
     return raw / raw.sum()
 
 
+def logsumexp_ic_weights(ic):
+    """exp(-IC/2) normalized by scipy's logsumexp; an infinite IC gets weight 0."""
+    from scipy.special import logsumexp
+
+    ic = np.asarray(ic, dtype=float)
+    logw = np.where(np.isfinite(ic), -0.5 * ic, -np.inf)
+    return np.exp(logw - logsumexp(logw))
+
+
 def slow_logistic_group_lasso(X, y, lam, groups, iters=300000):
     """Fixed-step ISTA for the logistic group lasso, run to high precision.
 
@@ -181,3 +190,20 @@ def project_to_simplex(v):
     rho = np.nonzero(u * ks > css)[0][-1]
     tau = css[rho] / (rho + 1.0)
     return np.maximum(v - tau, 0.0)
+
+
+def pivoted_qr_rank_rule(X, column_names, tol=1e-10):
+    """The design-rank rule on scipy's (LAPACK xGEQP3) pivoted QR.
+
+    Returns None for a full-rank design, else the names of the columns
+    pivoted past the rank: the pivots above ``tol`` times the first one.
+    """
+    import scipy.linalg
+
+    _, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    scale = diag[0] if diag.size and diag[0] > 0 else 1.0
+    rank = int(np.sum(diag > tol * scale))
+    if rank == X.shape[1]:
+        return None
+    return [column_names[j] for j in piv[rank:]]

@@ -243,6 +243,38 @@ def test_optimizer_flags_non_convergence_on_tiny_budget(rng):
     assert abs(np.asarray(fit.weights).sum() - 1.0) < 1e-12
 
 
+def test_optimizer_records_why_it_stopped(rng, monkeypatch):
+    from fragma import averaging
+    from fragma.averaging import OptOptions
+
+    ctx = random_logistic_ctx(rng, n1=120, K=6)
+    fit = optimize_weights(ctx, 2.0)
+    assert (fit.stop, fit.converged) == ("kkt", True)
+    fit = optimize_weights(ctx, 2.0, OptOptions(max_iter=1, kkt_tol=1e-14))
+    assert (fit.stop, fit.iterations, fit.converged) == ("max_iter", 1, False)
+
+    # the K vertex evaluations pass; every trial point of the line search fails
+    calls = []
+    true_criterion = averaging.criterion
+
+    def failing_line_search(ctx, w, lambda_n):
+        calls.append(1)
+        return true_criterion(ctx, w, lambda_n) if len(calls) <= ctx.K else np.inf
+
+    monkeypatch.setattr(averaging, "criterion", failing_line_search)
+    fit = optimize_weights(ctx, 2.0)
+    assert (fit.stop, fit.iterations, fit.converged) == ("no_step", 1, False)
+    assert len(calls) == ctx.K + 60
+    assert np.count_nonzero(np.asarray(fit.weights)) == 1
+
+
+def test_fit_averaged_reports_the_optimizer_stop(rng):
+    data = random_fragmentary(rng, 200, 4, family="binomial")
+    diag = fit_averaged(data, BINOMIAL).diagnostics
+    assert diag["optimizer_stop"] == "kkt"
+    assert diag["optimizer_converged"] is True
+
+
 def test_optimizer_kkt_residual(rng):
     for t in range(60):
         n1 = int(rng.integers(20, 200))

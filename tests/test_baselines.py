@@ -29,6 +29,7 @@ from fragma.patterns import FragmentaryDataset, Pattern, build_pattern_index
 
 from oracles import (
     logistic_group_lasso_objective,
+    logsumexp_ic_weights,
     per_fold_group_lasso_cv_loss,
     slow_logistic_group_lasso,
     softmax_ic_weights,
@@ -90,6 +91,22 @@ def test_ic_weights_examples():
     w = smoothed_ic_weights(np.array([10.0, 12.0, 14.0]))
     assert np.allclose(w, softmax_ic_weights([10.0, 12.0, 14.0]), atol=1e-12)
     assert np.allclose(w, [0.6652, 0.2447, 0.0900], atol=5e-5)
+
+
+def test_ic_weights_match_logsumexp_oracle(rng):
+    cases = [
+        np.array([10.0, np.inf, 14.0, np.inf]),
+        np.array([np.inf, 3.0]),
+        1e5 + rng.uniform(-20.0, 20.0, size=8),
+        np.array([1e5, 1e5 + 1e-6, 1e5 + 40.0, np.inf]),
+        -1e5 + rng.uniform(-5.0, 5.0, size=5),
+    ]
+    for ic in cases:
+        w = smoothed_ic_weights(ic)
+        # at |IC / 2| ~ 5e4 the oracle's log-domain weights carry ulp(5e4) ~ 7e-12
+        np.testing.assert_allclose(w, logsumexp_ic_weights(ic), rtol=1e-11, atol=1e-300)
+        assert np.all(w[~np.isfinite(ic)] == 0.0)
+        assert abs(w.sum() - 1.0) < 1e-14
 
 
 def test_ic_weights_invariant_to_constant_shift(rng):

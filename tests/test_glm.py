@@ -23,7 +23,13 @@ from fragma.patterns import Pattern, build_pattern_index
 from fragma.glm import CandidateModel
 from fragma.sim import SimConfig, generate_replication
 
-from oracles import central_difference_gradient, linear_predictor, logistic_mle_oracle, poisoned
+from oracles import (
+    central_difference_gradient,
+    linear_predictor,
+    logistic_mle_oracle,
+    pivoted_qr_rank_rule,
+    poisoned,
+)
 
 
 def logistic_design(rng, n=40, p=2, scale=1.0):
@@ -136,6 +142,97 @@ def test_rank_check_names_offending_columns(rng):
         check_full_rank(rng.standard_normal((2, 5)), list("abcde"))
 
 
+def rank_outcome(X, names):
+    try:
+        check_full_rank(X, names)
+    except RankDeficientError as err:
+        return err.columns
+    return None
+
+
+@pytest.fixture
+def pivoted(monkeypatch):
+    """Records each design that reaches the pivoted-QR fallback."""
+    from fragma import glm
+
+    calls = []
+    real_pivoted_qr = glm._pivoted_qr
+    monkeypatch.setattr(glm, "_pivoted_qr", lambda X: calls.append(X) or real_pivoted_qr(X))
+    return calls
+
+
+def test_rank_check_matches_pivoted_qr_oracle(rng, pivoted):
+    rejected = 0
+    for t in range(300):
+        kind = ("full", "exact", "near")[t % 3]
+        n, p = int(rng.integers(20, 120)), int(rng.integers(2, 13))
+        X = rng.standard_normal((n, p))
+        if t % 2:
+            X[:, 0] = 1.0
+        X *= 10.0 ** rng.uniform(-3, 3, size=p)
+        if kind != "full":
+            for j in rng.choice(p, size=int(rng.integers(1, min(p, 4))), replace=False):
+                others = np.delete(np.arange(p), j)
+                col = X[:, others] @ rng.standard_normal(p - 1)
+                if kind == "near":
+                    noise = 10.0 ** rng.uniform(-14, -6) * np.linalg.norm(col) / np.sqrt(n)
+                    col = col + noise * rng.standard_normal(n)
+                X[:, j] = col
+        names = [f"x{j}" for j in range(p)]
+        want = pivoted_qr_rank_rule(X, names)
+        assert rank_outcome(X, names) == want, (t, kind)
+        rejected += want is not None
+    # both decisions occur, and the batch reaches both the sigma_min screen
+    # and the pivoted fallback
+    assert 50 < rejected < 250
+    assert 0 < len(pivoted) < 300
+
+
+def test_rank_check_fallback_decides_a_design_the_screen_cannot(pivoted):
+    q = np.linalg.qr(np.random.default_rng(3).standard_normal((30, 3)))[0]
+    # orthogonal columns: the pivots are the column norms, sigma_min the smallest
+    for small, want in ((1.5e-10, None), (0.5e-10, ["b"])):
+        X = q * np.array([1.0, small, 0.3])
+        assert pivoted_qr_rank_rule(X, ["a", "b", "c"]) == want
+        assert rank_outcome(X, ["a", "b", "c"]) == want
+    # b is a to within 1e-9: once a is pivoted b's remaining norm is 1e-9, so b
+    # pivots before c, whose 5e-11 pivot falls under the tolerance
+    X = np.column_stack([q[:, 0], q[:, 0] + 1e-9 * q[:, 1], 5e-11 * q[:, 2]])
+    assert pivoted_qr_rank_rule(X, ["a", "b", "c"]) == ["c"]
+    assert rank_outcome(X, ["a", "b", "c"]) == ["c"]
+    assert len(pivoted) == 3
+
+
+def test_rank_check_on_duplicate_columns_names_the_later_copy(rng):
+    X = rng.standard_normal((40, 5))
+    X[:, 3] = X[:, 1]
+    names = list("abcde")
+    assert pivoted_qr_rank_rule(X, names) is not None
+    assert rank_outcome(X, names) == ["d"]
+
+
+def test_expit_is_within_4_ulp_of_scipy():
+    from scipy.special import expit as scipy_expit
+
+    from fragma.glm import expit as fragma_expit
+
+    t = np.linspace(-750.0, 750.0, 300001)
+    want = scipy_expit(t)
+    assert np.all(np.abs(fragma_expit(t) - want) <= 4 * np.spacing(want))
+
+
+def test_expit_saturates_exactly_without_warning():
+    import warnings
+
+    from fragma.glm import expit as fragma_expit
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="warn", divide="warn", invalid="warn"):
+            assert fragma_expit(np.array([-1000.0, 1000.0])).tolist() == [0.0, 1.0]
+            assert fragma_expit(-1000.0) == 0.0 and fragma_expit(1000.0) == 1.0
+
+
 def test_non_convergence_is_flagged(rng):
     X, y = logistic_design(rng, n=50, p=3, scale=2.0)
     beta, info = fit_glm(X, y, BINOMIAL, FitOptions(max_iter=1))
@@ -143,6 +240,23 @@ def test_non_convergence_is_flagged(rng):
     assert info["iterations"] == 1
     assert np.all(np.isfinite(beta))
     assert info["stop"] == "max_iter"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_separated_and_near_singular_fits_keep_their_stop(seed):
+    # Separated logistic data, then the same with a second copy of x within
+    # 1e-9: the Hessian is ill-conditioned (rcond ~ 1e-16) but passes the
+    # rank check.  Both fits reach the score test; the second needs the ridge.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(50)
+    y = (x > 0).astype(float)
+    X = np.column_stack([np.ones(50), x])
+    _, info = fit_glm(X, y, BINOMIAL)
+    assert (info["stop"], info["converged"], info["ridged"]) == ("score", True, False)
+    X = np.column_stack([X, x + 1e-9 * rng.standard_normal(50)])
+    beta, info = fit_glm(X, y, BINOMIAL)
+    assert (info["stop"], info["converged"], info["ridged"]) == ("score", True, True)
+    assert np.all(np.isfinite(beta))
 
 
 def test_score_stop_before_any_step(rng):

@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fragma
 from fragma.averaging import predict_for_pattern
 from fragma.cli import main
 from fragma.datasets import adni_like, table1_toy
@@ -28,6 +33,16 @@ def dataset_to_csv(data, path, response="y", na_marker="NA"):
             row.append(repr(float(data.x[i, j])) if data.mask[i, j] else na_marker)
         rows.append(row)
     write_csv(path, header, rows)
+
+
+def test_runtime_imports_no_scipy():
+    src = str(Path(fragma.__file__).resolve().parents[1])
+    code = "import sys, fragma, fragma.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +214,8 @@ def test_cli_fit_fully_observed(tmp_path):
     stop = model["candidates"][0]["stop"]
     assert stop in ("score", "decrement")
     assert f"converged=True iterations={model['candidates'][0]['iterations']} stop={stop} " in report
+    assert model["diagnostics"]["optimizer_stop"] == "kkt"
+    assert "optimizer: stop=kkt iterations=0 " in report
     assert (out / "config.json").exists()
 
 
