@@ -31,7 +31,8 @@ print(f"\ncomplete-case share: {cc_fraction(index, data.n):.2f}")
 # The trade-off driving the method: more columns => fewer usable subjects.
 print("\ncolumns-vs-sample-size trade-off:")
 for k in range(1, index.K + 1):
-    print(f"  pattern {k}: p_k = {index.p_k(k):2d}  n_k = {index.n_k(k):2d}")
+    print(f"  pattern {k}: p_k = {index.patterns[k - 1].size:2d}  "
+          f"n_k = {index.s_sets[k - 1].size:2d}")
 
 # Restrict to the first three columns: patterns collapse and merge.
 target = Pattern((0, 1, 2))
@@ -40,4 +41,4 @@ sub_index = build_pattern_index(restricted)
 print(f"\nrestricted to {restricted.column_names}: {sub_index.K} patterns remain")
 for k, pat in enumerate(sub_index.patterns, start=1):
     print(f"  pattern {k}: {[restricted.column_names[j] for j in pat.indices]}, "
-          f"|S| = {sub_index.n_k(k)}")
+          f"|S| = {sub_index.s_sets[k - 1].size}")

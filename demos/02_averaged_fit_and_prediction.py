@@ -10,14 +10,16 @@ the whole pipeline there.
 
 import numpy as np
 
-from fragma import fit_averaged, predict, predict_for_pattern
+from fragma import CandidateStore, fit_averaged, predict, predict_for_pattern
 from fragma.datasets import adni_like
 
 data, groups = adni_like(seed=1)
 print(f"dataset: {data.n} subjects, blocks " +
       ", ".join(f"{b}({len(c)})" for b, c in groups.items()))
 
-model = fit_averaged(data, "binomial", "opt1")
+# One store per run: the data, the family and every candidate fit.
+store = CandidateStore(data, "binomial")
+model = fit_averaged(store, "opt1")
 print(f"\n{len(model.candidates)} candidate models; "
       f"weights selected on {model.diagnostics['n_weighting']} complete cases "
       f"(penalty level {model.lambda_n:g})")
@@ -40,12 +42,12 @@ print(f"\nfully observed query: theta = {theta:+.4f}, P(y=1) = {mean:.4f}")
 # A query with no CSF measurements: restrict, refit, reselect weights.
 x_partial = x_full.copy()
 x_partial[groups["CSF"]] = np.nan
-theta_p, mean_p, sub = predict_for_pattern(data, "binomial", 2.0, x_partial)
+theta_p, mean_p, sub = predict_for_pattern(store, 2.0, x_partial)
 print(f"query without CSF: theta = {theta_p:+.4f}, P(y=1) = {mean_p:.4f} "
       f"({len(sub.candidates)} candidates remain after restriction)")
 
 # Weight-2 penalty vs log(n1): heavier penalty favors smaller candidates.
-model2 = fit_averaged(data, "binomial", "opt2")
+model2 = fit_averaged(store, "opt2")
 print("\nweights under the two penalty levels:")
 print("  penalty 2      :", np.round(np.asarray(model.weights), 4))
 print(f"  penalty log(n1):", np.round(np.asarray(model2.weights), 4))

@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .averaging import (
     AveragedModel,
     CriterionContext,
-    OptOptions,
     WeightFit,
     WeightVector,
     build_criterion_context,
@@ -71,7 +70,6 @@ __all__ = [
     "FragmentaryDataset",
     "GAUSSIAN",
     "NumericalError",
-    "OptOptions",
     "POISSON",
     "Pattern",
     "PatternIndex",

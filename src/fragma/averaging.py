@@ -164,12 +164,9 @@ def kkt_residual(w, grad) -> float:
     return float(np.max(grad[active]) - np.min(grad))
 
 
-@dataclass(frozen=True)
-class OptOptions:
-    """Knobs for the simplex weight optimizer."""
-
-    max_iter: int = 500
-    kkt_tol: float = 1e-7
+# Iteration budget and KKT tolerance of the simplex weight optimizer.
+_OPT_MAX_ITER = 500
+_KKT_TOL = 1e-7
 
 
 @dataclass
@@ -184,9 +181,7 @@ class WeightFit:
     stop: str  # "kkt", "max_iter" or "no_step"
 
 
-def optimize_weights(
-    ctx: CriterionContext, lambda_n: float, opts: OptOptions | None = None
-) -> WeightFit:
+def optimize_weights(ctx: CriterionContext, lambda_n: float) -> WeightFit:
     """Minimize the criterion over the weight simplex.
 
     Primal active-set Newton method (Nocedal & Wright, *Numerical
@@ -199,12 +194,12 @@ def optimize_weights(
     moving the released weight off zero) the face-projected gradient is
     used instead.  The criterion is convex in w (b convex, theta linear in
     w), so a KKT point is a global minimum.  Every iteration counts against
-    ``max_iter``; ``converged`` is true only when the KKT residual is
-    within ``kkt_tol``.  ``stop`` names why the loop ended: ``kkt`` (the
-    residual is within ``kkt_tol``), ``max_iter`` (the budget is spent) or
-    ``no_step`` (60 backtracking halvings found no sufficient decrease).
+    the budget of ``_OPT_MAX_ITER`` (500); ``converged`` is true only when
+    the KKT residual is within ``_KKT_TOL`` (1e-7).  ``stop`` names why the
+    loop ended: ``kkt`` (the residual is within tolerance), ``max_iter``
+    (the budget is spent) or ``no_step`` (60 backtracking halvings found no
+    sufficient decrease).
     """
-    opts = opts or OptOptions()
     K = ctx.K
     vertices = np.eye(K)
     vals = np.array([criterion(ctx, v, lambda_n) for v in vertices])
@@ -217,8 +212,8 @@ def optimize_weights(
     res = kkt_residual(w, g)
     iters = 0
     stop = "kkt"
-    while res > opts.kkt_tol:
-        if iters >= opts.max_iter:
+    while res > _KKT_TOL:
+        if iters >= _OPT_MAX_ITER:
             stop = "max_iter"
             break
         iters += 1
@@ -270,7 +265,7 @@ def optimize_weights(
         weights=WeightVector(w),
         criterion_value=f,
         kkt_residual=res,
-        converged=bool(res <= opts.kkt_tol),
+        converged=bool(res <= _KKT_TOL),
         iterations=iters,
         stop=stop,
     )
@@ -364,32 +359,27 @@ def resolve_lambda(lambda_n, n_1: int) -> float:
 
 
 def fit_averaged(
-    data: FragmentaryDataset,
-    family,
-    lambda_n="opt1",
-    index: PatternIndex | None = None,
-    store: CandidateStore | None = None,
+    store: CandidateStore, lambda_n="opt1", index: PatternIndex | None = None
 ) -> AveragedModel:
     """Full pipeline: pattern index, per-pattern fits, weight selection.
 
     ``lambda_n`` may be a float or the mode strings ``"opt1"`` (2) /
     ``"opt2"`` (log of the weighting sample size); it is resolved before
-    any candidate is fitted.  A precomputed ``index`` may be supplied.  A
-    shared ``store`` (which then supplies the fit options) shares
-    candidate fits across penalty settings, sub-pattern refits and
-    baselines.  The weighting rows are the subjects of ``data`` observing
-    the leading pattern's columns; a candidate whose columns some
-    weighting row does not observe is dropped and listed in
-    ``diagnostics["dropped_candidates"]``.  For an index built on ``data``
-    these are the candidates not contained in the leading pattern; on a
-    zero-imputed ``data.filled()`` none is dropped.
+    any candidate is fitted.  A precomputed ``index`` may be supplied.  The
+    candidates come from ``store``, so they are shared across penalty
+    settings, sub-pattern refits and baselines.  The weighting rows are the
+    subjects of ``store.data`` observing the leading pattern's columns; a
+    candidate whose columns some weighting row does not observe is dropped
+    and listed in ``diagnostics["dropped_candidates"]``.  For an index
+    built on the store's data these are the candidates not contained in the
+    leading pattern; on a zero-imputed ``store.filled()`` none is dropped.
     """
-    family = get_family(family)
+    data, family = store.data, store.family
     if index is None:
         index = build_pattern_index(data)
     rows, observed = _weighting_rows(data, index)
     lam = resolve_lambda(lambda_n, rows.size)
-    candidates = (store or CandidateStore(data, family)).fit_all(index)
+    candidates = store.fit_all(index)
 
     keep = [bool(observed[list(c.pattern.indices)].all()) for c in candidates]
     usable = [c for c, k in zip(candidates, keep) if k]
@@ -444,24 +434,18 @@ def predict(model: AveragedModel, x):
     return theta, mean
 
 
-def predict_for_pattern(
-    data: FragmentaryDataset,
-    family,
-    lambda_n,
-    x_star,
-    store: CandidateStore | None = None,
-):
+def predict_for_pattern(store: CandidateStore, lambda_n, x_star):
     """Predict for a query observing only a sub-pattern of the columns.
 
     The query pattern is read off the finite entries of ``x_star``
-    (length p, NaN marking unobserved).  The data are indexed through
-    those columns (only patterns contained in the query pattern survive),
-    weights are reselected on that index's complete cases, and the query
-    is scored; candidates come from ``store`` when given.  Returns
-    ``(theta, mean, model)``, the model in the data's own column numbers.
-    When the query observes everything this reduces to the unrestricted
-    pipeline.
+    (length p, NaN marking unobserved).  The store's data are indexed
+    through those columns (only patterns contained in the query pattern
+    survive), weights are reselected on that index's complete cases from
+    the store's candidates, and the query is scored.  Returns ``(theta,
+    mean, model)``, the model in the data's own column numbers.  When the
+    query observes everything this reduces to the unrestricted pipeline.
     """
+    data = store.data
     x_star = np.asarray(x_star, dtype=float)
     if x_star.shape != (data.p,):
         raise DataError(f"query vector must have length {data.p}")
@@ -469,7 +453,7 @@ def predict_for_pattern(
     if observed.size == 0:
         raise DataError("query observes no covariate")
     index = build_pattern_index(data, columns=observed)
-    model = fit_averaged(data, family, lambda_n, index=index, store=store)
+    model = fit_averaged(store, lambda_n, index)
     theta, mean = predict(model, x_star)
     return theta, mean, model
 

@@ -1,11 +1,12 @@
 """Comparator methods: CC, smoothed AIC/BIC, zero-imputation averaging, group lasso.
 
-Each baseline returns an :class:`~fragma.averaging.AveragedModel` whose
-coefficients are embedded into the full coefficient space, so every method
-predicts through one code path.  CC and the smoothed criteria draw their
-candidates from a :class:`~fragma.glm.CandidateStore` that may be shared;
-imp1 and imp2 from its zero-imputed ``filled()`` store, and the group
-lasso's refit too.  The group lasso is solved by one active-set Newton
+Each baseline takes the run's :class:`~fragma.glm.CandidateStore`, which
+holds the data, family and IRLS options, and returns an
+:class:`~fragma.averaging.AveragedModel` whose coefficients are embedded
+into the full coefficient space, so every method predicts through one code
+path.  CC, the smoothed criteria and the group lasso's refit draw their
+candidates from the store; imp1 and imp2 from its zero-imputed
+``filled()`` store.  The group lasso is solved by one active-set Newton
 loop, which takes a batch of problems: its cross-validated path solves
 every fold of a penalty level in one call, on a coordinate layout where
 every group is a contiguous block.
@@ -32,34 +33,28 @@ from .glm import (
     get_family,
     loglik,
 )
-from .patterns import FragmentaryDataset, Pattern, PatternIndex, build_pattern_index
+from .patterns import Pattern, PatternIndex, build_pattern_index
 
 
 def _single_glm(
-    data: FragmentaryDataset, family, cand: CandidateModel, diagnostics: dict | None = None
+    store: CandidateStore, cand: CandidateModel, diagnostics: dict | None = None
 ) -> AveragedModel:
-    """One GLM as a model: a single candidate with unit weight."""
+    """One GLM of ``store`` as a model: a single candidate with unit weight."""
     return AveragedModel(
         candidates=[cand],
         weights=WeightVector([1.0]),
-        beta_combined=combine_coefficients([cand], [1.0], data.p),
-        family=family,
-        column_names=list(data.column_names),
+        beta_combined=combine_coefficients([cand], [1.0], store.data.p),
+        family=store.family,
+        column_names=list(store.data.column_names),
         diagnostics=diagnostics or {},
     )
 
 
-def fit_cc(
-    data: FragmentaryDataset,
-    family,
-    index: PatternIndex | None = None,
-    store: CandidateStore | None = None,
-) -> AveragedModel:
+def fit_cc(store: CandidateStore, index: PatternIndex | None = None) -> AveragedModel:
     """Single GLM on the complete cases: identical to candidate model 1."""
-    family = get_family(family)
     if index is None:
-        index = build_pattern_index(data)
-    return _single_glm(data, family, (store or CandidateStore(data, family)).fit(index.patterns[0]))
+        index = build_pattern_index(store.data)
+    return _single_glm(store, store.fit(index.patterns[0]))
 
 
 def smoothed_ic_weights(ic_values: np.ndarray) -> np.ndarray:
@@ -74,11 +69,7 @@ def smoothed_ic_weights(ic_values: np.ndarray) -> np.ndarray:
 
 
 def fit_smoothed_ic(
-    data: FragmentaryDataset,
-    family,
-    flavor: str,
-    index: PatternIndex | None = None,
-    store: CandidateStore | None = None,
+    store: CandidateStore, flavor: str, index: PatternIndex | None = None
 ) -> AveragedModel:
     """Candidate averaging with smoothed AIC/BIC weights.
 
@@ -89,10 +80,9 @@ def fit_smoothed_ic(
     """
     if flavor not in ("aic", "bic"):
         raise ValueError(f"flavor must be 'aic' or 'bic', got {flavor!r}")
-    family = get_family(family)
     if index is None:
-        index = build_pattern_index(data)
-    candidates = (store or CandidateStore(data, family)).fit_all(index)
+        index = build_pattern_index(store.data)
+    candidates = store.fit_all(index)
 
     p_sizes = np.array([c.p_k for c in candidates], dtype=float)
     ll = np.array([c.loglik for c in candidates])
@@ -103,33 +93,27 @@ def fit_smoothed_ic(
     return AveragedModel(
         candidates=candidates,
         weights=WeightVector(w),
-        beta_combined=combine_coefficients(candidates, w, data.p),
-        family=family,
-        column_names=list(data.column_names),
+        beta_combined=combine_coefficients(candidates, w, store.data.p),
+        family=store.family,
+        column_names=list(store.data.column_names),
         diagnostics={"ic": ic.tolist()},
     )
 
 
 def fit_imp(
-    data: FragmentaryDataset,
-    family,
-    lambda_mode="opt1",
-    index: PatternIndex | None = None,
-    store: CandidateStore | None = None,
+    store: CandidateStore, lambda_mode="opt1", index: PatternIndex | None = None
 ) -> AveragedModel:
-    """Zero-imputation averaging: :func:`~fragma.averaging.fit_averaged` on ``data.filled()``.
+    """Zero-imputation averaging: :func:`~fragma.averaging.fit_averaged` on ``store.filled()``.
 
     Unavailable cells are replaced by zeros, so every candidate pattern of
-    ``index`` (built on ``data``) is fitted, and the weights are selected,
-    on all n subjects: no candidate is dropped, and ``opt2`` means log n.
-    The candidates come from ``store.filled()`` (``store`` is on ``data``),
-    which imp1 and imp2 share.  The model zero-fills unobserved query cells.
+    ``index`` (built on ``store.data``) is fitted, and the weights are
+    selected, on all n subjects: no candidate is dropped, and ``opt2``
+    means log n.  The candidates come from ``store.filled()``, which imp1
+    and imp2 share.  The model zero-fills unobserved query cells.
     """
     if index is None:
-        index = build_pattern_index(data)
-    filled = (store or CandidateStore(data, family)).filled()
-    model = fit_averaged(filled.data, family, lambda_mode, index=index, store=filled)
-    return replace(model, zero_impute=True)
+        index = build_pattern_index(store.data)
+    return replace(fit_averaged(store.filled(), lambda_mode, index), zero_impute=True)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +385,7 @@ _LAMBDA_MIN_RATIO = 1e-3
 
 
 def fit_glasso(
-    data: FragmentaryDataset,
-    family,
-    groups,
-    seed: int = 0,
-    index: PatternIndex | None = None,
-    store: CandidateStore | None = None,
+    store: CandidateStore, groups, seed: int = 0, index: PatternIndex | None = None
 ) -> AveragedModel:
     """Group-lasso selection on the complete cases, then an unpenalized refit.
 
@@ -418,15 +397,14 @@ def fit_glasso(
     folds at once, each fold warm-started from its fit at the previous
     level, and every subject is scored under the fit of the fold that holds
     it out.  The path on all complete cases is then followed down to the
-    chosen level; the final model is ``store``'s candidate (``store`` is on
-    ``data``; its options also fit the largest level) on the selected
-    columns: the GLM on every subject that observes them all.
+    chosen level; the final model is ``store``'s candidate on the selected
+    columns (the store's options also fit the largest level): the GLM on
+    every subject that observes them all.
     ``diagnostics`` records the selected groups, the chosen and largest
     penalty levels, the CV losses and, as ``lambda_max_fit``, the
     convergence record of the unpenalized fit behind the largest level.
     """
-    family = get_family(family)
-    store = store or CandidateStore(data, family)
+    data, family = store.data, store.family
     if index is None:
         index = build_pattern_index(data)
     lead = list(index.patterns[0].indices)
@@ -481,8 +459,7 @@ def fit_glasso(
 
     cand = store.fit(Pattern(tuple(selected_cols)))
     return _single_glm(
-        data,
-        family,
+        store,
         cand,
         {
             "selected_groups": selected_groups,
@@ -517,24 +494,22 @@ def check_methods(methods) -> tuple[str, ...]:
 def fit_method(
     name: str, store: CandidateStore, index: PatternIndex, *, groups=None, seed: int = 0
 ) -> AveragedModel:
-    """Fit one of :data:`ALL_METHODS` on the data and family of ``store``.
+    """Fit one of :data:`ALL_METHODS` on the run ``store`` describes.
 
-    ``index`` is the pattern index of that data.  Every method draws its
-    GLMs from ``store`` (imp1 and imp2 from ``store.filled()``).  The group
-    lasso needs ``groups`` and draws its CV folds from ``seed``.
+    ``index`` is the pattern index of the store's data.  Every method draws
+    its GLMs from ``store`` (imp1 and imp2 from ``store.filled()``).  The
+    group lasso needs ``groups`` and draws its CV folds from ``seed``.
     """
-    data, family = store.data, store.family
     if name in ("opt1", "opt2"):
-        return fit_averaged(data, family, name, index=index, store=store)
+        return fit_averaged(store, name, index)
     if name == "cc":
-        return fit_cc(data, family, index=index, store=store)
+        return fit_cc(store, index)
     if name in ("saic", "sbic"):
-        return fit_smoothed_ic(data, family, name[1:], index=index, store=store)
+        return fit_smoothed_ic(store, name[1:], index)
     if name in ("imp1", "imp2"):
-        lambda_mode = "opt1" if name == "imp1" else "opt2"
-        return fit_imp(data, family, lambda_mode, index=index, store=store)
+        return fit_imp(store, "opt1" if name == "imp1" else "opt2", index)
     if name == "glasso":
         if groups is None:
             raise DataError("glasso requires column groups (a --groups sidecar)")
-        return fit_glasso(data, family, groups, seed=seed, index=index, store=store)
+        return fit_glasso(store, groups, seed, index)
     raise ValueError(f"unknown method {name!r}; choose from {ALL_METHODS}")

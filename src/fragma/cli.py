@@ -11,6 +11,7 @@ their fit records and failures to ``diagnostics.json``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from .averaging import (
 )
 from .baselines import DEFAULT_METHODS, check_methods, fit_method
 from .errors import DataError, NumericalError
-from .glm import CandidateStore, FitOptions, get_family
+from .glm import CandidateStore, FitOptions
 from .io import (
     format_cell,
     read_fragmentary_csv,
@@ -111,7 +112,6 @@ def cmd_fit(args) -> int:
     _write_config(out, args)
     lam = _parse_lambda(args.lam)
     fopts = _fit_options(args)
-    family = get_family(args.family)
     data = read_fragmentary_csv(
         args.input, args.response, args.na_marker, args.add_intercept
     )
@@ -119,9 +119,10 @@ def cmd_fit(args) -> int:
     report = _patterns_report(data, index)
     (out / "report.txt").write_text(report)
 
-    model = fit_averaged(data, family, lam, store=CandidateStore(data, family, fopts))
+    store = CandidateStore(data, args.family, fopts)
+    model = fit_averaged(store, lam)
     # predict refits sub-pattern candidates under the same IRLS options
-    options = {"max_iter": fopts.max_iter, "grad_tol": fopts.grad_tol, "ridge": fopts.ridge}
+    options = dataclasses.asdict(store.opts)
     with open(out / "model.json", "w") as fh:
         json.dump({**model.to_dict(), "fit_options": options}, fh, indent=2)
 
@@ -201,9 +202,7 @@ def cmd_predict(args) -> int:
                     f"query row {rows[0] + 1} observes only a sub-pattern; "
                     "re-fitting requires --train"
                 )
-            sub = predict_for_pattern(
-                train, model.family, model.lambda_n, q[rows[0]], store=store
-            )[2]
+            sub = predict_for_pattern(store, model.lambda_n, q[rows[0]])[2]
             rule = "restricted:" + "+".join(model.column_names[j] for j in obs)
         theta[rows], mean[rows] = predict(sub, q[rows])
         rules[rows] = rule
@@ -239,7 +238,6 @@ def cmd_compare(args) -> int:
     _write_config(out, args)
     if not 0.0 < args.split < 1.0:
         raise DataError(f"--split must lie strictly between 0 and 1, got {args.split}")
-    family = get_family(args.family)
     fopts = _fit_options(args)
     data = read_fragmentary_csv(
         args.input, args.response, args.na_marker, args.add_intercept
@@ -259,7 +257,8 @@ def cmd_compare(args) -> int:
 
     index = build_pattern_index(train)
     lead = list(index.patterns[0].indices)
-    store = CandidateStore(train, family, fopts)
+    store = CandidateStore(train, args.family, fopts)
+    family = store.family
     fits = {m: fit_method(m, store, index, groups=groups, seed=args.seed) for m in methods}
 
     eval_rows = np.flatnonzero(test.mask[:, lead].all(axis=1))
@@ -280,9 +279,7 @@ def cmd_compare(args) -> int:
                 sub, rule = None, "restricted"
             try:
                 if sub is None:
-                    sub = predict_for_pattern(
-                        train, family, fit.lambda_n, xq[rows[0]], store=store
-                    )[2]
+                    sub = predict_for_pattern(store, fit.lambda_n, xq[rows[0]])[2]
                 theta[rows] = predict(sub, xq[rows])[0]
             except (ValueError, NumericalError) as exc:
                 unavailable.append({"rows": int(rows.size), "error": str(exc)})

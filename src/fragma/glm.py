@@ -165,14 +165,6 @@ def loglik(family: ExponentialFamily, theta: np.ndarray, y: np.ndarray) -> float
     return float((y @ theta - np.sum(family.b(theta))) / family.phi)
 
 
-def loglik_gradient(
-    family: ExponentialFamily, X: np.ndarray, y: np.ndarray, beta: np.ndarray
-) -> np.ndarray:
-    """Score vector X^T (y - b'(X beta)) / phi."""
-    theta = X @ beta
-    return X.T @ (y - family.b_prime(theta)) / family.phi
-
-
 def check_full_rank(X: np.ndarray, column_names=None):
     """Reject rank-deficient designs, naming the offending columns.
 
@@ -391,17 +383,22 @@ def fit_all_candidates(
 
 
 class CandidateStore:
-    """The candidate fits of one run on one dataset, family and options.
+    """One run: its dataset, GLM family, IRLS options and candidate fits.
 
-    A candidate on columns C is fitted on every subject observing C, in
-    row order, whichever pattern index asks for it, so fits are keyed by C
-    and shared by the main model, sub-pattern refits and baselines.
+    Every method of :mod:`fragma.averaging` and :mod:`fragma.baselines`
+    takes the store and reads ``data``, ``family`` and ``opts`` from it, so
+    a run cannot mix the fits of one dataset or family with another.  A
+    candidate on columns C is fitted on every subject observing C, in row
+    order, whichever pattern index asks for it, so fits are keyed by C and
+    shared by the main model, sub-pattern refits and baselines.  ``family``
+    is a name or an :class:`ExponentialFamily`; ``opts`` defaults to
+    :class:`FitOptions`.
     """
 
     def __init__(self, data: FragmentaryDataset, family, opts: FitOptions | None = None):
         self.data = data
         self.family = get_family(family)
-        self.opts = opts
+        self.opts = opts or FitOptions()
         self._fits: dict[tuple[int, ...], CandidateModel] = {}
         self._source: CandidateStore | None = None  # the store this one zero-fills
         # data.filled() and its fits, kept apart from their store: no reference cycle

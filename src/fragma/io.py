@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from math import isfinite
 
 import numpy as np
 
@@ -16,15 +17,22 @@ def _parse_cell(raw: str, na_marker: str) -> float:
     if v == "" or v == na_marker:
         return np.nan
     try:
-        return float(v)
+        value = float(v)
     except ValueError:
         raise DataError(f"cannot parse value {raw!r} as a number")
+    if isfinite(value):
+        return value
+    raise DataError(
+        f"non-finite value {raw!r}; a missing cell is empty or {na_marker!r}"
+    )
 
 
 def read_matrix_csv(path, na_marker: str = "NA") -> tuple[list[str], np.ndarray]:
     """Header plus float matrix; empty cells or the marker become NaN.
 
-    Ragged rows are rejected with the offending line number.
+    Every other cell must be a finite number: ``inf``, ``-inf`` or ``nan``
+    (unless it is the marker) is a :class:`~fragma.errors.DataError`, as is
+    a ragged row, each naming the offending line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -139,13 +139,6 @@ class PatternIndex:
     def K(self) -> int:
         return len(self.patterns)
 
-    def n_k(self, k: int) -> int:
-        """|S_k| for the 1-based pattern id ``k``."""
-        return int(self.s_sets[k - 1].size)
-
-    def p_k(self, k: int) -> int:
-        return self.patterns[k - 1].size
-
     @property
     def full_first(self) -> bool:
         """True when the first pattern covers every column the index sees."""

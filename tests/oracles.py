@@ -97,6 +97,12 @@ def central_difference_gradient(f, x, h=1e-6):
     return g
 
 
+def loglik_gradient(family, X, y, beta):
+    """Score vector X^T (y - b'(X beta)) / phi."""
+    theta = X @ beta
+    return X.T @ (y - family.b_prime(theta)) / family.phi
+
+
 def softmax_ic_weights(ic):
     """Literal exp(-IC/2) normalization (no stabilization)."""
     raw = np.exp(-0.5 * np.asarray(ic, dtype=float))

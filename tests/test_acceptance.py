@@ -24,7 +24,7 @@ from fragma.averaging import (
 )
 from fragma.baselines import fit_imp
 from fragma.datasets import random_fragmentary, table1_toy
-from fragma.glm import BINOMIAL, GAUSSIAN, fit_glm
+from fragma.glm import BINOMIAL, GAUSSIAN, CandidateStore, fit_glm
 from fragma.patterns import FragmentaryDataset, build_pattern_index, cc_fraction
 from fragma.sim import SimConfig, generate_replication, run_study
 
@@ -275,8 +275,8 @@ def test_criterion_8_degenerate_reductions():
     x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
     yb = (rng.random(n) < expit(x @ np.array([0.2, 0.6, -0.4]))).astype(float)
     data = FragmentaryDataset(yb, x, np.ones((n, p), bool), ["intercept", "a", "b"])
-    opt = fit_averaged(data, BINOMIAL, "opt1")
-    imp = fit_imp(data, BINOMIAL, "opt1")
+    opt = fit_averaged(CandidateStore(data, BINOMIAL), "opt1")
+    imp = fit_imp(CandidateStore(data, BINOMIAL), "opt1")
     imp_ok = (
         np.max(np.abs(np.asarray(opt.weights) - np.asarray(imp.weights))) <= 1e-10
         and np.max(np.abs(opt.beta_combined - imp.beta_combined)) <= 1e-10

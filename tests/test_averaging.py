@@ -232,11 +232,13 @@ def test_optimizer_dominates_vertices_and_uniform(rng):
             assert fit.criterion_value <= criterion(ctx, pr, 2.0) + 1e-7
 
 
-def test_optimizer_flags_non_convergence_on_tiny_budget(rng):
-    from fragma.averaging import OptOptions
+def test_optimizer_flags_non_convergence_on_tiny_budget(rng, monkeypatch):
+    from fragma import averaging
 
     ctx = random_logistic_ctx(rng, n1=120, K=6)
-    fit = optimize_weights(ctx, 2.0, OptOptions(max_iter=1, kkt_tol=1e-14))
+    monkeypatch.setattr(averaging, "_OPT_MAX_ITER", 1)
+    monkeypatch.setattr(averaging, "_KKT_TOL", 1e-14)
+    fit = optimize_weights(ctx, 2.0)
     assert not fit.converged
     assert fit.iterations <= 1
     assert np.all(np.asarray(fit.weights) >= 0)
@@ -245,12 +247,14 @@ def test_optimizer_flags_non_convergence_on_tiny_budget(rng):
 
 def test_optimizer_records_why_it_stopped(rng, monkeypatch):
     from fragma import averaging
-    from fragma.averaging import OptOptions
 
     ctx = random_logistic_ctx(rng, n1=120, K=6)
     fit = optimize_weights(ctx, 2.0)
     assert (fit.stop, fit.converged) == ("kkt", True)
-    fit = optimize_weights(ctx, 2.0, OptOptions(max_iter=1, kkt_tol=1e-14))
+    with monkeypatch.context() as budget:
+        budget.setattr(averaging, "_OPT_MAX_ITER", 1)
+        budget.setattr(averaging, "_KKT_TOL", 1e-14)
+        fit = optimize_weights(ctx, 2.0)
     assert (fit.stop, fit.iterations, fit.converged) == ("max_iter", 1, False)
 
     # the K vertex evaluations pass; every trial point of the line search fails
@@ -270,7 +274,7 @@ def test_optimizer_records_why_it_stopped(rng, monkeypatch):
 
 def test_fit_averaged_reports_the_optimizer_stop(rng):
     data = random_fragmentary(rng, 200, 4, family="binomial")
-    diag = fit_averaged(data, BINOMIAL).diagnostics
+    diag = fit_averaged(CandidateStore(data, BINOMIAL)).diagnostics
     assert diag["optimizer_stop"] == "kkt"
     assert diag["optimizer_converged"] is True
 
@@ -326,7 +330,7 @@ def test_vertex_weight_predicts_like_single_candidate(rng):
 
 def test_prediction_equals_weighted_candidate_loop(rng):
     data, index, candidates, ctx, fam = fragmentary_pipeline(rng, n=90, p=4)
-    model = fit_averaged(data, fam, 2.0, index=index)
+    model = fit_averaged(CandidateStore(data, fam), 2.0, index=index)
     for _ in range(10):
         x = rng.standard_normal(data.p)
         theta, _ = predict(model, x)
@@ -358,7 +362,7 @@ def test_zero_coefficients_predict_half(rng):
 
 def test_predict_requires_leading_pattern(rng):
     data, index, candidates, ctx, fam = fragmentary_pipeline(rng, n=70, p=4)
-    model = fit_averaged(data, fam, 2.0, index=index)
+    model = fit_averaged(CandidateStore(data, fam), 2.0, index=index)
     x = rng.standard_normal(data.p)
     x[list(model.candidates[0].pattern.indices)[0]] = np.nan
     with pytest.raises(ValueError):
@@ -367,7 +371,7 @@ def test_predict_requires_leading_pattern(rng):
 
 def test_predict_block_matches_rows_and_rejects_missing_support(rng):
     data, index, candidates, ctx, fam = fragmentary_pipeline(rng, n=90, p=4)
-    model = fit_averaged(data, fam, 2.0, index=index)
+    model = fit_averaged(CandidateStore(data, fam), 2.0, index=index)
     x = rng.standard_normal((25, data.p))
     theta, mean = predict(model, x)
     assert theta.shape == mean.shape == (25,)
@@ -408,8 +412,8 @@ def test_columns_index_refit_matches_restricted_oracle():
         x_star = np.full(data.p, np.nan)
         x_star[cols] = rng.standard_normal(cols.size)
         for lam in ("opt1", "opt2"):
-            oracle = fit_averaged(restricted, BINOMIAL, lam)
-            _, _, model = predict_for_pattern(data, BINOMIAL, lam, x_star)
+            oracle = fit_averaged(CandidateStore(restricted, BINOMIAL), lam)
+            _, _, model = predict_for_pattern(CandidateStore(data, BINOMIAL), lam, x_star)
             assert [tuple(cols[list(c.pattern.indices)]) for c in oracle.candidates] == [
                 c.pattern.indices for c in model.candidates
             ]
@@ -428,7 +432,7 @@ def test_predict_for_pattern_adni_blocks_keeps_five_candidates():
     rng = np.random.default_rng(0)
     x_star[cols] = rng.standard_normal(len(cols))
     x_star[0] = 1.0
-    theta, mean, model = predict_for_pattern(data, BINOMIAL, 2.0, x_star)
+    theta, mean, model = predict_for_pattern(CandidateStore(data, BINOMIAL), 2.0, x_star)
     assert len(model.candidates) == 5
     assert np.isfinite(theta)
     assert 0.0 < mean < 1.0
@@ -436,10 +440,10 @@ def test_predict_for_pattern_adni_blocks_keeps_five_candidates():
 
 def test_predict_for_pattern_full_reduces_to_standard_pipeline(rng):
     data, index, candidates, ctx, fam = fragmentary_pipeline(rng, n=90, p=4)
-    model = fit_averaged(data, fam, 2.0)
+    model = fit_averaged(CandidateStore(data, fam), 2.0)
     x = rng.standard_normal(data.p)
     t_full, m_full = predict(model, x)
-    t_sub, m_sub, _ = predict_for_pattern(data, fam, 2.0, x)
+    t_sub, m_sub, _ = predict_for_pattern(CandidateStore(data, fam), 2.0, x)
     assert np.isclose(t_full, t_sub, atol=1e-12)
     assert np.isclose(m_full, m_sub, atol=1e-12)
 
@@ -448,7 +452,7 @@ def test_predict_for_pattern_single_column_matches_direct_fit(rng):
     data, groups = adni_like(seed=11, scale=0.1)
     x_star = np.full(data.p, np.nan)
     x_star[0] = 1.0  # intercept only
-    theta, mean, model = predict_for_pattern(data, BINOMIAL, 2.0, x_star)
+    theta, mean, model = predict_for_pattern(CandidateStore(data, BINOMIAL), 2.0, x_star)
     assert len(model.candidates) == 1
     assert np.asarray(model.weights).tolist() == [1.0]
     beta, _ = fit_glm(np.ones((data.n, 1)), data.y, BINOMIAL)
@@ -458,7 +462,7 @@ def test_predict_for_pattern_single_column_matches_direct_fit(rng):
 def test_predict_for_pattern_rejects_empty_query(rng):
     data, *_ = fragmentary_pipeline(rng, n=40, p=3)[:1]
     with pytest.raises(DataError):
-        predict_for_pattern(data, BINOMIAL, 2.0, np.full(data.p, np.nan))
+        predict_for_pattern(CandidateStore(data, BINOMIAL), 2.0, np.full(data.p, np.nan))
 
 
 def no_complete_case_data(rng, n=40):
@@ -477,7 +481,7 @@ def test_no_complete_cases_drops_non_nested_candidates(rng):
     # weighting happens on the maximal pattern's rows and the non-nested
     # candidate is excluded from the average
     data = no_complete_case_data(rng)
-    model = fit_averaged(data, BINOMIAL, 2.0)
+    model = fit_averaged(CandidateStore(data, BINOMIAL), 2.0)
     assert model.diagnostics["dropped_candidates"] == [[0, 2]]
     kept = {c.pattern.indices for c in model.candidates}
     assert (0, 1) in kept
@@ -503,7 +507,7 @@ def test_imp_without_complete_cases_keeps_every_candidate(rng):
     index = build_pattern_index(data)
     store = CandidateStore(data, BINOMIAL)
     for mode, lam in (("opt1", 2.0), ("opt2", float(np.log(data.n)))):
-        model = fit_imp(data, BINOMIAL, mode, index=index, store=store)
+        model = fit_imp(store, mode, index=index)
         assert [c.pattern.indices for c in model.candidates] == [(0, 1), (0, 2)]
         assert model.diagnostics["dropped_candidates"] == []
         filled = CandidateStore(data.filled(), BINOMIAL)
@@ -513,7 +517,7 @@ def test_imp_without_complete_cases_keeps_every_candidate(rng):
         assert np.array_equal(model.beta_combined, combine_coefficients(cands, wfit.weights, 3))
         assert model.criterion_value == wfit.criterion_value
     with pytest.raises(ValueError, match="opt3"):
-        fit_imp(data, BINOMIAL, "opt3", index=index, store=store)
+        fit_imp(store, "opt3", index=index)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def grouped_glm_data(rng, n=60, p=6, n_groups=2, family=BINOMIAL):
 def test_cc_equals_first_candidate_exactly(rng):
     data = random_fragmentary(rng, 80, 4, family="binomial", ensure_full=True)
     index = build_pattern_index(data)
-    res = fit_cc(data, BINOMIAL, index=index)
+    res = fit_cc(CandidateStore(data, BINOMIAL), index=index)
     cand = fit_candidate(data, index.patterns[0], BINOMIAL)
     assert np.array_equal(res.beta_combined[list(cand.pattern.indices)], cand.beta)
     assert res.support == list(cand.pattern.indices)
@@ -70,7 +70,7 @@ def test_cc_on_fully_observed_equals_plain_glm(rng):
     x = rng.standard_normal((n, p))
     y = (rng.random(n) < expit(x @ np.array([0.5, -0.5, 0.2]))).astype(float)
     data = FragmentaryDataset(y, x, np.ones((n, p), bool), [f"c{j}" for j in range(p)])
-    res = fit_cc(data, BINOMIAL)
+    res = fit_cc(CandidateStore(data, BINOMIAL))
     direct, _ = fit_glm(x, y, BINOMIAL)
     assert np.max(np.abs(res.beta_combined - direct)) < 1e-12
 
@@ -78,7 +78,7 @@ def test_cc_on_fully_observed_equals_plain_glm(rng):
 def test_cc_rejects_underdetermined_toy():
     data = table1_toy(family="gaussian")
     with pytest.raises(RankDeficientError):
-        fit_cc(data, GAUSSIAN)
+        fit_cc(CandidateStore(data, GAUSSIAN))
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +123,14 @@ def test_ic_weights_invariant_to_constant_shift(rng):
 
 def test_smoothed_ic_single_candidate(rng):
     data = random_fragmentary(rng, 30, 3, family="binomial", obs_prob=1.0)
-    res = fit_smoothed_ic(data, BINOMIAL, "aic")
+    res = fit_smoothed_ic(CandidateStore(data, BINOMIAL), "aic")
     assert np.asarray(res.weights).tolist() == [1.0]
 
 
 def test_smoothed_ic_weights_on_simplex_both_flavors(rng):
     data = random_fragmentary(rng, 120, 4, family="binomial", ensure_full=True)
     for flavor in ("aic", "bic"):
-        res = fit_smoothed_ic(data, BINOMIAL, flavor)
+        res = fit_smoothed_ic(CandidateStore(data, BINOMIAL), flavor)
         w = np.asarray(res.weights)
         assert np.all(w >= 0)
         assert abs(w.sum() - 1.0) < 1e-12
@@ -146,8 +146,8 @@ def test_imp_equals_opt_when_fully_observed(rng):
     x[:, 0] = 1.0
     y = (rng.random(n) < expit(x @ np.array([0.2, 0.7, -0.4]))).astype(float)
     data = FragmentaryDataset(y, x, np.ones((n, p), bool), ["intercept", "a", "b"])
-    opt = fit_averaged(data, BINOMIAL, "opt1")
-    imp = fit_imp(data, BINOMIAL, "opt1")
+    opt = fit_averaged(CandidateStore(data, BINOMIAL), "opt1")
+    imp = fit_imp(CandidateStore(data, BINOMIAL), "opt1")
     assert np.max(np.abs(np.asarray(opt.weights) - np.asarray(imp.weights))) < 1e-10
     assert np.max(np.abs(opt.beta_combined - imp.beta_combined)) < 1e-10
     for _ in range(5):
@@ -163,7 +163,7 @@ def test_imp_candidate_fits_equal_zero_filled_irls(rng):
     x = np.column_stack([np.ones(n), rng.standard_normal(n)])
     y = (rng.random(n) < expit(0.3 + 0.8 * np.where(mask[:, 1], x[:, 1], 0.0))).astype(float)
     data = FragmentaryDataset(y, np.where(mask, x, np.nan), mask, ["intercept", "z"])
-    res = fit_imp(data, BINOMIAL, "opt1")
+    res = fit_imp(CandidateStore(data, BINOMIAL), "opt1")
     x0 = np.where(mask, x, 0.0)
     direct, _ = fit_glm(x0, y, BINOMIAL)
     index = build_pattern_index(data)
@@ -182,7 +182,7 @@ def test_imp_single_pattern_reduces_to_one_glm(rng):
     x = np.column_stack([np.ones(n), rng.standard_normal(n)])
     y = (rng.random(n) < 0.5).astype(float)
     data = FragmentaryDataset(y, x, np.ones((n, 2), bool), ["intercept", "z"])
-    res = fit_imp(data, BINOMIAL, "opt2")
+    res = fit_imp(CandidateStore(data, BINOMIAL), "opt2")
     direct, _ = fit_glm(x, y, BINOMIAL)
     assert np.asarray(res.weights).tolist() == [1.0]
     assert np.max(np.abs(res.beta_combined - direct)) < 1e-12
@@ -190,7 +190,7 @@ def test_imp_single_pattern_reduces_to_one_glm(rng):
 
 def test_imp_lambda_mode_uses_full_sample_size(rng):
     data = random_fragmentary(rng, 50, 3, family="binomial", ensure_full=True)
-    res = fit_imp(data, BINOMIAL, "opt2")
+    res = fit_imp(CandidateStore(data, BINOMIAL), "opt2")
     assert np.isclose(res.lambda_n, np.log(data.n))
 
 
@@ -208,11 +208,11 @@ def test_imp_modes_share_one_zero_filled_store(rng, monkeypatch):
 
     monkeypatch.setattr(fragma.glm, "fit_glm", counting)
     store = CandidateStore(data, BINOMIAL)
-    imp1 = fit_imp(data, BINOMIAL, "opt1", index=index, store=store)
-    imp2 = fit_imp(data, BINOMIAL, "opt2", index=index, store=store)
+    imp1 = fit_imp(store, "opt1", index=index)
+    imp2 = fit_imp(store, "opt2", index=index)
     assert len(calls) == index.K
     assert all(c.n_k == data.n for c in imp1.candidates + imp2.candidates)
-    alone = fit_imp(data, BINOMIAL, "opt2", index=index)
+    alone = fit_imp(CandidateStore(data, BINOMIAL), "opt2", index=index)
     assert np.array_equal(alone.beta_combined, imp2.beta_combined)
 
 
@@ -314,7 +314,7 @@ def test_fit_glasso_end_to_end(rng):
         y, np.where(mask, x, np.nan), mask, ["intercept"] + [f"v{j}" for j in range(1, p)]
     )
     groups = {"signal": [1, 2, 3], "noise": [4, 5, 6]}
-    res = fit_glasso(data, BINOMIAL, groups, seed=3)
+    res = fit_glasso(CandidateStore(data, BINOMIAL), groups, seed=3)
     assert "signal" in res.diagnostics["selected_groups"]
     assert 0 in res.support
     # refit uses every subject observing the selected columns
@@ -328,7 +328,7 @@ def test_fit_glasso_respects_group_restriction_to_observed_columns(rng):
     data = random_fragmentary(rng, 150, 5, family="binomial", ensure_full=True)
     # column 0 intentionally outside every group: it stays unpenalized
     groups = {"g1": [1, 2], "g2": [3, 4]}
-    res = fit_glasso(data, BINOMIAL, groups, seed=1)
+    res = fit_glasso(CandidateStore(data, BINOMIAL), groups, seed=1)
     assert set(res.support) <= set(range(5))
     assert 0 in res.support
 
@@ -338,7 +338,7 @@ def test_fit_glasso_refits_through_the_store(monkeypatch):
     import fragma.glm
 
     data, groups = adni_like(seed=0)
-    selected = tuple(fit_glasso(data, BINOMIAL, groups).support)
+    selected = tuple(fit_glasso(CandidateStore(data, BINOMIAL), groups).support)
     store = CandidateStore(data, BINOMIAL)
     held = store.fit(Pattern(selected))
     widths = []
@@ -350,7 +350,7 @@ def test_fit_glasso_refits_through_the_store(monkeypatch):
 
     monkeypatch.setattr(fragma.glm, "fit_glm", counting)
     monkeypatch.setattr(fragma.baselines, "fit_glm", counting)
-    res = fit_glasso(data, BINOMIAL, groups, store=store)
+    res = fit_glasso(store, groups)
     # the one GLM fitted is lambda_max's, on the unpenalized intercept
     assert widths == [1]
     (cand,) = res.candidates
@@ -362,22 +362,20 @@ def test_fit_glasso_refits_through_the_store(monkeypatch):
 
 def test_fit_glasso_records_the_lambda_max_fit():
     data, groups = adni_like(seed=2, scale=0.5)
-    res = fit_glasso(
-        data, BINOMIAL, groups, store=CandidateStore(data, BINOMIAL, FitOptions(max_iter=1))
-    )
+    res = fit_glasso(CandidateStore(data, BINOMIAL, FitOptions(max_iter=1)), groups)
     assert res.diagnostics["lambda_max_fit"] == {
         "converged": False,
         "iterations": 1,
         "stop": "max_iter",
     }
-    record = fit_glasso(data, BINOMIAL, groups).diagnostics["lambda_max_fit"]
+    record = fit_glasso(CandidateStore(data, BINOMIAL), groups).diagnostics["lambda_max_fit"]
     assert record["converged"] and record["stop"] in ("score", "decrement")
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fit_glasso_cv_path_matches_per_fold_oracle(seed):
     data, groups = adni_like(seed=seed)
-    res = fit_glasso(data, BINOMIAL, groups, seed=seed)
+    res = fit_glasso(CandidateStore(data, BINOMIAL), groups, seed=seed)
     index = build_pattern_index(data)
     lead = list(index.patterns[0].indices)
     X = data.x[np.ix_(index.s_sets[0], lead)]

@@ -17,7 +17,6 @@ from fragma.glm import (
     fit_glm,
     get_family,
     loglik,
-    loglik_gradient,
 )
 from fragma.patterns import Pattern, build_pattern_index
 from fragma.glm import CandidateModel
@@ -27,6 +26,7 @@ from oracles import (
     central_difference_gradient,
     linear_predictor,
     logistic_mle_oracle,
+    loglik_gradient,
     pivoted_qr_rank_rule,
     poisoned,
 )

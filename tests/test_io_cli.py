@@ -87,6 +87,16 @@ def test_csv_missing_response_and_bad_values(tmp_path):
         read_fragmentary_csv(f, "z")
 
 
+def test_csv_nan_marker_reads_nan_as_missing(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("y,a,b\n1,2.5,nan\n0,,3.0\n")
+    data = read_fragmentary_csv(f, "y", na_marker="nan")
+    assert data.mask.tolist() == [[True, False], [False, True]]
+    f.write_text("y,a,b\n1,2.5,nan\n0,inf,3.0\n")
+    with pytest.raises(DataError, match=r"line 3: non-finite value 'inf'"):
+        read_fragmentary_csv(f, "y", na_marker="nan")
+
+
 def test_csv_duplicate_header(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("y,a,a\n1,2,3\n")
@@ -226,6 +236,45 @@ def test_cli_fit_ragged_csv_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, line, raw",
+    [
+        ("y,a,b\n1,0.5,2\n0,inf,1\n1,0.3,NA\n", 3, "inf"),
+        ("y,a,b\n1,0.5,2\n0,1,1\ninf,0.3,NA\n", 4, "inf"),
+        ("y,a,b\n1,0.5,2\n0,-Infinity,1\n", 3, "-Infinity"),
+    ],
+    ids=["covariate", "response", "covariate-negative"],
+)
+def test_cli_fit_non_finite_cell_exit_2(tmp_path, text, line, raw):
+    # an infinite cell is bad input, not an unobserved cell or a missing response
+    f = tmp_path / "d.csv"
+    f.write_text(text)
+    out = tmp_path / "o"
+    assert run_cli("fit", "--input", str(f), "--response", "y", "--out", str(out)) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "DataError"
+    cause = f"non-finite value {raw!r}; a missing cell is empty or 'NA'"
+    assert error["message"] == f"{f}: line {line}: {cause}"
+    assert not (out / "model.json").exists()
+
+
+def test_cli_predict_nan_query_cell_exit_2(tmp_path):
+    train = tmp_path / "train.csv"
+    train.write_text("y,a\n1,0.5\n0,-0.2\n1,1.5\n0,0.1\n1,-0.7\n0,0.9\n")
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--input", str(train), "--response", "y", "--add-intercept",
+                   "--out", str(out)) == 0
+    query = tmp_path / "q.csv"
+    query.write_text("a\n0.3\nnan\n")
+    pred = tmp_path / "p"
+    assert run_cli("predict", "--model", str(out / "model.json"), "--input", str(query),
+                   "--train", str(train), "--response", "y", "--add-intercept",
+                   "--out", str(pred)) == 2
+    message = json.loads((pred / "error.json").read_text())["message"]
+    assert message.startswith(f"{query}: line 3: non-finite value 'nan'")
+    assert not (pred / "predictions.csv").exists()
+
+
 def test_cli_fit_predict_round_trip_reproduces_fitted_means(tmp_path):
     rng = np.random.default_rng(7)
     n = 60
@@ -322,8 +371,7 @@ def test_cli_predict_refits_under_the_model_fit_options(tmp_path):
     train_data = read_fragmentary_csv(train, "y")
     opts = FitOptions(max_iter=2, grad_tol=1e-8, ridge=1e-3)
     theta, mean, _ = predict_for_pattern(
-        train_data, "binomial", model["lambda_n"], x_star,
-        store=CandidateStore(train_data, "binomial", opts),
+        CandidateStore(train_data, "binomial", opts), model["lambda_n"], x_star
     )
     assert row["rule"].startswith("restricted:")
     assert float(row["theta"]) == theta
