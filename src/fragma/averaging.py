@@ -414,9 +414,9 @@ def fit_averaged(
 def predict(model: AveragedModel, x):
     """Prediction for one query row (length p) or an (m, p) block of rows.
 
-    Rows must observe the model's support (NaN marks unobserved) unless
-    the model zero-imputes.  Returns ``(theta_hat, mean_hat)``, mean =
-    b'(theta): floats for a row, arrays for a block.
+    Rows must observe the model's support (NaN marks unobserved; else a
+    DataError) unless the model zero-imputes.  Returns ``(theta_hat,
+    mean_hat)``, mean = b'(theta): floats for a row, arrays for a block.
     """
     x = np.asarray(x, dtype=float)
     if model.zero_impute:
@@ -426,7 +426,7 @@ def predict(model: AveragedModel, x):
     unobserved = ~np.isfinite(vals).reshape(-1, len(support)).all(axis=0)
     if unobserved.any():
         names = [model.column_names[j] for j in np.asarray(support)[unobserved]]
-        raise ValueError(f"required covariates unobserved in query: {names}")
+        raise DataError(f"required covariates unobserved in query: {names}")
     theta = vals @ model.beta_combined[support]
     mean = model.family.b_prime(theta)
     if theta.ndim == 0:

@@ -166,6 +166,39 @@ def _prediction_rows(rules, theta, mean) -> list[list]:
     ]
 
 
+def _score_by_pattern(model, x, store):
+    """Score query rows (NaN = unobserved) one availability-pattern group at a time.
+
+    Rule: ``zero-imputed`` for a zero-filling model; ``full`` if no penalty
+    chose the weights or the group observes the leading candidate; else
+    ``restricted``, refitted from ``store`` on the group's columns.  Returns
+    theta (NaN where a group failed) and per group ``(rows, rule, error)``.
+    """
+    observed = np.isfinite(x)
+    lead = list(model.candidates[0].pattern.indices)
+    theta = np.full(x.shape[0], np.nan)
+    scored = []
+    for rows in split_rows_by_pattern(observed):
+        rule, sub, error = "full", model, None
+        if model.zero_impute:
+            rule = "zero-imputed"
+        elif model.lambda_n is not None and not observed[rows[0], lead].all():
+            rule = "restricted"
+        try:
+            if rule == "restricted":
+                if store is None:
+                    raise DataError(
+                        f"query row {rows[0] + 1} observes only a sub-pattern; "
+                        "re-fitting requires --train"
+                    )
+                sub = predict_for_pattern(store, model.lambda_n, x[rows[0]])[2]
+            theta[rows] = predict(sub, x[rows])[0]
+        except (ValueError, NumericalError) as exc:
+            error = exc
+        scored.append((rows, rule, error))
+    return theta, scored
+
+
 def cmd_predict(args) -> int:
     out = _out_dir(args)
     _write_config(out, args)
@@ -175,7 +208,7 @@ def cmd_predict(args) -> int:
     header, values = read_matrix_csv(args.input, args.na_marker)
     q = _align_query(header, values, model.column_names)
 
-    train = None
+    store = None
     if args.train:
         train = read_fragmentary_csv(
             args.train, args.response, args.na_marker, args.add_intercept
@@ -188,40 +221,28 @@ def cmd_predict(args) -> int:
             raise DataError(f"model.json fit_options: {exc}") from exc
         store = CandidateStore(train, model.family, fopts)
 
-    lead = list(model.candidates[0].pattern.indices)
-    observed = np.isfinite(q)
-    theta, mean = np.empty((2, q.shape[0]))
+    theta, scored = _score_by_pattern(model, q, store)
     rules = np.empty(q.shape[0], dtype=object)
-    for rows in split_rows_by_pattern(observed):
-        obs = np.flatnonzero(observed[rows[0]])
-        if observed[rows[0], lead].all():
-            sub, rule = model, "full"
-        else:
-            if train is None:
-                raise DataError(
-                    f"query row {rows[0] + 1} observes only a sub-pattern; "
-                    "re-fitting requires --train"
-                )
-            sub = predict_for_pattern(store, model.lambda_n, q[rows[0]])[2]
-            rule = "restricted:" + "+".join(model.column_names[j] for j in obs)
-        theta[rows], mean[rows] = predict(sub, q[rows])
+    for rows, rule, error in scored:
+        if error is not None:
+            raise error
+        if rule == "restricted":
+            rule += ":" + "+".join(np.array(model.column_names)[np.isfinite(q[rows[0]])])
         rules[rows] = rule
     write_csv(out / "predictions.csv", ["row", "rule", "theta", "mean"],
-              _prediction_rows(rules, theta, mean))
+              _prediction_rows(rules, theta, model.family.b_prime(theta)))
     print(f"wrote {out / 'predictions.csv'} ({q.shape[0]} rows)")
     return 0
 
 
-def _split_by_pattern(data, index, split, rng):
+def _split_by_pattern(index, split, rng):
     train_rows, test_rows = [], []
     for t in index.t_sets:
         perm = rng.permutation(t)
         n_train = min(len(t), max(1, int(round(split * len(t)))))
         train_rows.extend(perm[:n_train])
         test_rows.extend(perm[n_train:])
-    return np.sort(np.asarray(train_rows, dtype=int)), np.sort(
-        np.asarray(test_rows, dtype=int)
-    )
+    return np.sort(np.asarray(train_rows, dtype=int)), np.sort(np.asarray(test_rows, dtype=int))
 
 
 def _subset(data, rows):
@@ -249,42 +270,29 @@ def cmd_compare(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     index_all = build_pattern_index(data)
-    train_rows, test_rows = _split_by_pattern(data, index_all, args.split, rng)
+    train_rows, test_rows = _split_by_pattern(index_all, args.split, rng)
     if test_rows.size == 0:
         raise DataError("test split is empty; lower --split")
     train = _subset(data, train_rows)
     test = _subset(data, test_rows)
 
     index = build_pattern_index(train)
-    lead = list(index.patterns[0].indices)
     store = CandidateStore(train, args.family, fopts)
     family = store.family
     fits = {m: fit_method(m, store, index, groups=groups, seed=args.seed) for m in methods}
 
-    eval_rows = np.flatnonzero(test.mask[:, lead].all(axis=1))
+    eval_rows = np.flatnonzero(test.mask[:, list(index.patterns[0].indices)].all(axis=1))
     xq = np.where(test.mask, test.x, np.nan)
     summary = []
     diagnostics = {}
-    for m in methods:
-        fit = fits[m]
-        theta = np.full(test.n, np.nan)
-        rules = np.full(test.n, "unavailable", dtype=object)
-        unavailable = []
-        for rows in split_rows_by_pattern(test.mask):
-            if fit.zero_impute:
-                sub, rule = fit, "zero-imputed"
-            elif fit.lambda_n is None or test.mask[rows[0], lead].all():
-                sub, rule = fit, "full"
-            else:
-                sub, rule = None, "restricted"
-            try:
-                if sub is None:
-                    sub = predict_for_pattern(store, fit.lambda_n, xq[rows[0]])[2]
-                theta[rows] = predict(sub, xq[rows])[0]
-            except (ValueError, NumericalError) as exc:
-                unavailable.append({"rows": int(rows.size), "error": str(exc)})
-                continue
-            rules[rows] = rule
+    for m, fit in fits.items():
+        theta, scored = _score_by_pattern(fit, xq, store)
+        rules = np.empty(test.n, dtype=object)
+        for rows, rule, error in scored:
+            rules[rows] = rule if error is None else "unavailable"
+        unavailable = [
+            {"rows": int(r.size), "error": str(e)} for r, _, e in scored if e is not None
+        ]
         diagnostics[m] = {"model": fit.diagnostics, "unavailable": unavailable}
         preds = _prediction_rows(rules, theta, family.b_prime(theta))
         write_csv(out / f"predictions_{m}.csv", ["row", "rule", "theta", "mean"], preds)
@@ -393,16 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--na-marker", default="NA", dest="na_marker")
-    common.add_argument(
-        "--family", default="binomial", choices=["binomial", "gaussian", "poisson"]
-    )
 
     fitlike = argparse.ArgumentParser(add_help=False)
     fitlike.add_argument("--input", required=True, help="pattern-structured CSV")
     fitlike.add_argument("--response", required=True, help="response column name")
     fitlike.add_argument("--add-intercept", action="store_true", dest="add_intercept")
+    fitlike.add_argument("--na-marker", default="NA", dest="na_marker")
+    fitlike.add_argument(
+        "--family", default="binomial", choices=["binomial", "gaussian", "poisson"]
+    )
     fitlike.add_argument(
         "--max-iter",
         type=int,
@@ -437,17 +444,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pred.add_argument("--response", default=None, help="response column of --train")
     p_pred.add_argument("--add-intercept", action="store_true", dest="add_intercept")
+    p_pred.add_argument("--na-marker", default="NA", dest="na_marker")
     p_pred.set_defaults(func=cmd_predict)
 
     p_cmp = sub.add_parser(
         "compare", parents=[common, fitlike], help="train/test comparison of methods"
     )
+    p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--methods", default=",".join(DEFAULT_METHODS))
     p_cmp.add_argument("--split", type=float, default=0.75)
     p_cmp.add_argument("--groups", default=None, help="JSON sidecar of column groups")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_sim = sub.add_parser("simulate", parents=[common], help="run the Monte Carlo study")
+    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--n", type=int, default=400)
     p_sim.add_argument("--rho", type=float, default=0.3)
     p_sim.add_argument(
@@ -464,6 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scr.add_argument("--response", required=True)
     p_scr.add_argument("--groups", required=True, help="JSON sidecar of column groups")
     p_scr.add_argument("--keep", type=int, default=10)
+    p_scr.add_argument("--na-marker", default="NA", dest="na_marker")
     p_scr.set_defaults(func=cmd_screen)
     return parser
 

@@ -202,12 +202,10 @@ def build_pattern_index(data: FragmentaryDataset, columns=None) -> PatternIndex:
 
 
 def restrict_to(data: FragmentaryDataset, target: Pattern) -> FragmentaryDataset:
-    """Restrict a dataset to the columns of ``target``.
+    """Restrict a dataset to the columns of ``target``, dropping subjects observing none.
 
-    Drops subjects observing none of the target columns.  Used to rebuild
-    the candidate universe when predicting for a query pattern smaller
-    than the full covariate set: the restricted dataset only produces
-    patterns contained in the target.
+    No prediction path calls it: sub-pattern refits index the data through
+    ``build_pattern_index(columns=)``, for which this copy is the reference.
     """
     idx = list(target.indices)
     if max(idx) >= data.p or min(idx) < 0:

@@ -1,5 +1,8 @@
+import argparse
+import ast
 import csv
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +13,8 @@ import numpy as np
 import pytest
 
 import fragma
-from fragma.averaging import predict_for_pattern
+from fragma.averaging import AveragedModel, predict, predict_for_pattern
+from fragma.baselines import fit_cc, fit_imp
 from fragma.cli import main
 from fragma.datasets import adni_like, table1_toy
 from fragma.errors import DataError
@@ -21,6 +25,7 @@ from fragma.io import (
     read_matrix_csv,
     write_csv,
 )
+from fragma.patterns import split_rows_by_pattern
 from fragma.screening import screen_groups
 
 
@@ -604,3 +609,135 @@ def test_cli_simulate_writes_diagnostics(tmp_path):
     assert diag["regenerated"] >= 0 and diag["failures"] == []
     assert len(diag["kkt_residuals"]) == 3
     assert all(0.0 <= r <= 1e-7 for r in diag["kkt_residuals"])
+
+
+# ---------------------------------------------------------------------------
+# One scoring route for saved models; no flag a subcommand never reads
+# ---------------------------------------------------------------------------
+
+def _saved_model_run(tmp_path, fit, query_rows):
+    """Write ``fit`` on adni_like's training CSV as model.json, plus a query CSV."""
+    data, _ = adni_like(seed=0, scale=0.25)
+    train = tmp_path / "train.csv"
+    dataset_to_csv(data, train)
+    model = fit(CandidateStore(data, "binomial"))
+    (tmp_path / "model.json").write_text(json.dumps(model.to_dict()))
+    xq = np.where(data.mask, data.x, np.nan)[query_rows]
+    q = tmp_path / "q.csv"
+    write_csv(q, data.column_names,
+              [["NA" if np.isnan(v) else repr(v) for v in row] for row in xq.tolist()])
+    return train, q, xq
+
+
+def _predict_argv(tmp_path, q, train, out):
+    argv = ["predict", "--model", str(tmp_path / "model.json"), "--input", str(q),
+            "--out", str(out)]
+    return argv + (["--train", str(train), "--response", "y"] if train else [])
+
+
+@pytest.mark.parametrize("with_train", [True, False], ids=["train", "no-train"])
+def test_cli_predict_saved_cc_model_names_the_missing_columns(tmp_path, with_train):
+    data, _ = adni_like(seed=0, scale=0.25)
+    full = int(np.flatnonzero(data.mask.all(axis=1))[0])
+    no_csf = int(np.flatnonzero(~data.mask[:, 1] & data.mask[:, 4:].all(axis=1))[0])
+    train, q, _ = _saved_model_run(tmp_path, fit_cc, [full, no_csf])
+    out = tmp_path / "p"
+    assert run_cli(*_predict_argv(tmp_path, q, train if with_train else None, out)) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "DataError"
+    assert error["message"] == (
+        "required covariates unobserved in query: ['CSF_1', 'CSF_2', 'CSF_3']"
+    )
+    assert not (out / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("with_train", [True, False], ids=["train", "no-train"])
+def test_cli_predict_saved_imp_model_zero_imputes_every_row(tmp_path, with_train):
+    train, q, xq = _saved_model_run(tmp_path, lambda s: fit_imp(s, "opt1"), slice(None))
+    out = tmp_path / "p"
+    assert run_cli(*_predict_argv(tmp_path, q, train if with_train else None, out)) == 0
+    with open(out / "predictions.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    model = AveragedModel.from_dict(json.loads((tmp_path / "model.json").read_text()))
+    theta = np.array([float(r["theta"]) for r in rows])
+    assert {r["rule"] for r in rows} == {"zero-imputed"} and len(rows) == xq.shape[0]
+    # Each pattern group is one block call; BLAS may round a row's dot product
+    # differently by its position in a block, so compare group by group.
+    for g in split_rows_by_pattern(np.isfinite(xq)):
+        assert np.array_equal(theta[g], predict(model, xq[g])[0])
+
+
+DEAD_FLAGS = [
+    ["fit", "--seed", "1"],
+    ["predict", "--family", "gaussian"],
+    ["predict", "--seed", "1"],
+    ["simulate", "--family", "gaussian"],
+    ["simulate", "--na-marker", "?"],
+    ["screen", "--family", "gaussian"],
+    ["screen", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", DEAD_FLAGS, ids=[" ".join(a[:2]) for a in DEAD_FLAGS])
+def test_cli_flag_the_subcommand_never_reads_exits_2(tmp_path, capsys, argv):
+    required = {
+        "fit": ["--input", "d.csv", "--response", "y"],
+        "predict": ["--model", "model.json", "--input", "q.csv"],
+        "simulate": [],
+        "screen": ["--input", "d.csv", "--response", "y", "--groups", "g.json"],
+    }[argv[0]]
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, *required, "--out", str(out))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _unread_flags():
+    """``subcommand --flag`` for each option no code of that subcommand reads.
+
+    A subcommand reads ``args.<dest>`` in its ``cmd_*`` function or in a
+    helper of ``cli.py`` it passes ``args`` to; ``_write_config``, which
+    records every argument, does not count.
+    """
+    from fragma import cli
+
+    funcs = {
+        node.name: node
+        for node in ast.parse(inspect.getsource(cli)).body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+    def reads(name, seen):
+        if name in seen or name == "_write_config":
+            return set()
+        seen.add(name)
+        found = set()
+        for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+                found.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in funcs
+                and any(getattr(a, "id", None) == "args" for a in node.args)
+            ):
+                found |= reads(node.func.id, seen)
+        return found
+
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    unread = []
+    for command, parser in sub.choices.items():
+        used = reads(parser.get_default("func").__name__, set())
+        unread += [
+            f"{command} {action.option_strings[0]}"
+            for action in parser._actions
+            if action.dest not in ("help", "func", "command") and action.dest not in used
+        ]
+    return unread
+
+
+def test_cli_every_flag_is_read_by_its_subcommand():
+    assert _unread_flags() == []
