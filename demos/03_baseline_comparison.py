@@ -37,8 +37,9 @@ def subset(rows):
 train, test = subset(train_rows), subset(test_rows)
 print(f"train {train.n} / test {test.n} subjects")
 
-tindex = build_pattern_index(train)
-lead = list(tindex.patterns[0].indices)
+# one store of candidate fits for all methods (imp1/imp2 use its zero-imputed store)
+store = CandidateStore(train, BINOMIAL)
+lead = list(store.index.patterns[0].indices)
 eval_rows = np.flatnonzero(test.mask[:, lead].all(axis=1))
 X_eval = test.x[np.ix_(eval_rows, lead)]
 y_eval = test.y[eval_rows]
@@ -49,9 +50,7 @@ def deviance(theta):
     return 2.0 * float(np.mean(BINOMIAL.b(theta) - y_eval * theta))
 
 
-# one store of candidate fits for all methods (imp1/imp2 use its zero-imputed store)
-store = CandidateStore(train, BINOMIAL)
-fits = {m: fit_method(m, store, tindex, groups=groups, seed=7) for m in ALL_METHODS}
+fits = {m: fit_method(m, store, groups=groups, seed=7) for m in ALL_METHODS}
 
 print(f"{'method':8s}  test deviance per obs")
 for name, fit in fits.items():

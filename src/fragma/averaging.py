@@ -313,17 +313,32 @@ class AveragedModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AveragedModel":
-        return cls(
-            candidates=[CandidateModel.from_dict(c) for c in d["candidates"]],
-            weights=WeightVector(np.asarray(d["weights"], dtype=float)),
-            beta_combined=np.asarray(d["beta_combined"], dtype=float),
-            family=get_family(d["family"]),
-            column_names=list(d["column_names"]),
-            lambda_n=d.get("lambda_n"),
-            criterion_value=d.get("criterion_value"),
-            zero_impute=bool(d.get("zero_impute", False)),
-            diagnostics=dict(d.get("diagnostics", {})),
-        )
+        """The model :meth:`to_dict` wrote; a malformed or inconsistent one is a DataError."""
+        try:
+            model = cls(
+                candidates=[CandidateModel.from_dict(c) for c in d["candidates"]],
+                weights=WeightVector(np.asarray(d["weights"], dtype=float)),
+                beta_combined=np.asarray(d["beta_combined"], dtype=float),
+                family=get_family(d["family"]),
+                column_names=list(d["column_names"]),
+                lambda_n=d.get("lambda_n"),
+                criterion_value=d.get("criterion_value"),
+                zero_impute=bool(d.get("zero_impute", False)),
+                diagnostics=dict(d.get("diagnostics", {})),
+            )
+        except KeyError as exc:
+            raise DataError(f"missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataError(str(exc)) from exc
+        p, K = len(model.column_names), len(model.candidates)
+        if len(model.weights) != K:
+            raise DataError(f"{len(model.weights)} weights for {K} candidates")
+        if model.beta_combined.shape != (p,):
+            raise DataError(f"{model.beta_combined.size} beta_combined entries for {p} columns")
+        outside = [j for j in model.support if not 0 <= j < p]
+        if outside:
+            raise DataError(f"candidate columns {outside} outside 0..{p - 1}")
+        return model
 
 
 def combine_coefficients(
@@ -358,14 +373,13 @@ def resolve_lambda(lambda_n, n_1: int) -> float:
     return value
 
 
-def fit_averaged(
-    store: CandidateStore, lambda_n="opt1", index: PatternIndex | None = None
-) -> AveragedModel:
+def fit_averaged(store: CandidateStore, lambda_n="opt1", columns=None) -> AveragedModel:
     """Full pipeline: pattern index, per-pattern fits, weight selection.
 
     ``lambda_n`` may be a float or the mode strings ``"opt1"`` (2) /
     ``"opt2"`` (log of the weighting sample size); it is resolved before
-    any candidate is fitted.  A precomputed ``index`` may be supplied.  The
+    any candidate is fitted.  The patterns are ``store.index``, or with
+    ``columns`` those of ``store.data`` seen through those columns.  The
     candidates come from ``store``, so they are shared across penalty
     settings, sub-pattern refits and baselines.  The weighting rows are the
     subjects of ``store.data`` observing the leading pattern's columns; a
@@ -375,8 +389,7 @@ def fit_averaged(
     leading pattern; on a zero-imputed ``store.filled()`` none is dropped.
     """
     data, family = store.data, store.family
-    if index is None:
-        index = build_pattern_index(data)
+    index = store.index if columns is None else build_pattern_index(data, columns=columns)
     rows, observed = _weighting_rows(data, index)
     lam = resolve_lambda(lambda_n, rows.size)
     candidates = store.fit_all(index)
@@ -452,8 +465,7 @@ def predict_for_pattern(store: CandidateStore, lambda_n, x_star):
     observed = np.flatnonzero(np.isfinite(x_star))
     if observed.size == 0:
         raise DataError("query observes no covariate")
-    index = build_pattern_index(data, columns=observed)
-    model = fit_averaged(store, lambda_n, index)
+    model = fit_averaged(store, lambda_n, columns=observed)
     theta, mean = predict(model, x_star)
     return theta, mean, model
 

@@ -33,7 +33,7 @@ from .glm import (
     get_family,
     loglik,
 )
-from .patterns import Pattern, PatternIndex, build_pattern_index
+from .patterns import Pattern
 
 
 def _single_glm(
@@ -50,11 +50,9 @@ def _single_glm(
     )
 
 
-def fit_cc(store: CandidateStore, index: PatternIndex | None = None) -> AveragedModel:
+def fit_cc(store: CandidateStore) -> AveragedModel:
     """Single GLM on the complete cases: identical to candidate model 1."""
-    if index is None:
-        index = build_pattern_index(store.data)
-    return _single_glm(store, store.fit(index.patterns[0]))
+    return _single_glm(store, store.fit(store.index.patterns[0]))
 
 
 def smoothed_ic_weights(ic_values: np.ndarray) -> np.ndarray:
@@ -68,9 +66,7 @@ def smoothed_ic_weights(ic_values: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def fit_smoothed_ic(
-    store: CandidateStore, flavor: str, index: PatternIndex | None = None
-) -> AveragedModel:
+def fit_smoothed_ic(store: CandidateStore, flavor: str) -> AveragedModel:
     """Candidate averaging with smoothed AIC/BIC weights.
 
     Each candidate's information criterion uses the log-likelihood
@@ -80,9 +76,7 @@ def fit_smoothed_ic(
     """
     if flavor not in ("aic", "bic"):
         raise ValueError(f"flavor must be 'aic' or 'bic', got {flavor!r}")
-    if index is None:
-        index = build_pattern_index(store.data)
-    candidates = store.fit_all(index)
+    candidates = store.fit_all(store.index)
 
     p_sizes = np.array([c.p_k for c in candidates], dtype=float)
     ll = np.array([c.loglik for c in candidates])
@@ -100,20 +94,16 @@ def fit_smoothed_ic(
     )
 
 
-def fit_imp(
-    store: CandidateStore, lambda_mode="opt1", index: PatternIndex | None = None
-) -> AveragedModel:
+def fit_imp(store: CandidateStore, lambda_mode="opt1") -> AveragedModel:
     """Zero-imputation averaging: :func:`~fragma.averaging.fit_averaged` on ``store.filled()``.
 
     Unavailable cells are replaced by zeros, so every candidate pattern of
-    ``index`` (built on ``store.data``) is fitted, and the weights are
-    selected, on all n subjects: no candidate is dropped, and ``opt2``
+    ``store.index`` (``store.filled()`` keeps it) is fitted, and the weights
+    are selected, on all n subjects: no candidate is dropped, and ``opt2``
     means log n.  The candidates come from ``store.filled()``, which imp1
     and imp2 share.  The model zero-fills unobserved query cells.
     """
-    if index is None:
-        index = build_pattern_index(store.data)
-    return replace(fit_averaged(store.filled(), lambda_mode, index), zero_impute=True)
+    return replace(fit_averaged(store.filled(), lambda_mode), zero_impute=True)
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +374,14 @@ _N_LAMBDAS = 50
 _LAMBDA_MIN_RATIO = 1e-3
 
 
-def fit_glasso(
-    store: CandidateStore, groups, seed: int = 0, index: PatternIndex | None = None
-) -> AveragedModel:
-    """Group-lasso selection on the complete cases, then an unpenalized refit.
+def fit_glasso(store: CandidateStore, groups: dict, seed: int = 0) -> AveragedModel:
+    """Group-lasso selection on ``store.index``'s complete cases, then an unpenalized refit.
 
-    ``groups`` maps names to original column indices and should partition
-    the non-intercept columns; columns in no group stay unpenalized.  The
-    penalty level is chosen by 5-fold cross-validated deviance over 50
-    geometric levels from the all-zero threshold down to 1e-3 of it: each
+    ``groups`` is a dict mapping names to original column indices; they
+    must not overlap and should partition the non-intercept columns;
+    columns in no group stay unpenalized.  The penalty level is chosen by
+    5-fold cross-validated deviance over 50 geometric levels from the
+    all-zero threshold down to 1e-3 of it: each
     level is one batched :func:`fit_group_lasso_at` call that solves all
     folds at once, each fold warm-started from its fit at the previous
     level, and every subject is scored under the fit of the fold that holds
@@ -405,24 +394,18 @@ def fit_glasso(
     convergence record of the unpenalized fit behind the largest level.
     """
     data, family = store.data, store.family
-    if index is None:
-        index = build_pattern_index(data)
-    lead = list(index.patterns[0].indices)
-    rows = index.s_sets[0]
+    lead = list(store.index.patterns[0].indices)
+    rows = store.index.s_sets[0]
     if rows.size < _CV_FOLDS:
         raise DataError(f"complete-case sample ({rows.size}) smaller than {_CV_FOLDS} CV folds")
     X = data.x[np.ix_(rows, lead)]
     y = data.y[rows]
     check_full_rank(X, [data.column_names[j] for j in lead])
 
-    if isinstance(groups, dict):
-        items = list(groups.items())
-    else:
-        items = [(f"g{i}", list(g)) for i, g in enumerate(groups)]
     pos_of = {j: t for t, j in enumerate(lead)}
     group_pos = []
     group_names = []
-    for name, cols in items:
+    for name, cols in groups.items():
         inside = [pos_of[j] for j in cols if j in pos_of]
         if inside:
             group_pos.append(np.asarray(inside, dtype=int))
@@ -491,25 +474,23 @@ def check_methods(methods) -> tuple[str, ...]:
     return methods
 
 
-def fit_method(
-    name: str, store: CandidateStore, index: PatternIndex, *, groups=None, seed: int = 0
-) -> AveragedModel:
+def fit_method(name: str, store: CandidateStore, *, groups=None, seed: int = 0) -> AveragedModel:
     """Fit one of :data:`ALL_METHODS` on the run ``store`` describes.
 
-    ``index`` is the pattern index of the store's data.  Every method draws
-    its GLMs from ``store`` (imp1 and imp2 from ``store.filled()``).  The
-    group lasso needs ``groups`` and draws its CV folds from ``seed``.
+    Every method reads the patterns off ``store.index`` and draws its GLMs
+    from ``store`` (imp1 and imp2 from ``store.filled()``).  The group
+    lasso needs ``groups`` and draws its CV folds from ``seed``.
     """
     if name in ("opt1", "opt2"):
-        return fit_averaged(store, name, index)
+        return fit_averaged(store, name)
     if name == "cc":
-        return fit_cc(store, index)
+        return fit_cc(store)
     if name in ("saic", "sbic"):
-        return fit_smoothed_ic(store, name[1:], index)
+        return fit_smoothed_ic(store, name[1:])
     if name in ("imp1", "imp2"):
-        return fit_imp(store, "opt1" if name == "imp1" else "opt2", index)
+        return fit_imp(store, "opt1" if name == "imp1" else "opt2")
     if name == "glasso":
         if groups is None:
             raise DataError("glasso requires column groups (a --groups sidecar)")
-        return fit_glasso(store, groups, seed, index)
+        return fit_glasso(store, groups, seed)
     raise ValueError(f"unknown method {name!r}; choose from {ALL_METHODS}")

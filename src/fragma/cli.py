@@ -202,9 +202,14 @@ def _score_by_pattern(model, x, store):
 def cmd_predict(args) -> int:
     out = _out_dir(args)
     _write_config(out, args)
-    with open(args.model) as fh:
-        saved = json.load(fh)
-    model = AveragedModel.from_dict(saved)
+    try:
+        with open(args.model) as fh:
+            saved = json.load(fh)
+        model = AveragedModel.from_dict(saved)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{args.model}: invalid JSON: {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"{args.model}: {exc}") from exc
     header, values = read_matrix_csv(args.input, args.na_marker)
     q = _align_query(header, values, model.column_names)
 
@@ -217,8 +222,8 @@ def cmd_predict(args) -> int:
             raise DataError("training CSV columns do not match the model's columns")
         try:
             fopts = FitOptions(**saved.get("fit_options", {}))
-        except TypeError as exc:
-            raise DataError(f"model.json fit_options: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{args.model}: fit_options: {exc}") from exc
         store = CandidateStore(train, model.family, fopts)
 
     theta, scored = _score_by_pattern(model, q, store)
@@ -276,12 +281,11 @@ def cmd_compare(args) -> int:
     train = _subset(data, train_rows)
     test = _subset(data, test_rows)
 
-    index = build_pattern_index(train)
     store = CandidateStore(train, args.family, fopts)
     family = store.family
-    fits = {m: fit_method(m, store, index, groups=groups, seed=args.seed) for m in methods}
+    fits = {m: fit_method(m, store, groups=groups, seed=args.seed) for m in methods}
 
-    eval_rows = np.flatnonzero(test.mask[:, list(index.patterns[0].indices)].all(axis=1))
+    eval_rows = np.flatnonzero(test.mask[:, list(store.index.patterns[0].indices)].all(axis=1))
     xq = np.where(test.mask, test.x, np.nan)
     summary = []
     diagnostics = {}

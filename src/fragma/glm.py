@@ -13,11 +13,12 @@ textbook ones by a data-only constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError, NumericalError, RankDeficientError
-from .patterns import FragmentaryDataset, Pattern, PatternIndex
+from .patterns import FragmentaryDataset, Pattern, PatternIndex, build_pattern_index
 
 
 def expit(t):
@@ -96,8 +97,9 @@ class FitOptions:
     roundoff of the log-likelihood (see :func:`fit_glm`), so it never
     spins at an optimum whose score cannot get below ``grad_tol``.
     ``ridge`` is added to the Hessian once the coefficient norm passes
-    1e4 (a separation guard).  All three must be nonnegative; a negative
-    one is a :class:`~fragma.errors.DataError`.
+    1e4 (a separation guard).  All three must be nonnegative and
+    ``max_iter`` an integer; anything else is a
+    :class:`~fragma.errors.DataError`.
     """
 
     max_iter: int = 100
@@ -105,6 +107,8 @@ class FitOptions:
     ridge: float = 1e-8
 
     def __post_init__(self):
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise DataError(f"max_iter must be an integer, got {self.max_iter!r}")
         for name in ("max_iter", "grad_tol", "ridge"):
             value = getattr(self, name)
             if not value >= 0:
@@ -383,15 +387,16 @@ def fit_all_candidates(
 
 
 class CandidateStore:
-    """One run: its dataset, GLM family, IRLS options and candidate fits.
+    """One run: its dataset, GLM family, IRLS options, pattern index and candidate fits.
 
     Every method of :mod:`fragma.averaging` and :mod:`fragma.baselines`
-    takes the store and reads ``data``, ``family`` and ``opts`` from it, so
-    a run cannot mix the fits of one dataset or family with another.  A
-    candidate on columns C is fitted on every subject observing C, in row
-    order, whichever pattern index asks for it, so fits are keyed by C and
-    shared by the main model, sub-pattern refits and baselines.  ``family``
-    is a name or an :class:`ExponentialFamily`; ``opts`` defaults to
+    takes the store and reads ``data``, ``family``, ``opts`` and ``index``
+    (built on ``data`` at first use) from it, so a run cannot mix the fits
+    or patterns of one dataset or family with another.  A candidate on
+    columns C is fitted on every subject observing C, in row order,
+    whichever pattern index asks for it, so fits are keyed by C and shared
+    by the main model, sub-pattern refits and baselines.  ``family`` is a
+    name or an :class:`ExponentialFamily`; ``opts`` defaults to
     :class:`FitOptions`.
     """
 
@@ -417,12 +422,19 @@ class CandidateStore:
             self._fits[pattern.indices] = cand
         return replace(cand, pattern=pattern, beta=cand.beta.copy())
 
+    @cached_property
+    def index(self) -> PatternIndex:
+        """The pattern index of ``data``; a ``filled()`` store keeps its source's."""
+        if self._source is not None:
+            return self._source.index
+        return build_pattern_index(self.data)
+
     def fit_all(self, index: PatternIndex) -> list[CandidateModel]:
         """Every candidate of ``index``, in pattern order."""
         return [self.fit(pattern) for pattern in index.patterns]
 
     def filled(self) -> "CandidateStore":
-        """This run's store on ``data.filled()``, same family and options; its fits are kept."""
+        """This run's store on ``data.filled()``: same family, options, index; fits kept."""
         if self._filled is None:
             self._filled = (self.data.filled(), {})
         store = CandidateStore(self._filled[0], self.family, self.opts)

@@ -95,9 +95,16 @@ def read_fragmentary_csv(
 
 
 def read_groups_sidecar(path, column_names: list[str]) -> dict[str, list[int]]:
-    """Column-group declaration: JSON mapping group name -> column names."""
+    """Column-group declaration: JSON mapping group name -> list of column names.
+
+    Invalid JSON or any other shape is a :class:`~fragma.errors.DataError`
+    naming ``path``.
+    """
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(raw, dict) and "groups" in raw:
         raw = raw["groups"]
     if not isinstance(raw, dict):
@@ -106,6 +113,8 @@ def read_groups_sidecar(path, column_names: list[str]) -> dict[str, list[int]]:
     groups: dict[str, list[int]] = {}
     seen: set[int] = set()
     for gname, cols in raw.items():
+        if not isinstance(cols, list) or not all(isinstance(c, str) for c in cols):
+            raise DataError(f"{path}: group {gname!r} is not a list of column names: {cols!r}")
         idx = []
         for c in cols:
             if c not in pos:

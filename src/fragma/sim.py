@@ -21,7 +21,7 @@ from .averaging import kl_loss, predict
 from .baselines import DEFAULT_METHODS, check_methods, fit_method
 from .errors import DataError, NumericalError
 from .glm import BINOMIAL, CandidateStore, expit
-from .patterns import FragmentaryDataset, build_pattern_index, cc_fraction
+from .patterns import FragmentaryDataset, cc_fraction
 
 BETA_CASES = ("decay", "flat", "rise")
 
@@ -163,7 +163,8 @@ def run_study(cfg: SimConfig) -> SimResult:
         attempt = 0
         while True:
             data, truth = generate_replication(cfg, rep, attempt)
-            index = build_pattern_index(data)
+            store = CandidateStore(data, BINOMIAL)
+            index = store.index
             # Degenerate draws (some candidate with fewer subjects than
             # columns) are regenerated from the next sub-stream, before
             # any fitting happens.
@@ -177,12 +178,11 @@ def run_study(cfg: SimConfig) -> SimResult:
             diagnostics["regenerated"] += 1
             if attempt > 20:
                 raise NumericalError(f"replication {rep}: no usable draw in 20 attempts")
-        store = CandidateStore(data, BINOMIAL)
         cc_rows = index.s_sets[0]
         cc_frac[rep] = cc_fraction(index, data.n)
         for m, method in enumerate(methods):
             try:
-                model = fit_method(method, store, index, groups=groups, seed=cfg.seed + rep)
+                model = fit_method(method, store, groups=groups, seed=cfg.seed + rep)
                 theta = predict(model, data.x[cc_rows])[0]
                 per_rep[rep, m] = kl_loss(theta, truth.mean[cc_rows], BINOMIAL, per_obs=True)
             except NumericalError as exc:

@@ -330,7 +330,7 @@ def test_vertex_weight_predicts_like_single_candidate(rng):
 
 def test_prediction_equals_weighted_candidate_loop(rng):
     data, index, candidates, ctx, fam = fragmentary_pipeline(rng, n=90, p=4)
-    model = fit_averaged(CandidateStore(data, fam), 2.0, index=index)
+    model = fit_averaged(CandidateStore(data, fam), 2.0)
     for _ in range(10):
         x = rng.standard_normal(data.p)
         theta, _ = predict(model, x)
@@ -362,7 +362,7 @@ def test_zero_coefficients_predict_half(rng):
 
 def test_predict_requires_leading_pattern(rng):
     data, index, candidates, ctx, fam = fragmentary_pipeline(rng, n=70, p=4)
-    model = fit_averaged(CandidateStore(data, fam), 2.0, index=index)
+    model = fit_averaged(CandidateStore(data, fam), 2.0)
     x = rng.standard_normal(data.p)
     x[list(model.candidates[0].pattern.indices)[0]] = np.nan
     with pytest.raises(ValueError):
@@ -371,7 +371,7 @@ def test_predict_requires_leading_pattern(rng):
 
 def test_predict_block_matches_rows_and_rejects_missing_support(rng):
     data, index, candidates, ctx, fam = fragmentary_pipeline(rng, n=90, p=4)
-    model = fit_averaged(CandidateStore(data, fam), 2.0, index=index)
+    model = fit_averaged(CandidateStore(data, fam), 2.0)
     x = rng.standard_normal((25, data.p))
     theta, mean = predict(model, x)
     assert theta.shape == mean.shape == (25,)
@@ -507,7 +507,7 @@ def test_imp_without_complete_cases_keeps_every_candidate(rng):
     index = build_pattern_index(data)
     store = CandidateStore(data, BINOMIAL)
     for mode, lam in (("opt1", 2.0), ("opt2", float(np.log(data.n)))):
-        model = fit_imp(store, mode, index=index)
+        model = fit_imp(store, mode)
         assert [c.pattern.indices for c in model.candidates] == [(0, 1), (0, 2)]
         assert model.diagnostics["dropped_candidates"] == []
         filled = CandidateStore(data.filled(), BINOMIAL)
@@ -517,7 +517,7 @@ def test_imp_without_complete_cases_keeps_every_candidate(rng):
         assert np.array_equal(model.beta_combined, combine_coefficients(cands, wfit.weights, 3))
         assert model.criterion_value == wfit.criterion_value
     with pytest.raises(ValueError, match="opt3"):
-        fit_imp(store, "opt3", index=index)
+        fit_imp(store, "opt3")
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ from scipy.special import expit
 
 from fragma.averaging import fit_averaged, predict
 from fragma.baselines import (
+    ALL_METHODS,
     _stratified_folds,
     fit_cc,
     fit_glasso,
     fit_group_lasso_at,
     fit_imp,
+    fit_method,
     fit_smoothed_ic,
     group_lasso_kkt_residual,
     lambda_max_group_lasso,
@@ -59,7 +61,7 @@ def grouped_glm_data(rng, n=60, p=6, n_groups=2, family=BINOMIAL):
 def test_cc_equals_first_candidate_exactly(rng):
     data = random_fragmentary(rng, 80, 4, family="binomial", ensure_full=True)
     index = build_pattern_index(data)
-    res = fit_cc(CandidateStore(data, BINOMIAL), index=index)
+    res = fit_cc(CandidateStore(data, BINOMIAL))
     cand = fit_candidate(data, index.patterns[0], BINOMIAL)
     assert np.array_equal(res.beta_combined[list(cand.pattern.indices)], cand.beta)
     assert res.support == list(cand.pattern.indices)
@@ -208,11 +210,11 @@ def test_imp_modes_share_one_zero_filled_store(rng, monkeypatch):
 
     monkeypatch.setattr(fragma.glm, "fit_glm", counting)
     store = CandidateStore(data, BINOMIAL)
-    imp1 = fit_imp(store, "opt1", index=index)
-    imp2 = fit_imp(store, "opt2", index=index)
+    imp1 = fit_imp(store, "opt1")
+    imp2 = fit_imp(store, "opt2")
     assert len(calls) == index.K
     assert all(c.n_k == data.n for c in imp1.candidates + imp2.candidates)
-    alone = fit_imp(CandidateStore(data, BINOMIAL), "opt2", index=index)
+    alone = fit_imp(CandidateStore(data, BINOMIAL), "opt2")
     assert np.array_equal(alone.beta_combined, imp2.beta_combined)
 
 
@@ -397,3 +399,24 @@ def test_fit_glasso_cv_path_matches_per_fold_oracle(seed):
         beta = fit_group_lasso_at(X, y, BINOMIAL, lam, group_pos, beta0=beta)
     selected = [name for name, g in zip(groups, group_pos) if np.linalg.norm(beta[g]) > 0]
     assert res.diagnostics["selected_groups"] == selected
+
+
+def test_every_method_reads_the_one_pattern_index_of_its_store(monkeypatch):
+    # The index is the store's: built once for all 8 methods, and kept by the
+    # zero-filled store that imp1 and imp2 average on.
+    import fragma.glm
+
+    data, groups = adni_like(seed=0, scale=0.5)
+    calls = []
+    original = fragma.glm.build_pattern_index
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fragma.glm, "build_pattern_index", counting)
+    store = CandidateStore(data, BINOMIAL)
+    for name in ALL_METHODS:
+        fit_method(name, store, groups=groups)
+    assert len(calls) == 1
+    assert store.filled().index is store.index

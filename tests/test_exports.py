@@ -1,6 +1,9 @@
 """The package's public names: every exported name resolves."""
 
+import inspect
+
 import fragma
+from fragma.baselines import fit_method
 
 
 def test_every_exported_name_resolves():
@@ -13,3 +16,15 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from fragma import *", namespace)
     assert set(fragma.__all__) <= set(namespace)
+
+
+def test_no_function_taking_a_store_takes_a_pattern_index():
+    # A method of a run reads its patterns off store.index, so it cannot be
+    # handed the index of other data.
+    offenders = []
+    for f in [getattr(fragma, name) for name in fragma.__all__] + [fit_method]:
+        if inspect.isfunction(f):
+            params = inspect.signature(f).parameters
+            if "store" in params and "index" in params:
+                offenders.append(f.__name__)
+    assert offenders == []

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fragma
-from fragma.averaging import AveragedModel, predict, predict_for_pattern
+from fragma.averaging import AveragedModel, fit_averaged, predict, predict_for_pattern
 from fragma.baselines import fit_cc, fit_imp
 from fragma.cli import main
 from fragma.datasets import adni_like, table1_toy
@@ -665,6 +665,43 @@ def test_cli_predict_saved_imp_model_zero_imputes_every_row(tmp_path, with_train
     # differently by its position in a block, so compare group by group.
     for g in split_rows_by_pattern(np.isfinite(xq)):
         assert np.array_equal(theta[g], predict(model, xq[g])[0])
+
+
+BAD_JSON = [
+    ("model", "invalid-json", lambda m: "{"),
+    ("model", "no-candidates", lambda m: {k: v for k, v in m.items() if k != "candidates"}),
+    ("model", "unknown-family", lambda m: {**m, "family": "weibull"}),
+    ("model", "short-beta", lambda m: {**m, "beta_combined": m["beta_combined"][:-1]}),
+    ("model", "max-iter-float", lambda m: {**m, "fit_options": {"max_iter": 5.5}}),
+    ("model", "weight-short", lambda m: {**m, "weights": m["weights"][:-1]}),
+    ("model", "column-outside",
+     lambda m: {**m, "candidates": [{**m["candidates"][0], "pattern": [0, 99]}]
+                + m["candidates"][1:]}),
+    ("groups", "invalid-json", lambda g: "{"),
+    ("groups", "not-a-list", lambda g: {"groups": {"A": 3}}),
+]
+
+
+@pytest.mark.parametrize(
+    "which, mutate", [(w, f) for w, _, f in BAD_JSON], ids=[f"{w}-{c}" for w, c, _ in BAD_JSON]
+)
+def test_cli_bad_model_or_groups_json_exits_2_naming_the_file(tmp_path, which, mutate):
+    train, q, _ = _saved_model_run(tmp_path, lambda s: fit_averaged(s, "opt1"), slice(0, 5))
+    out = tmp_path / "o"
+    path = tmp_path / f"{which}.json"
+    if which == "model":
+        argv = _predict_argv(tmp_path, q, train, out)
+        bad = mutate(json.loads(path.read_text()))
+    else:
+        argv = ["compare", "--input", str(train), "--response", "y", "--methods", "glasso",
+                "--groups", str(path), "--out", str(out)]
+        bad = mutate({})
+    path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+    assert run_cli(*argv) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "DataError" and error["exit_code"] == 2
+    assert error["message"].startswith(f"{path}: ")
+    assert not (out / "predictions.csv").exists() and not (out / "kl_summary.csv").exists()
 
 
 DEAD_FLAGS = [

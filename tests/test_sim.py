@@ -118,10 +118,10 @@ def test_evaluate_method_perfect_and_unknown():
     data, truth = generate_replication(cfg, 0)
     store, index = rep_stores(data)
     with pytest.raises(ValueError):
-        fit_method("magic", store, index)
+        fit_method("magic", store)
     cc_rows = index.s_sets[0]
     for method in ("opt1", "cc", "saic", "imp1"):
-        model = fit_method(method, store, index)
+        model = fit_method(method, store)
         theta = predict(model, data.x[cc_rows])[0]
         v = kl_loss(theta, truth.mean[cc_rows], BINOMIAL, per_obs=True)
         assert np.isfinite(v) and v >= 0
@@ -143,7 +143,7 @@ def test_imp_takes_a_column_set_every_subject_observes_from_the_store(monkeypatc
 
     monkeypatch.setattr(fragma.glm, "fit_glm", counting)
     for method in ("opt1", "imp1", "imp2"):
-        model = fit_method(method, store, index)
+        model = fit_method(method, store)
     imp = next(c for c in model.candidates if c.pattern.indices == (0,))
     cand = store.fit(intercept)
     assert np.array_equal(imp.beta, cand.beta)
@@ -162,7 +162,7 @@ def test_scoring_by_predict_equals_theta_matrix_route():
         data, _ = generate_replication(cfg, 0)
         store, index = rep_stores(data)
         for method in ("opt1", "opt2", "cc", "saic", "sbic"):
-            model = fit_method(method, store, index)
+            model = fit_method(method, store)
             ctx = build_criterion_context(data, index, model.candidates, BINOMIAL)
             theta = predict(model, data.x[index.s_sets[0]])[0]
             expected = ctx.theta_matrix @ np.asarray(model.weights)
@@ -185,10 +185,10 @@ def test_run_study_records_method_failures_as_nan(monkeypatch):
 
     real = simmod.fit_method
 
-    def flaky(method, store, index, **kw):
+    def flaky(method, store, **kw):
         if method == "cc":
             raise simmod.NumericalError("boom")
-        return real(method, store, index, **kw)
+        return real(method, store, **kw)
 
     monkeypatch.setattr(simmod, "fit_method", flaky)
     cfg = SimConfig(n=200, rho=0.3, reps=2, seed=41, methods=("opt1", "cc"))
