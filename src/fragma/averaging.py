@@ -338,6 +338,19 @@ class AveragedModel:
         outside = [j for j in model.support if not 0 <= j < p]
         if outside:
             raise DataError(f"candidate columns {outside} outside 0..{p - 1}")
+        for k, c in enumerate(model.candidates):
+            if c.beta.shape != (len(c.pattern.indices),):
+                raise DataError(
+                    f"candidate {k}: {c.beta.size} coefficients for {len(c.pattern.indices)} columns"
+                )
+        # Every model the program writes combines its candidates this way,
+        # and JSON floats round-trip exactly.
+        expected = combine_coefficients(model.candidates, model.weights, p)
+        gap = np.max(np.abs(model.beta_combined - expected), initial=0.0)
+        if not gap <= 1e-12 * max(1.0, np.max(np.abs(expected), initial=0.0)):
+            raise DataError(
+                f"beta_combined differs from the weighted candidates by {gap:.3g}"
+            )
         return model
 
 

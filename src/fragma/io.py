@@ -27,6 +27,13 @@ def _parse_cell(raw: str, na_marker: str) -> float:
     )
 
 
+# Characters per block of the plain-file reader (the ``readlines`` hint).
+# A block's cell strings are its transient memory: at 32 KiB they stay
+# below what the per-cell reader holds for a 1,170-row file, and larger
+# blocks parse no faster.
+_BLOCK_CHARS = 1 << 15
+
+
 def read_matrix_csv(path, na_marker: str = "NA") -> tuple[list[str], np.ndarray]:
     """Header plus float matrix; empty cells or the marker become NaN.
 
@@ -34,6 +41,77 @@ def read_matrix_csv(path, na_marker: str = "NA") -> tuple[list[str], np.ndarray]
     (unless it is the marker) is a :class:`~fragma.errors.DataError`, as is
     a ragged row, each naming the offending line.
     """
+    parsed = _read_plain(path, na_marker)
+    return _read_cells(path, na_marker) if parsed is None else parsed
+
+
+def _read_plain(path, na_marker: str) -> tuple[list[str], np.ndarray] | None:
+    r"""The result of :func:`_read_cells`, parsed a block of lines at a time.
+
+    Returns None, possibly after reading part of the file, unless the
+    result is provably the per-cell reader's:
+
+    - no ``"`` anywhere, so ``csv`` splits each line exactly at its commas
+      (read with ``newline=""``, a ``\r`` or ``\n`` only ever ends a line,
+      so dropping them drops line ends), and no line longer than
+      ``csv.field_size_limit()``;
+    - the marker is its own ``strip()`` and not a number, so a cell that
+      ``float()`` reads as finite and that is neither empty nor the marker
+      parses to the same value per cell: ``float()`` accepts only padding
+      that ``str.strip()`` removes, and the stripped text cannot be empty or
+      the marker;
+    - every row has the header's field count, every cell parses, and no
+      cell other than an empty one or the marker reads as ``inf`` or ``nan``.
+
+    Anything else (an error included) is left to the per-cell reader.
+    """
+    try:
+        float(na_marker)
+        return None
+    except ValueError:
+        pass
+    if na_marker != na_marker.strip():
+        return None
+    limit = csv.field_size_limit()
+    na = dict.fromkeys(("", na_marker), "nan")
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        if not first.strip() or '"' in first or len(first) > limit:
+            return None
+        header = [h.strip() for h in first.rstrip("\r\n").split(",")]
+        p = len(header)
+        if len(set(header)) != p:
+            return None
+        blocks = []
+        for lines in iter(lambda: fh.readlines(_BLOCK_CHARS), []):
+            if max(map(len, lines)) > limit:
+                return None
+            # The per-cell reader skips a line with no comma that is blank.
+            rows = [ln for ln in lines if "," in ln or not ln.isspace()]
+            if not rows:
+                continue
+            if any(ln.count(",") != p - 1 for ln in rows):
+                return None
+            body = ",".join(rows)
+            if '"' in body:
+                return None
+            cells = body.replace("\r", "").replace("\n", "").split(",")
+            try:
+                block = np.fromiter(map(float, map(na.get, cells, cells)), float, len(cells))
+            except ValueError:
+                return None
+            if np.isinf(block).any() or np.count_nonzero(np.isnan(block)) != sum(
+                map(cells.count, na)
+            ):
+                return None
+            blocks.append(block)
+    if not blocks:
+        return None
+    return header, np.concatenate(blocks).reshape(-1, p)
+
+
+def _read_cells(path, na_marker: str) -> tuple[list[str], np.ndarray]:
+    """:func:`read_matrix_csv` one ``csv`` row and one cell at a time."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -97,8 +175,8 @@ def read_fragmentary_csv(
 def read_groups_sidecar(path, column_names: list[str]) -> dict[str, list[int]]:
     """Column-group declaration: JSON mapping group name -> list of column names.
 
-    Invalid JSON or any other shape is a :class:`~fragma.errors.DataError`
-    naming ``path``.
+    Invalid JSON or any other shape, an empty group included, is a
+    :class:`~fragma.errors.DataError` naming ``path``.
     """
     with open(path) as fh:
         try:
@@ -115,6 +193,8 @@ def read_groups_sidecar(path, column_names: list[str]) -> dict[str, list[int]]:
     for gname, cols in raw.items():
         if not isinstance(cols, list) or not all(isinstance(c, str) for c in cols):
             raise DataError(f"{path}: group {gname!r} is not a list of column names: {cols!r}")
+        if not cols:
+            raise DataError(f"{path}: group {gname!r} is empty")
         idx = []
         for c in cols:
             if c not in pos:

@@ -679,6 +679,8 @@ BAD_JSON = [
                 + m["candidates"][1:]}),
     ("groups", "invalid-json", lambda g: "{"),
     ("groups", "not-a-list", lambda g: {"groups": {"A": 3}}),
+    ("model", "beta-combined-zero",
+     lambda m: {**m, "beta_combined": [0.0] * len(m["beta_combined"])}),
 ]
 
 
@@ -702,6 +704,36 @@ def test_cli_bad_model_or_groups_json_exits_2_naming_the_file(tmp_path, which, m
     assert error["error"] == "DataError" and error["exit_code"] == 2
     assert error["message"].startswith(f"{path}: ")
     assert not (out / "predictions.csv").exists() and not (out / "kl_summary.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "screen"])
+def test_cli_empty_group_exits_2_naming_the_file(tmp_path, command):
+    data, groups = adni_like(seed=0, scale=0.25)
+    f = tmp_path / "d.csv"
+    dataset_to_csv(data, f)
+    g = tmp_path / "groups.json"
+    named = {n: [data.column_names[j] for j in cols] for n, cols in groups.items()}
+    g.write_text(json.dumps({**named, "EMPTY": []}))
+    out = tmp_path / "o"
+    extra = ["--methods", "glasso"] if command == "compare" else []
+    assert run_cli(command, "--input", str(f), "--response", "y", "--groups", str(g),
+                   "--out", str(out), *extra) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["exit_code"] == 2 and error["message"] == f"{g}: group 'EMPTY' is empty"
+    with pytest.raises(DataError, match="is empty"):
+        read_groups_sidecar(g, data.column_names)
+
+
+def test_model_from_dict_checks_coefficients_against_candidates():
+    data, _ = adni_like(seed=0, scale=0.25)
+    saved = json.loads(json.dumps(fit_averaged(CandidateStore(data, "binomial"), "opt1").to_dict()))
+    assert AveragedModel.from_dict(saved).beta_combined.tolist() == saved["beta_combined"]
+    nudged = [b * (1 + 1e-9) for b in saved["beta_combined"]]
+    with pytest.raises(DataError, match="differs from the weighted candidates"):
+        AveragedModel.from_dict({**saved, "beta_combined": nudged})
+    short = [{**saved["candidates"][0], "beta": saved["candidates"][0]["beta"][:-1]}]
+    with pytest.raises(DataError, match="candidate 0: .* coefficients for"):
+        AveragedModel.from_dict({**saved, "candidates": short + saved["candidates"][1:]})
 
 
 DEAD_FLAGS = [
