@@ -172,6 +172,9 @@ def _kkt_parts(grad, B, norm, blocks: _Blocks, w) -> tuple[np.ndarray, np.ndarra
     return active, violation
 
 
+_GLASSO_TOL = 1e-8  # stationarity tolerance of a group-lasso solve
+
+
 def fit_group_lasso_at(
     X: np.ndarray,
     y: np.ndarray,
@@ -179,7 +182,7 @@ def fit_group_lasso_at(
     lam: float,
     groups: list[np.ndarray],
     beta0: np.ndarray | None = None,
-    tol: float = 1e-8,
+    tol: float = _GLASSO_TOL,
     max_iter: int = 500,
     rows: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -381,17 +384,19 @@ def fit_glasso(store: CandidateStore, groups: dict, seed: int = 0) -> AveragedMo
     must not overlap and should partition the non-intercept columns;
     columns in no group stay unpenalized.  The penalty level is chosen by
     5-fold cross-validated deviance over 50 geometric levels from the
-    all-zero threshold down to 1e-3 of it: each
-    level is one batched :func:`fit_group_lasso_at` call that solves all
-    folds at once, each fold warm-started from its fit at the previous
-    level, and every subject is scored under the fit of the fold that holds
-    it out.  The path on all complete cases is then followed down to the
-    chosen level; the final model is ``store``'s candidate on the selected
+    all-zero threshold down to 1e-3 of it.  Each level is one batched
+    :func:`fit_group_lasso_at` call that solves six problems at once, the
+    five folds and all complete cases, each warm-started from its fit at
+    the previous level; every subject is scored under the fit of the fold
+    that holds it out, and the groups are those of the all-rows fit at the
+    chosen level.  The final model is ``store``'s candidate on the selected
     columns (the store's options also fit the largest level): the GLM on
     every subject that observes them all.
     ``diagnostics`` records the selected groups, the chosen and largest
-    penalty levels, the CV losses and, as ``lambda_max_fit``, the
-    convergence record of the unpenalized fit behind the largest level.
+    penalty levels, the CV losses, as ``lambda_max_fit`` the convergence
+    record of the unpenalized fit behind the largest level and, over the
+    path's 300 solves, the largest KKT residual (``path_kkt_max``) and how
+    many ended above the solver's tolerance (``path_unconverged``).
     """
     data, family = store.data, store.family
     lead = list(store.index.patterns[0].indices)
@@ -422,19 +427,24 @@ def fit_glasso(store: CandidateStore, groups: dict, seed: int = 0) -> AveragedMo
     lambdas = np.geomspace(lam_max, lam_max * _LAMBDA_MIN_RATIO, _N_LAMBDAS)
 
     folds = _stratified_folds(y, _CV_FOLDS, seed)
-    train = folds[:, None] != np.arange(_CV_FOLDS)
+    # one column per CV fold's training rows, then one of all rows (no fold is labelled 5)
+    train = folds[:, None] != np.arange(_CV_FOLDS + 1)
     cv_loss = np.zeros(_N_LAMBDAS)
+    path = np.zeros((_N_LAMBDAS, len(lead)))
+    kkt = np.zeros((_N_LAMBDAS, _CV_FOLDS + 1))
+    root_sizes = np.sqrt(blocks.sizes)
     betas = None
     for i, lam in enumerate(lambdas):
         betas = fit_group_lasso_at(X, y, family, lam, group_pos, beta0=betas, rows=train)
         # every subject is held out by exactly one fold: score it under that fold's fit
         cv_loss[i] = -2.0 * loglik(family, np.sum(X * betas[folds], axis=1), y)
+        path[i] = betas[_CV_FOLDS]
+        # each solution's KKT residual, as the solver measures it
+        grad = np.where(train.T, family.b_prime(betas @ X.T) - y, 0.0) @ X / family.phi
+        G, B = grad[:, blocks.order], betas[:, blocks.order]
+        kkt[i] = np.maximum(*_kkt_parts(G, B, blocks.norms(B), blocks, lam * root_sizes))
     best = int(np.argmin(cv_loss))
-
-    beta = None
-    for lam in lambdas[: best + 1]:
-        beta = fit_group_lasso_at(X, y, family, lam, group_pos, beta0=beta)
-    kept = blocks.norms(beta[None, blocks.order]) > 0.0
+    kept = blocks.norms(path[best][None, blocks.order]) > 0.0
     selected_groups = [name for name, k in zip(group_names, kept[0]) if k]
     selected_cols = [lead[t] for t in np.sort(blocks.order[blocks.spread(kept, fill=True)[0]])]
     if not selected_cols:
@@ -450,6 +460,8 @@ def fit_glasso(store: CandidateStore, groups: dict, seed: int = 0) -> AveragedMo
             "lambda_max": float(lam_max),
             "lambda_max_fit": lam_max_fit,
             "cv_loss": cv_loss.tolist(),
+            "path_kkt_max": float(kkt.max()),
+            "path_unconverged": int(np.count_nonzero(kkt > _GLASSO_TOL)),
             "n_refit": cand.n_k,
         },
     )

@@ -3,7 +3,8 @@
 Every subcommand writes a ``config.json`` into its output directory that
 records the resolved arguments and the package version; no subcommand
 reads it back.  Exit codes: 0 success, 1 numerical failure, 2 input error
-(such as an unknown or empty method list).  ``compare`` and ``simulate``
+(such as an unknown or empty method list, or a path that cannot be opened
+as the file or directory it should be).  ``compare`` and ``simulate``
 fit every method through :func:`~fragma.baselines.fit_method` and write
 their fit records and failures to ``diagnostics.json``.
 """
@@ -206,7 +207,7 @@ def cmd_predict(args) -> int:
         with open(args.model) as fh:
             saved = json.load(fh)
         model = AveragedModel.from_dict(saved)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{args.model}: invalid JSON: {exc}") from exc
     except DataError as exc:
         raise DataError(f"{args.model}: {exc}") from exc
@@ -498,7 +499,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         return _emit_error(args, exc, 2)
     except (NumericalError, ValueError) as exc:
         return _emit_error(args, exc, 1)

@@ -39,9 +39,14 @@ def read_matrix_csv(path, na_marker: str = "NA") -> tuple[list[str], np.ndarray]
 
     Every other cell must be a finite number: ``inf``, ``-inf`` or ``nan``
     (unless it is the marker) is a :class:`~fragma.errors.DataError`, as is
-    a ragged row, each naming the offending line.
+    a ragged row, each naming the offending line.  So is a file that does
+    not decode as text or that ``csv`` rejects (a cell longer than
+    ``csv.field_size_limit()``), naming ``path``.
     """
-    parsed = _read_plain(path, na_marker)
+    try:
+        parsed = _read_plain(path, na_marker)
+    except UnicodeDecodeError:
+        parsed = None  # the per-cell reader names the file
     return _read_cells(path, na_marker) if parsed is None else parsed
 
 
@@ -112,27 +117,32 @@ def _read_plain(path, na_marker: str) -> tuple[list[str], np.ndarray] | None:
 
 def _read_cells(path, na_marker: str) -> tuple[list[str], np.ndarray]:
     """:func:`read_matrix_csv` one ``csv`` row and one cell at a time."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: file is empty")
-        if len(set(header)) != len(header):
-            raise DataError(f"{path}: duplicate column names in header")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: ragged row at line {lineno}: expected "
-                    f"{len(header)} fields, got {len(row)}"
-                )
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                rows.append([_parse_cell(v, na_marker) for v in row])
-            except DataError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}")
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise DataError(f"{path}: file is empty")
+            if len(set(header)) != len(header):
+                raise DataError(f"{path}: duplicate column names in header")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and row[0].strip() == ""):
+                    continue
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}: ragged row at line {lineno}: expected "
+                        f"{len(header)} fields, got {len(row)}"
+                    )
+                try:
+                    rows.append([_parse_cell(v, na_marker) for v in row])
+                except DataError as exc:
+                    raise DataError(f"{path}: line {lineno}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: no data rows")
     return header, np.asarray(rows, dtype=float)
@@ -181,7 +191,7 @@ def read_groups_sidecar(path, column_names: list[str]) -> dict[str, list[int]]:
     with open(path) as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(raw, dict) and "groups" in raw:
         raw = raw["groups"]

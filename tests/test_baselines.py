@@ -401,6 +401,64 @@ def test_fit_glasso_cv_path_matches_per_fold_oracle(seed):
     assert res.diagnostics["selected_groups"] == selected
 
 
+def _counting_group_lasso(monkeypatch, **overrides):
+    """Wrap ``fragma.baselines.fit_group_lasso_at``; return the list of its ``rows`` masks."""
+    import fragma.baselines
+
+    masks = []
+    original = fragma.baselines.fit_group_lasso_at
+
+    def counting(*args, **kwargs):
+        masks.append(kwargs.get("rows"))
+        return original(*args, **{**kwargs, **overrides})
+
+    monkeypatch.setattr(fragma.baselines, "fit_group_lasso_at", counting)
+    return masks
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fit_glasso_solves_the_all_rows_path_in_the_cv_batch(seed, monkeypatch):
+    data, groups = adni_like(seed=seed)
+    masks = _counting_group_lasso(monkeypatch)
+    fit_glasso(CandidateStore(data, BINOMIAL), groups, seed=seed)
+    # one call per penalty level: five CV folds plus all complete cases
+    n_cc = build_pattern_index(data).s_sets[0].size
+    assert len(masks) == 50
+    assert all(m is not None and m.shape == (n_cc, 6) for m in masks)
+    assert masks[0][:, 5].all() and not masks[0][:, :5].all(axis=0).any()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fit_glasso_reports_the_path_kkt_residuals(seed):
+    data, groups = adni_like(seed=seed)
+    res = fit_glasso(CandidateStore(data, BINOMIAL), groups, seed=seed)
+    kkt_max = res.diagnostics["path_kkt_max"]
+    assert res.diagnostics["path_unconverged"] == 0
+    assert 0.0 <= kkt_max <= 1e-8
+    # the all-rows solution at the chosen level is one of the path's solves
+    index = build_pattern_index(data)
+    lead = list(index.patterns[0].indices)
+    X = data.x[np.ix_(index.s_sets[0], lead)]
+    y = data.y[index.s_sets[0]]
+    group_pos = [np.array([lead.index(j) for j in cols]) for cols in groups.values()]
+    lam_max = res.diagnostics["lambda_max"]
+    beta = None
+    for lam in np.geomspace(lam_max, lam_max * 1e-3, 50):
+        beta = fit_group_lasso_at(X, y, BINOMIAL, lam, group_pos, beta0=beta)
+        if lam == res.diagnostics["lambda"]:
+            break
+    chosen = group_lasso_kkt_residual(X, y, BINOMIAL, beta, res.diagnostics["lambda"], group_pos)
+    assert kkt_max >= chosen - 1e-12
+
+
+def test_fit_glasso_reports_an_unconverged_path(monkeypatch):
+    data, groups = adni_like(seed=0)
+    _counting_group_lasso(monkeypatch, max_iter=1)
+    res = fit_glasso(CandidateStore(data, BINOMIAL), groups)
+    assert res.diagnostics["path_unconverged"] > 0
+    assert res.diagnostics["path_kkt_max"] > 1e-8
+
+
 def test_every_method_reads_the_one_pattern_index_of_its_store(monkeypatch):
     # The index is the store's: built once for all 8 methods, and kept by the
     # zero-filled store that imp1 and imp2 average on.

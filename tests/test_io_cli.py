@@ -724,6 +724,60 @@ def test_cli_empty_group_exits_2_naming_the_file(tmp_path, command):
         read_groups_sidecar(g, data.column_names)
 
 
+@pytest.mark.parametrize("case", ["not-utf8", "oversized-cell", "input-directory"])
+def test_cli_unreadable_csv_exits_2_naming_the_file(tmp_path, case):
+    f = tmp_path / "d.csv"
+    if case == "not-utf8":
+        f.write_bytes(b"y,a\n1,\xff\n0,2\n")
+    elif case == "oversized-cell":
+        f.write_text("y,a\n1," + "1" * 140_000 + "\n0,2\n")
+    else:
+        f.mkdir()
+    out = tmp_path / "o"
+    assert run_cli("fit", "--input", str(f), "--response", "y", "--out", str(out)) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["exit_code"] == 2 and str(f) in error["message"]
+    if case != "input-directory":
+        assert error["error"] == "DataError" and error["message"].startswith(f"{f}: ")
+    assert not (out / "model.json").exists()
+
+
+def test_cli_out_an_existing_file_exits_2_naming_it(tmp_path, capsys):
+    f = tmp_path / "d.csv"
+    f.write_text("y,a\n1,0.5\n0,-0.2\n1,1.5\n0,0.1\n")
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    assert run_cli("fit", "--input", str(f), "--response", "y", "--out", str(out)) == 2
+    # no output directory to hold error.json: the JSON line on stderr is the record
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["exit_code"] == 2 and str(out) in error["message"]
+    assert out.read_text() == "keep"
+
+
+@pytest.mark.parametrize("which", ["groups", "model"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_cli_unreadable_sidecar_exits_2_naming_it(tmp_path, which, kind):
+    data, _ = adni_like(seed=0, scale=0.25)
+    f = tmp_path / "d.csv"
+    dataset_to_csv(data, f)
+    side = tmp_path / f"{which}.json"
+    if kind == "directory":
+        side.mkdir()
+    else:
+        side.write_bytes(b'{"A": ["\xff"]}')
+    if which == "groups":
+        argv = ["compare", "--input", str(f), "--response", "y", "--methods", "glasso",
+                "--groups", str(side)]
+    else:
+        argv = ["predict", "--model", str(side), "--input", str(f)]
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["exit_code"] == 2 and str(side) in error["message"]
+    if kind == "not-utf8":
+        assert error["message"].startswith(f"{side}: invalid JSON: ")
+
+
 def test_model_from_dict_checks_coefficients_against_candidates():
     data, _ = adni_like(seed=0, scale=0.25)
     saved = json.loads(json.dumps(fit_averaged(CandidateStore(data, "binomial"), "opt1").to_dict()))
