@@ -19,7 +19,6 @@ from .averaging import (
     criterion_gradient,
     fit_averaged,
     kl_loss,
-    lambda_default,
     optimize_weights,
     predict,
     predict_for_pattern,
@@ -93,7 +92,6 @@ __all__ = [
     "generate_replication",
     "get_family",
     "kl_loss",
-    "lambda_default",
     "loglik",
     "optimize_weights",
     "predict",

@@ -365,21 +365,19 @@ def combine_coefficients(
     return beta
 
 
-def lambda_default(mode: str, n_1: int) -> float:
-    """Penalty level: 2 for ``opt1``, log(n_1) for ``opt2``."""
-    if n_1 < 1:
-        raise ValueError("n_1 must be at least 1")
-    if mode == "opt1":
-        return 2.0
-    if mode == "opt2":
-        return float(np.log(n_1))
-    raise DataError(f"unknown lambda mode {mode!r}; choose 'opt1' or 'opt2'")
-
-
 def resolve_lambda(lambda_n, n_1: int) -> float:
-    """Accept a nonnegative float or one of the named modes; anything else is a DataError."""
+    """Penalty level: 2 for ``opt1``, log(n_1) for ``opt2``, else a nonnegative float.
+
+    An unknown mode or any other value is a DataError.
+    """
     if isinstance(lambda_n, str):
-        return lambda_default(lambda_n, n_1)
+        if n_1 < 1:
+            raise ValueError("n_1 must be at least 1")
+        if lambda_n == "opt1":
+            return 2.0
+        if lambda_n == "opt2":
+            return float(np.log(n_1))
+        raise DataError(f"unknown lambda mode {lambda_n!r}; choose 'opt1' or 'opt2'")
     value = float(lambda_n)
     if not 0 <= value < np.inf:
         raise DataError(f"lambda_n must be a nonnegative finite number, got {value!r}")

@@ -476,13 +476,16 @@ DEFAULT_METHODS = ALL_METHODS[:-1]  # glasso needs column groups
 
 
 def check_methods(methods) -> tuple[str, ...]:
-    """The method names as a tuple; an empty list or an unknown name is a DataError."""
+    """The method names as a tuple; no name, an unknown or a repeated one is a DataError."""
     methods = tuple(methods)
     if not methods:
         raise DataError(f"no method given; choose from {ALL_METHODS}")
     unknown = sorted(set(methods) - set(ALL_METHODS))
     if unknown:
         raise DataError(f"unknown methods {unknown}; choose from {ALL_METHODS}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise DataError(f"methods named more than once: {repeated}")
     return methods
 
 

@@ -3,10 +3,11 @@
 Every subcommand writes a ``config.json`` into its output directory that
 records the resolved arguments and the package version; no subcommand
 reads it back.  Exit codes: 0 success, 1 numerical failure, 2 input error
-(such as an unknown or empty method list, or a path that cannot be opened
-as the file or directory it should be).  ``compare`` and ``simulate``
-fit every method through :func:`~fragma.baselines.fit_method` and write
-their fit records and failures to ``diagnostics.json``.
+(such as an unknown, repeated or empty method list, a response outside
+the family's support, or a path that cannot be opened as the file or
+directory it should be).  ``compare`` and ``simulate`` fit every method
+through :func:`~fragma.baselines.fit_method` and write their fit records
+and failures to ``diagnostics.json``.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .averaging import (
 )
 from .baselines import DEFAULT_METHODS, check_methods, fit_method
 from .errors import DataError, NumericalError
-from .glm import CandidateStore, FitOptions
+from .glm import FAMILIES, CandidateStore, FitOptions
 from .io import (
+    NA_MARKER,
     format_cell,
     read_fragmentary_csv,
     read_groups_sidecar,
@@ -38,7 +40,7 @@ from .io import (
 )
 from .patterns import FragmentaryDataset, build_pattern_index, split_rows_by_pattern
 from .screening import screen_groups
-from .sim import SimConfig, run_study
+from .sim import BETA_CASES, SimConfig, run_study
 
 
 def _out_dir(args) -> Path:
@@ -269,6 +271,8 @@ def cmd_compare(args) -> int:
     data = read_fragmentary_csv(
         args.input, args.response, args.na_marker, args.add_intercept
     )
+    # before the split, so that an error names the input's rows
+    FAMILIES[args.family].check_response(data.y)
     methods = check_methods(_parse_methods(args.methods))
     groups = None
     if args.groups:
@@ -411,26 +415,24 @@ def build_parser() -> argparse.ArgumentParser:
     fitlike.add_argument("--input", required=True, help="pattern-structured CSV")
     fitlike.add_argument("--response", required=True, help="response column name")
     fitlike.add_argument("--add-intercept", action="store_true", dest="add_intercept")
-    fitlike.add_argument("--na-marker", default="NA", dest="na_marker")
-    fitlike.add_argument(
-        "--family", default="binomial", choices=["binomial", "gaussian", "poisson"]
-    )
+    fitlike.add_argument("--na-marker", default=NA_MARKER, dest="na_marker")
+    fitlike.add_argument("--family", default="binomial", choices=sorted(FAMILIES))
     fitlike.add_argument(
         "--max-iter",
         type=int,
-        default=100,
+        default=FitOptions.max_iter,
         dest="max_iter",
         help="cap on IRLS iterations per GLM fit; a fit stopped by it is not converged",
     )
     fitlike.add_argument(
         "--grad-tol",
         type=float,
-        default=1e-8,
+        default=FitOptions.grad_tol,
         dest="grad_tol",
         help="early stop once max|score| falls to this value; fits also stop "
         "when the Newton decrement reaches the log-likelihood's roundoff",
     )
-    fitlike.add_argument("--ridge", type=float, default=1e-8)
+    fitlike.add_argument("--ridge", type=float, default=FitOptions.ridge)
 
     p_fit = sub.add_parser("fit", parents=[common, fitlike], help="fit an averaged model")
     p_fit.add_argument(
@@ -449,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pred.add_argument("--response", default=None, help="response column of --train")
     p_pred.add_argument("--add-intercept", action="store_true", dest="add_intercept")
-    p_pred.add_argument("--na-marker", default="NA", dest="na_marker")
+    p_pred.add_argument("--na-marker", default=NA_MARKER, dest="na_marker")
     p_pred.set_defaults(func=cmd_predict)
 
     p_cmp = sub.add_parser(
@@ -462,13 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_sim = sub.add_parser("simulate", parents=[common], help="run the Monte Carlo study")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--n", type=int, default=400)
-    p_sim.add_argument("--rho", type=float, default=0.3)
+    p_sim.add_argument("--seed", type=int, default=SimConfig.seed)
+    p_sim.add_argument("--n", type=int, default=SimConfig.n)
+    p_sim.add_argument("--rho", type=float, default=SimConfig.rho)
     p_sim.add_argument(
-        "--beta-case", default="decay", choices=["decay", "flat", "rise"], dest="beta_case"
+        "--beta-case", default=SimConfig.beta_case, choices=BETA_CASES, dest="beta_case"
     )
-    p_sim.add_argument("--reps", type=int, default=50)
+    p_sim.add_argument("--reps", type=int, default=SimConfig.reps)
     p_sim.add_argument("--methods", default=",".join(DEFAULT_METHODS))
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -479,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scr.add_argument("--response", required=True)
     p_scr.add_argument("--groups", required=True, help="JSON sidecar of column groups")
     p_scr.add_argument("--keep", type=int, default=10)
-    p_scr.add_argument("--na-marker", default="NA", dest="na_marker")
+    p_scr.add_argument("--na-marker", default=NA_MARKER, dest="na_marker")
     p_scr.set_defaults(func=cmd_screen)
     return parser
 

@@ -37,6 +37,17 @@ class ExponentialFamily:
     b_double_prime: callable
     phi: float = 1.0
     theta_from_mean: callable = None  # canonical link, mean -> theta
+    support: tuple[float, float] = (-np.inf, np.inf)  # closed interval of the response
+
+    def check_response(self, y: np.ndarray) -> None:
+        """Reject responses outside ``support``, naming their data rows."""
+        lo, hi = self.support
+        bad = np.flatnonzero((y < lo) | (y > hi))
+        if bad.size:
+            raise DataError(
+                f"response outside the {self.name} support [{lo:g}, {hi:g}] "
+                f"at data rows {bad.tolist()}"
+            )
 
 
 def _binomial_b(theta):
@@ -55,6 +66,7 @@ BINOMIAL = ExponentialFamily(
     b_double_prime=_binomial_var,
     phi=1.0,
     theta_from_mean=lambda mu: np.log(mu) - np.log1p(-mu),
+    support=(0.0, 1.0),
 )
 
 GAUSSIAN = ExponentialFamily(
@@ -73,6 +85,7 @@ POISSON = ExponentialFamily(
     b_double_prime=np.exp,
     phi=1.0,
     theta_from_mean=np.log,
+    support=(0.0, np.inf),
 )
 
 FAMILIES = {f.name: f for f in (BINOMIAL, GAUSSIAN, POISSON)}
@@ -397,12 +410,14 @@ class CandidateStore:
     whichever pattern index asks for it, so fits are keyed by C and shared
     by the main model, sub-pattern refits and baselines.  ``family`` is a
     name or an :class:`ExponentialFamily`; ``opts`` defaults to
-    :class:`FitOptions`.
+    :class:`FitOptions`.  A response outside the family's support is a
+    :class:`~fragma.errors.DataError`.
     """
 
     def __init__(self, data: FragmentaryDataset, family, opts: FitOptions | None = None):
         self.data = data
         self.family = get_family(family)
+        self.family.check_response(data.y)
         self.opts = opts or FitOptions()
         self._fits: dict[tuple[int, ...], CandidateModel] = {}
         self._source: CandidateStore | None = None  # the store this one zero-fills

@@ -11,6 +11,8 @@ import numpy as np
 from .errors import DataError
 from .patterns import FragmentaryDataset
 
+NA_MARKER = "NA"  # the default text of a missing cell
+
 
 def _parse_cell(raw: str, na_marker: str) -> float:
     v = raw.strip()
@@ -34,7 +36,7 @@ def _parse_cell(raw: str, na_marker: str) -> float:
 _BLOCK_CHARS = 1 << 15
 
 
-def read_matrix_csv(path, na_marker: str = "NA") -> tuple[list[str], np.ndarray]:
+def read_matrix_csv(path, na_marker: str = NA_MARKER) -> tuple[list[str], np.ndarray]:
     """Header plus float matrix; empty cells or the marker become NaN.
 
     Every other cell must be a finite number: ``inf``, ``-inf`` or ``nan``
@@ -151,7 +153,7 @@ def _read_cells(path, na_marker: str) -> tuple[list[str], np.ndarray]:
 def read_fragmentary_csv(
     path,
     response: str,
-    na_marker: str = "NA",
+    na_marker: str = NA_MARKER,
     add_intercept: bool = False,
 ) -> FragmentaryDataset:
     """Load a pattern-structured CSV into a :class:`FragmentaryDataset`.
@@ -226,5 +228,5 @@ def write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def format_cell(v: float, na_marker: str = "NA") -> str:
+def format_cell(v: float, na_marker: str = NA_MARKER) -> str:
     return na_marker if not np.isfinite(v) else repr(float(v))

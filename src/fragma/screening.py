@@ -27,7 +27,7 @@ def pairwise_correlation(data: FragmentaryDataset, j: int) -> float:
 
 
 def screen_groups(
-    data: FragmentaryDataset, groups: dict[str, list[int]], keep: int = 10
+    data: FragmentaryDataset, groups: dict[str, list[int]], keep: int
 ) -> dict[str, list[tuple[int, float]]]:
     """Keep the ``keep`` columns most correlated with the response, per group.
 

@@ -45,8 +45,8 @@ def beta_vector(case: str, p: int) -> np.ndarray:
 class SimConfig:
     """One simulation cell."""
 
+    p = 1 + N_GROUPS * GROUP_WIDTH + 1  # not a field: intercept, groups, withheld covariate
     n: int = 400
-    p: int = 14
     beta_case: str = "decay"
     rho: float = 0.3
     reps: int = 50
@@ -96,7 +96,7 @@ def _rep_rng(seed: int, rep: int, attempt: int = 0) -> np.random.Generator:
     )
 
 
-def sim_groups(p: int = 14) -> dict[str, list[int]]:
+def sim_groups() -> dict[str, list[int]]:
     """The three availability groups as 0-based column index lists."""
     groups = {}
     for s in range(N_GROUPS):
@@ -157,7 +157,7 @@ def run_study(cfg: SimConfig) -> SimResult:
     cc_frac = np.zeros(cfg.reps)
     diagnostics: dict = {"regenerated": 0, "failures": [], "kkt_residuals": []}
 
-    groups = sim_groups(cfg.p)
+    groups = sim_groups()
     min_cc = cfg.p - 1  # leading pattern has p - 1 columns
     for rep in range(cfg.reps):
         attempt = 0

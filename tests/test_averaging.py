@@ -13,7 +13,6 @@ from fragma.averaging import (
     fit_averaged,
     kkt_residual,
     kl_loss,
-    lambda_default,
     optimize_weights,
     predict,
     predict_for_pattern,
@@ -556,10 +555,10 @@ def test_kl_loss_clamps_extreme_means():
 
 
 def test_lambda_default():
-    assert lambda_default("opt1", 17) == 2.0
-    assert lambda_default("opt2", 1) == 0.0
-    assert np.isclose(lambda_default("opt2", 409), 6.0137, atol=5e-5)
+    assert resolve_lambda("opt1", 17) == 2.0
+    assert resolve_lambda("opt2", 1) == 0.0
+    assert np.isclose(resolve_lambda("opt2", 409), 6.0137, atol=5e-5)
     with pytest.raises(ValueError):
-        lambda_default("opt3", 10)
+        resolve_lambda("opt3", 10)
     assert resolve_lambda("opt2", 10) == pytest.approx(np.log(10))
     assert resolve_lambda(3.5, 10) == 3.5

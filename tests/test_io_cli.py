@@ -864,3 +864,108 @@ def _unread_flags():
 
 def test_cli_every_flag_is_read_by_its_subcommand():
     assert _unread_flags() == []
+
+
+def _subparser(name):
+    from fragma import cli
+
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return sub.choices[name]
+
+
+def _option(parser, flag):
+    return next(a for a in parser._actions if flag in a.option_strings)
+
+
+def test_cli_defaults_and_choices_are_the_library_declarations():
+    from fragma.glm import FAMILIES
+    from fragma.io import NA_MARKER
+    from fragma.sim import BETA_CASES, SimConfig
+
+    for command in ("fit", "compare"):
+        parser = _subparser(command)
+        for flag, field in [("--max-iter", "max_iter"), ("--grad-tol", "grad_tol"),
+                            ("--ridge", "ridge")]:
+            assert _option(parser, flag).default == getattr(FitOptions(), field)
+        assert list(_option(parser, "--family").choices) == sorted(FAMILIES)
+    for command in ("fit", "predict", "compare", "screen"):
+        assert _option(_subparser(command), "--na-marker").default == NA_MARKER
+    sim = _subparser("simulate")
+    for flag in ("--n", "--rho", "--reps", "--seed", "--beta-case"):
+        field = flag[2:].replace("-", "_")
+        assert _option(sim, flag).default == getattr(SimConfig(), field)
+    assert tuple(_option(sim, "--beta-case").choices) == BETA_CASES
+
+    with pytest.raises(TypeError):
+        SimConfig(p=10)
+    assert SimConfig().p == 14
+
+
+def _fully_observed_csv(path, y):
+    x = np.random.default_rng(5).standard_normal((len(y), 2))
+    rows = [["y", "a", "b"]] + [
+        [repr(float(y[i])), repr(float(x[i, 0])), repr(float(x[i, 1]))] for i in range(len(y))
+    ]
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+
+
+@pytest.mark.parametrize(
+    "family, y, bad",
+    [
+        ("binomial", [2.0, 3.0] * 20, list(range(40))),
+        ("poisson", [-1.0] + [0.0, 1.0, 2.0, 3.0] * 10, [0]),
+    ],
+    ids=["binomial-2-3", "poisson-negative"],
+)
+def test_cli_fit_response_outside_the_family_support_exits_2(tmp_path, family, y, bad):
+    f = tmp_path / "d.csv"
+    _fully_observed_csv(f, y)
+    out = tmp_path / "o"
+    argv = ["fit", "--input", str(f), "--response", "y", "--add-intercept"]
+    assert run_cli(*argv, "--family", family, "--out", str(out)) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "DataError"
+    assert error["message"].startswith(f"response outside the {family} support")
+    assert error["message"].endswith(f"at data rows {bad}")
+    assert not (out / "model.json").exists()
+    assert run_cli(*argv, "--family", "gaussian", "--out", str(tmp_path / "g")) == 0
+
+
+def test_cli_compare_response_outside_the_support_in_the_test_split_exits_2(tmp_path):
+    from fragma.cli import _split_by_pattern
+    from fragma.patterns import build_pattern_index
+
+    data, _ = adni_like(seed=6, scale=0.1)
+    test_rows = _split_by_pattern(build_pattern_index(data), 0.75, np.random.default_rng(0))[1]
+    bad = int(test_rows[0])
+    data.y[bad] = 2.0
+    f = tmp_path / "d.csv"
+    dataset_to_csv(data, f)
+    out = tmp_path / "o"
+    assert run_cli(
+        "compare", "--input", str(f), "--response", "y", "--methods", "opt1,cc",
+        "--out", str(out),
+    ) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "DataError"
+    assert error["message"].endswith(f"at data rows [{bad}]")
+    assert not (out / "kl_summary.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_cli_repeated_method_exits_2_naming_it(tmp_path, command):
+    argv = [command, "--methods", "opt1,cc,opt1"]
+    if command == "compare":
+        data, _ = adni_like(seed=6, scale=0.1)
+        f = tmp_path / "d.csv"
+        dataset_to_csv(data, f)
+        argv += ["--input", str(f), "--response", "y"]
+    else:
+        argv += ["--n", "200", "--reps", "1"]
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "DataError" and "['opt1']" in error["message"]
+    assert not (out / "kl_per_rep.csv").exists() and not (out / "kl_summary.csv").exists()

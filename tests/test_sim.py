@@ -32,7 +32,7 @@ def test_beta_cases():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SimConfig(n=10, p=14)
+        SimConfig(n=10)
     with pytest.raises(ValueError):
         SimConfig(rho=1.0)
     with pytest.raises(ValueError):
