@@ -10,6 +10,7 @@ by predictive deviance.  The same protocol is available from the shell:
 
 import numpy as np
 
+from fragma.averaging import predict
 from fragma.baselines import ALL_METHODS, fit_method
 from fragma.datasets import adni_like
 from fragma.glm import BINOMIAL, CandidateStore
@@ -41,7 +42,6 @@ print(f"train {train.n} / test {test.n} subjects")
 store = CandidateStore(train, BINOMIAL)
 lead = list(store.index.patterns[0].indices)
 eval_rows = np.flatnonzero(test.mask[:, lead].all(axis=1))
-X_eval = test.x[np.ix_(eval_rows, lead)]
 y_eval = test.y[eval_rows]
 print(f"evaluating on {eval_rows.size} held-out complete cases\n")
 
@@ -54,5 +54,5 @@ fits = {m: fit_method(m, store, groups=groups, seed=7) for m in ALL_METHODS}
 
 print(f"{'method':8s}  test deviance per obs")
 for name, fit in fits.items():
-    theta = X_eval @ fit.beta_combined[lead]
+    theta = predict(fit, test.x[eval_rows])[0]
     print(f"{name:8s}  {deviance(theta):.4f}")

@@ -13,7 +13,6 @@ from .averaging import (
     AveragedModel,
     CriterionContext,
     WeightFit,
-    WeightVector,
     build_criterion_context,
     criterion,
     criterion_gradient,
@@ -76,7 +75,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "WeightFit",
-    "WeightVector",
     "build_criterion_context",
     "build_pattern_index",
     "cc_fraction",

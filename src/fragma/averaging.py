@@ -27,34 +27,6 @@ ACTIVE_TOL = 1e-10
 
 
 @dataclass
-class WeightVector:
-    """Nonnegative weights summing to one (renormalized on construction)."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float).ravel()
-        if w.size == 0:
-            raise DataError("weight vector is empty")
-        if np.min(w) < -1e-9:
-            raise DataError(f"negative weight {np.min(w):.3e}")
-        w = np.maximum(w, 0.0)
-        total = w.sum()
-        if not np.isfinite(total) or total <= 0:
-            raise DataError("weights must have a positive finite sum")
-        self.w = w / total
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.w, dtype=dtype)
-
-    def __len__(self):
-        return self.w.size
-
-    def __getitem__(self, i):
-        return self.w[i]
-
-
-@dataclass
 class CriterionContext:
     """Everything the weight criterion needs, frozen after construction.
 
@@ -173,7 +145,7 @@ _KKT_TOL = 1e-7
 class WeightFit:
     """Result of the weight optimization."""
 
-    weights: WeightVector
+    weights: np.ndarray
     criterion_value: float
     kkt_residual: float
     converged: bool
@@ -262,7 +234,7 @@ def optimize_weights(ctx: CriterionContext, lambda_n: float) -> WeightFit:
         res = kkt_residual(w, g)
 
     return WeightFit(
-        weights=WeightVector(w),
+        weights=w,
         criterion_value=f,
         kkt_residual=res,
         converged=bool(res <= _KKT_TOL),
@@ -273,22 +245,35 @@ def optimize_weights(ctx: CriterionContext, lambda_n: float) -> WeightFit:
 
 @dataclass
 class AveragedModel:
-    """Candidate set, weights and the combined coefficient vector.
+    """Candidate set and simplex weights; ``beta_combined`` is derived from them.
 
-    The averaged fit and every baseline return one.  ``lambda_n`` and
+    The averaged fit and every baseline return one.  The weights are one
+    nonnegative number per candidate summing to one within 1e-12, never
+    clipped or renormalized; anything else is a DataError.  ``lambda_n`` and
     ``criterion_value`` are set where a penalized criterion chose the
     weights; a ``zero_impute`` model zero-fills unobserved query cells.
     """
 
     candidates: list[CandidateModel]
-    weights: WeightVector
-    beta_combined: np.ndarray
+    weights: np.ndarray
     family: ExponentialFamily
     column_names: list[str]
     lambda_n: float | None = None
     criterion_value: float | None = None
     zero_impute: bool = False
     diagnostics: dict = field(default_factory=dict)
+    beta_combined: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        w = self.weights = np.asarray(self.weights, dtype=float)
+        K = len(self.candidates)
+        if w.shape != (K,):
+            raise DataError(f"{w.size} weights for {K} candidates")
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):
+            raise DataError(
+                f"weights off the simplex: minimum {w.min(initial=np.inf):.3g}, sum {w.sum():.17g}"
+            )
+        self.beta_combined = combine_coefficients(self.candidates, w, len(self.column_names))
 
     @property
     def support(self) -> list[int]:
@@ -305,7 +290,7 @@ class AveragedModel:
             "lambda_n": self.lambda_n,
             "criterion_value": self.criterion_value,
             **({"zero_impute": True} if self.zero_impute else {}),
-            "weights": np.asarray(self.weights).tolist(),
+            "weights": self.weights.tolist(),
             "beta_combined": self.beta_combined.tolist(),
             "candidates": [c.to_dict() for c in self.candidates],
             "diagnostics": self.diagnostics,
@@ -315,10 +300,19 @@ class AveragedModel:
     def from_dict(cls, d: dict) -> "AveragedModel":
         """The model :meth:`to_dict` wrote; a malformed or inconsistent one is a DataError."""
         try:
+            candidates = [CandidateModel.from_dict(c) for c in d["candidates"]]
+            p = len(d["column_names"])
+            outside = sorted({j for c in candidates for j in c.pattern.indices if not 0 <= j < p})
+            if outside:
+                raise DataError(f"candidate columns {outside} outside 0..{p - 1}")
+            for k, c in enumerate(candidates):
+                if c.beta.shape != (len(c.pattern.indices),):
+                    raise DataError(
+                        f"candidate {k}: {c.beta.size} coefficients for {len(c.pattern.indices)} columns"
+                    )
             model = cls(
-                candidates=[CandidateModel.from_dict(c) for c in d["candidates"]],
-                weights=WeightVector(np.asarray(d["weights"], dtype=float)),
-                beta_combined=np.asarray(d["beta_combined"], dtype=float),
+                candidates=candidates,
+                weights=d["weights"],
                 family=get_family(d["family"]),
                 column_names=list(d["column_names"]),
                 lambda_n=d.get("lambda_n"),
@@ -326,27 +320,17 @@ class AveragedModel:
                 zero_impute=bool(d.get("zero_impute", False)),
                 diagnostics=dict(d.get("diagnostics", {})),
             )
+            saved = np.asarray(d["beta_combined"], dtype=float)
         except KeyError as exc:
             raise DataError(f"missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise DataError(str(exc)) from exc
-        p, K = len(model.column_names), len(model.candidates)
-        if len(model.weights) != K:
-            raise DataError(f"{len(model.weights)} weights for {K} candidates")
-        if model.beta_combined.shape != (p,):
-            raise DataError(f"{model.beta_combined.size} beta_combined entries for {p} columns")
-        outside = [j for j in model.support if not 0 <= j < p]
-        if outside:
-            raise DataError(f"candidate columns {outside} outside 0..{p - 1}")
-        for k, c in enumerate(model.candidates):
-            if c.beta.shape != (len(c.pattern.indices),):
-                raise DataError(
-                    f"candidate {k}: {c.beta.size} coefficients for {len(c.pattern.indices)} columns"
-                )
+        if saved.shape != (p,):
+            raise DataError(f"{saved.size} beta_combined entries for {p} columns")
         # Every model the program writes combines its candidates this way,
         # and JSON floats round-trip exactly.
-        expected = combine_coefficients(model.candidates, model.weights, p)
-        gap = np.max(np.abs(model.beta_combined - expected), initial=0.0)
+        expected = model.beta_combined
+        gap = np.max(np.abs(saved - expected), initial=0.0)
         if not gap <= 1e-12 * max(1.0, np.max(np.abs(expected), initial=0.0)):
             raise DataError(
                 f"beta_combined differs from the weighted candidates by {gap:.3g}"
@@ -413,11 +397,9 @@ def fit_averaged(store: CandidateStore, lambda_n="opt1", columns=None) -> Averag
 
     ctx = build_criterion_context(data, index, usable, family)
     wfit = optimize_weights(ctx, lam)
-    beta = combine_coefficients(usable, wfit.weights, data.p)
     return AveragedModel(
         candidates=usable,
         weights=wfit.weights,
-        beta_combined=beta,
         lambda_n=lam,
         criterion_value=wfit.criterion_value,
         family=family,

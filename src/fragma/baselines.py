@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .averaging import AveragedModel, WeightVector, combine_coefficients, fit_averaged
+from .averaging import AveragedModel, fit_averaged
 from .errors import DataError, NumericalError
 from .glm import (
     CandidateModel,
@@ -42,8 +42,7 @@ def _single_glm(
     """One GLM of ``store`` as a model: a single candidate with unit weight."""
     return AveragedModel(
         candidates=[cand],
-        weights=WeightVector([1.0]),
-        beta_combined=combine_coefficients([cand], [1.0], store.data.p),
+        weights=np.ones(1),
         family=store.family,
         column_names=list(store.data.column_names),
         diagnostics=diagnostics or {},
@@ -83,11 +82,9 @@ def fit_smoothed_ic(store: CandidateStore, flavor: str) -> AveragedModel:
     pen = 2.0 if flavor == "aic" else np.log([c.n_k for c in candidates])
     ic = -2.0 * ll + pen * p_sizes
 
-    w = smoothed_ic_weights(ic)
     return AveragedModel(
         candidates=candidates,
-        weights=WeightVector(w),
-        beta_combined=combine_coefficients(candidates, w, store.data.p),
+        weights=smoothed_ic_weights(ic),
         family=store.family,
         column_names=list(store.data.column_names),
         diagnostics={"ic": ic.tolist()},

@@ -39,6 +39,8 @@ ADNI_BLOCK_PATTERNS = [
 ]
 
 ADNI_BLOCK_NAMES = ("CSF", "PET", "MRI", "GENE")
+ADNI_BLOCK_SIZES = {"CSF": 3, "PET": 5, "MRI": 5, "GENE": 5}
+ADNI_RHO = 0.2  # pairwise correlation of the covariates beyond the intercept
 
 
 def table1_toy(family: str = "gaussian", seed: int = 0) -> FragmentaryDataset:
@@ -55,28 +57,23 @@ def table1_toy(family: str = "gaussian", seed: int = 0) -> FragmentaryDataset:
     )
 
 
-def adni_like(
-    seed: int = 0,
-    block_sizes: dict | None = None,
-    scale: float = 1.0,
-    rho: float = 0.2,
-) -> tuple[FragmentaryDataset, dict]:
+def adni_like(seed: int = 0, scale: float = 1.0) -> tuple[FragmentaryDataset, dict]:
     """Synthetic dataset with the 8-pattern block structure of the ADNI table.
 
-    Columns are an always-observed intercept followed by four blocks
-    (default sizes CSF=3, PET=5, MRI=5, GENE=5).  Block availability per
+    Columns are an always-observed intercept followed by four blocks of
+    :data:`ADNI_BLOCK_SIZES` columns, pairwise correlated by
+    :data:`ADNI_RHO`.  Block availability per
     pattern and pattern sample sizes follow the published table; ``scale``
     shrinks all sample sizes proportionally (minimum 2 per pattern).
     Returns the dataset and the block -> column-index grouping.
     """
     rng = np.random.default_rng(seed)
-    block_sizes = block_sizes or {"CSF": 3, "PET": 5, "MRI": 5, "GENE": 5}
 
     names = ["intercept"]
     groups: dict[str, list[int]] = {}
     for bname in ADNI_BLOCK_NAMES:
         cols = []
-        for t in range(block_sizes[bname]):
+        for t in range(ADNI_BLOCK_SIZES[bname]):
             cols.append(len(names))
             names.append(f"{bname}_{t + 1}")
         groups[bname] = cols
@@ -88,7 +85,8 @@ def adni_like(
     z0 = rng.standard_normal(n)
     x = np.empty((n, p))
     x[:, 0] = 1.0
-    x[:, 1:] = np.sqrt(rho) * z0[:, None] + np.sqrt(1 - rho) * rng.standard_normal((n, p - 1))
+    z = rng.standard_normal((n, p - 1))
+    x[:, 1:] = np.sqrt(ADNI_RHO) * z0[:, None] + np.sqrt(1 - ADNI_RHO) * z
 
     beta = 0.5 / np.arange(1, p + 1)
     theta = x @ beta

@@ -5,7 +5,6 @@ from scipy.special import expit
 from fragma.averaging import (
     AveragedModel,
     CriterionContext,
-    WeightVector,
     build_criterion_context,
     combine_coefficients,
     criterion,
@@ -64,12 +63,25 @@ def fragmentary_pipeline(rng, n=80, p=5, family="binomial"):
 # weight vector and simplex projection
 # ---------------------------------------------------------------------------
 
-def test_weight_vector_renormalizes():
-    w = WeightVector(np.array([2.0, 2.0]))
-    assert np.allclose(np.asarray(w), [0.5, 0.5])
-    assert abs(np.asarray(WeightVector(np.array([0.3, 0.7000000001]))).sum() - 1.0) < 1e-12
-    with pytest.raises(DataError):
-        WeightVector(np.array([-0.5, 1.5]))
+def test_averaged_model_rejects_weights_off_the_simplex(rng):
+    data, index, candidates, ctx, fam = fragmentary_pipeline(rng, n=60, p=3)
+    K = len(candidates)
+
+    def model(w):
+        return AveragedModel(
+            candidates=candidates, weights=w, family=fam, column_names=data.column_names
+        )
+
+    w = np.full(K, 1.0 / K)
+    assert np.array_equal(model(w).weights, w)
+    negative = np.append(-0.5, np.full(K - 1, 1.5 / (K - 1)))
+    for bad, message in (
+        (negative, "off the simplex"),
+        (w[:-1], f"{K - 1} weights for {K} candidates"),
+        (2.0 * w, "off the simplex"),
+    ):
+        with pytest.raises(DataError, match=message):
+            model(bad)
 
 
 def test_simplex_projection_properties(rng):
@@ -314,8 +326,7 @@ def test_vertex_weight_predicts_like_single_candidate(rng):
     w = np.eye(K)[0]
     model = AveragedModel(
         candidates=candidates,
-        weights=WeightVector(w),
-        beta_combined=combine_coefficients(candidates, w, data.p),
+        weights=w,
         lambda_n=2.0,
         criterion_value=criterion(ctx, w, 2.0),
         family=fam,
@@ -347,8 +358,7 @@ def test_zero_coefficients_predict_half(rng):
     w = np.full(len(candidates), 1.0 / len(candidates))
     model = AveragedModel(
         candidates=candidates,
-        weights=WeightVector(w),
-        beta_combined=combine_coefficients(candidates, w, data.p),
+        weights=w,
         lambda_n=2.0,
         criterion_value=0.0,
         family=BINOMIAL,

@@ -1,8 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from fragma.averaging import fit_averaged, predict
+from fragma.averaging import (
+    AveragedModel,
+    combine_coefficients,
+    criterion,
+    fit_averaged,
+    predict,
+)
 from fragma.baselines import (
     ALL_METHODS,
     _stratified_folds,
@@ -28,6 +36,7 @@ from fragma.glm import (
     fit_glm,
 )
 from fragma.patterns import FragmentaryDataset, Pattern, build_pattern_index
+from fragma.sim import SimConfig, generate_replication
 
 from oracles import (
     logistic_group_lasso_objective,
@@ -478,3 +487,38 @@ def test_every_method_reads_the_one_pattern_index_of_its_store(monkeypatch):
         fit_method(name, store, groups=groups)
     assert len(calls) == 1
     assert store.filled().index is store.index
+
+
+def test_every_model_is_its_candidates_and_weights(monkeypatch):
+    # The weights are stored as computed: beta_combined is their weighted
+    # candidates bitwise, a JSON round trip keeps both bitwise, and every
+    # optimizer result reports the criterion at the weights it returns.
+    import fragma.averaging
+
+    results = []
+    original = fragma.averaging.optimize_weights
+
+    def recording(ctx, lambda_n):
+        wfit = original(ctx, lambda_n)
+        results.append((ctx, lambda_n, wfit))
+        return wfit
+
+    monkeypatch.setattr(fragma.averaging, "optimize_weights", recording)
+    fixtures = [(f"adni_like({s})", adni_like(seed=s)[0]) for s in range(6)]
+    fixtures += [(f"sim({s})", generate_replication(SimConfig(seed=s), 0)[0]) for s in range(20)]
+    combined, round_trip = [], []
+    for label, data in fixtures:
+        store = CandidateStore(data, BINOMIAL)
+        for name in [m for m in ALL_METHODS if m != "glasso"]:
+            model = fit_method(name, store)
+            direct = combine_coefficients(model.candidates, model.weights, data.p)
+            if not np.array_equal(model.beta_combined, direct):
+                combined.append((label, name))
+            back = AveragedModel.from_dict(json.loads(json.dumps(model.to_dict())))
+            if not (np.array_equal(back.weights, model.weights)
+                    and np.array_equal(back.beta_combined, model.beta_combined)):
+                round_trip.append((label, name))
+    off = [k for k, (ctx, lam, wfit) in enumerate(results)
+           if criterion(ctx, wfit.weights, lam) != wfit.criterion_value]
+    assert (combined, round_trip, off) == ([], [], [])
+    assert len(results) == 4 * len(fixtures)  # opt1, opt2, imp1, imp2

@@ -1,6 +1,8 @@
 """The package's public names: every exported name resolves."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import fragma
 from fragma.baselines import fit_method
@@ -28,3 +30,24 @@ def test_no_function_taking_a_store_takes_a_pattern_index():
             if "store" in params and "index" in params:
                 offenders.append(f.__name__)
     assert offenders == []
+
+
+def test_only_the_model_combines_coefficients():
+    # AveragedModel derives beta_combined from its candidates and weights;
+    # no other module computes a combined coefficient vector of its own.
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+            elif isinstance(node, ast.FunctionDef):
+                yield node.name
+
+    modules = sorted(Path(fragma.__file__).parent.glob("*.py"))
+    assert modules
+    naming = [m.name for m in modules
+              if "combine_coefficients" in names(ast.parse(m.read_text()))]
+    assert naming == ["averaging.py"]

@@ -674,6 +674,10 @@ BAD_JSON = [
     ("model", "short-beta", lambda m: {**m, "beta_combined": m["beta_combined"][:-1]}),
     ("model", "max-iter-float", lambda m: {**m, "fit_options": {"max_iter": 5.5}}),
     ("model", "weight-short", lambda m: {**m, "weights": m["weights"][:-1]}),
+    ("model", "weights-scaled", lambda m: {**m, "weights": [2.0 * w for w in m["weights"]]}),
+    ("model", "weight-negative",
+     lambda m: {**m, "weights": [-1e-10 if k == m["weights"].index(0.0) else w
+                                 for k, w in enumerate(m["weights"])]}),
     ("model", "column-outside",
      lambda m: {**m, "candidates": [{**m["candidates"][0], "pattern": [0, 99]}]
                 + m["candidates"][1:]}),
