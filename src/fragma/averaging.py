@@ -310,9 +310,12 @@ class AveragedModel:
                     raise DataError(
                         f"candidate {k}: {c.beta.size} coefficients for {len(c.pattern.indices)} columns"
                     )
+            weights = d["weights"]
+            if not isinstance(weights, list):
+                raise DataError(f"weights must be a list, got {weights!r:.40}")
             model = cls(
                 candidates=candidates,
-                weights=d["weights"],
+                weights=weights,
                 family=get_family(d["family"]),
                 column_names=list(d["column_names"]),
                 lambda_n=d.get("lambda_n"),

@@ -126,8 +126,9 @@ def cmd_fit(args) -> int:
     model = fit_averaged(store, lam)
     # predict refits sub-pattern candidates under the same IRLS options
     options = dataclasses.asdict(store.opts)
-    with open(out / "model.json", "w") as fh:
-        json.dump({**model.to_dict(), "fit_options": options}, fh, indent=2)
+    (out / "model.json").write_text(
+        json.dumps({**model.to_dict(), "fit_options": options}, indent=2)
+    )
 
     w = np.asarray(model.weights)
     lines = [report, "candidates and weights:"]
@@ -169,24 +170,30 @@ def _prediction_rows(rules, theta, mean) -> list[list]:
     ]
 
 
-def _score_by_pattern(model, x, store):
+def _score_by_pattern(model, x, load_store):
     """Score query rows (NaN = unobserved) one availability-pattern group at a time.
 
     Rule: ``zero-imputed`` for a zero-filling model; ``full`` if no penalty
     chose the weights or the group observes the leading candidate; else
-    ``restricted``, refitted from ``store`` on the group's columns.  Returns
-    theta (NaN where a group failed) and per group ``(rows, rule, error)``.
+    ``restricted``, refitted on the group's columns from the training store
+    that ``load_store()`` returns (None: there is none).  ``load_store`` is
+    called only for a restricted group, and an exception it raises ends the
+    scoring.  Returns theta (NaN where a group failed) and per group
+    ``(rows, rule, error)``.
     """
     observed = np.isfinite(x)
     lead = list(model.candidates[0].pattern.indices)
     theta = np.full(x.shape[0], np.nan)
     scored = []
+    store = None
     for rows in split_rows_by_pattern(observed):
         rule, sub, error = "full", model, None
         if model.zero_impute:
             rule = "zero-imputed"
         elif model.lambda_n is not None and not observed[rows[0], lead].all():
             rule = "restricted"
+            if store is None:
+                store = load_store()
         try:
             if rule == "restricted":
                 if store is None:
@@ -216,20 +223,24 @@ def cmd_predict(args) -> int:
     header, values = read_matrix_csv(args.input, args.na_marker)
     q = _align_query(header, values, model.column_names)
 
-    store = None
+    fopts = None
     if args.train:
+        try:
+            fopts = FitOptions(**saved.get("fit_options", {}))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{args.model}: fit_options: {exc}") from exc
+
+    def load_train():
+        if fopts is None:
+            return None
         train = read_fragmentary_csv(
             args.train, args.response, args.na_marker, args.add_intercept
         )
         if train.column_names != model.column_names:
             raise DataError("training CSV columns do not match the model's columns")
-        try:
-            fopts = FitOptions(**saved.get("fit_options", {}))
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{args.model}: fit_options: {exc}") from exc
-        store = CandidateStore(train, model.family, fopts)
+        return CandidateStore(train, model.family, fopts)
 
-    theta, scored = _score_by_pattern(model, q, store)
+    theta, scored = _score_by_pattern(model, q, load_train)
     rules = np.empty(q.shape[0], dtype=object)
     for rows, rule, error in scored:
         if error is not None:
@@ -295,7 +306,7 @@ def cmd_compare(args) -> int:
     summary = []
     diagnostics = {}
     for m, fit in fits.items():
-        theta, scored = _score_by_pattern(fit, xq, store)
+        theta, scored = _score_by_pattern(fit, xq, lambda: store)
         rules = np.empty(test.n, dtype=object)
         for rows, rule, error in scored:
             rules[rows] = rule if error is None else "unavailable"

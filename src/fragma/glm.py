@@ -29,12 +29,15 @@ def expit(t):
 
 @dataclass(frozen=True)
 class ExponentialFamily:
-    """Cumulant function triplet (b, b', b'') with known dispersion phi."""
+    """Cumulant function b, mean b' and variance function V with known dispersion phi.
+
+    ``variance`` takes the mean: b''(theta) = V(b'(theta)).
+    """
 
     name: str
     b: callable
     b_prime: callable
-    b_double_prime: callable
+    variance: callable
     phi: float = 1.0
     theta_from_mean: callable = None  # canonical link, mean -> theta
     support: tuple[float, float] = (-np.inf, np.inf)  # closed interval of the response
@@ -49,21 +52,20 @@ class ExponentialFamily:
                 f"at data rows {bad.tolist()}"
             )
 
+    def b_double_prime(self, theta):
+        """b''(theta), the variance function at the mean b'(theta)."""
+        return self.variance(self.b_prime(theta))
+
 
 def _binomial_b(theta):
     return np.logaddexp(0.0, theta)
-
-
-def _binomial_var(theta):
-    mu = expit(theta)
-    return mu * (1.0 - mu)
 
 
 BINOMIAL = ExponentialFamily(
     name="binomial",
     b=_binomial_b,
     b_prime=expit,
-    b_double_prime=_binomial_var,
+    variance=lambda mu: mu * (1.0 - mu),
     phi=1.0,
     theta_from_mean=lambda mu: np.log(mu) - np.log1p(-mu),
     support=(0.0, 1.0),
@@ -73,7 +75,7 @@ GAUSSIAN = ExponentialFamily(
     name="gaussian",
     b=lambda theta: 0.5 * np.square(theta),
     b_prime=lambda theta: np.asarray(theta, dtype=float),
-    b_double_prime=lambda theta: np.ones_like(np.asarray(theta, dtype=float)),
+    variance=np.ones_like,
     phi=1.0,
     theta_from_mean=lambda mu: np.asarray(mu, dtype=float),
 )
@@ -82,7 +84,7 @@ POISSON = ExponentialFamily(
     name="poisson",
     b=np.exp,
     b_prime=np.exp,
-    b_double_prime=np.exp,
+    variance=lambda mu: mu,
     phi=1.0,
     theta_from_mean=np.log,
     support=(0.0, np.inf),
@@ -182,22 +184,48 @@ def loglik(family: ExponentialFamily, theta: np.ndarray, y: np.ndarray) -> float
     return float((y @ theta - np.sum(family.b(theta))) / family.phi)
 
 
-def check_full_rank(X: np.ndarray, column_names=None):
+def check_full_rank(X: np.ndarray, column_names=None, gram=None):
     """Reject rank-deficient designs, naming the offending columns.
 
     The rule is that of a Householder QR with column pivoting: the rank is
     the number of pivots above ``_PIVOT_TOL`` times the first (the largest
     column norm), and the columns pivoted past the rank are named.  Every
     pivot is at least the smallest singular value of X, so a design whose
-    sigma_min clears twice that threshold is accepted on an unpivoted QR;
-    only the rest run the pivoted one.
+    sigma_min clears twice that threshold, t = 2 * _PIVOT_TOL * (largest
+    column norm), is full rank.  Two screens accept such designs before
+    the pivoted QR runs, and only ever accept them:
+
+    * The Gram screen reads ``gram``: X^T X times a positive power of two,
+      as computed (:func:`fit_glm` passes its first Fisher information;
+      the default is ``X.T @ X``).  In 2-norm the computed product is
+      within gamma_n * trace(gram) of the exact one (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, sec. 3.5, since || |X|^T |X| ||
+      is at most the trace), and ``eigvalsh`` returns the exact
+      eigenvalues of a matrix within a small multiple of p * eps * trace
+      of the computed one; delta = (n + p) * eps * trace(gram) bounds the
+      two together.  By Weyl's inequality the exact smallest eigenvalue is
+      at least the computed one less delta, so a computed smallest
+      eigenvalue above 2 * delta + 4 * t^2 (t^2 on the scale of ``gram``,
+      from its largest diagonal entry) proves sigma_min above 2t, and
+      sigma_min^2 above delta: far above the QR's own rounding error,
+      about n * p * eps * ||X||_F.  A non-finite ``gram`` skips this screen.
+    * The QR screen accepts when sigma_min of an unpivoted QR's R clears t.
+
+    Every other design goes to the pivoted QR, which decides.
     """
-    if X.shape[0] < X.shape[1]:
+    n, p = X.shape
+    if n < p:
         names = list(column_names) if column_names is not None else []
         raise RankDeficientError(
-            f"underdetermined design: {X.shape[0]} rows for {X.shape[1]} columns",
-            columns=names,
+            f"underdetermined design: {n} rows for {p} columns", columns=names
         )
+    if gram is None:
+        gram = X.T @ X
+    if np.all(np.isfinite(gram)):
+        delta = (n + p) * np.finfo(float).eps * np.trace(gram)
+        t2 = (2 * _PIVOT_TOL) ** 2 * np.max(np.diag(gram), initial=0.0)
+        if np.linalg.eigvalsh(gram).min(initial=np.inf) > 2 * delta + 4 * t2:
+            return
     r = np.linalg.qr(X, mode="r")
     sigma_min = np.linalg.svd(r, compute_uv=False).min(initial=np.inf)
     if sigma_min > 2 * _PIVOT_TOL * np.linalg.norm(r, axis=0).max(initial=0.0):
@@ -205,7 +233,7 @@ def check_full_rank(X: np.ndarray, column_names=None):
     diag, piv = _pivoted_qr(X)
     scale = diag[0] if diag.size and diag[0] > 0 else 1.0
     rank = int(np.sum(diag > _PIVOT_TOL * scale))
-    if rank < X.shape[1]:
+    if rank < p:
         bad = piv[rank:]
         names = (
             [column_names[j] for j in bad]
@@ -213,7 +241,7 @@ def check_full_rank(X: np.ndarray, column_names=None):
             else [str(j) for j in bad]
         )
         raise RankDeficientError(
-            f"rank-deficient design (rank {rank} < {X.shape[1]}); "
+            f"rank-deficient design (rank {rank} < {p}); "
             f"dependent columns: {names}",
             columns=names,
         )
@@ -287,31 +315,40 @@ def fit_glm(
     the weighted normal equations once the coefficient norm passes
     1e4 (separation guard), and the fit is flagged
     ``ridged``.
+
+    The Fisher information at beta = 0, where every weight is the power of
+    two b''(0) / phi, is X^T X exactly scaled: it is computed once, is the
+    Gram matrix :func:`check_full_rank` screens the design on, and is the
+    first iteration's Hessian.  Later iterations weight by the variance
+    function at the means the score was computed from, V(mu) = b''(theta).
     """
     opts = opts or FitOptions()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, p = X.shape
-    check_full_rank(X, column_names)
-
+    p = X.shape[1]
     beta = np.zeros(p)
     theta = X @ beta
+    mu = family.b_prime(theta)
+    # every weight is the power of two b''(0) / phi: an exactly scaled Gram matrix
+    w = family.variance(mu) / family.phi
+    fisher = X.T @ (w[:, None] * X)
+    check_full_rank(X, column_names, gram=fisher)
+
     ll = loglik(family, theta, y)
     ridged = False
     stop = "max_iter"
     iterations = 0
 
     for iterations in range(1, opts.max_iter + 1):
-        mu = family.b_prime(theta)
         score = X.T @ (y - mu) / family.phi
         if np.max(np.abs(score)) <= opts.grad_tol:
             stop = "score"
             iterations -= 1
             break
-        w = family.b_double_prime(theta) / family.phi
-        h = X.T @ (w[:, None] * X)
-        if ridged:
-            h = h + opts.ridge * np.eye(p)
+        if fisher is None:
+            w = family.variance(mu) / family.phi
+            fisher = X.T @ (w[:, None] * X)
+        h = fisher + opts.ridge * np.eye(p) if ridged else fisher
         try:
             direction = np.linalg.solve(h, score)
         except np.linalg.LinAlgError:
@@ -334,7 +371,10 @@ def fit_glm(
         for _ in range(30):
             beta_try = beta + step * direction
             theta_try = X @ beta_try
-            ll_try = loglik(family, theta_try, y) if np.all(np.isfinite(theta_try)) else -np.inf
+            try:
+                ll_try = loglik(family, theta_try, y)
+            except NumericalError:  # a non-finite linear predictor
+                ll_try = -np.inf
             if np.isfinite(ll_try) and ll_try >= ll:
                 beta, theta, ll = beta_try, theta_try, ll_try
                 accepted = True
@@ -345,9 +385,10 @@ def fit_glm(
             break
         if not ridged and np.linalg.norm(beta) > _DIVERGENCE_NORM:
             ridged = True
+        mu, fisher = family.b_prime(theta), None
 
     if stop == "max_iter":
-        score = X.T @ (y - family.b_prime(theta)) / family.phi
+        score = X.T @ (y - mu) / family.phi
         if np.max(np.abs(score)) <= opts.grad_tol:
             stop = "score"
 

@@ -2,11 +2,16 @@
 
 Nothing here imports the solver code paths it checks; everything is a
 direct transcription of a definition (double loops, dense grids, finite
-differences, fixed-step proximal iterations).
+differences, fixed-step proximal iterations).  The one exception is the
+reference IRLS fit at the end, an earlier ``fit_glm`` kept verbatim so that
+the current one can be held to its bits; it shares ``loglik``,
+``FitOptions`` and the families' b and b' with the package.
 """
 
 import numpy as np
 
+from fragma.errors import RankDeficientError
+from fragma.glm import FitOptions, loglik
 from fragma.patterns import FragmentaryDataset
 
 
@@ -213,3 +218,149 @@ def pivoted_qr_rank_rule(X, column_names, tol=1e-10):
     if rank == X.shape[1]:
         return None
     return [column_names[j] for j in piv[rank:]]
+
+
+# The IRLS fit and rank check as they stood before the rank check screened on
+# the Gram matrix: an unpivoted-QR screen, and b''(theta) recomputed from
+# theta at every iteration.  Kept verbatim as the reference the current fit
+# must match bit for bit.
+
+_REFERENCE_B_DOUBLE_PRIME = {
+    "binomial": lambda theta: _expit(theta) * (1.0 - _expit(theta)),
+    "gaussian": lambda theta: np.ones_like(np.asarray(theta, dtype=float)),
+    "poisson": np.exp,
+}
+
+
+def _expit(t):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=float)))
+
+
+_DECREMENT_EPS = 16 * np.finfo(float).eps
+_DIVERGENCE_NORM = 1e4
+_PIVOT_TOL = 1e-10
+
+
+def reference_check_full_rank(X, column_names=None):
+    """The rank rule on an unpivoted-QR screen and a pivoted-QR fallback."""
+    if X.shape[0] < X.shape[1]:
+        names = list(column_names) if column_names is not None else []
+        raise RankDeficientError(
+            f"underdetermined design: {X.shape[0]} rows for {X.shape[1]} columns",
+            columns=names,
+        )
+    r = np.linalg.qr(X, mode="r")
+    sigma_min = np.linalg.svd(r, compute_uv=False).min(initial=np.inf)
+    if sigma_min > 2 * _PIVOT_TOL * np.linalg.norm(r, axis=0).max(initial=0.0):
+        return
+    diag, piv = _reference_pivoted_qr(X)
+    scale = diag[0] if diag.size and diag[0] > 0 else 1.0
+    rank = int(np.sum(diag > _PIVOT_TOL * scale))
+    if rank < X.shape[1]:
+        bad = piv[rank:]
+        names = (
+            [column_names[j] for j in bad]
+            if column_names is not None
+            else [str(j) for j in bad]
+        )
+        raise RankDeficientError(
+            f"rank-deficient design (rank {rank} < {X.shape[1]}); "
+            f"dependent columns: {names}",
+            columns=names,
+        )
+
+
+def _reference_pivoted_qr(X):
+    a = np.array(X, dtype=float)
+    p = a.shape[1]
+    piv = np.arange(p)
+    diag = np.zeros(p)
+    for i in range(p):
+        j = i + int(np.argmax(np.linalg.norm(a[i:, i:], axis=0)))
+        if j != i:
+            a[:, [i, j]] = a[:, [j, i]]
+            piv[[i, j]] = piv[[j, i]]
+        alpha, xnorm = a[i, i], np.linalg.norm(a[i + 1 :, i])
+        if xnorm == 0.0:
+            diag[i] = abs(alpha)
+        else:
+            beta = -np.copysign(np.hypot(alpha, xnorm), alpha)
+            diag[i] = abs(beta)
+            v = np.concatenate(([1.0], a[i + 1 :, i] / (alpha - beta)))
+            rest = a[i:, i + 1 :]
+            rest -= ((beta - alpha) / beta) * np.outer(v, v @ rest)
+    return diag, piv
+
+
+def reference_fit_glm(X, y, family, opts=None, column_names=None):
+    """Fisher scoring with step halving; returns (beta, info) like ``fit_glm``."""
+    b_double_prime = _REFERENCE_B_DOUBLE_PRIME[family.name]
+    opts = opts or FitOptions()
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, p = X.shape
+    reference_check_full_rank(X, column_names)
+
+    beta = np.zeros(p)
+    theta = X @ beta
+    ll = loglik(family, theta, y)
+    ridged = False
+    stop = "max_iter"
+    iterations = 0
+
+    for iterations in range(1, opts.max_iter + 1):
+        mu = family.b_prime(theta)
+        score = X.T @ (y - mu) / family.phi
+        if np.max(np.abs(score)) <= opts.grad_tol:
+            stop = "score"
+            iterations -= 1
+            break
+        w = b_double_prime(theta) / family.phi
+        h = X.T @ (w[:, None] * X)
+        if ridged:
+            h = h + opts.ridge * np.eye(p)
+        try:
+            direction = np.linalg.solve(h, score)
+        except np.linalg.LinAlgError:
+            direction = np.linalg.lstsq(h, score, rcond=None)[0]
+        floor = _DECREMENT_EPS * max(abs(ll), 1.0)
+        if score @ direction <= floor:
+            beta_try = beta + direction
+            theta_try = X @ beta_try
+            ll_try = loglik(family, theta_try, y)
+            if ll_try >= ll - floor:
+                beta, theta, ll = beta_try, theta_try, ll_try
+            stop = "decrement"
+            break
+
+        step = 1.0
+        accepted = False
+        for _ in range(30):
+            beta_try = beta + step * direction
+            theta_try = X @ beta_try
+            ll_try = loglik(family, theta_try, y) if np.all(np.isfinite(theta_try)) else -np.inf
+            if np.isfinite(ll_try) and ll_try >= ll:
+                beta, theta, ll = beta_try, theta_try, ll_try
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            stop = "no_step"
+            break
+        if not ridged and np.linalg.norm(beta) > _DIVERGENCE_NORM:
+            ridged = True
+
+    if stop == "max_iter":
+        score = X.T @ (y - family.b_prime(theta)) / family.phi
+        if np.max(np.abs(score)) <= opts.grad_tol:
+            stop = "score"
+
+    info = {
+        "loglik": ll,
+        "converged": stop in ("score", "decrement"),
+        "iterations": iterations,
+        "ridged": ridged,
+        "stop": stop,
+    }
+    return beta, info

@@ -29,6 +29,8 @@ from oracles import (
     loglik_gradient,
     pivoted_qr_rank_rule,
     poisoned,
+    reference_check_full_rank,
+    reference_fit_glm,
 )
 
 
@@ -209,6 +211,101 @@ def test_rank_check_on_duplicate_columns_names_the_later_copy(rng):
     names = list("abcde")
     assert pivoted_qr_rank_rule(X, names) is not None
     assert rank_outcome(X, names) == ["d"]
+
+
+def _differential_designs():
+    """Seeded (label, X, y, family, opts) fits for every family and stop."""
+    rng = np.random.default_rng(19)
+    for t in range(24):
+        n, p = int(rng.integers(20, 400)), int(rng.integers(1, 9))
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+        X *= 10.0 ** rng.uniform(-1, 1, size=p)
+        theta = X @ (rng.uniform(-1, 1, size=p) / np.linalg.norm(X, axis=0) * np.sqrt(n))
+        if t % 4 == 3:
+            X = np.asfortranarray(X)
+        yield f"binomial-{t}", X, (rng.random(n) < expit(theta)).astype(float), BINOMIAL, None
+        yield f"gaussian-{t}", X, theta + rng.standard_normal(n), GAUSSIAN, None
+        y = rng.poisson(np.exp(np.clip(theta, -3, 3))).astype(float)
+        yield f"poisson-{t}", X, y, POISSON, None
+        yield f"capped-{t}", X, y, POISSON, FitOptions(max_iter=2)
+    for seed in range(3):
+        # separated, with a second copy of x within 1e-9: the ridge turns on
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(50)
+        X = np.column_stack([np.ones(50), x, x + 1e-9 * rng.standard_normal(50)])
+        yield f"separated-{seed}", X, (x > 0).astype(float), BINOMIAL, None
+
+
+def test_fit_glm_matches_the_qr_screened_reference_bit_for_bit():
+    stops, ridged = set(), 0
+    for label, X, y, family, opts in _differential_designs():
+        beta, info = fit_glm(X, y, family, opts)
+        ref_beta, ref_info = reference_fit_glm(X, y, family, opts)
+        assert beta.tobytes() == ref_beta.tobytes(), label
+        assert info == ref_info, label
+        stops.add(info["stop"])
+        ridged += info["ridged"]
+    assert ridged == 3 and {"decrement", "score", "max_iter"} <= stops
+
+
+def test_gram_screen_accepts_only_what_the_pivoted_qr_rule_accepts(rng, monkeypatch):
+    qr_calls = []
+    real_qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or real_qr(*a, **k))
+    screened = rejected = 0
+    for t in range(400):
+        n, p = int(rng.integers(20, 150)), int(rng.integers(2, 10))
+        X = rng.standard_normal((n, p))
+        X[:, 0] = 1.0
+        X *= 10.0 ** rng.uniform(-3, 3, size=p)
+        if t % 2:
+            j = int(rng.integers(p))
+            others = np.delete(np.arange(p), j)
+            col = X[:, others] @ rng.standard_normal(p - 1)
+            noise = 10.0 ** rng.uniform(-15, -1) * np.linalg.norm(col) / np.sqrt(n)
+            X[:, j] = col + noise * rng.standard_normal(n)
+        names = [f"x{j}" for j in range(p)]
+        want = pivoted_qr_rank_rule(X, names)
+        # the default Gram, and fit_glm's binomial first Fisher information
+        for gram in (None, X.T @ (np.full(n, 0.25)[:, None] * X)):
+            del qr_calls[:]
+            try:
+                check_full_rank(X, names, gram=gram)
+                got = None
+            except RankDeficientError as err:
+                got = (str(err), err.columns)
+            if not qr_calls:
+                assert want is None, t
+                screened += 1
+            try:
+                reference_check_full_rank(X, names)
+                ref = None
+            except RankDeficientError as err:
+                ref = (str(err), err.columns)
+            assert got == ref, t
+        rejected += want is not None
+    assert 100 < screened < 700 and 20 < rejected < 200
+
+
+def test_overflowing_gram_gets_the_reference_decision():
+    rng = np.random.default_rng(5)
+    X = 1e160 * rng.standard_normal((40, 4))
+    dependent = X.copy()
+    dependent[:, 3] = X[:, 0] - X[:, 2]
+    names = list("abcd")
+    for design in (X, dependent):
+        outcomes = []
+        # the norms of both QR routes overflow as well; only the decision is compared
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(design.T @ design))
+            for check in (check_full_rank, reference_check_full_rank):
+                try:
+                    check(design, names)
+                    outcomes.append(None)
+                except RankDeficientError as err:
+                    outcomes.append((str(err), err.columns))
+        assert outcomes[0] == outcomes[1]
+    assert outcomes[0] is not None
 
 
 def test_expit_is_within_4_ulp_of_scipy():

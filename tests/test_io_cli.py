@@ -667,6 +667,29 @@ def test_cli_predict_saved_imp_model_zero_imputes_every_row(tmp_path, with_train
         assert np.array_equal(theta[g], predict(model, xq[g])[0])
 
 
+@pytest.mark.parametrize("case", ["imp1", "opt1-full-rows", "opt1-sub-pattern-rows"])
+def test_cli_predict_reads_train_only_for_a_refit(tmp_path, case):
+    data, _ = adni_like(seed=0, scale=0.25)
+    full = np.flatnonzero(data.mask.all(axis=1))
+    if case == "imp1":
+        fit, rows, rule = (lambda s: fit_imp(s, "opt1")), slice(None), "zero-imputed"
+    else:
+        fit, rule = (lambda s: fit_averaged(s, "opt1")), "full"
+        rows = full[:5] if case == "opt1-full-rows" else np.flatnonzero(~data.mask[:, 1])[:5]
+    _, q, _ = _saved_model_run(tmp_path, fit, rows)
+    missing = tmp_path / "missing.csv"
+    out = tmp_path / "p"
+    code = run_cli(*_predict_argv(tmp_path, q, missing, out))
+    if case == "opt1-sub-pattern-rows":
+        # a refit reads --train, so the missing file is an input error again
+        assert code == 2
+        assert str(missing) in json.loads((out / "error.json").read_text())["message"]
+        return
+    assert code == 0
+    with open(out / "predictions.csv") as fh:
+        assert {r["rule"] for r in csv.DictReader(fh)} == {rule}
+
+
 BAD_JSON = [
     ("model", "invalid-json", lambda m: "{"),
     ("model", "no-candidates", lambda m: {k: v for k, v in m.items() if k != "candidates"}),
@@ -685,13 +708,16 @@ BAD_JSON = [
     ("groups", "not-a-list", lambda g: {"groups": {"A": 3}}),
     ("model", "beta-combined-zero",
      lambda m: {**m, "beta_combined": [0.0] * len(m["beta_combined"])}),
+    ("model", "weights-null", lambda m: {**m, "weights": None}),
 ]
+# the whole message after the file's path, where a case pins it
+BAD_JSON_MESSAGES = {"weights-null": "weights must be a list, got None"}
 
 
 @pytest.mark.parametrize(
-    "which, mutate", [(w, f) for w, _, f in BAD_JSON], ids=[f"{w}-{c}" for w, c, _ in BAD_JSON]
+    "which, case, mutate", BAD_JSON, ids=[f"{w}-{c}" for w, c, _ in BAD_JSON]
 )
-def test_cli_bad_model_or_groups_json_exits_2_naming_the_file(tmp_path, which, mutate):
+def test_cli_bad_model_or_groups_json_exits_2_naming_the_file(tmp_path, which, case, mutate):
     train, q, _ = _saved_model_run(tmp_path, lambda s: fit_averaged(s, "opt1"), slice(0, 5))
     out = tmp_path / "o"
     path = tmp_path / f"{which}.json"
@@ -707,6 +733,8 @@ def test_cli_bad_model_or_groups_json_exits_2_naming_the_file(tmp_path, which, m
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "DataError" and error["exit_code"] == 2
     assert error["message"].startswith(f"{path}: ")
+    if case in BAD_JSON_MESSAGES:
+        assert error["message"] == f"{path}: {BAD_JSON_MESSAGES[case]}"
     assert not (out / "predictions.csv").exists() and not (out / "kl_summary.csv").exists()
 
 
