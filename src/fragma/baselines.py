@@ -7,9 +7,12 @@ into the full coefficient space, so every method predicts through one code
 path.  CC, the smoothed criteria and the group lasso's refit draw their
 candidates from the store; imp1 and imp2 from its zero-imputed
 ``filled()`` store.  The group lasso is solved by one active-set Newton
-loop, which takes a batch of problems: its cross-validated path solves
-every fold of a penalty level in one call, on a coordinate layout where
-every group is a contiguous block.
+loop, which takes a batch of problems and a path of penalty levels: its
+cross-validated path is one call that solves every fold and all complete
+cases at each level, warm-started from the level before, on a coordinate
+layout where every group is a contiguous block.  The solver records, per
+level and problem, its iterations, why it stopped and the KKT residual at
+which it did.
 
 :func:`fit_method` is the one map from a name in :data:`ALL_METHODS` to its
 fit; ``compare``, the simulation study and the demos all go through it.
@@ -18,6 +21,7 @@ fit; ``compare``, the simulation study and the demos all go through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,16 +117,18 @@ class _Blocks:
 
     ``order`` lists the ``u`` unpenalized coordinates first, in their
     original order, then each group's coordinates; in that layout group g
-    is the slice starting at ``u + starts[g]``, of length ``sizes[g]``.
-    Group-wise sums are then one ``np.add.reduceat`` and per-group values
-    reach their coordinates by one ``np.repeat``.  Every method takes and
-    returns full-width (F, p) arrays in this layout.
+    is the slice starting at ``u + starts[g]``, of length ``sizes[g]``, and
+    ``owner`` maps each coordinate to its group (0 for the unpenalized
+    ones).  Group-wise sums are then one ``np.add.reduceat`` and per-group
+    values reach their coordinates by one ``np.take``.  Every method takes
+    and returns full-width (F, p) arrays in this layout.
     """
 
     order: np.ndarray
     u: int
     starts: np.ndarray
     sizes: np.ndarray
+    owner: np.ndarray
 
     @classmethod
     def of(cls, p: int, groups) -> "_Blocks":
@@ -132,7 +138,9 @@ class _Blocks:
         unpen = np.flatnonzero(~penalized)
         sizes = np.fromiter(map(len, groups), dtype=int, count=len(groups))
         starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        return cls(np.concatenate([unpen, grouped]), unpen.size, starts, sizes)
+        owner = np.repeat(np.arange(len(groups)), sizes)
+        owner = np.concatenate([np.zeros(unpen.size, dtype=int), owner])
+        return cls(np.concatenate([unpen, grouped]), unpen.size, starts, sizes, owner)
 
     def sums(self, V: np.ndarray) -> np.ndarray:
         """Sum over every group of every row of ``V``, shape (F, G)."""
@@ -144,8 +152,9 @@ class _Blocks:
 
     def spread(self, V: np.ndarray, fill=0.0) -> np.ndarray:
         """Per-group values (F, G) repeated onto their coordinates, ``fill`` elsewhere."""
-        head = np.full((V.shape[0], self.u), fill, dtype=V.dtype)
-        return np.concatenate([head, np.repeat(V, self.sizes, axis=1)], axis=1)
+        out = V.take(self.owner, axis=1)
+        out[:, : self.u] = fill
+        return out
 
 
 def _kkt_parts(grad, B, norm, blocks: _Blocks, w) -> tuple[np.ndarray, np.ndarray]:
@@ -170,6 +179,197 @@ def _kkt_parts(grad, B, norm, blocks: _Blocks, w) -> tuple[np.ndarray, np.ndarra
 
 
 _GLASSO_TOL = 1e-8  # stationarity tolerance of a group-lasso solve
+# why a group-lasso solve stopped, in the order of their codes
+_STOPS = ("kkt", "stall", "no_step", "max_iter")
+_KKT, _STALL, _NO_STEP, _MAX_ITER = range(len(_STOPS))
+
+
+class _Path(NamedTuple):
+    """A solved group-lasso path, indexed by penalty level and problem."""
+
+    coef: np.ndarray  # (L, F, p) coefficients, in the original column order
+    kkt: np.ndarray  # (L, F) KKT residual at which each solve stopped
+    iterations: np.ndarray  # (L, F) steps each solve tried
+    stop: np.ndarray  # (L, F) why each solve stopped, one of _STOPS
+
+
+def _group_lasso_path(
+    X: np.ndarray,
+    y: np.ndarray,
+    family: ExponentialFamily,
+    lambdas,
+    groups: list[np.ndarray],
+    beta0: np.ndarray | None = None,
+    tol: float = _GLASSO_TOL,
+    max_iter: int = 500,
+    rows: np.ndarray | None = None,
+) -> _Path:
+    """Group-lasso GLMs along a warm-started path of penalty levels, by active-set Newton.
+
+    At each level ``lam`` of ``lambdas`` it minimizes -loglik(beta) + lam *
+    sum_g sqrt(|g|) * ||beta_g||_2 (Meier, van de Geer and Bühlmann 2008),
+    with coordinates outside every group unpenalized, starting from the
+    previous level's solution (the first level from ``beta0``, zero by
+    default).  With ``rows``, an (n, F) boolean mask, it solves F problems
+    at once, problem f on the rows of ``X`` marked in column f (the
+    training rows of a CV fold); without it, the single problem on every
+    row.  The coordinates are permuted once so that every group is a
+    contiguous block, and the loss, gradient and Hessian of all F problems
+    come from the full ``X`` weighted by the mask, so no rows are copied.
+    The linear predictor theta, the means b'(theta), the loss and the
+    gradient carry over from each accepted step to the next iteration and
+    from each level to the next (the gradient does not depend on the
+    penalty), and the Newton weights and proximal curvature are V(mu) of
+    the means already computed.
+
+    Each iteration compares, for every problem, the KKT residual on the
+    active coordinates (the unpenalized ones and the nonzero groups, where
+    the objective is smooth) with the largest violation of a zero group's
+    subgradient bound.  When the active residual is the larger, the problem
+    takes a damped Newton step on its active coordinates, setting to zero
+    every group the step drives through the kink at the origin; otherwise
+    it takes one backtracked proximal-gradient step, which releases the
+    violating group.  Each problem's step is accepted under its own Armijo
+    test, on the gradient's first-order change plus the exact penalty
+    change, with a roundoff slack of 4 eps (|loss| + penalty): the loss
+    and the penalty can cancel, so 4 eps |f| can fall below the roundoff
+    of evaluating them.  At each level a problem stops, and is frozen,
+    when both its residuals are within ``tol`` (``kkt``; see
+    :func:`group_lasso_kkt_residual`), when its last step decreased
+    neither the objective beyond roundoff nor the residual (``stall``),
+    when no step is accepted or its Newton system is singular
+    (``no_step``), or after ``max_iter`` iterations of the level
+    (``max_iter``), the problems sharing that budget.  The returned
+    :class:`_Path` records, per level and problem, the coefficients, the
+    residual at which the solve stopped, its iterations and that reason.
+    """
+    family = get_family(family)
+    n, p = X.shape
+    blocks = _Blocks.of(p, groups)
+    mask = np.ones((1, n), dtype=bool) if rows is None else np.asarray(rows, dtype=bool).T
+    F, L = mask.shape[0], len(lambdas)
+    Xb = X[:, blocks.order]
+    B = np.zeros((F, p)) if beta0 is None else np.reshape(beta0, (F, p))[:, blocks.order]
+    seg = blocks.spread(np.arange(blocks.sizes.size)[None, :], fill=-1)[0]
+    same_group = seg[:, None] == seg[None, :]
+    diag = np.arange(p)
+    spectral = None  # ||X_f||_2^2 of each problem, on the first proximal step
+    roundoff = 4.0 * np.finfo(float).eps
+
+    def evaluate(B):
+        """theta and the loss of every problem at the block-layout coefficients ``B``."""
+        theta = B @ Xb.T
+        return theta, np.sum(np.where(mask, family.b(theta) - y * theta, 0.0), axis=1) / family.phi
+
+    theta, loss = evaluate(B)
+    mu = family.b_prime(theta)
+    grad = np.where(mask, mu - y, 0.0) @ Xb / family.phi
+    coef = np.empty((L, F, p))
+    kkt = np.empty((L, F))
+    iterations = np.zeros((L, F), dtype=int)
+    stop = np.empty((L, F), dtype=int)
+    for level, lam in enumerate(lambdas):
+        w = lam * np.sqrt(blocks.sizes)
+        pen = blocks.norms(B) @ w
+        done = np.zeros(F, dtype=bool)
+        stalled = np.zeros(F, dtype=bool)
+        res_before = np.full(F, np.inf)
+        for it in range(max_iter + 1):
+            norm = blocks.norms(B)
+            res_active, violation = _kkt_parts(grad, B, norm, blocks, w)
+            res = np.maximum(res_active, violation)
+            budget = _MAX_ITER if it == max_iter else -1
+            reason = np.where(
+                res <= tol, _KKT, np.where(stalled & (res >= res_before), _STALL, budget)
+            )
+            ending = ~done & (reason >= 0)
+            stop[level, ending], kkt[level, ending] = reason[ending], res[ending]
+            done |= ending
+            if done.all():
+                break
+            iterations[level] += ~done
+            nonzero = norm > 0.0
+            newton = ~done & (res_active >= violation)
+
+            # Newton direction on each Newton problem's active coordinates; the
+            # inactive ones get an identity row and a zero right-hand side, so d = 0.
+            D = np.zeros((F, p))
+            nidx = np.flatnonzero(newton)
+            if nidx.size:
+                active = blocks.spread(nonzero[nidx], fill=True)
+                inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=nonzero)[nidx]
+                coef_pen = blocks.spread(w * inv)
+                unit = blocks.spread(inv) * B[nidx]
+                weight = np.where(mask[nidx], family.variance(mu[nidx]), 0.0) / family.phi
+                # loss Hessian plus the penalty's block-diagonal w_g (I - u u^T) / ||beta_g||
+                hess = Xb.T @ (weight[:, :, None] * Xb)
+                hess -= coef_pen[:, :, None] * unit[:, :, None] * unit[:, None, :] * same_group
+                hess = np.where(active[:, :, None] & active[:, None, :], hess, 0.0)
+                hess[:, diag, diag] += np.where(active, coef_pen + 1e-12, 1.0)
+                rhs = np.where(active, grad[nidx] + coef_pen * B[nidx], 0.0)[:, :, None]
+                try:
+                    D[nidx] = -np.linalg.solve(hess, rhs)[:, :, 0]
+                except np.linalg.LinAlgError:
+                    # a singular system stops its own problem only
+                    for k, i in enumerate(nidx):
+                        try:
+                            D[i] = -np.linalg.solve(hess[k], rhs[k, :, 0])
+                        except np.linalg.LinAlgError:
+                            done[i] = True
+                            stop[level, i], kkt[level, i] = _NO_STEP, res[i]
+                    newton &= ~done
+            prox = ~done & ~newton
+            if prox.any():
+                if spectral is None:
+                    spectral = np.linalg.eigvalsh(Xb.T @ (mask[:, :, None] * Xb))[:, -1]
+                curvature = np.max(np.where(mask, family.variance(mu), 0.0), axis=1)
+                t = family.phi / np.maximum(1e-12, curvature * spectral)
+
+            def trial(a):
+                out = B + a[:, None] * D
+                # a group the Newton step drives through the origin is set to zero
+                through = nonzero & (blocks.sums(out * B) <= 0.0)
+                out = np.where(blocks.spread(through, fill=False), 0.0, out)
+                if prox.any():
+                    step = a * t
+                    z = B - step[:, None] * grad
+                    thresh = step[:, None] * w
+                    znorm = blocks.norms(z)
+                    keep = znorm > thresh
+                    shrink = np.where(keep, 1.0 - thresh / np.where(keep, znorm, 1.0), 0.0)
+                    out = np.where(prox[:, None], z * blocks.spread(shrink, fill=1.0), out)
+                return out
+
+            # the roundoff of f is that of its larger part, even where they cancel
+            f = loss + pen
+            slack = roundoff * (np.abs(loss) + pen)
+            a = np.ones(F)
+            searching = ~done
+            B_new, theta_new = B.copy(), theta.copy()
+            loss_new, pen_new = loss.copy(), pen.copy()
+            for _ in range(60):
+                cand = trial(a)
+                theta_try, loss_try = evaluate(cand)
+                pen_try = blocks.norms(cand) @ w
+                decrease = np.sum(grad * (cand - B), axis=1) + pen_try - pen
+                ok = searching & (loss_try + pen_try <= f + 1e-4 * decrease + slack)
+                B_new[ok], theta_new[ok] = cand[ok], theta_try[ok]
+                loss_new[ok], pen_new[ok] = loss_try[ok], pen_try[ok]
+                searching &= ~ok
+                if not searching.any():
+                    break
+                a = np.where(searching, 0.5 * a, a)
+            moved = ~done & ~searching
+            stop[level, searching], kkt[level, searching] = _NO_STEP, res[searching]
+            done |= searching
+            stalled = np.where(moved, loss_new + pen_new >= f - slack, stalled)
+            res_before = np.where(moved, res, res_before)
+            B, theta, loss, pen = B_new, theta_new, loss_new, pen_new
+            if moved.any():
+                mu = family.b_prime(theta)
+                grad = np.where(mask, mu - y, 0.0) @ Xb / family.phi
+        coef[level][:, blocks.order] = B
+    return _Path(coef, kkt, iterations, np.asarray(_STOPS)[stop])
 
 
 def fit_group_lasso_at(
@@ -183,142 +383,16 @@ def fit_group_lasso_at(
     max_iter: int = 500,
     rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Group-lasso GLMs at one penalty level by an active-set Newton method.
+    """Group-lasso GLMs at one penalty level: a one-level :func:`_group_lasso_path`.
 
-    Minimizes -loglik(beta) + lam * sum_g sqrt(|g|) * ||beta_g||_2 (Meier,
-    van de Geer and Bühlmann 2008), with coordinates outside every group
-    unpenalized, starting from ``beta0`` (zero by default).  With ``rows``,
-    an (n, F) boolean mask, it solves F problems at once, problem f on the
-    rows of ``X`` marked in column f (the training rows of a CV fold), and
-    takes and returns (F, p) coefficients; without it, the single problem
-    on every row, with (p,) coefficients.  The coordinates are permuted
-    once so that every group is a contiguous block, and the loss, gradient
-    and Hessian of all F problems come from the full ``X`` weighted by the
-    mask, so no rows are copied.
-
-    Each iteration compares, for every problem, the KKT residual on the
-    active coordinates (the unpenalized ones and the nonzero groups, where
-    the objective is smooth) with the largest violation of a zero group's
-    subgradient bound.  When the active residual is the larger, the problem
-    takes a damped Newton step on its active coordinates, setting to zero
-    every group the step drives through the kink at the origin; otherwise
-    it takes one backtracked proximal-gradient step, which releases the
-    violating group.  Each problem's step is accepted under its own Armijo
-    test, on the gradient's first-order change plus the exact penalty
-    change, with a roundoff slack of 4 eps (|loss| + penalty): the loss
-    and the penalty can cancel, so 4 eps |f| can fall below the roundoff
-    of evaluating them.  A problem stops, and is frozen, when both its
-    residuals are within ``tol`` (see :func:`group_lasso_kkt_residual`),
-    when its last step decreased neither the objective beyond roundoff nor
-    the residual, or when no step is accepted; all problems share the
-    budget of ``max_iter`` iterations.
+    Minimizes -loglik(beta) + lam * sum_g sqrt(|g|) * ||beta_g||_2 from
+    ``beta0`` (zero by default).  With ``rows``, an (n, F) boolean mask, it
+    solves F problems at once, problem f on the rows marked in column f,
+    and takes and returns (F, p) coefficients; without it, the single
+    problem on every row, with (p,) coefficients.
     """
-    family = get_family(family)
-    n, p = X.shape
-    blocks = _Blocks.of(p, groups)
-    w = lam * np.sqrt(blocks.sizes)
-    mask = np.ones((1, n), dtype=bool) if rows is None else np.asarray(rows, dtype=bool).T
-    F = mask.shape[0]
-    Xb = X[:, blocks.order]
-    B = np.zeros((F, p)) if beta0 is None else np.reshape(beta0, (F, p))[:, blocks.order]
-    seg = blocks.spread(np.arange(blocks.sizes.size)[None, :], fill=-1)[0]
-    same_group = seg[:, None] == seg[None, :]
-    diag = np.arange(p)
-    spectral = None  # ||X_f||_2^2 of each problem, on the first proximal step
-
-    def loss_of(B):
-        theta = B @ Xb.T
-        return np.sum(np.where(mask, family.b(theta) - y * theta, 0.0), axis=1) / family.phi
-
-    loss, pen = loss_of(B), blocks.norms(B) @ w
-    roundoff = 4.0 * np.finfo(float).eps
-    done = np.zeros(F, dtype=bool)
-    stalled = np.zeros(F, dtype=bool)
-    res_before = np.full(F, np.inf)
-    for _ in range(max_iter):
-        theta = B @ Xb.T
-        grad = np.where(mask, family.b_prime(theta) - y, 0.0) @ Xb / family.phi
-        norm = blocks.norms(B)
-        res_active, violation = _kkt_parts(grad, B, norm, blocks, w)
-        res = np.maximum(res_active, violation)
-        done |= (res <= tol) | (stalled & (res >= res_before))
-        if done.all():
-            break
-        nonzero = norm > 0.0
-        newton = ~done & (res_active >= violation)
-
-        # Newton direction on each Newton problem's active coordinates; the
-        # inactive ones get an identity row and a zero right-hand side, so d = 0.
-        D = np.zeros((F, p))
-        nidx = np.flatnonzero(newton)
-        if nidx.size:
-            active = blocks.spread(nonzero[nidx], fill=True)
-            inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=nonzero)[nidx]
-            coef = blocks.spread(w * inv)
-            unit = blocks.spread(inv) * B[nidx]
-            weight = np.where(mask[nidx], family.b_double_prime(theta[nidx]), 0.0) / family.phi
-            # loss Hessian plus the penalty's block-diagonal w_g (I - u u^T) / ||beta_g||
-            hess = Xb.T @ (weight[:, :, None] * Xb)
-            hess -= coef[:, :, None] * unit[:, :, None] * unit[:, None, :] * same_group
-            hess = np.where(active[:, :, None] & active[:, None, :], hess, 0.0)
-            hess[:, diag, diag] += np.where(active, coef + 1e-12, 1.0)
-            rhs = np.where(active, grad[nidx] + coef * B[nidx], 0.0)[:, :, None]
-            try:
-                D[nidx] = -np.linalg.solve(hess, rhs)[:, :, 0]
-            except np.linalg.LinAlgError:
-                # a singular system stops its own problem only
-                for k, i in enumerate(nidx):
-                    try:
-                        D[i] = -np.linalg.solve(hess[k], rhs[k, :, 0])
-                    except np.linalg.LinAlgError:
-                        done[i] = True
-                newton &= ~done
-        prox = ~done & ~newton
-        if prox.any():
-            if spectral is None:
-                spectral = np.linalg.eigvalsh(Xb.T @ (mask[:, :, None] * Xb))[:, -1]
-            curvature = np.max(np.where(mask, family.b_double_prime(theta), 0.0), axis=1)
-            t = family.phi / np.maximum(1e-12, curvature * spectral)
-
-        def trial(a):
-            out = B + a[:, None] * D
-            # a group the Newton step drives through the origin is set to zero
-            through = nonzero & (blocks.sums(out * B) <= 0.0)
-            out = np.where(blocks.spread(through, fill=False), 0.0, out)
-            if prox.any():
-                step = a * t
-                z = B - step[:, None] * grad
-                thresh = step[:, None] * w
-                znorm = blocks.norms(z)
-                keep = znorm > thresh
-                shrink = np.where(keep, 1.0 - thresh / np.where(keep, znorm, 1.0), 0.0)
-                out = np.where(prox[:, None], z * blocks.spread(shrink, fill=1.0), out)
-            return out
-
-        # the roundoff of f is that of its larger part, even where they cancel
-        f = loss + pen
-        slack = roundoff * (np.abs(loss) + pen)
-        a = np.ones(F)
-        searching = ~done
-        B_new, loss_new, pen_new = B.copy(), loss.copy(), pen.copy()
-        for _ in range(60):
-            cand = trial(a)
-            loss_try, pen_try = loss_of(cand), blocks.norms(cand) @ w
-            decrease = np.sum(grad * (cand - B), axis=1) + pen_try - pen
-            ok = searching & (loss_try + pen_try <= f + 1e-4 * decrease + slack)
-            B_new[ok], loss_new[ok], pen_new[ok] = cand[ok], loss_try[ok], pen_try[ok]
-            searching &= ~ok
-            if not searching.any():
-                break
-            a = np.where(searching, 0.5 * a, a)
-        moved = ~done & ~searching
-        done |= searching
-        stalled = np.where(moved, loss_new + pen_new >= f - slack, stalled)
-        res_before = np.where(moved, res, res_before)
-        B, loss, pen = B_new, loss_new, pen_new
-    beta = np.empty_like(B)
-    beta[:, blocks.order] = B
-    return beta[0] if rows is None else beta
+    coef = _group_lasso_path(X, y, family, [lam], groups, beta0, tol, max_iter, rows).coef[0]
+    return coef[0] if rows is None else coef
 
 
 def group_lasso_kkt_residual(X, y, family, beta, lam, groups) -> float:
@@ -381,19 +455,22 @@ def fit_glasso(store: CandidateStore, groups: dict, seed: int = 0) -> AveragedMo
     must not overlap and should partition the non-intercept columns;
     columns in no group stay unpenalized.  The penalty level is chosen by
     5-fold cross-validated deviance over 50 geometric levels from the
-    all-zero threshold down to 1e-3 of it.  Each level is one batched
-    :func:`fit_group_lasso_at` call that solves six problems at once, the
-    five folds and all complete cases, each warm-started from its fit at
-    the previous level; every subject is scored under the fit of the fold
-    that holds it out, and the groups are those of the all-rows fit at the
-    chosen level.  The final model is ``store``'s candidate on the selected
-    columns (the store's options also fit the largest level): the GLM on
-    every subject that observes them all.
+    all-zero threshold down to 1e-3 of it.  The whole path is one
+    :func:`_group_lasso_path` call that solves six problems at every level,
+    the five folds and all complete cases, each warm-started from its fit
+    at the previous level; every subject is scored under the fit of the
+    fold that holds it out, and the groups are those of the all-rows fit at
+    the chosen level.  The final model is ``store``'s candidate on the
+    selected columns (the store's options also fit the largest level): the
+    GLM on every subject that observes them all.
     ``diagnostics`` records the selected groups, the chosen and largest
     penalty levels, the CV losses, as ``lambda_max_fit`` the convergence
-    record of the unpenalized fit behind the largest level and, over the
-    path's 300 solves, the largest KKT residual (``path_kkt_max``) and how
-    many ended above the solver's tolerance (``path_unconverged``).
+    record of the unpenalized fit behind the largest level and, from the
+    solver's own record of the path's 300 solves, the largest KKT residual
+    at which a solve stopped (``path_kkt_max``), how many stopped above the
+    solver's tolerance (``path_unconverged``), their iterations in total
+    (``path_iterations``) and how many stopped for each reason
+    (``path_stops``: ``kkt``, ``stall``, ``no_step`` or ``max_iter``).
     """
     data, family = store.data, store.family
     lead = list(store.index.patterns[0].indices)
@@ -426,22 +503,13 @@ def fit_glasso(store: CandidateStore, groups: dict, seed: int = 0) -> AveragedMo
     folds = _stratified_folds(y, _CV_FOLDS, seed)
     # one column per CV fold's training rows, then one of all rows (no fold is labelled 5)
     train = folds[:, None] != np.arange(_CV_FOLDS + 1)
-    cv_loss = np.zeros(_N_LAMBDAS)
-    path = np.zeros((_N_LAMBDAS, len(lead)))
-    kkt = np.zeros((_N_LAMBDAS, _CV_FOLDS + 1))
-    root_sizes = np.sqrt(blocks.sizes)
-    betas = None
-    for i, lam in enumerate(lambdas):
-        betas = fit_group_lasso_at(X, y, family, lam, group_pos, beta0=betas, rows=train)
-        # every subject is held out by exactly one fold: score it under that fold's fit
-        cv_loss[i] = -2.0 * loglik(family, np.sum(X * betas[folds], axis=1), y)
-        path[i] = betas[_CV_FOLDS]
-        # each solution's KKT residual, as the solver measures it
-        grad = np.where(train.T, family.b_prime(betas @ X.T) - y, 0.0) @ X / family.phi
-        G, B = grad[:, blocks.order], betas[:, blocks.order]
-        kkt[i] = np.maximum(*_kkt_parts(G, B, blocks.norms(B), blocks, lam * root_sizes))
+    solved = _group_lasso_path(X, y, family, lambdas, group_pos, rows=train)
+    # every subject is held out by exactly one fold: score it under that fold's fit
+    cv_loss = np.array(
+        [-2.0 * loglik(family, np.sum(X * b[folds], axis=1), y) for b in solved.coef]
+    )
     best = int(np.argmin(cv_loss))
-    kept = blocks.norms(path[best][None, blocks.order]) > 0.0
+    kept = blocks.norms(solved.coef[best, _CV_FOLDS][None, blocks.order]) > 0.0
     selected_groups = [name for name, k in zip(group_names, kept[0]) if k]
     selected_cols = [lead[t] for t in np.sort(blocks.order[blocks.spread(kept, fill=True)[0]])]
     if not selected_cols:
@@ -457,8 +525,10 @@ def fit_glasso(store: CandidateStore, groups: dict, seed: int = 0) -> AveragedMo
             "lambda_max": float(lam_max),
             "lambda_max_fit": lam_max_fit,
             "cv_loss": cv_loss.tolist(),
-            "path_kkt_max": float(kkt.max()),
-            "path_unconverged": int(np.count_nonzero(kkt > _GLASSO_TOL)),
+            "path_kkt_max": float(solved.kkt.max()),
+            "path_unconverged": int(np.count_nonzero(solved.kkt > _GLASSO_TOL)),
+            "path_iterations": int(solved.iterations.sum()),
+            "path_stops": {s: int(np.count_nonzero(solved.stop == s)) for s in _STOPS},
             "n_refit": cand.n_k,
         },
     )

@@ -211,7 +211,12 @@ def check_full_rank(X: np.ndarray, column_names=None, gram=None):
       about n * p * eps * ||X||_F.  A non-finite ``gram`` skips this screen.
     * The QR screen accepts when sigma_min of an unpivoted QR's R clears t.
 
-    Every other design goes to the pivoted QR, which decides.
+    Every other design goes to the pivoted QR, which decides.  When
+    ``gram`` is non-finite, both QR routes run on X * 2^-e instead, where
+    e is the binary exponent of max |x|, so that their column norms do not
+    overflow: every threshold above is relative, and scaling by a power of
+    two is exact away from underflow.  Accepting such a design says only
+    that its columns are independent, not that a GLM on it can be fitted.
     """
     n, p = X.shape
     if n < p:
@@ -226,6 +231,8 @@ def check_full_rank(X: np.ndarray, column_names=None, gram=None):
         t2 = (2 * _PIVOT_TOL) ** 2 * np.max(np.diag(gram), initial=0.0)
         if np.linalg.eigvalsh(gram).min(initial=np.inf) > 2 * delta + 4 * t2:
             return
+    else:
+        X = np.ldexp(X, -np.frexp(np.max(np.abs(X), initial=0.0))[1])
     r = np.linalg.qr(X, mode="r")
     sigma_min = np.linalg.svd(r, compute_uv=False).min(initial=np.inf)
     if sigma_min > 2 * _PIVOT_TOL * np.linalg.norm(r, axis=0).max(initial=0.0):

@@ -13,6 +13,7 @@ from fragma.averaging import (
 )
 from fragma.baselines import (
     ALL_METHODS,
+    _group_lasso_path,
     _stratified_folds,
     fit_cc,
     fit_glasso,
@@ -301,6 +302,31 @@ def test_group_lasso_batch_equals_separate_fits(rng, family):
     assert np.array_equal(unmoved, B0)
 
 
+def test_group_lasso_path_records_why_each_solve_stopped(rng):
+    X, y, groups = grouped_glm_data(rng)
+    lam_max, _ = lambda_max_group_lasso(X, y, BINOMIAL, groups, np.array([0]))
+    lambdas = lam_max * np.array([0.5, 0.2])
+    path = _group_lasso_path(X, y, BINOMIAL, lambdas, groups)
+    assert path.coef.shape == (2, 1, X.shape[1])
+    assert path.stop.tolist() == [["kkt"], ["kkt"]]
+    assert path.iterations.min() > 0 and path.kkt.max() <= 1e-8
+    for i, lam in enumerate(lambdas):
+        ref = group_lasso_kkt_residual(X, y, BINOMIAL, path.coef[i, 0], lam, groups)
+        assert path.kkt[i, 0] == pytest.approx(ref, abs=1e-12)
+    # started at its own solution, a level stops before its first step
+    again = _group_lasso_path(X, y, BINOMIAL, lambdas[1:], groups, beta0=path.coef[1, 0])
+    assert (again.stop.tolist(), again.iterations.tolist()) == ([["kkt"]], [[0]])
+    assert np.array_equal(again.coef[0, 0], path.coef[1, 0])
+    # with no budget every level stops unmoved, at the start's residual
+    b = rng.standard_normal(X.shape[1])
+    none = _group_lasso_path(X, y, BINOMIAL, lambdas, groups, beta0=b, max_iter=0)
+    assert none.stop.tolist() == [["max_iter"], ["max_iter"]]
+    assert none.iterations.max() == 0 and np.array_equal(none.coef[:, 0], [b, b])
+    for i, lam in enumerate(lambdas):
+        ref = group_lasso_kkt_residual(X, y, BINOMIAL, b, lam, groups)
+        assert none.kkt[i, 0] == pytest.approx(ref, rel=1e-12)
+
+
 def test_lambda_max_fits_unpenalized_coordinates_with_given_options(rng):
     X, y, groups = grouped_glm_data(rng)
     # no IRLS iteration: the unpenalized intercept stays at zero
@@ -411,30 +437,33 @@ def test_fit_glasso_cv_path_matches_per_fold_oracle(seed):
 
 
 def _counting_group_lasso(monkeypatch, **overrides):
-    """Wrap ``fragma.baselines.fit_group_lasso_at``; return the list of its ``rows`` masks."""
+    """Wrap ``fragma.baselines._group_lasso_path``; list its calls as ``(args, kwargs, path)``."""
     import fragma.baselines
 
-    masks = []
-    original = fragma.baselines.fit_group_lasso_at
+    calls = []
+    original = fragma.baselines._group_lasso_path
 
     def counting(*args, **kwargs):
-        masks.append(kwargs.get("rows"))
-        return original(*args, **{**kwargs, **overrides})
+        path = original(*args, **{**kwargs, **overrides})
+        calls.append((args, kwargs, path))
+        return path
 
-    monkeypatch.setattr(fragma.baselines, "fit_group_lasso_at", counting)
-    return masks
+    monkeypatch.setattr(fragma.baselines, "_group_lasso_path", counting)
+    return calls
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fit_glasso_solves_the_all_rows_path_in_the_cv_batch(seed, monkeypatch):
     data, groups = adni_like(seed=seed)
-    masks = _counting_group_lasso(monkeypatch)
+    calls = _counting_group_lasso(monkeypatch)
     fit_glasso(CandidateStore(data, BINOMIAL), groups, seed=seed)
-    # one call per penalty level: five CV folds plus all complete cases
+    # one path call over the 50 levels: five CV folds plus all complete cases
     n_cc = build_pattern_index(data).s_sets[0].size
-    assert len(masks) == 50
-    assert all(m is not None and m.shape == (n_cc, 6) for m in masks)
-    assert masks[0][:, 5].all() and not masks[0][:, :5].all(axis=0).any()
+    ((args, kwargs, _),) = calls
+    lambdas, mask = args[3], kwargs["rows"]
+    assert len(lambdas) == 50
+    assert mask.shape == (n_cc, 6)
+    assert mask[:, 5].all() and not mask[:, :5].all(axis=0).any()
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -466,6 +495,43 @@ def test_fit_glasso_reports_an_unconverged_path(monkeypatch):
     res = fit_glasso(CandidateStore(data, BINOMIAL), groups)
     assert res.diagnostics["path_unconverged"] > 0
     assert res.diagnostics["path_kkt_max"] > 1e-8
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_glasso_path_records_the_all_rows_kkt_residual_at_every_level(seed, monkeypatch):
+    data, groups = adni_like(seed=seed)
+    calls = _counting_group_lasso(monkeypatch)
+    res = fit_glasso(CandidateStore(data, BINOMIAL), groups, seed=seed)
+    ((args, _, path),) = calls
+    X, y, _, lambdas, group_pos = args
+    n, p = X.shape
+    assert res.diagnostics["path_kkt_max"] == path.kkt.max()
+    assert res.diagnostics["path_iterations"] == path.iterations.sum() > 300
+    assert res.diagnostics["path_stops"] == {"kkt": 300, "stall": 0, "no_step": 0, "max_iter": 0}
+    eps = np.finfo(float).eps
+    for i, lam in enumerate(lambdas):
+        beta = path.coef[i, 5]
+        ref = group_lasso_kkt_residual(X, y, BINOMIAL, beta, lam, group_pos)
+        # The solver takes the gradient X^T (mu - y) in its block layout from
+        # the theta of its last accepted step; the reference takes it in
+        # column order from X @ beta.  Each is within (n + p) eps |X|^T (|mu - y|
+        # + mu + |X| |beta| / 4) of the exact gradient (sums of n products,
+        # theta's p-term rounding through b'' <= 1/4, and a few ulp of expit),
+        # and the residual is 1-Lipschitz in the gradient's 2-norm.
+        mu = expit(X @ beta)
+        scale = np.abs(X).T @ (np.abs(mu - y) + mu + 0.25 * (np.abs(X) @ np.abs(beta)))
+        assert abs(path.kkt[i, 5] - ref) <= 2 * (n + p) * eps * np.linalg.norm(scale)
+
+
+def test_fit_glasso_counts_the_solves_that_ran_out_of_budget(monkeypatch):
+    data, groups = adni_like(seed=0)
+    calls = _counting_group_lasso(monkeypatch, max_iter=1)
+    d = fit_glasso(CandidateStore(data, BINOMIAL), groups).diagnostics
+    ((_, _, path),) = calls
+    assert d["path_stops"]["max_iter"] == d["path_unconverged"] > 0
+    assert sum(d["path_stops"].values()) == path.stop.size == 300
+    # one step at most per solve
+    assert d["path_iterations"] <= 300 and path.iterations.max() == 1
 
 
 def test_every_method_reads_the_one_pattern_index_of_its_store(monkeypatch):

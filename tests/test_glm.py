@@ -293,19 +293,24 @@ def test_overflowing_gram_gets_the_reference_decision():
     dependent = X.copy()
     dependent[:, 3] = X[:, 0] - X[:, 2]
     names = list("abcd")
+    # X^T X overflows, so the check decides on X * 2^-e (e the exponent of
+    # max |x|), whose QR norms stay finite: the full-rank design is accepted,
+    # and the dependent one gets the reference's decision on that scaled copy
+    outcomes = []
     for design in (X, dependent):
-        outcomes = []
-        # the norms of both QR routes overflow as well; only the decision is compared
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             assert not np.all(np.isfinite(design.T @ design))
-            for check in (check_full_rank, reference_check_full_rank):
-                try:
-                    check(design, names)
-                    outcomes.append(None)
-                except RankDeficientError as err:
-                    outcomes.append((str(err), err.columns))
-        assert outcomes[0] == outcomes[1]
-    assert outcomes[0] is not None
+        scaled = np.ldexp(design, -np.frexp(np.abs(design).max())[1])
+        for check, arg in ((check_full_rank, design), (reference_check_full_rank, scaled)):
+            try:
+                with np.errstate(over="ignore"):
+                    check(arg, names)
+                outcomes.append(None)
+            except RankDeficientError as err:
+                outcomes.append((str(err), err.columns))
+    assert outcomes[:2] == [None, None]
+    message = "rank-deficient design (rank 3 < 4); dependent columns: ['a']"
+    assert outcomes[2] == outcomes[3] == (message, ["a"])
 
 
 def test_expit_is_within_4_ulp_of_scipy():
