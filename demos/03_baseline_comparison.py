@@ -1,8 +1,10 @@
 """Compare the averaging method against the baseline strategies.
 
 Splits the block-missing dataset 75/25 within each availability pattern,
-fits everything on the training part and scores held-out complete cases
-by predictive deviance.  The same protocol is available from the shell:
+fits everything on the training part and scores the held-out rows, each
+pattern group by the rule ``fragma compare`` uses; the predictive deviance
+is taken on the held-out complete cases.  The same protocol is available
+from the shell:
 
     fragma compare --input data.csv --response y --groups groups.json \
         --methods opt1,opt2,cc,saic,sbic,imp1,imp2,glasso --out results/
@@ -10,49 +12,27 @@ by predictive deviance.  The same protocol is available from the shell:
 
 import numpy as np
 
-from fragma.averaging import predict
+from fragma.averaging import score_rows
 from fragma.baselines import ALL_METHODS, fit_method
 from fragma.datasets import adni_like
 from fragma.glm import BINOMIAL, CandidateStore
-from fragma.patterns import FragmentaryDataset, build_pattern_index
+from fragma.patterns import build_pattern_index, holdout_rows
 
 data, groups = adni_like(seed=2)
-rng = np.random.default_rng(7)
-
-index = build_pattern_index(data)
-train_rows, test_rows = [], []
-for t in index.t_sets:
-    perm = rng.permutation(t)
-    cut = max(1, int(round(0.75 * len(t))))
-    train_rows.extend(perm[:cut])
-    test_rows.extend(perm[cut:])
-
-
-def subset(rows):
-    rows = np.sort(np.asarray(rows))
-    return FragmentaryDataset(
-        data.y[rows], data.x[rows], data.mask[rows], list(data.column_names)
-    )
-
-
-train, test = subset(train_rows), subset(test_rows)
+train_rows, test_rows = holdout_rows(build_pattern_index(data), 0.75, np.random.default_rng(7))
+train, test = data.take(train_rows), data.take(test_rows)
 print(f"train {train.n} / test {test.n} subjects")
 
 # one store of candidate fits for all methods (imp1/imp2 use its zero-imputed store)
 store = CandidateStore(train, BINOMIAL)
-lead = list(store.index.patterns[0].indices)
-eval_rows = np.flatnonzero(test.mask[:, lead].all(axis=1))
-y_eval = test.y[eval_rows]
+eval_rows = np.flatnonzero(test.mask[:, list(store.index.patterns[0].indices)].all(axis=1))
 print(f"evaluating on {eval_rows.size} held-out complete cases\n")
 
-
-def deviance(theta):
-    return 2.0 * float(np.mean(BINOMIAL.b(theta) - y_eval * theta))
-
-
-fits = {m: fit_method(m, store, groups=groups, seed=7) for m in ALL_METHODS}
-
-print(f"{'method':8s}  test deviance per obs")
-for name, fit in fits.items():
-    theta = predict(fit, test.x[eval_rows])[0]
-    print(f"{name:8s}  {deviance(theta):.4f}")
+x_test, y_eval = np.where(test.mask, test.x, np.nan), test.y[eval_rows]
+print(f"{'method':8s}  scored rows  test deviance per obs")
+for name in ALL_METHODS:
+    fit = fit_method(name, store, groups=groups, seed=7)
+    theta = score_rows(fit, x_test, lambda: store)[0]
+    t = theta[eval_rows]
+    deviance = 2.0 * float(np.mean(BINOMIAL.b(t) - y_eval * t))
+    print(f"{name:8s}  {np.isfinite(theta).sum():>7d}/{test.n}  {deviance:.4f}")

@@ -21,6 +21,7 @@ from .averaging import (
     optimize_weights,
     predict,
     predict_for_pattern,
+    score_rows,
 )
 from .baselines import (
     fit_cc,
@@ -98,5 +99,6 @@ __all__ = [
     "read_groups_sidecar",
     "restrict_to",
     "run_study",
+    "score_rows",
     "screen_groups",
 ]

@@ -10,6 +10,9 @@ where theta(w) stacks the per-candidate linear predictors on the
 complete-case rows (so theta(w) is linear in w and G is convex).  The
 minimizer is found by a primal active-set Newton method on the simplex,
 which stops once the simplex KKT residual is within tolerance.
+
+:func:`score_rows` scores query rows one availability-pattern group at a
+time, by the model itself or by weights refitted on the group's columns.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .glm import CandidateModel, CandidateStore, ExponentialFamily, get_family
-from .patterns import FragmentaryDataset, PatternIndex, build_pattern_index
+from .patterns import FragmentaryDataset, PatternIndex, build_pattern_index, split_rows_by_pattern
 
 PROB_CLAMP = 1e-12
 ACTIVE_TOL = 1e-10
@@ -444,26 +447,72 @@ def predict(model: AveragedModel, x):
 
 
 def predict_for_pattern(store: CandidateStore, lambda_n, x_star):
-    """Predict for a query observing only a sub-pattern of the columns.
+    """Predict for query rows observing only a sub-pattern of the columns.
 
-    The query pattern is read off the finite entries of ``x_star``
-    (length p, NaN marking unobserved).  The store's data are indexed
-    through those columns (only patterns contained in the query pattern
-    survive), weights are reselected on that index's complete cases from
-    the store's candidates, and the query is scored.  Returns ``(theta,
-    mean, model)``, the model in the data's own column numbers.  When the
-    query observes everything this reduces to the unrestricted pipeline.
+    ``x_star`` is one query row (length p) or an (m, p) block whose rows
+    all observe the same columns, NaN marking unobserved (rows that differ
+    are a DataError).  The store's data are indexed through those columns
+    (only patterns contained in the query pattern survive), weights are
+    reselected on that index's complete cases from the store's candidates,
+    and the query is scored.  Returns ``(theta, mean, model)``, theta and
+    mean as :func:`predict` returns them, the model in the data's own
+    column numbers.  When the query observes everything this reduces to
+    the unrestricted pipeline.
     """
     data = store.data
     x_star = np.asarray(x_star, dtype=float)
-    if x_star.shape != (data.p,):
-        raise DataError(f"query vector must have length {data.p}")
-    observed = np.flatnonzero(np.isfinite(x_star))
+    finite = np.isfinite(np.atleast_2d(x_star))
+    if x_star.ndim > 2 or finite.shape[1:] != (data.p,) or finite.size == 0:
+        raise DataError(f"query must be a row of length {data.p} or a block of such rows")
+    if (finite != finite[0]).any():
+        raise DataError("query rows observe different columns")
+    observed = np.flatnonzero(finite[0])
     if observed.size == 0:
         raise DataError("query observes no covariate")
     model = fit_averaged(store, lambda_n, columns=observed)
     theta, mean = predict(model, x_star)
     return theta, mean, model
+
+
+def score_rows(model: AveragedModel, x, load_store):
+    """Score query rows (NaN = unobserved) one availability-pattern group at a time.
+
+    Rule: ``zero-imputed`` for a zero-filling model; ``full`` if no penalty
+    chose the weights or the group observes the leading candidate; else
+    ``restricted``: one :func:`predict_for_pattern` call on the group's
+    rows, from the training store that ``load_store()`` returns (None:
+    there is none).  ``load_store`` is called only while a restricted group
+    has no store, and an exception it raises ends the scoring.  Returns
+    theta (NaN where a group failed) and per group ``(rows, rule, error)``.
+    """
+    x = np.asarray(x, dtype=float)
+    observed = np.isfinite(x)
+    lead = list(model.candidates[0].pattern.indices)
+    theta = np.full(x.shape[0], np.nan)
+    scored = []
+    store = None
+    for rows in split_rows_by_pattern(observed):
+        rule, error = "full", None
+        if model.zero_impute:
+            rule = "zero-imputed"
+        elif model.lambda_n is not None and not observed[rows[0], lead].all():
+            rule = "restricted"
+            if store is None:
+                store = load_store()
+        try:
+            if rule != "restricted":
+                theta[rows] = predict(model, x[rows])[0]
+            elif store is None:
+                raise DataError(
+                    f"query row {rows[0] + 1} observes only a sub-pattern; "
+                    "re-fitting requires --train"
+                )
+            else:
+                theta[rows] = predict_for_pattern(store, model.lambda_n, x[rows])[0]
+        except (ValueError, NumericalError) as exc:
+            error = exc
+        scored.append((rows, rule, error))
+    return theta, scored
 
 
 def kl_loss(theta_hat, theta_true_or_mu, family, per_obs: bool = False) -> float:

@@ -7,7 +7,10 @@ reads it back.  Exit codes: 0 success, 1 numerical failure, 2 input error
 the family's support, or a path that cannot be opened as the file or
 directory it should be).  ``compare`` and ``simulate`` fit every method
 through :func:`~fragma.baselines.fit_method` and write their fit records
-and failures to ``diagnostics.json``.
+and failures to ``diagnostics.json``.  ``predict`` and ``compare`` score
+rows through :func:`~fragma.averaging.score_rows`, and ``compare`` holds
+out rows with :func:`~fragma.patterns.holdout_rows`; this module only
+reads, arranges and writes.
 """
 
 from __future__ import annotations
@@ -21,12 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .averaging import (
-    AveragedModel,
-    fit_averaged,
-    predict,
-    predict_for_pattern,
-)
+from .averaging import AveragedModel, fit_averaged, score_rows
 from .baselines import DEFAULT_METHODS, check_methods, fit_method
 from .errors import DataError, NumericalError
 from .glm import FAMILIES, CandidateStore, FitOptions
@@ -38,7 +36,7 @@ from .io import (
     read_matrix_csv,
     write_csv,
 )
-from .patterns import FragmentaryDataset, build_pattern_index, split_rows_by_pattern
+from .patterns import FragmentaryDataset, build_pattern_index, holdout_rows
 from .screening import screen_groups
 from .sim import BETA_CASES, SimConfig, run_study
 
@@ -170,45 +168,6 @@ def _prediction_rows(rules, theta, mean) -> list[list]:
     ]
 
 
-def _score_by_pattern(model, x, load_store):
-    """Score query rows (NaN = unobserved) one availability-pattern group at a time.
-
-    Rule: ``zero-imputed`` for a zero-filling model; ``full`` if no penalty
-    chose the weights or the group observes the leading candidate; else
-    ``restricted``, refitted on the group's columns from the training store
-    that ``load_store()`` returns (None: there is none).  ``load_store`` is
-    called only for a restricted group, and an exception it raises ends the
-    scoring.  Returns theta (NaN where a group failed) and per group
-    ``(rows, rule, error)``.
-    """
-    observed = np.isfinite(x)
-    lead = list(model.candidates[0].pattern.indices)
-    theta = np.full(x.shape[0], np.nan)
-    scored = []
-    store = None
-    for rows in split_rows_by_pattern(observed):
-        rule, sub, error = "full", model, None
-        if model.zero_impute:
-            rule = "zero-imputed"
-        elif model.lambda_n is not None and not observed[rows[0], lead].all():
-            rule = "restricted"
-            if store is None:
-                store = load_store()
-        try:
-            if rule == "restricted":
-                if store is None:
-                    raise DataError(
-                        f"query row {rows[0] + 1} observes only a sub-pattern; "
-                        "re-fitting requires --train"
-                    )
-                sub = predict_for_pattern(store, model.lambda_n, x[rows[0]])[2]
-            theta[rows] = predict(sub, x[rows])[0]
-        except (ValueError, NumericalError) as exc:
-            error = exc
-        scored.append((rows, rule, error))
-    return theta, scored
-
-
 def cmd_predict(args) -> int:
     out = _out_dir(args)
     _write_config(out, args)
@@ -240,7 +199,7 @@ def cmd_predict(args) -> int:
             raise DataError("training CSV columns do not match the model's columns")
         return CandidateStore(train, model.family, fopts)
 
-    theta, scored = _score_by_pattern(model, q, load_train)
+    theta, scored = score_rows(model, q, load_train)
     rules = np.empty(q.shape[0], dtype=object)
     for rows, rule, error in scored:
         if error is not None:
@@ -252,25 +211,6 @@ def cmd_predict(args) -> int:
               _prediction_rows(rules, theta, model.family.b_prime(theta)))
     print(f"wrote {out / 'predictions.csv'} ({q.shape[0]} rows)")
     return 0
-
-
-def _split_by_pattern(index, split, rng):
-    train_rows, test_rows = [], []
-    for t in index.t_sets:
-        perm = rng.permutation(t)
-        n_train = min(len(t), max(1, int(round(split * len(t)))))
-        train_rows.extend(perm[:n_train])
-        test_rows.extend(perm[n_train:])
-    return np.sort(np.asarray(train_rows, dtype=int)), np.sort(np.asarray(test_rows, dtype=int))
-
-
-def _subset(data, rows):
-    return FragmentaryDataset(
-        y=data.y[rows],
-        x=data.x[rows],
-        mask=data.mask[rows],
-        column_names=list(data.column_names),
-    )
 
 
 def cmd_compare(args) -> int:
@@ -289,13 +229,12 @@ def cmd_compare(args) -> int:
     if args.groups:
         groups = read_groups_sidecar(args.groups, data.column_names)
 
-    rng = np.random.default_rng(args.seed)
-    index_all = build_pattern_index(data)
-    train_rows, test_rows = _split_by_pattern(index_all, args.split, rng)
+    train_rows, test_rows = holdout_rows(
+        build_pattern_index(data), args.split, np.random.default_rng(args.seed)
+    )
     if test_rows.size == 0:
         raise DataError("test split is empty; lower --split")
-    train = _subset(data, train_rows)
-    test = _subset(data, test_rows)
+    train, test = data.take(train_rows), data.take(test_rows)
 
     store = CandidateStore(train, args.family, fopts)
     family = store.family
@@ -306,7 +245,7 @@ def cmd_compare(args) -> int:
     summary = []
     diagnostics = {}
     for m, fit in fits.items():
-        theta, scored = _score_by_pattern(fit, xq, lambda: store)
+        theta, scored = score_rows(fit, xq, lambda: store)
         rules = np.empty(test.n, dtype=object)
         for rows, rule, error in scored:
             rules[rows] = rule if error is None else "unavailable"
@@ -317,15 +256,10 @@ def cmd_compare(args) -> int:
         preds = _prediction_rows(rules, theta, family.b_prime(theta))
         write_csv(out / f"predictions_{m}.csv", ["row", "rule", "theta", "mean"], preds)
 
-        theta_eval = theta[eval_rows]
-        ok = np.isfinite(theta_eval)
-        y_eval = test.y[eval_rows][ok]
-        loss = (
-            2.0 / family.phi * float(np.mean(family.b(theta_eval[ok]) - y_eval * theta_eval[ok]))
-            if ok.any()
-            else float("nan")
-        )
-        summary.append([m, int(ok.sum()), f"{loss:.10g}"])
+        ok_rows = eval_rows[np.isfinite(theta[eval_rows])]
+        t, y = theta[ok_rows], test.y[ok_rows]
+        loss = 2.0 / family.phi * float(np.mean(family.b(t) - y * t)) if ok_rows.size else np.nan
+        summary.append([m, ok_rows.size, f"{loss:.10g}"])
     write_csv(out / "kl_summary.csv", ["method", "n_eval", "loss_per_obs"], summary)
     _write_json(out / "diagnostics.json", diagnostics)
     print(f"train={train.n} test={test.n} evaluated on {eval_rows.size} full-pattern test rows")

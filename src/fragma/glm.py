@@ -328,6 +328,9 @@ def fit_glm(
     Gram matrix :func:`check_full_rank` screens the design on, and is the
     first iteration's Hessian.  Later iterations weight by the variance
     function at the means the score was computed from, V(mu) = b''(theta).
+    When it overflows (entries near the square root of the largest float),
+    no Newton step can be taken: once the rank check has ruled, that is a
+    NumericalError naming the columns whose rows of it are not finite.
     """
     opts = opts or FitOptions()
     X = np.asarray(X, dtype=float)
@@ -338,8 +341,13 @@ def fit_glm(
     mu = family.b_prime(theta)
     # every weight is the power of two b''(0) / phi: an exactly scaled Gram matrix
     w = family.variance(mu) / family.phi
-    fisher = X.T @ (w[:, None] * X)
+    with np.errstate(over="ignore"):
+        fisher = X.T @ (w[:, None] * X)
     check_full_rank(X, column_names, gram=fisher)
+    overflow = np.flatnonzero(~np.isfinite(fisher).all(axis=1))
+    if overflow.size:
+        names = [column_names[j] if column_names is not None else str(j) for j in overflow]
+        raise NumericalError(f"Fisher information overflows at beta = 0; rescale columns {names}")
 
     ll = loglik(family, theta, y)
     ridged = False

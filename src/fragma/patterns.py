@@ -75,6 +75,12 @@ class FragmentaryDataset:
     def p(self) -> int:
         return self.x.shape[1]
 
+    def take(self, rows) -> "FragmentaryDataset":
+        """The subjects ``rows`` (row numbers or a boolean mask), in that order."""
+        return FragmentaryDataset(
+            self.y[rows], self.x[rows], self.mask[rows], list(self.column_names)
+        )
+
     def filled(self) -> "FragmentaryDataset":
         """Zero-imputed copy: unobserved cells set to zero and marked observed."""
         return FragmentaryDataset(
@@ -159,6 +165,22 @@ def split_rows_by_pattern(mask: np.ndarray) -> list[np.ndarray]:
     )
     groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
     return [groups[u] for u in np.argsort(first)]
+
+
+def holdout_rows(index: PatternIndex, split: float, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted training and held-out rows, split within each pattern's T set.
+
+    For 0 < ``split`` < 1 a random ``max(1, round(split * |T|))`` rows of
+    each T set train and the rest are held out; ``rng`` draws one
+    permutation per T set, in index order.
+    """
+    train, held = [], []
+    for t in index.t_sets:
+        perm = rng.permutation(t)
+        n_train = max(1, int(round(split * len(t))))
+        train.append(perm[:n_train])
+        held.append(perm[n_train:])
+    return np.sort(np.concatenate(train)), np.sort(np.concatenate(held))
 
 
 def build_pattern_index(data: FragmentaryDataset, columns=None) -> PatternIndex:

@@ -16,6 +16,7 @@ from fragma.averaging import (
     predict,
     predict_for_pattern,
     resolve_lambda,
+    score_rows,
 )
 from fragma.baselines import fit_imp
 from fragma.datasets import adni_like, random_fragmentary
@@ -472,6 +473,54 @@ def test_predict_for_pattern_rejects_empty_query(rng):
     data, *_ = fragmentary_pipeline(rng, n=40, p=3)[:1]
     with pytest.raises(DataError):
         predict_for_pattern(CandidateStore(data, BINOMIAL), 2.0, np.full(data.p, np.nan))
+
+
+def test_predict_for_pattern_scores_a_block_with_the_single_row_model():
+    data, _ = adni_like(seed=5, scale=0.2)
+    store = CandidateStore(data, BINOMIAL)
+    rows = build_pattern_index(data).t_sets[1]
+    block = np.where(data.mask, data.x, np.nan)[rows]
+    theta, mean, model = predict_for_pattern(store, 2.0, block)
+    single = predict_for_pattern(store, 2.0, block[0])[2]
+    want_theta, want_mean = predict(single, block)
+    assert theta.shape == (rows.size,)
+    assert theta.tobytes() == want_theta.tobytes()
+    assert mean.tobytes() == want_mean.tobytes()
+    assert model.weights.tobytes() == single.weights.tobytes()
+
+
+def test_predict_for_pattern_rejects_a_block_whose_rows_observe_different_columns():
+    data, _ = adni_like(seed=5, scale=0.2)
+    index = build_pattern_index(data)
+    xq = np.where(data.mask, data.x, np.nan)
+    block = xq[[index.t_sets[1][0], index.t_sets[1][1], index.t_sets[2][0]]]
+    with pytest.raises(DataError, match="query rows observe different columns"):
+        predict_for_pattern(CandidateStore(data, BINOMIAL), 2.0, block)
+
+
+def test_score_rows_loads_the_store_once_and_refits_each_restricted_group_as_a_block():
+    data, _ = adni_like(seed=0, scale=0.25)
+    store = CandidateStore(data, BINOMIAL)
+    model = fit_averaged(store, 2.0)
+    xq = np.where(data.mask, data.x, np.nan)
+    loads = []
+    theta, scored = score_rows(model, xq, lambda: loads.append(1) or store)
+    assert loads == [1]
+    assert sorted(np.concatenate([rows for rows, _, _ in scored])) == list(range(data.n))
+    assert {rule for _, rule, _ in scored} == {"full", "restricted"}
+    for rows, rule, error in scored:
+        assert error is None
+        if rule == "full":
+            want = predict(model, xq[rows])[0]
+        else:
+            want = predict_for_pattern(store, model.lambda_n, xq[rows])[0]
+        assert theta[rows].tobytes() == want.tobytes()
+
+    # without a store a restricted group keeps NaN and records why
+    theta, scored = score_rows(model, xq, lambda: None)
+    for rows, rule, error in scored:
+        assert (error is None) == (rule == "full")
+        assert np.isfinite(theta[rows]).all() == (rule == "full")
 
 
 def no_complete_case_data(rng, n=40):

@@ -51,3 +51,11 @@ def test_only_the_model_combines_coefficients():
     naming = [m.name for m in modules
               if "combine_coefficients" in names(ast.parse(m.read_text()))]
     assert naming == ["averaging.py"]
+
+
+def test_only_patterns_and_averaging_split_rows_by_pattern():
+    # Besides the pattern index, only averaging.score_rows groups rows by
+    # pattern; the CLI and the rest of the package score through it.
+    modules = sorted(Path(fragma.__file__).parent.glob("*.py"))
+    naming = [m.name for m in modules if "split_rows_by_pattern" in m.read_text()]
+    assert naming == ["averaging.py", "patterns.py"]

@@ -234,6 +234,27 @@ def test_cli_fit_fully_observed(tmp_path):
     assert (out / "config.json").exists()
 
 
+def test_cli_fit_overflowing_design_is_a_numerical_failure(tmp_path):
+    # Full rank, but X^T X overflows: no Newton step can be taken, so the
+    # fit must not be written as a model with beta = 0.
+    rng = np.random.default_rng(5)
+    n = 60
+    x = 1e160 * rng.standard_normal((n, 3))
+    y = (rng.random(n) < 0.5).astype(float)
+    f = tmp_path / "huge.csv"
+    rows = [["y", "a", "b", "c"]] + [[repr(float(y[i]))] + [repr(float(v)) for v in x[i]]
+                                     for i in range(n)]
+    f.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    out = tmp_path / "out"
+    assert run_cli("fit", "--input", str(f), "--response", "y", "--out", str(out)) == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "NumericalError"
+    assert error["message"] == (
+        "Fisher information overflows at beta = 0; rescale columns ['a', 'b', 'c']"
+    )
+    assert not (out / "model.json").exists()
+
+
 def test_cli_fit_ragged_csv_exit_2(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("y,a,b\n1,2,3\n0,4\n")
@@ -966,11 +987,10 @@ def test_cli_fit_response_outside_the_family_support_exits_2(tmp_path, family, y
 
 
 def test_cli_compare_response_outside_the_support_in_the_test_split_exits_2(tmp_path):
-    from fragma.cli import _split_by_pattern
-    from fragma.patterns import build_pattern_index
+    from fragma.patterns import build_pattern_index, holdout_rows
 
     data, _ = adni_like(seed=6, scale=0.1)
-    test_rows = _split_by_pattern(build_pattern_index(data), 0.75, np.random.default_rng(0))[1]
+    test_rows = holdout_rows(build_pattern_index(data), 0.75, np.random.default_rng(0))[1]
     bad = int(test_rows[0])
     data.y[bad] = 2.0
     f = tmp_path / "d.csv"
