@@ -429,6 +429,7 @@ def predict(model: AveragedModel, x):
     Rows must observe the model's support (NaN marks unobserved; else a
     DataError) unless the model zero-imputes.  Returns ``(theta_hat,
     mean_hat)``, mean = b'(theta): floats for a row, arrays for a block.
+    A row scores the same bits alone as anywhere in any block.
     """
     x = np.asarray(x, dtype=float)
     if model.zero_impute:
@@ -439,7 +440,10 @@ def predict(model: AveragedModel, x):
     if unobserved.any():
         names = [model.column_names[j] for j in np.asarray(support)[unobserved]]
         raise DataError(f"required covariates unobserved in query: {names}")
-    theta = vals @ model.beta_combined[support]
+    # einsum reduces each C-ordered row in its own inner loop, whose order
+    # depends on the row's length alone; a BLAS matrix-vector product rounds
+    # a row by its position in the block.
+    theta = np.einsum("...j,j->...", np.ascontiguousarray(vals), model.beta_combined[support])
     mean = model.family.b_prime(theta)
     if theta.ndim == 0:
         return float(theta), float(mean)
@@ -505,7 +509,7 @@ def score_rows(model: AveragedModel, x, load_store):
             elif store is None:
                 raise DataError(
                     f"query row {rows[0] + 1} observes only a sub-pattern; "
-                    "re-fitting requires --train"
+                    "re-fitting needs the training data"
                 )
             else:
                 theta[rows] = predict_for_pattern(store, model.lambda_n, x[rows])[0]

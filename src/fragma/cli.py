@@ -202,6 +202,8 @@ def cmd_predict(args) -> int:
     theta, scored = score_rows(model, q, load_train)
     rules = np.empty(q.shape[0], dtype=object)
     for rows, rule, error in scored:
+        if error is not None and rule == "restricted" and not args.train:
+            raise DataError(f"{error}: pass it with --train") from error
         if error is not None:
             raise error
         if rule == "restricted":

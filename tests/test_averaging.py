@@ -523,6 +523,35 @@ def test_score_rows_loads_the_store_once_and_refits_each_restricted_group_as_a_b
         assert np.isfinite(theta[rows]).all() == (rule == "full")
 
 
+@pytest.mark.parametrize("method", ["imp1", "opt1", "cc"])
+def test_a_row_scores_the_same_bits_alone_as_in_any_block(method):
+    from fragma.baselines import fit_method
+
+    data, _ = adni_like(seed=0, scale=0.25)
+    model = fit_method(method, CandidateStore(data, BINOMIAL))
+    x = data.x
+    if not model.zero_impute:
+        x = x[np.isfinite(x[:, model.support]).all(axis=1)]
+    block = predict(model, x)[0]
+    alone = np.array([predict(model, row)[0] for row in x])
+    assert block.tobytes() == alone.tobytes()
+    perm = np.random.default_rng(1).permutation(len(x))
+    assert predict(model, x[perm])[0].tobytes() == block[perm].tobytes()
+    assert predict(model, np.asfortranarray(x))[0].tobytes() == block.tobytes()
+
+
+def test_score_rows_without_a_store_asks_for_the_training_data():
+    data, _ = adni_like(seed=0, scale=0.25)
+    model = fit_averaged(CandidateStore(data, BINOMIAL), 2.0)
+    xq = np.where(data.mask, data.x, np.nan)
+    _, scored = score_rows(model, xq, lambda: None)
+    errors = [str(error) for _, rule, error in scored if rule == "restricted"]
+    assert errors
+    for message in errors:
+        assert message.endswith("observes only a sub-pattern; re-fitting needs the training data")
+        assert "--" not in message
+
+
 def no_complete_case_data(rng, n=40):
     """Patterns {0,1} and {0,2}: nobody observes every column."""
     mask = np.zeros((n, 3), dtype=bool)

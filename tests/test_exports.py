@@ -59,3 +59,22 @@ def test_only_patterns_and_averaging_split_rows_by_pattern():
     modules = sorted(Path(fragma.__file__).parent.glob("*.py"))
     naming = [m.name for m in modules if "split_rows_by_pattern" in m.read_text()]
     assert naming == ["averaging.py", "patterns.py"]
+
+
+def test_every_function_the_bench_wraps_is_bound_in_fragma(monkeypatch):
+    # bench/spans.py's Probe raises when a function it wraps is renamed or
+    # bound in no fragma module; load it by path (writing no bytecode under
+    # bench/) and install every wrapper.
+    import importlib.util
+    import sys
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    probe = spans.Probe()
+    try:
+        probe.begin(trace=True)
+    finally:
+        probe.end()

@@ -335,6 +335,52 @@ def test_expit_saturates_exactly_without_warning():
             assert fragma_expit(-1000.0) == 0.0 and fragma_expit(1000.0) == 1.0
 
 
+def binomial_b_grid():
+    rng = np.random.default_rng(20261019)
+    far = rng.uniform(40.0, 800.0, 2000)
+    return np.concatenate([
+        [0.0, -0.0, 800.0, -800.0, 40.0, -40.0],
+        rng.normal(0.0, 9.0, 4000),
+        rng.uniform(-800.0, 800.0, 4000),
+        rng.uniform(-745.0, -708.0, 2000),  # e^theta in the subnormal tail
+        np.where(rng.random(far.size) < 0.5, far, -far),
+    ])
+
+
+def test_binomial_b_is_within_4_ulp_of_logaddexp():
+    theta = binomial_b_grid()
+    want = np.logaddexp(0.0, theta)
+    assert np.all(np.abs(BINOMIAL.b(theta) - want) <= 4 * np.spacing(want))
+
+
+def test_binomial_b_matches_logaddexp_at_inf_and_nan_without_warning():
+    import warnings
+
+    theta = np.array([np.inf, -np.inf, np.nan])
+    with np.errstate(invalid="ignore"):
+        want = np.logaddexp(0.0, theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="warn"):
+            got = BINOMIAL.b(theta)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_binomial_b_of_a_block_is_each_element_alone():
+    # Lengths 1-67 at random offsets reach the SIMD lanes and tails of
+    # numpy's exp and log1p; shuffling must not move any element's bits.
+    rng = np.random.default_rng(5)
+    theta = binomial_b_grid()
+    alone = np.array([BINOMIAL.b(t) for t in theta])
+    assert BINOMIAL.b(theta).tobytes() == alone.tobytes()
+    for n in range(1, 68):
+        for start in rng.integers(0, theta.size - n, size=4):
+            block, want = theta[start:start + n], alone[start:start + n]
+            assert BINOMIAL.b(block).tobytes() == want.tobytes()
+            perm = rng.permutation(n)
+            assert BINOMIAL.b(block[perm]).tobytes() == want[perm].tobytes()
+
+
 def test_non_convergence_is_flagged(rng):
     X, y = logistic_design(rng, n=50, p=3, scale=2.0)
     beta, info = fit_glm(X, y, BINOMIAL, FitOptions(max_iter=1))

@@ -338,7 +338,7 @@ def test_cli_fit_predict_round_trip_reproduces_fitted_means(tmp_path):
         assert row["rule"] == "full"
 
 
-def test_cli_predict_subpattern_requires_train(tmp_path):
+def test_cli_predict_subpattern_requires_train(tmp_path, capsys):
     data, groups = adni_like(seed=4, scale=0.15)
     train = tmp_path / "train.csv"
     dataset_to_csv(data, train)
@@ -352,11 +352,14 @@ def test_cli_predict_subpattern_requires_train(tmp_path):
     vals = ["1.0" if c == "intercept" else ("NA" if c.startswith("CSF") else "0.1") for c in cols]
     q.write_text(",".join(cols) + "\n" + ",".join(vals) + "\n")
 
+    capsys.readouterr()
     no_train = run_cli(
         "predict", "--model", str(out / "model.json"), "--input", str(q),
         "--out", str(tmp_path / "p1"),
     )
     assert no_train == 2
+    err = capsys.readouterr().err
+    assert "query row 1 observes only a sub-pattern" in err and "--train" in err
 
     ok = run_cli(
         "predict", "--model", str(out / "model.json"), "--input", str(q),
