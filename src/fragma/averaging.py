@@ -3,7 +3,7 @@
 Candidates are combined through a weight vector w on the simplex chosen to
 minimize, over the complete cases, the penalized criterion
 
-    G(w) = (2/phi) * sum_i [ b(theta_i(w)) - y_i * theta_i(w) ]
+    G(w) = 2 * sum_i [ b(theta_i(w)) - y_i * theta_i(w) ]
            + lambda_n * sum_k w_k * p_k,
 
 where theta(w) stacks the per-candidate linear predictors on the
@@ -107,7 +107,7 @@ def criterion(ctx: CriterionContext, w, lambda_n: float) -> float:
     w = np.asarray(w, dtype=float)
     theta = ctx.theta_matrix @ w
     fam = ctx.family
-    fit_term = 2.0 / fam.phi * (np.sum(fam.b(theta)) - ctx.y_cc @ theta)
+    fit_term = 2.0 * (np.sum(fam.b(theta)) - ctx.y_cc @ theta)
     return float(fit_term + lambda_n * (ctx.p_sizes @ w))
 
 
@@ -117,13 +117,13 @@ def criterion_gradient(ctx: CriterionContext, w, lambda_n: float) -> np.ndarray:
     theta = ctx.theta_matrix @ w
     fam = ctx.family
     resid = fam.b_prime(theta) - ctx.y_cc
-    return 2.0 / fam.phi * (ctx.theta_matrix.T @ resid) + lambda_n * ctx.p_sizes
+    return 2.0 * (ctx.theta_matrix.T @ resid) + lambda_n * ctx.p_sizes
 
 
 def _criterion_hessian(ctx: CriterionContext, w) -> np.ndarray:
     theta = ctx.theta_matrix @ np.asarray(w, dtype=float)
-    d = ctx.family.b_double_prime(theta)
-    return 2.0 / ctx.family.phi * (ctx.theta_matrix.T @ (d[:, None] * ctx.theta_matrix))
+    d = ctx.family.variance(ctx.family.b_prime(theta))
+    return 2.0 * (ctx.theta_matrix.T @ (d[:, None] * ctx.theta_matrix))
 
 
 def kkt_residual(w, grad) -> float:
@@ -316,14 +316,24 @@ class AveragedModel:
             weights = d["weights"]
             if not isinstance(weights, list):
                 raise DataError(f"weights must be a list, got {weights!r:.40}")
+            lambda_n = d.get("lambda_n")
+            # type(), not isinstance(): a JSON true is a bool, and bool is an int
+            number = type(lambda_n) in (int, float) and 0 <= lambda_n < np.inf
+            if not (lambda_n is None or number):
+                raise DataError(
+                    f"lambda_n must be null or a nonnegative finite number, got {lambda_n!r:.40}"
+                )
+            zero_impute = d.get("zero_impute", False)
+            if not isinstance(zero_impute, bool):
+                raise DataError(f"zero_impute must be true or false, got {zero_impute!r:.40}")
             model = cls(
                 candidates=candidates,
                 weights=weights,
                 family=get_family(d["family"]),
                 column_names=list(d["column_names"]),
-                lambda_n=d.get("lambda_n"),
+                lambda_n=lambda_n,
                 criterion_value=d.get("criterion_value"),
-                zero_impute=bool(d.get("zero_impute", False)),
+                zero_impute=zero_impute,
                 diagnostics=dict(d.get("diagnostics", {})),
             )
             saved = np.asarray(d["beta_combined"], dtype=float)
@@ -539,7 +549,7 @@ def kl_loss(theta_hat, theta_true_or_mu, family, per_obs: bool = False) -> float
     if family.name == "binomial":
         mu = np.clip(mu, PROB_CLAMP, 1.0 - PROB_CLAMP)
     theta0 = family.theta_from_mean(mu)
-    val = 2.0 / family.phi * np.sum(family.b(th) - family.b(theta0) - mu * (th - theta0))
+    val = 2.0 * np.sum(family.b(th) - family.b(theta0) - mu * (th - theta0))
     if per_obs:
         val /= th.size
     return float(val)

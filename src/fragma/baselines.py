@@ -259,11 +259,11 @@ def _group_lasso_path(
     def evaluate(B):
         """theta and the loss of every problem at the block-layout coefficients ``B``."""
         theta = B @ Xb.T
-        return theta, np.sum(np.where(mask, family.b(theta) - y * theta, 0.0), axis=1) / family.phi
+        return theta, np.sum(np.where(mask, family.b(theta) - y * theta, 0.0), axis=1)
 
     theta, loss = evaluate(B)
     mu = family.b_prime(theta)
-    grad = np.where(mask, mu - y, 0.0) @ Xb / family.phi
+    grad = np.where(mask, mu - y, 0.0) @ Xb
     coef = np.empty((L, F, p))
     kkt = np.empty((L, F))
     iterations = np.zeros((L, F), dtype=int)
@@ -300,7 +300,7 @@ def _group_lasso_path(
                 inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=nonzero)[nidx]
                 coef_pen = blocks.spread(w * inv)
                 unit = blocks.spread(inv) * B[nidx]
-                weight = np.where(mask[nidx], family.variance(mu[nidx]), 0.0) / family.phi
+                weight = np.where(mask[nidx], family.variance(mu[nidx]), 0.0)
                 # loss Hessian plus the penalty's block-diagonal w_g (I - u u^T) / ||beta_g||
                 hess = Xb.T @ (weight[:, :, None] * Xb)
                 hess -= coef_pen[:, :, None] * unit[:, :, None] * unit[:, None, :] * same_group
@@ -323,7 +323,7 @@ def _group_lasso_path(
                 if spectral is None:
                     spectral = np.linalg.eigvalsh(Xb.T @ (mask[:, :, None] * Xb))[:, -1]
                 curvature = np.max(np.where(mask, family.variance(mu), 0.0), axis=1)
-                t = family.phi / np.maximum(1e-12, curvature * spectral)
+                t = 1.0 / np.maximum(1e-12, curvature * spectral)
 
             def trial(a):
                 out = B + a[:, None] * D
@@ -367,7 +367,7 @@ def _group_lasso_path(
             B, theta, loss, pen = B_new, theta_new, loss_new, pen_new
             if moved.any():
                 mu = family.b_prime(theta)
-                grad = np.where(mask, mu - y, 0.0) @ Xb / family.phi
+                grad = np.where(mask, mu - y, 0.0) @ Xb
         coef[level][:, blocks.order] = B
     return _Path(coef, kkt, iterations, np.asarray(_STOPS)[stop])
 
@@ -399,7 +399,7 @@ def group_lasso_kkt_residual(X, y, family, beta, lam, groups) -> float:
     """Largest violation of the group-lasso stationarity conditions."""
     family = get_family(family)
     blocks = _Blocks.of(X.shape[1], groups)
-    grad = X.T @ (family.b_prime(X @ beta) - y) / family.phi
+    grad = X.T @ (family.b_prime(X @ beta) - y)
     B, G = beta[None, blocks.order], grad[None, blocks.order]
     parts = _kkt_parts(G, B, blocks.norms(B), blocks, lam * np.sqrt(blocks.sizes))
     return float(np.max(parts))
@@ -423,7 +423,7 @@ def lambda_max_group_lasso(
         sub, info = fit_glm(X[:, unpenalized], y, family, opts)
         beta[unpenalized] = sub
         record = {k: info[k] for k in ("converged", "iterations", "stop")}
-    grad = X.T @ (family.b_prime(X @ beta) - y) / family.phi
+    grad = X.T @ (family.b_prime(X @ beta) - y)
     blocks = _Blocks.of(p, groups)
     lam_max = float(np.max(blocks.norms(grad[None, blocks.order]) / np.sqrt(blocks.sizes)))
     return lam_max, record

@@ -260,7 +260,7 @@ def cmd_compare(args) -> int:
 
         ok_rows = eval_rows[np.isfinite(theta[eval_rows])]
         t, y = theta[ok_rows], test.y[ok_rows]
-        loss = 2.0 / family.phi * float(np.mean(family.b(t) - y * t)) if ok_rows.size else np.nan
+        loss = 2.0 * float(np.mean(family.b(t) - y * t)) if ok_rows.size else np.nan
         summary.append([m, ok_rows.size, f"{loss:.10g}"])
     write_csv(out / "kl_summary.csv", ["method", "n_eval", "loss_per_obs"], summary)
     _write_json(out / "diagnostics.json", diagnostics)

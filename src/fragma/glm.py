@@ -3,11 +3,12 @@
 Each candidate model is an ordinary GLM with canonical link on the
 subjects observing that pattern's columns.  The log-likelihood kernel is
 
-    l(beta) = sum_i [y_i * theta_i - b(theta_i)] / phi,   theta = X beta,
+    l(beta) = sum_i [y_i * theta_i - b(theta_i)],   theta = X beta,
 
-dropping the c(y, phi) term, which depends on neither beta nor the
-averaging weights; absolute likelihood values therefore differ from
-textbook ones by a data-only constant.
+at dispersion 1 (the binomial and Poisson families have none; the
+gaussian family is taken at unit variance), dropping the c(y) term, which
+depends on neither beta nor the averaging weights; absolute likelihood
+values therefore differ from textbook ones by a data-only constant.
 
 The binomial cumulant b(theta) = log(1 + e^theta) is computed element by
 element as max(theta, 0) + log1p(e^-|theta|): within 4 ulp of
@@ -34,17 +35,17 @@ def expit(t):
 
 @dataclass(frozen=True)
 class ExponentialFamily:
-    """Cumulant function b, mean b' and variance function V with known dispersion phi.
+    """Cumulant function b, mean b', variance function V, canonical link and support.
 
-    ``variance`` takes the mean: b''(theta) = V(b'(theta)).
+    The dispersion is 1.  ``variance`` takes the mean: b''(theta) =
+    V(b'(theta)).  ``theta_from_mean`` is the canonical link, mean -> theta.
     """
 
     name: str
     b: callable
     b_prime: callable
     variance: callable
-    phi: float = 1.0
-    theta_from_mean: callable = None  # canonical link, mean -> theta
+    theta_from_mean: callable
     support: tuple[float, float] = (-np.inf, np.inf)  # closed interval of the response
 
     def check_response(self, y: np.ndarray) -> None:
@@ -56,10 +57,6 @@ class ExponentialFamily:
                 f"response outside the {self.name} support [{lo:g}, {hi:g}] "
                 f"at data rows {bad.tolist()}"
             )
-
-    def b_double_prime(self, theta):
-        """b''(theta), the variance function at the mean b'(theta)."""
-        return self.variance(self.b_prime(theta))
 
 
 def _binomial_b(theta):
@@ -73,7 +70,6 @@ BINOMIAL = ExponentialFamily(
     b=_binomial_b,
     b_prime=expit,
     variance=lambda mu: mu * (1.0 - mu),
-    phi=1.0,
     theta_from_mean=lambda mu: np.log(mu) - np.log1p(-mu),
     support=(0.0, 1.0),
 )
@@ -83,7 +79,6 @@ GAUSSIAN = ExponentialFamily(
     b=lambda theta: 0.5 * np.square(theta),
     b_prime=lambda theta: np.asarray(theta, dtype=float),
     variance=np.ones_like,
-    phi=1.0,
     theta_from_mean=lambda mu: np.asarray(mu, dtype=float),
 )
 
@@ -92,7 +87,6 @@ POISSON = ExponentialFamily(
     b=np.exp,
     b_prime=np.exp,
     variance=lambda mu: mu,
-    phi=1.0,
     theta_from_mean=np.log,
     support=(0.0, np.inf),
 )
@@ -120,7 +114,7 @@ class FitOptions:
     spins at an optimum whose score cannot get below ``grad_tol``.
     ``ridge`` is added to the Hessian once the coefficient norm passes
     1e4 (a separation guard).  All three must be nonnegative and
-    ``max_iter`` an integer; anything else is a
+    ``max_iter`` an integer (not a bool); anything else is a
     :class:`~fragma.errors.DataError`.
     """
 
@@ -129,7 +123,7 @@ class FitOptions:
     ridge: float = 1e-8
 
     def __post_init__(self):
-        if not isinstance(self.max_iter, (int, np.integer)):
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise DataError(f"max_iter must be an integer, got {self.max_iter!r}")
         for name in ("max_iter", "grad_tol", "ridge"):
             value = getattr(self, name)
@@ -181,14 +175,14 @@ class CandidateModel:
 
 
 def loglik(family: ExponentialFamily, theta: np.ndarray, y: np.ndarray) -> float:
-    """Log-likelihood kernel sum_i [y_i theta_i - b(theta_i)] / phi."""
+    """Log-likelihood kernel sum_i [y_i theta_i - b(theta_i)]."""
     theta = np.asarray(theta, dtype=float)
     y = np.asarray(y, dtype=float)
     if theta.shape != y.shape:
         raise ValueError("theta and y must have the same length")
     if not np.all(np.isfinite(theta)):
         raise NumericalError("non-finite linear predictor in loglik")
-    return float((y @ theta - np.sum(family.b(theta))) / family.phi)
+    return float(y @ theta - np.sum(family.b(theta)))
 
 
 def check_full_rank(X: np.ndarray, column_names=None, gram=None):
@@ -199,28 +193,25 @@ def check_full_rank(X: np.ndarray, column_names=None, gram=None):
     column norm), and the columns pivoted past the rank are named.  Every
     pivot is at least the smallest singular value of X, so a design whose
     sigma_min clears twice that threshold, t = 2 * _PIVOT_TOL * (largest
-    column norm), is full rank.  Two screens accept such designs before
-    the pivoted QR runs, and only ever accept them:
-
-    * The Gram screen reads ``gram``: X^T X times a positive power of two,
-      as computed (:func:`fit_glm` passes its first Fisher information;
-      the default is ``X.T @ X``).  In 2-norm the computed product is
-      within gamma_n * trace(gram) of the exact one (Higham, *Accuracy and
-      Stability of Numerical Algorithms*, sec. 3.5, since || |X|^T |X| ||
-      is at most the trace), and ``eigvalsh`` returns the exact
-      eigenvalues of a matrix within a small multiple of p * eps * trace
-      of the computed one; delta = (n + p) * eps * trace(gram) bounds the
-      two together.  By Weyl's inequality the exact smallest eigenvalue is
-      at least the computed one less delta, so a computed smallest
-      eigenvalue above 2 * delta + 4 * t^2 (t^2 on the scale of ``gram``,
-      from its largest diagonal entry) proves sigma_min above 2t, and
-      sigma_min^2 above delta: far above the QR's own rounding error,
-      about n * p * eps * ||X||_F.  A non-finite ``gram`` skips this screen.
-    * The QR screen accepts when sigma_min of an unpivoted QR's R clears t.
+    column norm), is full rank.  A screen on ``gram`` accepts such designs
+    before the pivoted QR runs, and only ever accepts them.  ``gram`` is
+    X^T X times a positive power of two, as computed (:func:`fit_glm`
+    passes its first Fisher information; the default is ``X.T @ X``).  In
+    2-norm the computed product is within gamma_n * trace(gram) of the
+    exact one (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    sec. 3.5, since || |X|^T |X| || is at most the trace), and ``eigvalsh``
+    returns the exact eigenvalues of a matrix within a small multiple of
+    p * eps * trace of the computed one; delta = (n + p) * eps * trace(gram)
+    bounds the two together.  By Weyl's inequality the exact smallest
+    eigenvalue is at least the computed one less delta, so a computed
+    smallest eigenvalue above 2 * delta + 4 * t^2 (t^2 on the scale of
+    ``gram``, from its largest diagonal entry) proves sigma_min above 2t,
+    and sigma_min^2 above delta: far above the QR's own rounding error,
+    about n * p * eps * ||X||_F.  A non-finite ``gram`` skips the screen.
 
     Every other design goes to the pivoted QR, which decides.  When
-    ``gram`` is non-finite, both QR routes run on X * 2^-e instead, where
-    e is the binary exponent of max |x|, so that their column norms do not
+    ``gram`` is non-finite, the pivoted QR runs on X * 2^-e instead, where
+    e is the binary exponent of max |x|, so that its column norms do not
     overflow: every threshold above is relative, and scaling by a power of
     two is exact away from underflow.  Accepting such a design says only
     that its columns are independent, not that a GLM on it can be fitted.
@@ -240,10 +231,6 @@ def check_full_rank(X: np.ndarray, column_names=None, gram=None):
             return
     else:
         X = np.ldexp(X, -np.frexp(np.max(np.abs(X), initial=0.0))[1])
-    r = np.linalg.qr(X, mode="r")
-    sigma_min = np.linalg.svd(r, compute_uv=False).min(initial=np.inf)
-    if sigma_min > 2 * _PIVOT_TOL * np.linalg.norm(r, axis=0).max(initial=0.0):
-        return
     diag, piv = _pivoted_qr(X)
     scale = diag[0] if diag.size and diag[0] > 0 else 1.0
     rank = int(np.sum(diag > _PIVOT_TOL * scale))
@@ -331,7 +318,7 @@ def fit_glm(
     ``ridged``.
 
     The Fisher information at beta = 0, where every weight is the power of
-    two b''(0) / phi, is X^T X exactly scaled: it is computed once, is the
+    two b''(0), is X^T X exactly scaled: it is computed once, is the
     Gram matrix :func:`check_full_rank` screens the design on, and is the
     first iteration's Hessian.  Later iterations weight by the variance
     function at the means the score was computed from, V(mu) = b''(theta).
@@ -346,8 +333,8 @@ def fit_glm(
     beta = np.zeros(p)
     theta = X @ beta
     mu = family.b_prime(theta)
-    # every weight is the power of two b''(0) / phi: an exactly scaled Gram matrix
-    w = family.variance(mu) / family.phi
+    # every weight is the power of two b''(0): an exactly scaled Gram matrix
+    w = family.variance(mu)
     with np.errstate(over="ignore"):
         fisher = X.T @ (w[:, None] * X)
     check_full_rank(X, column_names, gram=fisher)
@@ -362,13 +349,13 @@ def fit_glm(
     iterations = 0
 
     for iterations in range(1, opts.max_iter + 1):
-        score = X.T @ (y - mu) / family.phi
+        score = X.T @ (y - mu)
         if np.max(np.abs(score)) <= opts.grad_tol:
             stop = "score"
             iterations -= 1
             break
         if fisher is None:
-            w = family.variance(mu) / family.phi
+            w = family.variance(mu)
             fisher = X.T @ (w[:, None] * X)
         h = fisher + opts.ridge * np.eye(p) if ridged else fisher
         try:
@@ -410,7 +397,7 @@ def fit_glm(
         mu, fisher = family.b_prime(theta), None
 
     if stop == "max_iter":
-        score = X.T @ (y - mu) / family.phi
+        score = X.T @ (y - mu)
         if np.max(np.abs(score)) <= opts.grad_tol:
             stop = "score"
 

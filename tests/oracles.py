@@ -103,9 +103,9 @@ def central_difference_gradient(f, x, h=1e-6):
 
 
 def loglik_gradient(family, X, y, beta):
-    """Score vector X^T (y - b'(X beta)) / phi."""
+    """Score vector X^T (y - b'(X beta))."""
     theta = X @ beta
-    return X.T @ (y - family.b_prime(theta)) / family.phi
+    return X.T @ (y - family.b_prime(theta))
 
 
 def softmax_ic_weights(ic):
@@ -172,7 +172,7 @@ def per_fold_group_lasso_cv_loss(X, y, family, lambdas, groups, folds, fit_at):
         for i, lam in enumerate(lambdas):
             beta = fit_at(X[tr], y[tr], family, lam, groups, beta0=beta)
             theta = X[te] @ beta
-            cv_loss[i] += -2.0 * float((y[te] @ theta - np.sum(family.b(theta))) / family.phi)
+            cv_loss[i] += -2.0 * float(y[te] @ theta - np.sum(family.b(theta)))
     return cv_loss
 
 
@@ -311,12 +311,12 @@ def reference_fit_glm(X, y, family, opts=None, column_names=None):
 
     for iterations in range(1, opts.max_iter + 1):
         mu = family.b_prime(theta)
-        score = X.T @ (y - mu) / family.phi
+        score = X.T @ (y - mu)
         if np.max(np.abs(score)) <= opts.grad_tol:
             stop = "score"
             iterations -= 1
             break
-        w = b_double_prime(theta) / family.phi
+        w = b_double_prime(theta)
         h = X.T @ (w[:, None] * X)
         if ridged:
             h = h + opts.ridge * np.eye(p)
@@ -352,7 +352,7 @@ def reference_fit_glm(X, y, family, opts=None, column_names=None):
             ridged = True
 
     if stop == "max_iter":
-        score = X.T @ (y - family.b_prime(theta)) / family.phi
+        score = X.T @ (y - family.b_prime(theta))
         if np.max(np.abs(score)) <= opts.grad_tol:
             stop = "score"
 

@@ -53,6 +53,27 @@ def test_only_the_model_combines_coefficients():
     assert naming == ["averaging.py"]
 
 
+def test_a_family_declares_only_its_cumulant_link_and_support():
+    # The dispersion is 1 in every family, so no formula divides by one, and
+    # b'' is V(b'(theta)), read through ``variance``.
+    from dataclasses import fields
+
+    from fragma.glm import ExponentialFamily
+
+    assert [f.name for f in fields(ExponentialFamily)] == [
+        "name", "b", "b_prime", "variance", "theta_from_mean", "support"
+    ]
+    modules = sorted(Path(fragma.__file__).parent.glob("*.py"))
+    assert modules
+    reading = [
+        (m.name, node.attr)
+        for m in modules
+        for node in ast.walk(ast.parse(m.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("phi", "b_double_prime")
+    ]
+    assert reading == []
+
+
 def test_only_patterns_and_averaging_split_rows_by_pattern():
     # Besides the pattern index, only averaging.score_rows groups rows by
     # pattern; the CLI and the rest of the package score through it.

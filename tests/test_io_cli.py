@@ -733,9 +733,21 @@ BAD_JSON = [
     ("model", "beta-combined-zero",
      lambda m: {**m, "beta_combined": [0.0] * len(m["beta_combined"])}),
     ("model", "weights-null", lambda m: {**m, "weights": None}),
+    ("model", "lambda-mode-string", lambda m: {**m, "lambda_n": "opt2"}),
+    ("model", "lambda-list", lambda m: {**m, "lambda_n": [2.0]}),
+    ("model", "lambda-negative", lambda m: {**m, "lambda_n": -1}),
+    ("model", "zero-impute-string", lambda m: {**m, "zero_impute": "false"}),
+    ("model", "max-iter-bool", lambda m: {**m, "fit_options": {"max_iter": True}}),
 ]
 # the whole message after the file's path, where a case pins it
-BAD_JSON_MESSAGES = {"weights-null": "weights must be a list, got None"}
+BAD_JSON_MESSAGES = {
+    "weights-null": "weights must be a list, got None",
+    "lambda-mode-string": "lambda_n must be null or a nonnegative finite number, got 'opt2'",
+    "lambda-list": "lambda_n must be null or a nonnegative finite number, got [2.0]",
+    "lambda-negative": "lambda_n must be null or a nonnegative finite number, got -1",
+    "zero-impute-string": "zero_impute must be true or false, got 'false'",
+    "max-iter-bool": "fit_options: max_iter must be an integer, got True",
+}
 
 
 @pytest.mark.parametrize(
@@ -1006,6 +1018,21 @@ def test_cli_compare_response_outside_the_support_in_the_test_split_exits_2(tmp_
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "DataError"
     assert error["message"].endswith(f"at data rows [{bad}]")
+    assert not (out / "kl_summary.csv").exists()
+
+
+def test_cli_compare_empty_test_split_exits_2(tmp_path):
+    # T sets of 41, 37, 4, 10, 9, 5, 5 and 6 rows: round(0.99 |T|) = |T| trains them all
+    data, _ = adni_like(seed=6, scale=0.1)
+    f = tmp_path / "d.csv"
+    dataset_to_csv(data, f)
+    out = tmp_path / "o"
+    assert run_cli(
+        "compare", "--input", str(f), "--response", "y", "--methods", "opt1,cc",
+        "--split", "0.99", "--out", str(out),
+    ) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "DataError" and error["message"] == "test split is empty; lower --split"
     assert not (out / "kl_summary.csv").exists()
 
 
