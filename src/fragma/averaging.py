@@ -303,7 +303,12 @@ class AveragedModel:
     def from_dict(cls, d: dict) -> "AveragedModel":
         """The model :meth:`to_dict` wrote; a malformed or inconsistent one is a DataError."""
         try:
-            candidates = [CandidateModel.from_dict(c) for c in d["candidates"]]
+            candidates = []
+            for k, c in enumerate(d["candidates"]):
+                try:
+                    candidates.append(CandidateModel.from_dict(c))
+                except DataError as exc:
+                    raise DataError(f"candidate {k}: {exc}") from exc
             p = len(d["column_names"])
             outside = sorted({j for c in candidates for j in c.pattern.indices if not 0 <= j < p})
             if outside:

@@ -10,7 +10,10 @@ through :func:`~fragma.baselines.fit_method` and write their fit records
 and failures to ``diagnostics.json``.  ``predict`` and ``compare`` score
 rows through :func:`~fragma.averaging.score_rows`, and ``compare`` holds
 out rows with :func:`~fragma.patterns.holdout_rows`; this module only
-reads, arranges and writes.
+reads, arranges and writes.  ``fit`` saves its parsed input as
+``training.npy`` beside ``model.json``; ``predict --train`` takes it for
+the same bytes (:func:`~fragma.io.reread_matrix_csv`), and the model's
+candidate fits for the same data, family and options.
 """
 
 from __future__ import annotations
@@ -30,10 +33,14 @@ from .errors import DataError, NumericalError
 from .glm import FAMILIES, CandidateStore, FitOptions
 from .io import (
     NA_MARKER,
+    TRAINING_FILE,
     format_cell,
+    matrix_to_dataset,
     read_fragmentary_csv,
     read_groups_sidecar,
     read_matrix_csv,
+    reread_matrix_csv,
+    save_matrix,
     write_csv,
 )
 from .patterns import FragmentaryDataset, build_pattern_index, holdout_rows
@@ -113,19 +120,22 @@ def cmd_fit(args) -> int:
     _write_config(out, args)
     lam = _parse_lambda(args.lam)
     fopts = _fit_options(args)
-    data = read_fragmentary_csv(
-        args.input, args.response, args.na_marker, args.add_intercept
-    )
+    header, values = read_matrix_csv(args.input, args.na_marker)
+    data = matrix_to_dataset(args.input, header, values, args.response, args.add_intercept)
     index = build_pattern_index(data)
     report = _patterns_report(data, index)
     (out / "report.txt").write_text(report)
 
     store = CandidateStore(data, args.family, fopts)
     model = fit_averaged(store, lam)
-    # predict refits sub-pattern candidates under the same IRLS options
+    # predict refits sub-pattern candidates under the same IRLS options; given
+    # the same --input bytes it loads training.npy instead of parsing them,
+    # and under the same family and options it takes these candidates' fits
     options = dataclasses.asdict(store.opts)
+    training = save_matrix(out / TRAINING_FILE, args.input, args.na_marker, header, values)
+    training.update(family=model.family.name, fit_options=options)
     (out / "model.json").write_text(
-        json.dumps({**model.to_dict(), "fit_options": options}, indent=2)
+        json.dumps({**model.to_dict(), "fit_options": options, "training": training}, indent=2)
     )
 
     w = np.asarray(model.weights)
@@ -182,22 +192,33 @@ def cmd_predict(args) -> int:
     header, values = read_matrix_csv(args.input, args.na_marker)
     q = _align_query(header, values, model.column_names)
 
-    fopts = None
+    fopts = record = None
     if args.train:
         try:
             fopts = FitOptions(**saved.get("fit_options", {}))
         except (TypeError, ValueError) as exc:
             raise DataError(f"{args.model}: fit_options: {exc}") from exc
+        record = saved.get("training")
+    loaded = []
 
     def load_train():
         if fopts is None:
             return None
-        train = read_fragmentary_csv(
-            args.train, args.response, args.na_marker, args.add_intercept
+        header, values, same, source = reread_matrix_csv(
+            args.train, args.na_marker, record, Path(args.model).with_name(TRAINING_FILE)
         )
+        train = matrix_to_dataset(args.train, header, values, args.response, args.add_intercept)
         if train.column_names != model.column_names:
             raise DataError("training CSV columns do not match the model's columns")
-        return CandidateStore(train, model.family, fopts)
+        # Given the model's columns, the fit's header and values fix its
+        # response and intercept too: the model's candidates are this data's.
+        same = same and (
+            record.get("family") == model.family.name
+            and record.get("fit_options") == dataclasses.asdict(fopts)
+        )
+        store = CandidateStore(train, model.family, fopts, saved=model.candidates if same else ())
+        loaded.append((store, source, same))
+        return store
 
     theta, scored = score_rows(model, q, load_train)
     rules = np.empty(q.shape[0], dtype=object)
@@ -211,6 +232,11 @@ def cmd_predict(args) -> int:
         rules[rows] = rule
     write_csv(out / "predictions.csv", ["row", "rule", "theta", "mean"],
               _prediction_rows(rules, theta, model.family.b_prime(theta)))
+    for store, source, same in loaded:
+        fits = f"reused {store.reused} of the {len(model.candidates)} fits in {args.model}"
+        if not same:
+            fits += " (not recorded as fitted on these data, family and fit_options)"
+        print(f"training data: {source}; {fits}")
     print(f"wrote {out / 'predictions.csv'} ({q.shape[0]} rows)")
     return 0
 

@@ -113,8 +113,8 @@ class FitOptions:
     roundoff of the log-likelihood (see :func:`fit_glm`), so it never
     spins at an optimum whose score cannot get below ``grad_tol``.
     ``ridge`` is added to the Hessian once the coefficient norm passes
-    1e4 (a separation guard).  All three must be nonnegative and
-    ``max_iter`` an integer (not a bool); anything else is a
+    1e4 (a separation guard).  All three must be nonnegative, none a bool,
+    and ``max_iter`` an integer; anything else is a
     :class:`~fragma.errors.DataError`.
     """
 
@@ -127,6 +127,8 @@ class FitOptions:
             raise DataError(f"max_iter must be an integer, got {self.max_iter!r}")
         for name in ("max_iter", "grad_tol", "ridge"):
             value = getattr(self, name)
+            if isinstance(value, bool):
+                raise DataError(f"{name} must be a number, got {value!r}")
             if not value >= 0:
                 raise DataError(f"{name} must be nonnegative, got {value!r}")
 
@@ -161,17 +163,49 @@ class CandidateModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CandidateModel":
+        """The fit record :meth:`to_dict` wrote, read as stated; any other is a DataError.
+
+        ``pattern`` is a list of column numbers in increasing order, the
+        order of ``beta``; ``n_k``, ``p_k`` and
+        ``iterations`` are integers, ``p_k`` the pattern's length;
+        ``converged`` and ``ridged`` are booleans; ``stop`` is null or a
+        :func:`fit_glm` stop reason.
+        """
+        pattern, p_k, stop = d["pattern"], d["p_k"], d.get("stop")
+        # type(), not isinstance(): a JSON true is a bool, and bool is an int
+        if not (
+            isinstance(pattern, list)
+            and all(type(j) is int for j in pattern)
+            and all(a < b for a, b in zip(pattern, pattern[1:]))
+        ):
+            raise DataError(
+                f"pattern must be a list of column numbers in increasing order, got {pattern!r:.40}"
+            )
+        for name in ("n_k", "p_k", "iterations"):
+            if type(d[name]) is not int:
+                raise DataError(f"{name} must be an integer, got {d[name]!r:.40}")
+        if p_k != len(pattern):
+            raise DataError(f"p_k is {p_k} for a pattern of {len(pattern)} columns")
+        flags = {"converged": d["converged"], "ridged": d.get("ridged", False)}
+        for name, value in flags.items():
+            if not isinstance(value, bool):
+                raise DataError(f"{name} must be true or false, got {value!r:.40}")
+        if stop not in _STOPS:
+            raise DataError(f"stop must be null or one of {list(_STOPS[1:])}, got {stop!r:.40}")
         return cls(
-            pattern=Pattern(tuple(d["pattern"]), id=d.get("pattern_id", 0)),
+            pattern=Pattern(tuple(pattern), id=d.get("pattern_id", 0)),
             beta=np.asarray(d["beta"], dtype=float),
-            n_k=int(d["n_k"]),
-            p_k=int(d["p_k"]),
+            n_k=d["n_k"],
+            p_k=p_k,
             loglik=float(d["loglik"]),
-            converged=bool(d["converged"]),
-            iterations=int(d["iterations"]),
-            ridged=bool(d.get("ridged", False)),
-            stop=d.get("stop"),
+            iterations=d["iterations"],
+            stop=stop,
+            **flags,
         )
+
+
+# the stop reasons of fit_glm, and None for a fit record that names none
+_STOPS = (None, "score", "decrement", "no_step", "max_iter")
 
 
 def loglik(family: ExponentialFamily, theta: np.ndarray, y: np.ndarray) -> float:
@@ -461,15 +495,22 @@ class CandidateStore:
     by the main model, sub-pattern refits and baselines.  ``family`` is a
     name or an :class:`ExponentialFamily`; ``opts`` defaults to
     :class:`FitOptions`.  A response outside the family's support is a
-    :class:`~fragma.errors.DataError`.
+    :class:`~fragma.errors.DataError`.  ``saved`` are candidates already
+    fitted on ``data`` under ``family`` and ``opts`` (those of a saved
+    model): the store returns them for their columns instead of fitting,
+    and ``reused`` counts the column sets it so took.
     """
 
-    def __init__(self, data: FragmentaryDataset, family, opts: FitOptions | None = None):
+    def __init__(
+        self, data: FragmentaryDataset, family, opts: FitOptions | None = None, saved=()
+    ):
         self.data = data
         self.family = get_family(family)
         self.family.check_response(data.y)
         self.opts = opts or FitOptions()
         self._fits: dict[tuple[int, ...], CandidateModel] = {}
+        self._saved = {c.pattern.indices: c for c in saved}
+        self.reused = 0
         self._source: CandidateStore | None = None  # the store this one zero-fills
         # data.filled() and its fits, kept apart from their store: no reference cycle
         self._filled: tuple[FragmentaryDataset, dict] | None = None
@@ -479,7 +520,10 @@ class CandidateStore:
         cand = self._fits.get(pattern.indices)
         if cand is None:
             source = self._source
-            if source is not None and source.data.mask[:, list(pattern.indices)].all():
+            if pattern.indices in self._saved:
+                cand = self._saved.pop(pattern.indices)
+                self.reused += 1
+            elif source is not None and source.data.mask[:, list(pattern.indices)].all():
                 # zero-filling changed no cell of these columns: the same fit
                 cand = source.fit(pattern)
             else:

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -13,7 +14,13 @@ import numpy as np
 import pytest
 
 import fragma
-from fragma.averaging import AveragedModel, fit_averaged, predict, predict_for_pattern
+from fragma.averaging import (
+    AveragedModel,
+    fit_averaged,
+    predict,
+    predict_for_pattern,
+    score_rows,
+)
 from fragma.baselines import fit_cc, fit_imp
 from fragma.cli import main
 from fragma.datasets import adni_like, table1_toy
@@ -714,6 +721,10 @@ def test_cli_predict_reads_train_only_for_a_refit(tmp_path, case):
         assert {r["rule"] for r in csv.DictReader(fh)} == {rule}
 
 
+def _first_candidate(m, **fields):
+    return {**m, "candidates": [{**m["candidates"][0], **fields}] + m["candidates"][1:]}
+
+
 BAD_JSON = [
     ("model", "invalid-json", lambda m: "{"),
     ("model", "no-candidates", lambda m: {k: v for k, v in m.items() if k != "candidates"}),
@@ -738,6 +749,18 @@ BAD_JSON = [
     ("model", "lambda-negative", lambda m: {**m, "lambda_n": -1}),
     ("model", "zero-impute-string", lambda m: {**m, "zero_impute": "false"}),
     ("model", "max-iter-bool", lambda m: {**m, "fit_options": {"max_iter": True}}),
+    ("model", "grad-tol-bool", lambda m: {**m, "fit_options": {"grad_tol": True}}),
+    ("model", "ridge-bool", lambda m: {**m, "fit_options": {"ridge": True}}),
+    ("model", "converged-string", lambda m: _first_candidate(m, converged="false")),
+    ("model", "ridged-string", lambda m: _first_candidate(m, ridged="false")),
+    ("model", "p-k-float", lambda m: _first_candidate(m, p_k=1.9)),
+    ("model", "p-k-not-pattern-length",
+     lambda m: _first_candidate(m, p_k=m["candidates"][0]["p_k"] + 1)),
+    ("model", "iterations-float", lambda m: _first_candidate(m, iterations=2.7)),
+    ("model", "n-k-bool", lambda m: _first_candidate(m, n_k=True)),
+    ("model", "stop-unknown", lambda m: _first_candidate(m, stop="tired")),
+    ("model", "pattern-decreasing",
+     lambda m: _first_candidate(m, pattern=m["candidates"][0]["pattern"][::-1])),
 ]
 # the whole message after the file's path, where a case pins it
 BAD_JSON_MESSAGES = {
@@ -747,6 +770,15 @@ BAD_JSON_MESSAGES = {
     "lambda-negative": "lambda_n must be null or a nonnegative finite number, got -1",
     "zero-impute-string": "zero_impute must be true or false, got 'false'",
     "max-iter-bool": "fit_options: max_iter must be an integer, got True",
+    "grad-tol-bool": "fit_options: grad_tol must be a number, got True",
+    "ridge-bool": "fit_options: ridge must be a number, got True",
+    "converged-string": "candidate 0: converged must be true or false, got 'false'",
+    "ridged-string": "candidate 0: ridged must be true or false, got 'false'",
+    "p-k-float": "candidate 0: p_k must be an integer, got 1.9",
+    "iterations-float": "candidate 0: iterations must be an integer, got 2.7",
+    "n-k-bool": "candidate 0: n_k must be an integer, got True",
+    "stop-unknown": "candidate 0: stop must be null or one of "
+                    "['score', 'decrement', 'no_step', 'max_iter'], got 'tired'",
 }
 
 
@@ -1051,3 +1083,153 @@ def test_cli_repeated_method_exits_2_naming_it(tmp_path, command):
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "DataError" and "['opt1']" in error["message"]
     assert not (out / "kl_per_rep.csv").exists() and not (out / "kl_summary.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# predict --train reuses the fit's parsed training matrix and candidate fits
+# ---------------------------------------------------------------------------
+
+def _fit_with_subpattern_queries(tmp_path, na_marker="NA"):
+    """``fit`` on adni_like's CSV, plus a query CSV with one row of every pattern."""
+    data, _ = adni_like(seed=0, scale=0.25)
+    train = tmp_path / "train.csv"
+    dataset_to_csv(data, train, na_marker=na_marker)
+    fit_out = tmp_path / "fit"
+    assert run_cli("fit", "--input", str(train), "--response", "y", "--out", str(fit_out)) == 0
+    xq = np.where(data.mask, data.x, np.nan)
+    xq = xq[[int(g[0]) for g in split_rows_by_pattern(data.mask)]]
+    q = tmp_path / "q.csv"
+    write_csv(q, data.column_names,
+              [[na_marker if np.isnan(v) else repr(v) for v in row] for row in xq.tolist()])
+    return train, fit_out, q, xq
+
+
+def _counted_predict(tmp_path, monkeypatch, capsys, fit_out, q, train, out, *extra):
+    """Run predict; return the paths read_matrix_csv parsed, the column sets fitted, stdout."""
+    import fragma.cli
+    import fragma.glm
+    import fragma.io
+
+    parsed, fitted = [], []
+    read, fit = fragma.io.read_matrix_csv, fragma.glm.fit_candidate
+
+    def reading(path, *args, **kwargs):
+        parsed.append(Path(path))
+        return read(path, *args, **kwargs)
+
+    def fitting(data, pattern, *args, **kwargs):
+        fitted.append(pattern.indices)
+        return fit(data, pattern, *args, **kwargs)
+
+    for module in (fragma.io, fragma.cli):
+        monkeypatch.setattr(module, "read_matrix_csv", reading)
+    monkeypatch.setattr(fragma.glm, "fit_candidate", fitting)
+    capsys.readouterr()
+    assert run_cli("predict", "--model", str(fit_out / "model.json"), "--input", str(q),
+                   "--train", str(train), "--response", "y", "--out", str(out), *extra) == 0
+    monkeypatch.undo()
+    return parsed, fitted, capsys.readouterr().out
+
+
+def _theta_column(path):
+    with open(path) as fh:
+        return [(r["rule"], float(r["theta"])) for r in csv.DictReader(fh)]
+
+
+def test_cli_predict_takes_the_fit_s_matrix_and_fits_for_the_same_train(
+    tmp_path, monkeypatch, capsys
+):
+    train, fit_out, q, _ = _fit_with_subpattern_queries(tmp_path)
+    saved = json.loads((fit_out / "model.json").read_text())
+    in_model = {tuple(c["pattern"]) for c in saved["candidates"]}
+    parsed, fitted, stdout = _counted_predict(
+        tmp_path, monkeypatch, capsys, fit_out, q, train, tmp_path / "hit"
+    )
+    assert train not in parsed and q in parsed
+    assert fitted and not set(fitted) & in_model
+    assert len(fitted) == len(set(fitted))
+    line = stdout.splitlines()[0]
+    npy = fit_out / "training.npy"
+    assert line.startswith(f"training data: {npy}, saved from the same bytes as {train}; reused ")
+    assert any(r.startswith("restricted:") for r, _ in _theta_column(tmp_path / "hit" / "predictions.csv"))
+
+    # the same run without the saved matrix and record fits and parses as before
+    npy.unlink()
+    del saved["training"]
+    (fit_out / "model.json").write_text(json.dumps(saved))
+    parsed, fitted_again, stdout = _counted_predict(
+        tmp_path, monkeypatch, capsys, fit_out, q, train, tmp_path / "plain"
+    )
+    assert train in parsed and set(fitted) < set(fitted_again)
+    assert "reused 0 of" in stdout
+    assert (tmp_path / "hit" / "predictions.csv").read_bytes() == (
+        tmp_path / "plain" / "predictions.csv"
+    ).read_bytes()
+
+
+MISSES = ["cell-edited", "na-marker", "npy-deleted", "npy-replaced", "fit-options-edited"]
+
+
+@pytest.mark.parametrize("case", MISSES)
+def test_cli_predict_parses_or_refits_what_the_fit_s_record_does_not_cover(
+    tmp_path, monkeypatch, capsys, case
+):
+    train, fit_out, q, xq = _fit_with_subpattern_queries(
+        tmp_path, na_marker="" if case == "na-marker" else "NA"
+    )
+    npy, extra = fit_out / "training.npy", []
+    model_json = json.loads((fit_out / "model.json").read_text())
+    opts = FitOptions()
+    if case == "cell-edited":
+        lines = train.read_text().splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[-1] = repr(float(cells[-1]) + 0.5) + "\n"
+        lines[1] = ",".join(cells)
+        train.write_text("".join(lines))
+    elif case == "na-marker":
+        extra = ["--na-marker", "?"]  # the file's missing cells are empty: same matrix
+    elif case == "npy-deleted":
+        npy.unlink()
+    elif case == "npy-replaced":
+        values = np.load(npy)
+        np.save(npy, np.where(np.isnan(values), values, values + 1.0))
+    else:
+        opts = FitOptions(max_iter=2, grad_tol=1e-8, ridge=1e-3)
+        model_json["fit_options"] = dataclasses.asdict(opts)
+        (fit_out / "model.json").write_text(json.dumps(model_json))
+    parsed, fitted, stdout = _counted_predict(
+        tmp_path, monkeypatch, capsys, fit_out, q, train, tmp_path / "p", *extra
+    )
+    if case == "fit-options-edited":
+        # the matrix still applies (same bytes, same marker); the saved fits do not
+        assert train not in parsed
+        assert stdout.startswith(f"training data: {npy}, saved from the same bytes as {train}; ")
+    else:
+        assert train in parsed
+        assert stdout.startswith(f"training data: parsed {train} (")
+    model = AveragedModel.from_dict(model_json)
+    fresh = CandidateStore(read_fragmentary_csv(train, "y", extra[-1] if extra else "NA"),
+                           "binomial", opts)
+    theta, _ = score_rows(model, xq, lambda: fresh)
+    rows = _theta_column(tmp_path / "p" / "predictions.csv")
+    assert [t for _, t in rows] == theta.tolist()
+    assert any(r.startswith("restricted:") for r, _ in rows)
+    if case in ("cell-edited", "fit-options-edited"):
+        assert "reused 0 of" in stdout
+        assert {tuple(c["pattern"]) for c in model_json["candidates"]} & set(fitted)
+
+
+def test_cli_fit_writes_the_same_bytes_twice(tmp_path):
+    data, _ = adni_like(seed=1, scale=0.25)
+    train = tmp_path / "train.csv"
+    dataset_to_csv(data, train)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run_cli("fit", "--input", str(train), "--response", "y", "--out", str(out)) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "training.npy" in names and names == sorted(p.name for p in outs[1].iterdir())
+    for name in set(names) - {"config.json"}:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    record = json.loads((outs[0] / "model.json").read_text())["training"]
+    assert record["csv_sha256"] == hashlib.sha256(train.read_bytes()).hexdigest()
+    assert record["header"] == ["y"] + data.column_names
