@@ -11,9 +11,10 @@ and failures to ``diagnostics.json``.  ``predict`` and ``compare`` score
 rows through :func:`~fragma.averaging.score_rows`, and ``compare`` holds
 out rows with :func:`~fragma.patterns.holdout_rows`; this module only
 reads, arranges and writes.  ``fit`` saves its parsed input as
-``training.npy`` beside ``model.json``; ``predict --train`` takes it for
-the same bytes (:func:`~fragma.io.reread_matrix_csv`), and the model's
-candidate fits for the same data, family and options.
+``training.npy`` beside ``model.json``.  ``predict --train`` (which needs
+``--response``) takes that matrix only when both files hash as recorded
+(:func:`~fragma.io.reread_matrix_csv`), and the model's candidate fits only
+with that matrix and under the recorded family and options.
 """
 
 from __future__ import annotations
@@ -86,6 +87,11 @@ def _fit_options(args) -> FitOptions:
     )
 
 
+def _fitted_under(model, fopts: FitOptions) -> dict:
+    """The ``model.json`` entries a model's candidate fits depend on besides their data."""
+    return {"family": model.family.name, "fit_options": dataclasses.asdict(fopts)}
+
+
 def _patterns_report(data: FragmentaryDataset, index) -> str:
     lines = []
     lines.append(f"subjects: {data.n}    columns: {data.p}    patterns: {index.K}")
@@ -128,14 +134,12 @@ def cmd_fit(args) -> int:
 
     store = CandidateStore(data, args.family, fopts)
     model = fit_averaged(store, lam)
-    # predict refits sub-pattern candidates under the same IRLS options; given
-    # the same --input bytes it loads training.npy instead of parsing them,
-    # and under the same family and options it takes these candidates' fits
-    options = dataclasses.asdict(store.opts)
-    training = save_matrix(out / TRAINING_FILE, args.input, args.na_marker, header, values)
-    training.update(family=model.family.name, fit_options=options)
+    # predict refits sub-pattern candidates under these IRLS options, and takes
+    # these fits with training.npy while both files hash as recorded
+    fitted = _fitted_under(model, store.opts)
+    training = save_matrix(out / TRAINING_FILE, args.input, args.na_marker, header, values, fitted)
     (out / "model.json").write_text(
-        json.dumps({**model.to_dict(), "fit_options": options, "training": training}, indent=2)
+        json.dumps({**model.to_dict(), **fitted, "training": training}, indent=2)
     )
 
     w = np.asarray(model.weights)
@@ -192,32 +196,30 @@ def cmd_predict(args) -> int:
     header, values = read_matrix_csv(args.input, args.na_marker)
     q = _align_query(header, values, model.column_names)
 
-    fopts = record = None
+    fopts = None
     if args.train:
+        if args.response is None:
+            raise DataError("--train needs --response")
         try:
             fopts = FitOptions(**saved.get("fit_options", {}))
         except (TypeError, ValueError) as exc:
             raise DataError(f"{args.model}: fit_options: {exc}") from exc
-        record = saved.get("training")
     loaded = []
 
     def load_train():
         if fopts is None:
             return None
-        header, values, same, source = reread_matrix_csv(
-            args.train, args.na_marker, record, Path(args.model).with_name(TRAINING_FILE)
+        header, values, reuse, source = reread_matrix_csv(
+            args.train, args.na_marker, saved.get("training"),
+            Path(args.model).with_name(TRAINING_FILE), _fitted_under(model, fopts),
         )
         train = matrix_to_dataset(args.train, header, values, args.response, args.add_intercept)
         if train.column_names != model.column_names:
             raise DataError("training CSV columns do not match the model's columns")
         # Given the model's columns, the fit's header and values fix its
         # response and intercept too: the model's candidates are this data's.
-        same = same and (
-            record.get("family") == model.family.name
-            and record.get("fit_options") == dataclasses.asdict(fopts)
-        )
-        store = CandidateStore(train, model.family, fopts, saved=model.candidates if same else ())
-        loaded.append((store, source, same))
+        store = CandidateStore(train, model.family, fopts, saved=model.candidates if reuse else ())
+        loaded.append((store, source, reuse))
         return store
 
     theta, scored = score_rows(model, q, load_train)
@@ -232,9 +234,9 @@ def cmd_predict(args) -> int:
         rules[rows] = rule
     write_csv(out / "predictions.csv", ["row", "rule", "theta", "mean"],
               _prediction_rows(rules, theta, model.family.b_prime(theta)))
-    for store, source, same in loaded:
+    for store, source, reuse in loaded:
         fits = f"reused {store.reused} of the {len(model.candidates)} fits in {args.model}"
-        if not same:
+        if not reuse:
             fits += " (not recorded as fitted on these data, family and fit_options)"
         print(f"training data: {source}; {fits}")
     print(f"wrote {out / 'predictions.csv'} ({q.shape[0]} rows)")

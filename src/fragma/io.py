@@ -1,9 +1,10 @@
 """CSV ingestion with missing-value masks, plus JSON sidecar parsing.
 
-A parsed CSV can be saved beside a model as ``.npy`` with a record of the
-file it came from (:func:`save_matrix`), so that a later read of the same
-bytes takes the saved matrix instead of parsing again
-(:func:`reread_matrix_csv`).
+A parsed CSV can be saved beside a model as ``.npy`` with a record that
+names the CSV and the ``.npy`` by their SHA-256 (:func:`save_matrix`).  A
+later read takes the saved matrix only when both files still hash as
+recorded, and otherwise parses the CSV (:func:`reread_matrix_csv`).  This
+module alone hashes, saves and loads files.
 """
 
 from __future__ import annotations
@@ -216,75 +217,70 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def matrix_sha256(header: list[str], values: np.ndarray) -> str:
-    """Hex SHA-256 of a header (as JSON) and the bytes of its float64 matrix."""
-    import hashlib  # see file_sha256
-
-    digest = hashlib.sha256(json.dumps(header).encode())
-    digest.update(np.ascontiguousarray(values, dtype=float).data)
-    return digest.hexdigest()
-
-
-def save_matrix(npy_path, path, na_marker: str, header: list[str], values: np.ndarray) -> dict:
+def save_matrix(
+    npy_path, path, na_marker: str, header: list[str], values: np.ndarray, fitted: dict
+) -> dict:
     """Save ``read_matrix_csv(path, na_marker)``'s ``values`` as ``npy_path``.
 
     Returns the record :func:`reread_matrix_csv` checks: the SHA-256 of
-    ``path``'s bytes, the marker, the header, the shape and
-    :func:`matrix_sha256`.  ``np.save`` writes a fixed header and the raw
-    bytes, nothing dated, so one input always gives the same file.
+    ``path``'s bytes and of the ``npy_path`` just written, the marker and
+    the header, plus the entries of ``fitted``, what fits made on these
+    values depend on besides them.  ``np.save`` writes a fixed header and
+    the raw bytes, nothing dated, so one input always gives the same file.
     """
     np.save(npy_path, values)
     return {
         "csv_sha256": file_sha256(path),
+        "npy_sha256": file_sha256(npy_path),
         "na_marker": na_marker,
         "header": list(header),
-        "shape": list(values.shape),
-        "sha256": matrix_sha256(header, values),
+        **fitted,
     }
 
 
 def reread_matrix_csv(
-    path, na_marker: str, record, npy_path
+    path, na_marker: str, record, npy_path, fitted: dict
 ) -> tuple[list[str], np.ndarray, bool, str]:
-    """:func:`read_matrix_csv`, taken from ``npy_path`` when it is what ``record`` saved.
+    """:func:`read_matrix_csv`, taken from ``npy_path`` when ``record`` names both files.
 
-    ``record`` is :func:`save_matrix`'s (or None).  When ``path`` hashes to
-    its ``csv_sha256`` and ``na_marker`` is its marker, parsing would give
-    the saved matrix: it is loaded (no pickles) and used if it is a
-    C-ordered float64 matrix of the recorded shape whose
-    :func:`matrix_sha256` with the recorded header is the recorded one.
-    Otherwise ``path`` is parsed.  Returns the header, the values, whether
-    they are the matrix ``record`` describes (parsed or not), and a note
-    naming where they came from.
+    ``record`` is :func:`save_matrix`'s (or None).  Only when ``na_marker``
+    is its marker, ``path`` hashes to its ``csv_sha256`` and ``npy_path`` to
+    its ``npy_sha256`` is ``npy_path`` opened (no pickles), and its matrix
+    is used if the recorded header names each of its columns.  Otherwise
+    ``path`` is parsed.  A record without ``npy_sha256`` names no saved
+    file, so its ``path`` is parsed.  Returns the header, the values,
+    whether the fits saved with ``record`` apply to them (the values are the
+    saved matrix and ``fitted`` is as recorded), and a note naming where
+    the values came from.
     """
-    if not isinstance(record, dict):
-        reason = "no record of a saved matrix"
-    elif record.get("na_marker") != na_marker:
-        reason = "another missing-value marker than the saved one's"
-    elif record.get("csv_sha256") != file_sha256(path):
-        reason = "its bytes differ from those saved"
-    else:
+    reason = _unsaved(path, na_marker, record, npy_path)
+    if reason is None:
+        values = np.load(npy_path, allow_pickle=False)
         header = record.get("header")
-        try:
-            with open(npy_path, "rb") as fh:
-                values = np.lib.format.read_array(fh, allow_pickle=False)
-        except (OSError, ValueError, EOFError) as exc:
-            reason = f"{npy_path} unreadable: {exc}"
-        else:
-            if (
-                values.dtype == np.float64
-                and values.flags.c_contiguous
-                and list(values.shape) == record.get("shape")
-                and isinstance(header, list)
-                and all(isinstance(h, str) for h in header)
-                and values.shape[1:] == (len(header),)
-                and matrix_sha256(header, values) == record.get("sha256")
-            ):
-                return header, values, True, f"{npy_path}, saved from the same bytes as {path}"
-            reason = f"{npy_path} is not the matrix its record describes"
+        if isinstance(header, list) and values.shape[1:] == (len(header),):
+            applies = all(record.get(k) == v for k, v in fitted.items())
+            return header, values, applies, f"{npy_path}, saved from the same bytes as {path}"
+        reason = f"the recorded header does not name {npy_path}'s columns"
     header, values = read_matrix_csv(path, na_marker)
-    same = isinstance(record, dict) and matrix_sha256(header, values) == record.get("sha256")
-    return header, values, same, f"parsed {path} ({reason})"
+    return header, values, False, f"parsed {path} ({reason})"
+
+
+def _unsaved(path, na_marker: str, record, npy_path) -> str | None:
+    """Why ``record`` does not name ``na_marker`` and both files' bytes; None when it does."""
+    if not isinstance(record, dict):
+        return "no record of a saved matrix"
+    if record.get("na_marker") != na_marker:
+        return "another missing-value marker than the saved one's"
+    if "npy_sha256" not in record:
+        return f"the record names no digest of {npy_path}"
+    if record.get("csv_sha256") != file_sha256(path):
+        return "its bytes differ from those saved"
+    try:
+        if record["npy_sha256"] == file_sha256(npy_path):
+            return None
+    except OSError as exc:
+        return f"{npy_path} unreadable: {exc}"
+    return f"{npy_path} is not the file saved"
 
 
 def read_groups_sidecar(path, column_names: list[str]) -> dict[str, list[int]]:

@@ -650,3 +650,36 @@ def test_lambda_default():
         resolve_lambda("opt3", 10)
     assert resolve_lambda("opt2", 10) == pytest.approx(np.log(10))
     assert resolve_lambda(3.5, 10) == 3.5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_row_and_covariate_order_do_not_change_the_fit(seed):
+    # Neither the order of the subjects nor that of the covariates after the
+    # intercept is information: permuting either moves only roundoff.
+    data, _ = adni_like(seed=seed)
+    rng = np.random.default_rng(seed)
+    store = CandidateStore(data, "binomial")
+    model = fit_averaged(store, "opt1")
+
+    def by_columns(m):
+        return {c.pattern.indices: (w, c.beta) for c, w in zip(m.candidates, m.weights)}
+
+    # after the leader, the index lists patterns in order of first appearance
+    fits = by_columns(model)
+    shuffled = by_columns(
+        fit_averaged(CandidateStore(data.take(rng.permutation(data.n)), "binomial"), "opt1")
+    )
+    assert shuffled.keys() == fits.keys()
+    for columns, (w, beta) in shuffled.items():
+        assert abs(w - fits[columns][0]) <= 1e-12
+        assert np.abs(beta - fits[columns][1]).max() <= 1e-12
+
+    cols = np.concatenate([[0], 1 + rng.permutation(data.p - 1)])
+    permuted = CandidateStore(FragmentaryDataset(
+        data.y, data.x[:, cols], data.mask[:, cols], [data.column_names[j] for j in cols]
+    ), "binomial")
+    xq = np.where(data.mask, data.x, np.nan)
+    theta, _ = score_rows(model, xq, lambda: store)
+    theta_permuted, _ = score_rows(fit_averaged(permuted, "opt1"), xq[:, cols], lambda: permuted)
+    assert np.isfinite(theta).all()
+    assert np.abs(theta_permuted - theta).max() <= 1e-12

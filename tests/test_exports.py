@@ -82,6 +82,17 @@ def test_only_patterns_and_averaging_split_rows_by_pattern():
     assert naming == ["averaging.py", "patterns.py"]
 
 
+def test_only_io_hashes_saves_or_loads_files():
+    # fragma.io alone writes and reads the fit's saved run, training.npy and
+    # the record naming it by its SHA-256; no other module hashes a file or
+    # saves or loads an array.
+    modules = sorted(Path(fragma.__file__).parent.glob("*.py"))
+    naming = [m.name for m in modules if any(
+        name in m.read_text() for name in ("hashlib", "np.save", "np.load", "read_array")
+    )]
+    assert naming == ["io.py"]
+
+
 def test_every_function_the_bench_wraps_is_bound_in_fragma(monkeypatch):
     # bench/spans.py's Probe raises when a function it wraps is renamed or
     # bound in no fragma module; load it by path (writing no bytecode under

@@ -584,15 +584,20 @@ def test_cli_bad_method_or_cell_is_input_error(tmp_path, argv):
         ["screen", "--keep", "0"],
         ["compare", "--split", "0"],
         ["compare", "--split", "-0.5"],
+        ["predict", "--train"],
     ],
     ids=["lambda-text", "lambda-negative", "max-iter", "grad-tol", "ridge", "keep",
-         "split-zero", "split-negative"],
+         "split-zero", "split-negative", "predict-train-no-response"],
 )
 def test_cli_bad_argument_is_input_error(tmp_path, argv):
     data, groups = adni_like(seed=6, scale=0.1)
     f = tmp_path / "d.csv"
     dataset_to_csv(data, f)
-    argv = argv + ["--input", str(f), "--response", "y"]
+    if argv[0] == "predict":
+        _, q, _ = _saved_model_run(tmp_path, fit_cc, [0])
+        argv = argv + [str(f), "--model", str(tmp_path / "model.json"), "--input", str(q)]
+    else:
+        argv = argv + ["--input", str(f), "--response", "y"]
     if argv[0] == "screen":
         g = tmp_path / "groups.json"
         g.write_text(json.dumps(
@@ -604,6 +609,9 @@ def test_cli_bad_argument_is_input_error(tmp_path, argv):
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "DataError" and error["exit_code"] == 2
     assert not (out / "model.json").exists() and not (out / "kl_summary.csv").exists()
+    if argv[0] == "predict":
+        assert error["message"] == "--train needs --response"
+        assert not (out / "predictions.csv").exists()
 
 
 def test_cli_compare_writes_diagnostics(tmp_path):
@@ -1167,7 +1175,8 @@ def test_cli_predict_takes_the_fit_s_matrix_and_fits_for_the_same_train(
     ).read_bytes()
 
 
-MISSES = ["cell-edited", "na-marker", "npy-deleted", "npy-replaced", "fit-options-edited"]
+MISSES = ["cell-edited", "na-marker", "npy-deleted", "npy-replaced", "npy-header-corrupt",
+          "old-record", "fit-options-edited"]
 
 
 @pytest.mark.parametrize("case", MISSES)
@@ -1193,6 +1202,23 @@ def test_cli_predict_parses_or_refits_what_the_fit_s_record_does_not_cover(
     elif case == "npy-replaced":
         values = np.load(npy)
         np.save(npy, np.where(np.isnan(values), values, values + 1.0))
+    elif case == "npy-header-corrupt":
+        # a header claiming 4.75 PiB: loading it fails at the allocation, which
+        # commits no memory, so the file must not be opened before its digest matched
+        with open(npy, "wb") as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<f8", "fortran_order": False, "shape": (2**45, 19)}
+            )
+            fh.write(bytes(64))
+    elif case == "old-record":
+        # the record of a fit that named the matrix by shape and values digest
+        record = model_json["training"]
+        values = np.load(npy)
+        digest = hashlib.sha256(json.dumps(record["header"]).encode())
+        digest.update(values.data)
+        del record["npy_sha256"]
+        record.update(shape=list(values.shape), sha256=digest.hexdigest())
+        (fit_out / "model.json").write_text(json.dumps(model_json))
     else:
         opts = FitOptions(max_iter=2, grad_tol=1e-8, ridge=1e-3)
         model_json["fit_options"] = dataclasses.asdict(opts)
@@ -1214,9 +1240,9 @@ def test_cli_predict_parses_or_refits_what_the_fit_s_record_does_not_cover(
     rows = _theta_column(tmp_path / "p" / "predictions.csv")
     assert [t for _, t in rows] == theta.tolist()
     assert any(r.startswith("restricted:") for r, _ in rows)
-    if case in ("cell-edited", "fit-options-edited"):
-        assert "reused 0 of" in stdout
-        assert {tuple(c["pattern"]) for c in model_json["candidates"]} & set(fitted)
+    # the model's fits come only with the saved matrix and the recorded options
+    assert "reused 0 of" in stdout
+    assert {tuple(c["pattern"]) for c in model_json["candidates"]} & set(fitted)
 
 
 def test_cli_fit_writes_the_same_bytes_twice(tmp_path):
@@ -1232,4 +1258,8 @@ def test_cli_fit_writes_the_same_bytes_twice(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
     record = json.loads((outs[0] / "model.json").read_text())["training"]
     assert record["csv_sha256"] == hashlib.sha256(train.read_bytes()).hexdigest()
+    npy = (outs[0] / "training.npy").read_bytes()
+    assert record["npy_sha256"] == hashlib.sha256(npy).hexdigest()
     assert record["header"] == ["y"] + data.column_names
+    assert sorted(record) == ["csv_sha256", "family", "fit_options", "header", "na_marker",
+                              "npy_sha256"]
