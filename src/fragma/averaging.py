@@ -529,7 +529,9 @@ def score_rows(model: AveragedModel, x, load_store):
             else:
                 theta[rows] = predict_for_pattern(store, model.lambda_n, x[rows])[0]
         except (ValueError, NumericalError) as exc:
-            error = exc
+            # without the traceback, whose frames hold ``scored`` and so
+            # this exception: that cycle would wait for a full collection
+            error = exc.with_traceback(None)
         scored.append((rows, rule, error))
     return theta, scored
 
@@ -541,7 +543,8 @@ def kl_loss(theta_hat, theta_true_or_mu, family, per_obs: bool = False) -> float
     the mean and the canonical parameter coincide, so the true theta is
     accepted unchanged).  Binomial means are clamped to
     ``[1e-12, 1 - 1e-12]`` before taking the canonical link, so a true
-    mean of 0 or 1 gives a finite loss.
+    mean of 0 or 1 gives a finite loss.  A poisson true mean of 0 gives the
+    limit as the mean tends to 0, ``b(theta_hat)``.
 
     With ``per_obs=True`` the value is divided by the number of
     observations (the per-observation evaluation metric).
@@ -553,8 +556,15 @@ def kl_loss(theta_hat, theta_true_or_mu, family, per_obs: bool = False) -> float
         raise ValueError("theta_hat and the true mean must have equal length")
     if family.name == "binomial":
         mu = np.clip(mu, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    theta0 = family.theta_from_mean(mu)
-    val = 2.0 * np.sum(family.b(th) - family.b(theta0) - mu * (th - theta0))
+    if family.name == "poisson":
+        # the limit as a true mean tends to 0: θ₀ → −∞, b(θ₀) → 0, μ(θ̂ − θ₀) → 0
+        nonzero = mu != 0
+        theta0 = np.log(mu, out=np.full_like(mu, -np.inf), where=nonzero)
+        gap = np.subtract(th, theta0, out=np.zeros_like(mu), where=nonzero)
+    else:
+        theta0 = family.theta_from_mean(mu)
+        gap = th - theta0
+    val = 2.0 * np.sum(family.b(th) - family.b(theta0) - mu * gap)
     if per_obs:
         val /= th.size
     return float(val)

@@ -43,6 +43,7 @@ from .io import (
     reread_matrix_csv,
     save_matrix,
     write_csv,
+    write_predictions,
 )
 from .patterns import FragmentaryDataset, build_pattern_index, holdout_rows
 from .screening import screen_groups
@@ -175,13 +176,6 @@ def _align_query(header, values, column_names):
     return q
 
 
-def _prediction_rows(rules, theta, mean) -> list[list]:
-    return [
-        [i + 1, rule, f"{t:.17g}", f"{m:.17g}"]
-        for i, (rule, t, m) in enumerate(zip(rules, theta.tolist(), mean.tolist()))
-    ]
-
-
 def cmd_predict(args) -> int:
     out = _out_dir(args)
     _write_config(out, args)
@@ -232,8 +226,7 @@ def cmd_predict(args) -> int:
         if rule == "restricted":
             rule += ":" + "+".join(np.array(model.column_names)[np.isfinite(q[rows[0]])])
         rules[rows] = rule
-    write_csv(out / "predictions.csv", ["row", "rule", "theta", "mean"],
-              _prediction_rows(rules, theta, model.family.b_prime(theta)))
+    write_predictions(out / "predictions.csv", rules, theta, model.family.b_prime(theta))
     for store, source, reuse in loaded:
         fits = f"reused {store.reused} of the {len(model.candidates)} fits in {args.model}"
         if not reuse:
@@ -283,8 +276,7 @@ def cmd_compare(args) -> int:
             {"rows": int(r.size), "error": str(e)} for r, _, e in scored if e is not None
         ]
         diagnostics[m] = {"model": fit.diagnostics, "unavailable": unavailable}
-        preds = _prediction_rows(rules, theta, family.b_prime(theta))
-        write_csv(out / f"predictions_{m}.csv", ["row", "rule", "theta", "mean"], preds)
+        write_predictions(out / f"predictions_{m}.csv", rules, theta, family.b_prime(theta))
 
         ok_rows = eval_rows[np.isfinite(theta[eval_rows])]
         t, y = theta[ok_rows], test.y[ok_rows]

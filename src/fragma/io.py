@@ -1,4 +1,5 @@
-"""CSV ingestion with missing-value masks, plus JSON sidecar parsing.
+"""CSV ingestion with missing-value masks, JSON sidecar parsing, and the
+prediction table's writer (:func:`write_predictions`).
 
 A parsed CSV can be saved beside a model as ``.npy`` with a record that
 names the CSV and the ``.npy`` by their SHA-256 (:func:`save_matrix`).  A
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+from io import StringIO
 from math import isfinite
 
 import numpy as np
@@ -325,6 +327,31 @@ def write_csv(path, header: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_predictions(path, rules, theta: np.ndarray, mean: np.ndarray) -> None:
+    """The prediction table: ``row,rule,theta,mean``, one line per query row.
+
+    Its bytes are those :func:`write_csv` writes under that header for the
+    rows ``[i + 1, rules[i], f"{theta[i]:.17g}", f"{mean[i]:.17g}"]``: CRLF
+    line ends, 17 significant digits, and a rule quoted as ``csv`` quotes
+    it.  ``csv`` encodes each distinct rule once, and each line is one
+    ``%``-format, which formats a float as ``format(v, ".17g")`` does.
+    """
+    fields = {rule: _csv_field(rule) for rule in set(rules)}
+    lines = zip(range(1, len(theta) + 1), map(fields.__getitem__, rules),
+                theta.tolist(), mean.tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write("row,rule,theta,mean\r\n")
+        fh.writelines(map("%d,%s,%.17g,%.17g\r\n".__mod__, lines))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as a field of a longer row."""
+    buf = StringIO()
+    # a row of one empty field would be quoted, so write a second field
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue().removesuffix(",\r\n")
 
 
 def format_cell(v: float, na_marker: str = NA_MARKER) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import kl_loss, predict
+from .averaging import PROB_CLAMP, kl_loss, predict
 from .baselines import DEFAULT_METHODS, check_methods, fit_method
 from .errors import DataError, NumericalError
 from .glm import BINOMIAL, CandidateStore, expit
@@ -150,12 +150,16 @@ def run_study(cfg: SimConfig) -> SimResult:
     """Run all replications of one cell; deterministic given cfg.seed.
 
     ``diagnostics`` holds the regenerated-draw count, the failed (rep, method)
-    fits and, in fitting order, every weight optimizer's KKT residual.
+    fits, in fitting order every weight optimizer's KKT residual, and the
+    number of complete-case true means that :func:`~fragma.averaging.kl_loss`
+    clamps, counted once per replication.
     """
     methods = list(cfg.methods)
     per_rep = np.full((cfg.reps, len(methods)), np.nan)
     cc_frac = np.zeros(cfg.reps)
-    diagnostics: dict = {"regenerated": 0, "failures": [], "kkt_residuals": []}
+    diagnostics: dict = {
+        "regenerated": 0, "failures": [], "kkt_residuals": [], "clamped_means": 0
+    }
 
     groups = sim_groups()
     min_cc = cfg.p - 1  # leading pattern has p - 1 columns
@@ -180,11 +184,15 @@ def run_study(cfg: SimConfig) -> SimResult:
                 raise NumericalError(f"replication {rep}: no usable draw in 20 attempts")
         cc_rows = index.s_sets[0]
         cc_frac[rep] = cc_fraction(index, data.n)
+        mu = truth.mean[cc_rows]
+        diagnostics["clamped_means"] += int(
+            np.count_nonzero((mu < PROB_CLAMP) | (mu > 1.0 - PROB_CLAMP))
+        )
         for m, method in enumerate(methods):
             try:
                 model = fit_method(method, store, groups=groups, seed=cfg.seed + rep)
                 theta = predict(model, data.x[cc_rows])[0]
-                per_rep[rep, m] = kl_loss(theta, truth.mean[cc_rows], BINOMIAL, per_obs=True)
+                per_rep[rep, m] = kl_loss(theta, mu, BINOMIAL, per_obs=True)
             except NumericalError as exc:
                 diagnostics["failures"].append({"rep": rep, "method": method, "error": str(exc)})
                 continue

@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -18,7 +21,7 @@ from fragma.averaging import (
     resolve_lambda,
     score_rows,
 )
-from fragma.baselines import fit_imp
+from fragma.baselines import fit_cc, fit_imp
 from fragma.datasets import adni_like, random_fragmentary
 from fragma.errors import DataError
 from fragma.glm import (
@@ -552,6 +555,22 @@ def test_score_rows_without_a_store_asks_for_the_training_data():
         assert "--" not in message
 
 
+def test_score_rows_keeps_its_errors_without_reference_cycles():
+    # a caught error's traceback holds score_rows' frame, whose list of
+    # groups holds the error: a cycle that only a full collection frees
+    data, _ = adni_like(seed=0)
+    store = CandidateStore(data, BINOMIAL)
+    model = fit_cc(store)
+    xq = np.where(data.mask, data.x, np.nan)
+    gc.collect()
+    theta, scored = score_rows(model, xq, lambda: store)
+    errors = [error for _, _, error in scored if error is not None]
+    assert len(errors) == 7
+    assert all(isinstance(e, DataError) and e.__traceback__ is None for e in errors)
+    del theta, scored, errors
+    assert gc.collect() == 0
+
+
 def no_complete_case_data(rng, n=40):
     """Patterns {0,1} and {0,2}: nobody observes every column."""
     mask = np.zeros((n, 3), dtype=bool)
@@ -640,6 +659,18 @@ def test_kl_loss_clamps_extreme_means():
     theta = np.array([0.0, 0.0])
     clamped = kl_loss(theta, np.array([1e-12, 1.0 - 1e-12]), BINOMIAL)
     assert kl_loss(theta, np.array([0.0, 1.0]), BINOMIAL) == clamped
+
+
+def test_kl_loss_takes_the_limit_at_a_poisson_mean_of_zero():
+    theta_hat = np.array([0.3, -1.0, 2.0])
+    mu = np.array([0.0, 0.0, 1.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kl_loss(theta_hat[:1], mu[:1], POISSON) == 2.0 * np.exp(0.3)
+        value = kl_loss(theta_hat, mu, POISSON)
+    rest = kl_loss(theta_hat[2:], mu[2:], POISSON)
+    assert value == pytest.approx(2.0 * (np.exp(0.3) + np.exp(-1.0)) + rest, rel=1e-15)
+    assert kl_loss(theta_hat[:1], np.array([1e-300]), POISSON) == 2.0 * np.exp(0.3)
 
 
 def test_lambda_default():

@@ -31,6 +31,7 @@ from fragma.io import (
     read_groups_sidecar,
     read_matrix_csv,
     write_csv,
+    write_predictions,
 )
 from fragma.patterns import split_rows_by_pattern
 from fragma.screening import screen_groups
@@ -1263,3 +1264,94 @@ def test_cli_fit_writes_the_same_bytes_twice(tmp_path):
     assert record["header"] == ["y"] + data.column_names
     assert sorted(record) == ["csv_sha256", "family", "fit_options", "header", "na_marker",
                               "npy_sha256"]
+
+
+# ---------------------------------------------------------------------------
+# The prediction table: the bytes csv.writer writes for its rows
+# ---------------------------------------------------------------------------
+
+def _csv_writer_bytes(tmp_path, rules, theta, mean) -> bytes:
+    reference = tmp_path / "csv_writer.csv"
+    write_csv(reference, ["row", "rule", "theta", "mean"], [
+        [i + 1, rule, f"{t:.17g}", f"{m:.17g}"]
+        for i, (rule, t, m) in enumerate(zip(rules, theta.tolist(), mean.tolist()))
+    ])
+    return reference.read_bytes()
+
+
+def _recorded_prediction_tables(monkeypatch) -> list:
+    import fragma.cli
+
+    calls = []
+    real = fragma.cli.write_predictions
+
+    def recording(path, rules, theta, mean):
+        calls.append((Path(path), rules.copy(), theta.copy(), mean.copy()))
+        real(path, rules, theta, mean)
+
+    monkeypatch.setattr(fragma.cli, "write_predictions", recording)
+    return calls
+
+
+def test_write_predictions_writes_what_csv_writer_writes(tmp_path):
+    rules = np.array(["full", 'restricted:CSF "1", a+PET\n2', "unavailable", "zero-imputed",
+                      "restricted:a\rb", " lead", "full", "unavailable"], dtype=object)
+    theta = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.1, 1e-300, -5e300])
+    mean = np.array([-0.0, 1.0, np.nan, -np.inf, np.inf, 5e-324, 1.7976931348623157e308, 0.5])
+    path = tmp_path / "predictions.csv"
+    write_predictions(path, rules, theta, mean)
+    written = path.read_bytes()
+    assert written == _csv_writer_bytes(tmp_path, rules, theta, mean)
+    assert written.startswith(b"row,rule,theta,mean\r\n1,full,0,-0\r\n2,\"restricted:CSF ")
+    assert b"\r\n3,unavailable,nan,nan\r\n4,zero-imputed,inf,-inf\r\n" in written
+    with open(path, newline="") as fh:
+        assert [r["rule"] for r in csv.DictReader(fh)] == rules.tolist()
+    write_predictions(path, rules[:0], theta[:0], mean[:0])
+    assert path.read_bytes() == b"row,rule,theta,mean\r\n"
+
+
+def test_cli_predict_table_quotes_rules_whose_column_names_need_it(tmp_path, monkeypatch):
+    data, _ = adni_like(seed=4, scale=0.15)
+    odd = {"CSF_1": 'CSF "1", a', "PET_1": "PET\n2"}
+    data = dataclasses.replace(data, column_names=[odd.get(c, c) for c in data.column_names])
+    train = tmp_path / "train.csv"
+    dataset_to_csv(data, train)
+    assert run_cli("fit", "--input", str(train), "--response", "y", "--out",
+                   str(tmp_path / "fit")) == 0
+    xq = np.where(data.mask, data.x, np.nan)
+    q = tmp_path / "q.csv"
+    write_csv(q, data.column_names,
+              [["NA" if np.isnan(v) else repr(v) for v in row] for row in xq.tolist()])
+    tables = _recorded_prediction_tables(monkeypatch)
+    out = tmp_path / "p"
+    assert run_cli("predict", "--model", str(tmp_path / "fit" / "model.json"), "--input",
+                   str(q), "--train", str(train), "--response", "y", "--out", str(out)) == 0
+    [(path, rules, theta, mean)] = tables
+    assert path == out / "predictions.csv"
+    assert any('CSF "1", a' in r and "PET\n2" in r for r in rules if r.startswith("restricted:"))
+    written = path.read_bytes()
+    assert written == _csv_writer_bytes(tmp_path, rules, theta, mean)
+    assert b'"restricted:intercept+CSF ""1"", a+' in written
+    model = AveragedModel.from_dict(json.loads((tmp_path / "fit" / "model.json").read_text()))
+    expected, _ = score_rows(model, xq, lambda: CandidateStore(data, "binomial"))
+    assert theta.tolist() == expected.tolist()
+
+
+def test_cli_compare_tables_are_what_csv_writer_writes(tmp_path, monkeypatch):
+    data, groups = adni_like(seed=6, scale=0.25)
+    f = tmp_path / "d.csv"
+    dataset_to_csv(data, f)
+    g = tmp_path / "groups.json"
+    g.write_text(json.dumps({n: [data.column_names[j] for j in c] for n, c in groups.items()}))
+    methods = ["opt1", "opt2", "cc", "saic", "sbic", "imp1", "imp2", "glasso"]
+    tables = _recorded_prediction_tables(monkeypatch)
+    out = tmp_path / "c"
+    assert run_cli("compare", "--input", str(f), "--response", "y", "--seed", "3",
+                   "--methods", ",".join(methods), "--groups", str(g), "--out", str(out)) == 0
+    assert [path for path, *_ in tables] == [out / f"predictions_{m}.csv" for m in methods]
+    for path, rules, theta, mean in tables:
+        assert path.read_bytes() == _csv_writer_bytes(tmp_path, rules, theta, mean), path.name
+    cc_rules, cc_theta = tables[2][1], tables[2][2]
+    assert (cc_rules == "unavailable").any()
+    assert np.isnan(cc_theta[cc_rules == "unavailable"]).all()
+    assert b",unavailable,nan,nan\r\n" in tables[2][0].read_bytes()

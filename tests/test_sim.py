@@ -199,6 +199,24 @@ def test_run_study_records_method_failures_as_nan(monkeypatch):
     assert len(res.diagnostics["failures"]) == 2
 
 
+def test_run_study_counts_the_clamped_true_means_once_per_replication(monkeypatch):
+    import fragma.sim as simmod
+
+    real = simmod.generate_replication
+
+    def with_a_sure_case(cfg, rep, attempt):
+        data, truth = real(cfg, rep, attempt)
+        truth.mean[build_pattern_index(data).s_sets[0][0]] = 1.0
+        return data, truth
+
+    cfg = SimConfig(n=200, rho=0.3, reps=2, seed=41, methods=("opt1", "cc"))
+    assert run_study(cfg).diagnostics["clamped_means"] == 0
+    monkeypatch.setattr(simmod, "generate_replication", with_a_sure_case)
+    res = simmod.run_study(cfg)
+    assert res.diagnostics["clamped_means"] == 2
+    assert np.all(np.isfinite(res.per_rep_kl))
+
+
 def test_run_study_sim_groups_shape():
     g = sim_groups()
     assert list(g) == ["group1", "group2", "group3"]
