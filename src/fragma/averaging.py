@@ -536,6 +536,15 @@ def score_rows(model: AveragedModel, x, load_store):
     return theta, scored
 
 
+def clamp_means(mu):
+    """Binomial true means clipped into ``[PROB_CLAMP, 1 - PROB_CLAMP]``.
+
+    :func:`kl_loss` takes the canonical link of these; a mean that this
+    changes is one whose loss is clamped.
+    """
+    return np.clip(mu, PROB_CLAMP, 1.0 - PROB_CLAMP)
+
+
 def kl_loss(theta_hat, theta_true_or_mu, family, per_obs: bool = False) -> float:
     """Twice the summed KL divergence between true and fitted distributions.
 
@@ -555,15 +564,11 @@ def kl_loss(theta_hat, theta_true_or_mu, family, per_obs: bool = False) -> float
     if th.shape != mu.shape:
         raise ValueError("theta_hat and the true mean must have equal length")
     if family.name == "binomial":
-        mu = np.clip(mu, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    if family.name == "poisson":
-        # the limit as a true mean tends to 0: θ₀ → −∞, b(θ₀) → 0, μ(θ̂ − θ₀) → 0
-        nonzero = mu != 0
-        theta0 = np.log(mu, out=np.full_like(mu, -np.inf), where=nonzero)
-        gap = np.subtract(th, theta0, out=np.zeros_like(mu), where=nonzero)
-    else:
+        mu = clamp_means(mu)
+    # at a true mean of 0 take the limit: θ₀ → −∞, b(θ₀) → 0, μ(θ̂ − θ₀) → 0
+    with np.errstate(divide="ignore"):
         theta0 = family.theta_from_mean(mu)
-        gap = th - theta0
+    gap = np.where(mu == 0, 0.0, th - theta0)
     val = 2.0 * np.sum(family.b(th) - family.b(theta0) - mu * gap)
     if per_obs:
         val /= th.size

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import PROB_CLAMP, kl_loss, predict
+from .averaging import clamp_means, kl_loss, predict
 from .baselines import DEFAULT_METHODS, check_methods, fit_method
 from .errors import DataError, NumericalError
 from .glm import BINOMIAL, CandidateStore, expit
@@ -185,9 +185,7 @@ def run_study(cfg: SimConfig) -> SimResult:
         cc_rows = index.s_sets[0]
         cc_frac[rep] = cc_fraction(index, data.n)
         mu = truth.mean[cc_rows]
-        diagnostics["clamped_means"] += int(
-            np.count_nonzero((mu < PROB_CLAMP) | (mu > 1.0 - PROB_CLAMP))
-        )
+        diagnostics["clamped_means"] += int(np.count_nonzero(clamp_means(mu) != mu))
         for m, method in enumerate(methods):
             try:
                 model = fit_method(method, store, groups=groups, seed=cfg.seed + rep)

@@ -1,5 +1,6 @@
 import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -563,12 +564,18 @@ def test_score_rows_keeps_its_errors_without_reference_cycles():
     model = fit_cc(store)
     xq = np.where(data.mask, data.x, np.nan)
     gc.collect()
-    theta, scored = score_rows(model, xq, lambda: store)
-    errors = [error for _, _, error in scored if error is not None]
-    assert len(errors) == 7
-    assert all(isinstance(e, DataError) and e.__traceback__ is None for e in errors)
-    del theta, scored, errors
-    assert gc.collect() == 0
+    gc.disable()
+    try:
+        theta, scored = score_rows(model, xq, lambda: store)
+        errors = [error for _, _, error in scored if error is not None]
+        assert len(errors) == 7
+        assert all(isinstance(e, DataError) and e.__traceback__ is None for e in errors)
+        first = weakref.ref(errors[0])
+        del theta, scored, errors
+        # freed by reference counting alone, with the collector off
+        assert first() is None
+    finally:
+        gc.enable()
 
 
 def no_complete_case_data(rng, n=40):
