@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .glm import CandidateModel, CandidateStore, ExponentialFamily, get_family
+from .glm import CandidateModel, CandidateStore, ExponentialFamily, get_family, number_array
 from .patterns import FragmentaryDataset, PatternIndex, build_pattern_index, split_rows_by_pattern
 
 PROB_CLAMP = 1e-12
@@ -318,15 +318,18 @@ class AveragedModel:
                     raise DataError(
                         f"candidate {k}: {c.beta.size} coefficients for {len(c.pattern.indices)} columns"
                     )
-            weights = d["weights"]
-            if not isinstance(weights, list):
-                raise DataError(f"weights must be a list, got {weights!r:.40}")
+            weights = number_array("weights", d["weights"])
             lambda_n = d.get("lambda_n")
             # type(), not isinstance(): a JSON true is a bool, and bool is an int
             number = type(lambda_n) in (int, float) and 0 <= lambda_n < np.inf
             if not (lambda_n is None or number):
                 raise DataError(
                     f"lambda_n must be null or a nonnegative finite number, got {lambda_n!r:.40}"
+                )
+            criterion_value = d.get("criterion_value")
+            if not (criterion_value is None or type(criterion_value) in (int, float)):
+                raise DataError(
+                    f"criterion_value must be null or a number, got {criterion_value!r:.40}"
                 )
             zero_impute = d.get("zero_impute", False)
             if not isinstance(zero_impute, bool):
@@ -337,11 +340,11 @@ class AveragedModel:
                 family=get_family(d["family"]),
                 column_names=list(d["column_names"]),
                 lambda_n=lambda_n,
-                criterion_value=d.get("criterion_value"),
+                criterion_value=criterion_value,
                 zero_impute=zero_impute,
                 diagnostics=dict(d.get("diagnostics", {})),
             )
-            saved = np.asarray(d["beta_combined"], dtype=float)
+            saved = number_array("beta_combined", d["beta_combined"])
         except KeyError as exc:
             raise DataError(f"missing key {exc}") from exc
         except (TypeError, ValueError) as exc:

@@ -83,9 +83,7 @@ def _parse_lambda(text: str):
 
 
 def _fit_options(args) -> FitOptions:
-    return FitOptions(
-        max_iter=args.max_iter, grad_tol=args.grad_tol, ridge=args.ridge
-    )
+    return FitOptions(max_iter=args.max_iter, grad_tol=args.grad_tol)
 
 
 def _fitted_under(model, fopts: FitOptions) -> dict:
@@ -399,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="early stop once max|score| falls to this value; fits also stop "
         "when the Newton decrement reaches the log-likelihood's roundoff",
     )
-    fitlike.add_argument("--ridge", type=float, default=FitOptions.ridge)
 
     p_fit = sub.add_parser("fit", parents=[common, fitlike], help="fit an averaged model")
     p_fit.add_argument(

@@ -111,21 +111,18 @@ class FitOptions:
     early stop: the fit ends once max|score| falls to it.  Whatever its
     value, the fit also ends when the Newton decrement reaches the
     roundoff of the log-likelihood (see :func:`fit_glm`), so it never
-    spins at an optimum whose score cannot get below ``grad_tol``.
-    ``ridge`` is added to the Hessian once the coefficient norm passes
-    1e4 (a separation guard).  All three must be nonnegative, none a bool,
-    and ``max_iter`` an integer; anything else is a
-    :class:`~fragma.errors.DataError`.
+    spins at an optimum whose score cannot get below ``grad_tol``.  Both
+    must be nonnegative, neither a bool, and ``max_iter`` an integer;
+    anything else is a :class:`~fragma.errors.DataError`.
     """
 
     max_iter: int = 100
     grad_tol: float = 1e-8
-    ridge: float = 1e-8
 
     def __post_init__(self):
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise DataError(f"max_iter must be an integer, got {self.max_iter!r}")
-        for name in ("max_iter", "grad_tol", "ridge"):
+        for name in ("max_iter", "grad_tol"):
             value = getattr(self, name)
             if isinstance(value, bool):
                 raise DataError(f"{name} must be a number, got {value!r}")
@@ -144,7 +141,6 @@ class CandidateModel:
     loglik: float
     converged: bool
     iterations: int
-    ridged: bool = False
     stop: str | None = None
 
     def to_dict(self) -> dict:
@@ -157,7 +153,6 @@ class CandidateModel:
             "loglik": self.loglik,
             "converged": self.converged,
             "iterations": self.iterations,
-            "ridged": self.ridged,
             "stop": self.stop,
         }
 
@@ -165,11 +160,11 @@ class CandidateModel:
     def from_dict(cls, d: dict) -> "CandidateModel":
         """The fit record :meth:`to_dict` wrote, read as stated; any other is a DataError.
 
-        ``pattern`` is a list of column numbers in increasing order, the
-        order of ``beta``; ``n_k``, ``p_k`` and
+        ``pattern`` is a list of column numbers in increasing order and
+        ``beta`` a list of numbers in that order; ``n_k``, ``p_k`` and
         ``iterations`` are integers, ``p_k`` the pattern's length;
-        ``converged`` and ``ridged`` are booleans; ``stop`` is null or a
-        :func:`fit_glm` stop reason.
+        ``loglik`` is a number; ``converged`` is a boolean; ``stop`` is
+        null or a :func:`fit_glm` stop reason.  Other keys are not read.
         """
         pattern, p_k, stop = d["pattern"], d["p_k"], d.get("stop")
         # type(), not isinstance(): a JSON true is a bool, and bool is an int
@@ -186,22 +181,30 @@ class CandidateModel:
                 raise DataError(f"{name} must be an integer, got {d[name]!r:.40}")
         if p_k != len(pattern):
             raise DataError(f"p_k is {p_k} for a pattern of {len(pattern)} columns")
-        flags = {"converged": d["converged"], "ridged": d.get("ridged", False)}
-        for name, value in flags.items():
-            if not isinstance(value, bool):
-                raise DataError(f"{name} must be true or false, got {value!r:.40}")
+        if type(d["loglik"]) not in (int, float):
+            raise DataError(f"loglik must be a number, got {d['loglik']!r:.40}")
+        if not isinstance(d["converged"], bool):
+            raise DataError(f"converged must be true or false, got {d['converged']!r:.40}")
         if stop not in _STOPS:
             raise DataError(f"stop must be null or one of {list(_STOPS[1:])}, got {stop!r:.40}")
         return cls(
             pattern=Pattern(tuple(pattern), id=d.get("pattern_id", 0)),
-            beta=np.asarray(d["beta"], dtype=float),
+            beta=number_array("beta", d["beta"]),
             n_k=d["n_k"],
             p_k=p_k,
             loglik=float(d["loglik"]),
+            converged=d["converged"],
             iterations=d["iterations"],
             stop=stop,
-            **flags,
         )
+
+
+def number_array(name: str, value) -> np.ndarray:
+    """A JSON list of numbers as a float array; anything else is a DataError."""
+    # type(), not isinstance(): a JSON true is a bool, and bool is an int
+    if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
+        raise DataError(f"{name} must be a list of numbers, got {value!r:.40}")
+    return np.array(value, dtype=float)
 
 
 # the stop reasons of fit_glm, and None for a fit record that names none
@@ -312,8 +315,6 @@ def _pivoted_qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # A Newton decrement this small relative to |loglik| is at its roundoff floor.
 _DECREMENT_EPS = 16 * np.finfo(float).eps
-# Past this coefficient norm the fit is taken to diverge and gets the ridge.
-_DIVERGENCE_NORM = 1e4
 _PIVOT_TOL = 1e-10  # a QR pivot below this share of the largest marks a dependent column
 
 
@@ -327,7 +328,7 @@ def fit_glm(
     """Maximize the GLM log-likelihood by Fisher scoring with step halving.
 
     Returns the coefficient vector and a diagnostics dict (loglik,
-    converged, iterations, ridged, stop: the fit fields of
+    converged, iterations, stop: the fit fields of
     :class:`CandidateModel`).  The fit ends, with ``stop`` set to the
     reason, on the first of:
 
@@ -346,10 +347,11 @@ def fit_glm(
 
     ``converged`` is true exactly when the fit stopped at a first-order
     point, ``score`` or ``decrement``.  ``iterations`` counts the
-    iterations that solved a Newton direction.  A ridge term is added to
-    the weighted normal equations once the coefficient norm passes
-    1e4 (separation guard), and the fit is flagged
-    ``ridged``.
+    iterations that solved a Newton direction.  The Hessian is the Fisher
+    information, unpenalized, so only ``grad_tol`` sees the units of the
+    columns; a singular one takes the least-squares direction.
+    Separation is not detected: without a maximum-likelihood estimate the
+    verdict is whichever stop fires first.
 
     The Fisher information at beta = 0, where every weight is the power of
     two b''(0), is X^T X exactly scaled: it is computed once, is the
@@ -363,8 +365,7 @@ def fit_glm(
     opts = opts or FitOptions()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    p = X.shape[1]
-    beta = np.zeros(p)
+    beta = np.zeros(X.shape[1])
     theta = X @ beta
     mu = family.b_prime(theta)
     # every weight is the power of two b''(0): an exactly scaled Gram matrix
@@ -378,7 +379,6 @@ def fit_glm(
         raise NumericalError(f"Fisher information overflows at beta = 0; rescale columns {names}")
 
     ll = loglik(family, theta, y)
-    ridged = False
     stop = "max_iter"
     iterations = 0
 
@@ -391,11 +391,10 @@ def fit_glm(
         if fisher is None:
             w = family.variance(mu)
             fisher = X.T @ (w[:, None] * X)
-        h = fisher + opts.ridge * np.eye(p) if ridged else fisher
         try:
-            direction = np.linalg.solve(h, score)
+            direction = np.linalg.solve(fisher, score)
         except np.linalg.LinAlgError:
-            direction = np.linalg.lstsq(h, score, rcond=None)[0]
+            direction = np.linalg.lstsq(fisher, score, rcond=None)[0]
         floor = _DECREMENT_EPS * max(abs(ll), 1.0)
         if score @ direction <= floor:
             # Too small a gain for step halving to judge: take the full step
@@ -426,8 +425,6 @@ def fit_glm(
         if not accepted:
             stop = "no_step"
             break
-        if not ridged and np.linalg.norm(beta) > _DIVERGENCE_NORM:
-            ridged = True
         mu, fisher = family.b_prime(theta), None
 
     if stop == "max_iter":
@@ -439,7 +436,6 @@ def fit_glm(
         "loglik": ll,
         "converged": stop in ("score", "decrement"),
         "iterations": iterations,
-        "ridged": ridged,
         "stop": stop,
     }
     return beta, info

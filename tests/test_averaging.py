@@ -721,3 +721,29 @@ def test_row_and_covariate_order_do_not_change_the_fit(seed):
     theta_permuted, _ = score_rows(fit_averaged(permuted, "opt1"), xq[:, cols], lambda: permuted)
     assert np.isfinite(theta).all()
     assert np.abs(theta_permuted - theta).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_columns_units_do_not_change_the_fit(seed):
+    # A covariate's units are not information either: scaling a column by an
+    # exact power of two rescales its coefficients and leaves every candidate's
+    # stop and iteration count, and the complete-case theta, as they were.
+    data, _ = adni_like(seed=seed)
+    cc = data.mask.all(axis=1)
+
+    def fit(x):
+        model = fit_averaged(
+            CandidateStore(FragmentaryDataset(data.y, x, data.mask, data.column_names),
+                           "binomial"), "opt1"
+        )
+        stops = [(c.converged, c.stop, c.iterations) for c in model.candidates]
+        return predict(model, x[cc])[0], stops
+
+    theta, stops = fit(data.x)
+    for j in range(1, data.p):
+        for k in (-30, -20, -10):
+            x = data.x.copy()
+            x[:, j] = np.ldexp(x[:, j], k)
+            theta_scaled, stops_scaled = fit(x)
+            assert stops_scaled == stops, (data.column_names[j], k)
+            assert np.abs(theta_scaled - theta).max() <= 1e-12, (data.column_names[j], k)

@@ -387,10 +387,10 @@ def test_cli_predict_refits_under_the_model_fit_options(tmp_path):
     out = tmp_path / "fit"
     assert run_cli(
         "fit", "--input", str(train), "--response", "y", "--max-iter", "2",
-        "--ridge", "1e-3", "--out", str(out),
+        "--grad-tol", "1e-6", "--out", str(out),
     ) == 0
     model = json.loads((out / "model.json").read_text())
-    assert model["fit_options"] == {"max_iter": 2, "grad_tol": 1e-8, "ridge": 1e-3}
+    assert model["fit_options"] == {"max_iter": 2, "grad_tol": 1e-6}
 
     cols = data.column_names
     x_star = np.array([np.nan if c.startswith("CSF") else (1.0 if c == "intercept" else 0.1)
@@ -406,7 +406,7 @@ def test_cli_predict_refits_under_the_model_fit_options(tmp_path):
         row = next(csv.DictReader(fh))
 
     train_data = read_fragmentary_csv(train, "y")
-    opts = FitOptions(max_iter=2, grad_tol=1e-8, ridge=1e-3)
+    opts = FitOptions(max_iter=2, grad_tol=1e-6)
     theta, mean, _ = predict_for_pattern(
         CandidateStore(train_data, "binomial", opts), model["lambda_n"], x_star
     )
@@ -420,6 +420,40 @@ def test_cli_predict_refits_under_the_model_fit_options(tmp_path):
         "predict", "--model", str(out / "model.json"), "--input", str(q),
         "--train", str(train), "--response", "y", "--out", str(tmp_path / "p2"),
     ) == 2
+
+
+def test_cli_predict_reads_a_model_json_with_the_ridge_keys_of_older_fits(tmp_path):
+    # Fits once recorded "ridged" per candidate and "ridge" among their
+    # fit_options.  Without --train nothing reads either; with --train the
+    # fit_options name an option the fit no longer has: refit the model.
+    data, _ = adni_like(seed=4, scale=0.15)
+    train = tmp_path / "train.csv"
+    dataset_to_csv(data, train)
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--input", str(train), "--response", "y", "--out", str(out)) == 0
+    model = json.loads((out / "model.json").read_text())
+    q = tmp_path / "q.csv"
+    write_csv(q, data.column_names, [[repr(v) for v in row]
+                                     for row in data.x[data.mask.all(axis=1)].tolist()])
+    predict_argv = ["predict", "--model", str(out / "model.json"), "--input", str(q)]
+    assert run_cli(*predict_argv, "--out", str(tmp_path / "p")) == 0
+
+    for c in model["candidates"]:
+        c["ridged"] = False
+    for record in (model, model["training"]):
+        record["fit_options"]["ridge"] = 1e-8
+    (out / "model.json").write_text(json.dumps(model))
+    assert run_cli(*predict_argv, "--out", str(tmp_path / "p-old")) == 0
+    new, old = (tmp_path / "p" / "predictions.csv", tmp_path / "p-old" / "predictions.csv")
+    assert old.read_bytes() == new.read_bytes()
+
+    assert run_cli(*predict_argv, "--train", str(train), "--response", "y",
+                   "--out", str(tmp_path / "p-train")) == 2
+    error = json.loads((tmp_path / "p-train" / "error.json").read_text())
+    assert error["error"] == "DataError" and error["message"].startswith(
+        f"{out / 'model.json'}: fit_options: "
+    )
+    assert "'ridge'" in error["message"]
 
 
 def test_cli_compare_runs_and_is_reproducible(tmp_path):
@@ -581,13 +615,12 @@ def test_cli_bad_method_or_cell_is_input_error(tmp_path, argv):
         ["fit", "--lambda", "-1"],
         ["fit", "--max-iter", "-3"],
         ["fit", "--grad-tol", "-1"],
-        ["fit", "--ridge", "-1"],
         ["screen", "--keep", "0"],
         ["compare", "--split", "0"],
         ["compare", "--split", "-0.5"],
         ["predict", "--train"],
     ],
-    ids=["lambda-text", "lambda-negative", "max-iter", "grad-tol", "ridge", "keep",
+    ids=["lambda-text", "lambda-negative", "max-iter", "grad-tol", "keep",
          "split-zero", "split-negative", "predict-train-no-response"],
 )
 def test_cli_bad_argument_is_input_error(tmp_path, argv):
@@ -734,6 +767,15 @@ def _first_candidate(m, **fields):
     return {**m, "candidates": [{**m["candidates"][0], **fields}] + m["candidates"][1:]}
 
 
+def _first_candidate_alone(m, weight):
+    """The model of the first candidate only, at ``weight``, its coefficients embedded."""
+    c = m["candidates"][0]
+    beta = [0.0] * len(m["beta_combined"])
+    for j, b in zip(c["pattern"], c["beta"]):
+        beta[j] = b
+    return {**m, "candidates": [c], "weights": [weight], "beta_combined": beta}
+
+
 BAD_JSON = [
     ("model", "invalid-json", lambda m: "{"),
     ("model", "no-candidates", lambda m: {k: v for k, v in m.items() if k != "candidates"}),
@@ -759,9 +801,7 @@ BAD_JSON = [
     ("model", "zero-impute-string", lambda m: {**m, "zero_impute": "false"}),
     ("model", "max-iter-bool", lambda m: {**m, "fit_options": {"max_iter": True}}),
     ("model", "grad-tol-bool", lambda m: {**m, "fit_options": {"grad_tol": True}}),
-    ("model", "ridge-bool", lambda m: {**m, "fit_options": {"ridge": True}}),
     ("model", "converged-string", lambda m: _first_candidate(m, converged="false")),
-    ("model", "ridged-string", lambda m: _first_candidate(m, ridged="false")),
     ("model", "p-k-float", lambda m: _first_candidate(m, p_k=1.9)),
     ("model", "p-k-not-pattern-length",
      lambda m: _first_candidate(m, p_k=m["candidates"][0]["p_k"] + 1)),
@@ -770,24 +810,34 @@ BAD_JSON = [
     ("model", "stop-unknown", lambda m: _first_candidate(m, stop="tired")),
     ("model", "pattern-decreasing",
      lambda m: _first_candidate(m, pattern=m["candidates"][0]["pattern"][::-1])),
+    ("model", "loglik-bool", lambda m: _first_candidate(m, loglik=True)),
+    ("model", "loglik-string", lambda m: _first_candidate(m, loglik="1e3")),
+    ("model", "beta-bool", lambda m: _first_candidate(m, pattern=[0], p_k=1, beta=[True])),
+    ("model", "beta-combined-bool", lambda m: {**m, "beta_combined": [True]}),
+    ("model", "weights-bool", lambda m: _first_candidate_alone(m, True)),
+    ("model", "criterion-value-string", lambda m: {**m, "criterion_value": "abc"}),
 ]
 # the whole message after the file's path, where a case pins it
 BAD_JSON_MESSAGES = {
-    "weights-null": "weights must be a list, got None",
+    "weights-null": "weights must be a list of numbers, got None",
     "lambda-mode-string": "lambda_n must be null or a nonnegative finite number, got 'opt2'",
     "lambda-list": "lambda_n must be null or a nonnegative finite number, got [2.0]",
     "lambda-negative": "lambda_n must be null or a nonnegative finite number, got -1",
     "zero-impute-string": "zero_impute must be true or false, got 'false'",
     "max-iter-bool": "fit_options: max_iter must be an integer, got True",
     "grad-tol-bool": "fit_options: grad_tol must be a number, got True",
-    "ridge-bool": "fit_options: ridge must be a number, got True",
     "converged-string": "candidate 0: converged must be true or false, got 'false'",
-    "ridged-string": "candidate 0: ridged must be true or false, got 'false'",
     "p-k-float": "candidate 0: p_k must be an integer, got 1.9",
     "iterations-float": "candidate 0: iterations must be an integer, got 2.7",
     "n-k-bool": "candidate 0: n_k must be an integer, got True",
     "stop-unknown": "candidate 0: stop must be null or one of "
                     "['score', 'decrement', 'no_step', 'max_iter'], got 'tired'",
+    "loglik-bool": "candidate 0: loglik must be a number, got True",
+    "loglik-string": "candidate 0: loglik must be a number, got '1e3'",
+    "beta-bool": "candidate 0: beta must be a list of numbers, got [True]",
+    "beta-combined-bool": "beta_combined must be a list of numbers, got [True]",
+    "weights-bool": "weights must be a list of numbers, got [True]",
+    "criterion-value-string": "criterion_value must be null or a number, got 'abc'",
 }
 
 
@@ -901,6 +951,8 @@ def test_model_from_dict_checks_coefficients_against_candidates():
 
 DEAD_FLAGS = [
     ["fit", "--seed", "1"],
+    ["fit", "--ridge", "1e-3"],
+    ["compare", "--ridge", "1e-3"],
     ["predict", "--family", "gaussian"],
     ["predict", "--seed", "1"],
     ["simulate", "--family", "gaussian"],
@@ -914,6 +966,7 @@ DEAD_FLAGS = [
 def test_cli_flag_the_subcommand_never_reads_exits_2(tmp_path, capsys, argv):
     required = {
         "fit": ["--input", "d.csv", "--response", "y"],
+        "compare": ["--input", "d.csv", "--response", "y"],
         "predict": ["--model", "model.json", "--input", "q.csv"],
         "simulate": [],
         "screen": ["--input", "d.csv", "--response", "y", "--groups", "g.json"],
@@ -995,8 +1048,7 @@ def test_cli_defaults_and_choices_are_the_library_declarations():
 
     for command in ("fit", "compare"):
         parser = _subparser(command)
-        for flag, field in [("--max-iter", "max_iter"), ("--grad-tol", "grad_tol"),
-                            ("--ridge", "ridge")]:
+        for flag, field in [("--max-iter", "max_iter"), ("--grad-tol", "grad_tol")]:
             assert _option(parser, flag).default == getattr(FitOptions(), field)
         assert list(_option(parser, "--family").choices) == sorted(FAMILIES)
     for command in ("fit", "predict", "compare", "screen"):
@@ -1221,7 +1273,7 @@ def test_cli_predict_parses_or_refits_what_the_fit_s_record_does_not_cover(
         record.update(shape=list(values.shape), sha256=digest.hexdigest())
         (fit_out / "model.json").write_text(json.dumps(model_json))
     else:
-        opts = FitOptions(max_iter=2, grad_tol=1e-8, ridge=1e-3)
+        opts = FitOptions(max_iter=2, grad_tol=1e-6)
         model_json["fit_options"] = dataclasses.asdict(opts)
         (fit_out / "model.json").write_text(json.dumps(model_json))
     parsed, fitted, stdout = _counted_predict(
