@@ -309,7 +309,16 @@ class AveragedModel:
                     candidates.append(CandidateModel.from_dict(c))
                 except DataError as exc:
                     raise DataError(f"candidate {k}: {exc}") from exc
-            p = len(d["column_names"])
+            names = d["column_names"]
+            if not (
+                isinstance(names, list)
+                and all(isinstance(c, str) for c in names)
+                and len(set(names)) == len(names)
+            ):
+                raise DataError(
+                    f"column_names must be a list of distinct strings, got {names!r:.40}"
+                )
+            p = len(names)
             outside = sorted({j for c in candidates for j in c.pattern.indices if not 0 <= j < p})
             if outside:
                 raise DataError(f"candidate columns {outside} outside 0..{p - 1}")
@@ -338,7 +347,7 @@ class AveragedModel:
                 candidates=candidates,
                 weights=weights,
                 family=get_family(d["family"]),
-                column_names=list(d["column_names"]),
+                column_names=list(names),
                 lambda_n=lambda_n,
                 criterion_value=criterion_value,
                 zero_impute=zero_impute,

@@ -82,10 +82,6 @@ def _parse_lambda(text: str):
         raise DataError(f"--lambda must be 2, log-n1 or a number, got {text!r}") from None
 
 
-def _fit_options(args) -> FitOptions:
-    return FitOptions(max_iter=args.max_iter, grad_tol=args.grad_tol)
-
-
 def _fitted_under(model, fopts: FitOptions) -> dict:
     """The ``model.json`` entries a model's candidate fits depend on besides their data."""
     return {"family": model.family.name, "fit_options": dataclasses.asdict(fopts)}
@@ -124,7 +120,7 @@ def cmd_fit(args) -> int:
     out = _out_dir(args)
     _write_config(out, args)
     lam = _parse_lambda(args.lam)
-    fopts = _fit_options(args)
+    fopts = FitOptions(max_iter=args.max_iter)
     header, values = read_matrix_csv(args.input, args.na_marker)
     data = matrix_to_dataset(args.input, header, values, args.response, args.add_intercept)
     index = build_pattern_index(data)
@@ -239,7 +235,7 @@ def cmd_compare(args) -> int:
     _write_config(out, args)
     if not 0.0 < args.split < 1.0:
         raise DataError(f"--split must lie strictly between 0 and 1, got {args.split}")
-    fopts = _fit_options(args)
+    fopts = FitOptions(max_iter=args.max_iter)
     data = read_fragmentary_csv(
         args.input, args.response, args.na_marker, args.add_intercept
     )
@@ -388,14 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=FitOptions.max_iter,
         dest="max_iter",
         help="cap on IRLS iterations per GLM fit; a fit stopped by it is not converged",
-    )
-    fitlike.add_argument(
-        "--grad-tol",
-        type=float,
-        default=FitOptions.grad_tol,
-        dest="grad_tol",
-        help="early stop once max|score| falls to this value; fits also stop "
-        "when the Newton decrement reaches the log-likelihood's roundoff",
     )
 
     p_fit = sub.add_parser("fit", parents=[common, fitlike], help="fit an averaged model")

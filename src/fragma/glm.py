@@ -107,27 +107,20 @@ def get_family(name) -> ExponentialFamily:
 class FitOptions:
     """Knobs for the IRLS fit (exposed as CLI flags).
 
-    ``max_iter`` caps the Fisher-scoring iterations.  ``grad_tol`` is an
-    early stop: the fit ends once max|score| falls to it.  Whatever its
-    value, the fit also ends when the Newton decrement reaches the
-    roundoff of the log-likelihood (see :func:`fit_glm`), so it never
-    spins at an optimum whose score cannot get below ``grad_tol``.  Both
-    must be nonnegative, neither a bool, and ``max_iter`` an integer;
-    anything else is a :class:`~fragma.errors.DataError`.
+    ``max_iter`` caps the Fisher-scoring iterations; it must be a
+    nonnegative integer, not a bool, or the options are a
+    :class:`~fragma.errors.DataError`.  The fit has no tolerance to set:
+    it stops when the Newton decrement reaches the roundoff of the
+    log-likelihood (see :func:`fit_glm`).
     """
 
     max_iter: int = 100
-    grad_tol: float = 1e-8
 
     def __post_init__(self):
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise DataError(f"max_iter must be an integer, got {self.max_iter!r}")
-        for name in ("max_iter", "grad_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise DataError(f"{name} must be a number, got {value!r}")
-            if not value >= 0:
-                raise DataError(f"{name} must be nonnegative, got {value!r}")
+        if not self.max_iter >= 0:
+            raise DataError(f"max_iter must be nonnegative, got {self.max_iter!r}")
 
 
 @dataclass
@@ -164,7 +157,8 @@ class CandidateModel:
         ``beta`` a list of numbers in that order; ``n_k``, ``p_k`` and
         ``iterations`` are integers, ``p_k`` the pattern's length;
         ``loglik`` is a number; ``converged`` is a boolean; ``stop`` is
-        null or a :func:`fit_glm` stop reason.  Other keys are not read.
+        null, a :func:`fit_glm` stop reason or the ``score`` that earlier
+        fits recorded.  Other keys are not read.
         """
         pattern, p_k, stop = d["pattern"], d["p_k"], d.get("stop")
         # type(), not isinstance(): a JSON true is a bool, and bool is an int
@@ -207,19 +201,31 @@ def number_array(name: str, value) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
-# the stop reasons of fit_glm, and None for a fit record that names none
+# the stop reasons of fit_glm, None for a fit record that names none, and
+# "score", which earlier fits recorded when they stopped on an absolute score bound
 _STOPS = (None, "score", "decrement", "no_step", "max_iter")
 
 
 def loglik(family: ExponentialFamily, theta: np.ndarray, y: np.ndarray) -> float:
     """Log-likelihood kernel sum_i [y_i theta_i - b(theta_i)]."""
+    return _loglik_sums(family, theta, y)[0]
+
+
+def _loglik_sums(family: ExponentialFamily, theta, y) -> tuple[float, float]:
+    """The log-likelihood and |y^T theta| + sum_i b(theta_i), the size of its two sums.
+
+    The log-likelihood is the difference of those sums, so its rounding
+    error is on their scale, not on its own: they cancel as the means
+    approach the responses.  Every family's b is nonnegative.
+    """
     theta = np.asarray(theta, dtype=float)
     y = np.asarray(y, dtype=float)
     if theta.shape != y.shape:
         raise ValueError("theta and y must have the same length")
     if not np.all(np.isfinite(theta)):
         raise NumericalError("non-finite linear predictor in loglik")
-    return float(y @ theta - np.sum(family.b(theta)))
+    y_theta, b_sum = y @ theta, np.sum(family.b(theta))
+    return float(y_theta - b_sum), float(abs(y_theta) + b_sum)
 
 
 def check_full_rank(X: np.ndarray, column_names=None, gram=None):
@@ -313,7 +319,7 @@ def _pivoted_qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, piv
 
 
-# A Newton decrement this small relative to |loglik| is at its roundoff floor.
+# A Newton decrement this small relative to the log-likelihood's sums is at its roundoff floor.
 _DECREMENT_EPS = 16 * np.finfo(float).eps
 _PIVOT_TOL = 1e-10  # a QR pivot below this share of the largest marks a dependent column
 
@@ -332,26 +338,26 @@ def fit_glm(
     :class:`CandidateModel`).  The fit ends, with ``stop`` set to the
     reason, on the first of:
 
-    * ``score``: max|score| <= ``grad_tol`` (tested before the Newton
-      direction is solved, and once more after the last allowed iteration);
     * ``decrement``: the Newton decrement ``score @ direction`` is at most
-      ``16 * eps * max(|loglik|, 1)``, so a full Newton step gains no more
-      than the roundoff of the log-likelihood (Boyd & Vandenberghe,
-      *Convex Optimization*, 9.5).  Step halving cannot judge such a step,
-      so the full step is taken unless it loses more than that roundoff:
-      as the last step of Newton's quadratic convergence it brings the
+      ``16 * eps * max(|y^T theta| + sum b(theta), 1)``, so a full Newton
+      step gains no more than the roundoff of the log-likelihood, the
+      difference of those two sums (Boyd & Vandenberghe, *Convex
+      Optimization*, 9.5).  Step halving cannot judge such a step, so the
+      full step is taken unless it loses more than that roundoff: as the
+      last step of Newton's quadratic convergence it brings the
       coefficients to machine precision;
     * ``no_step``: 30 step halvings found no step that keeps the
       log-likelihood non-decreasing;
     * ``max_iter``: ``max_iter`` iterations were spent.
 
-    ``converged`` is true exactly when the fit stopped at a first-order
-    point, ``score`` or ``decrement``.  ``iterations`` counts the
-    iterations that solved a Newton direction.  The Hessian is the Fisher
-    information, unpenalized, so only ``grad_tol`` sees the units of the
-    columns; a singular one takes the least-squares direction.
-    Separation is not detected: without a maximum-likelihood estimate the
-    verdict is whichever stop fires first.
+    ``converged`` is true exactly when the fit stopped on ``decrement``.
+    ``iterations`` counts the Newton directions solved.  The Hessian is the
+    Fisher information, unpenalized, and the decrement and both sums are
+    unchanged when a column is scaled, so no stop sees the units of the
+    columns; a singular Fisher information takes the least-squares
+    direction.  Separation is not detected: without a maximum-likelihood
+    estimate the fit runs until the decrement reaches the roundoff, as the
+    fitted means reach the responses.
 
     The Fisher information at beta = 0, where every weight is the power of
     two b''(0), is X^T X exactly scaled: it is computed once, is the
@@ -378,16 +384,12 @@ def fit_glm(
         names = [column_names[j] if column_names is not None else str(j) for j in overflow]
         raise NumericalError(f"Fisher information overflows at beta = 0; rescale columns {names}")
 
-    ll = loglik(family, theta, y)
+    ll, ll_scale = _loglik_sums(family, theta, y)
     stop = "max_iter"
     iterations = 0
 
     for iterations in range(1, opts.max_iter + 1):
         score = X.T @ (y - mu)
-        if np.max(np.abs(score)) <= opts.grad_tol:
-            stop = "score"
-            iterations -= 1
-            break
         if fisher is None:
             w = family.variance(mu)
             fisher = X.T @ (w[:, None] * X)
@@ -395,7 +397,7 @@ def fit_glm(
             direction = np.linalg.solve(fisher, score)
         except np.linalg.LinAlgError:
             direction = np.linalg.lstsq(fisher, score, rcond=None)[0]
-        floor = _DECREMENT_EPS * max(abs(ll), 1.0)
+        floor = _DECREMENT_EPS * max(ll_scale, 1.0)
         if score @ direction <= floor:
             # Too small a gain for step halving to judge: take the full step
             # unless it loses more than the roundoff, and stop.
@@ -414,11 +416,11 @@ def fit_glm(
             beta_try = beta + step * direction
             theta_try = X @ beta_try
             try:
-                ll_try = loglik(family, theta_try, y)
+                ll_try, scale_try = _loglik_sums(family, theta_try, y)
             except NumericalError:  # a non-finite linear predictor
                 ll_try = -np.inf
             if np.isfinite(ll_try) and ll_try >= ll:
-                beta, theta, ll = beta_try, theta_try, ll_try
+                beta, theta, ll, ll_scale = beta_try, theta_try, ll_try, scale_try
                 accepted = True
                 break
             step *= 0.5
@@ -427,14 +429,9 @@ def fit_glm(
             break
         mu, fisher = family.b_prime(theta), None
 
-    if stop == "max_iter":
-        score = X.T @ (y - mu)
-        if np.max(np.abs(score)) <= opts.grad_tol:
-            stop = "score"
-
     info = {
         "loglik": ll,
-        "converged": stop in ("score", "decrement"),
+        "converged": stop == "decrement",
         "iterations": iterations,
         "stop": stop,
     }

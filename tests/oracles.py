@@ -222,9 +222,9 @@ def pivoted_qr_rank_rule(X, column_names, tol=1e-10):
 
 # The IRLS fit and rank check as they stood before the rank check screened on
 # the Gram matrix: an unpivoted-QR screen, and b''(theta) recomputed from
-# theta at every iteration, and with the Fisher information as the Hessian,
-# as the current fit has it.  Kept as the reference the current fit must
-# match bit for bit.
+# theta at every iteration, and with the Fisher information as the Hessian
+# and the Newton decrement as the one stop test, as the current fit has them.
+# Kept as the reference the current fit must match bit for bit.
 
 _REFERENCE_B_DOUBLE_PRIME = {
     "binomial": lambda theta: _expit(theta) * (1.0 - _expit(theta)),
@@ -311,17 +311,14 @@ def reference_fit_glm(X, y, family, opts=None, column_names=None):
     for iterations in range(1, opts.max_iter + 1):
         mu = family.b_prime(theta)
         score = X.T @ (y - mu)
-        if np.max(np.abs(score)) <= opts.grad_tol:
-            stop = "score"
-            iterations -= 1
-            break
         w = b_double_prime(theta)
         h = X.T @ (w[:, None] * X)
         try:
             direction = np.linalg.solve(h, score)
         except np.linalg.LinAlgError:
             direction = np.linalg.lstsq(h, score, rcond=None)[0]
-        floor = _DECREMENT_EPS * max(abs(ll), 1.0)
+        # the roundoff of ll is that of y @ theta and sum b(theta), which it subtracts
+        floor = _DECREMENT_EPS * max(abs(y @ theta) + np.sum(family.b(theta)), 1.0)
         if score @ direction <= floor:
             beta_try = beta + direction
             theta_try = X @ beta_try
@@ -346,14 +343,9 @@ def reference_fit_glm(X, y, family, opts=None, column_names=None):
             stop = "no_step"
             break
 
-    if stop == "max_iter":
-        score = X.T @ (y - family.b_prime(theta))
-        if np.max(np.abs(score)) <= opts.grad_tol:
-            stop = "score"
-
     info = {
         "loglik": ll,
-        "converged": stop in ("score", "decrement"),
+        "converged": stop == "decrement",
         "iterations": iterations,
         "stop": stop,
     }

@@ -235,7 +235,7 @@ def test_cli_fit_fully_observed(tmp_path):
     assert "patterns: 1" in report
     assert "weight=1.000000" in report
     stop = model["candidates"][0]["stop"]
-    assert stop in ("score", "decrement")
+    assert stop == "decrement"
     assert f"converged=True iterations={model['candidates'][0]['iterations']} stop={stop} " in report
     assert model["diagnostics"]["optimizer_stop"] == "kkt"
     assert "optimizer: stop=kkt iterations=0 " in report
@@ -387,10 +387,10 @@ def test_cli_predict_refits_under_the_model_fit_options(tmp_path):
     out = tmp_path / "fit"
     assert run_cli(
         "fit", "--input", str(train), "--response", "y", "--max-iter", "2",
-        "--grad-tol", "1e-6", "--out", str(out),
+        "--out", str(out),
     ) == 0
     model = json.loads((out / "model.json").read_text())
-    assert model["fit_options"] == {"max_iter": 2, "grad_tol": 1e-6}
+    assert model["fit_options"] == {"max_iter": 2}
 
     cols = data.column_names
     x_star = np.array([np.nan if c.startswith("CSF") else (1.0 if c == "intercept" else 0.1)
@@ -406,7 +406,7 @@ def test_cli_predict_refits_under_the_model_fit_options(tmp_path):
         row = next(csv.DictReader(fh))
 
     train_data = read_fragmentary_csv(train, "y")
-    opts = FitOptions(max_iter=2, grad_tol=1e-6)
+    opts = FitOptions(max_iter=2)
     theta, mean, _ = predict_for_pattern(
         CandidateStore(train_data, "binomial", opts), model["lambda_n"], x_star
     )
@@ -422,37 +422,70 @@ def test_cli_predict_refits_under_the_model_fit_options(tmp_path):
     ) == 2
 
 
-def test_cli_predict_reads_a_model_json_with_the_ridge_keys_of_older_fits(tmp_path):
-    # Fits once recorded "ridged" per candidate and "ridge" among their
-    # fit_options.  Without --train nothing reads either; with --train the
-    # fit_options name an option the fit no longer has: refit the model.
+def _older_model_run(tmp_path, edit):
+    """Fit, predict complete cases, then ``edit`` model.json as an earlier fit wrote it.
+
+    Returns the predict argv without --out, the predictions before the
+    edit, and the model.json path.
+    """
     data, _ = adni_like(seed=4, scale=0.15)
     train = tmp_path / "train.csv"
     dataset_to_csv(data, train)
     out = tmp_path / "fit"
     assert run_cli("fit", "--input", str(train), "--response", "y", "--out", str(out)) == 0
-    model = json.loads((out / "model.json").read_text())
     q = tmp_path / "q.csv"
     write_csv(q, data.column_names, [[repr(v) for v in row]
                                      for row in data.x[data.mask.all(axis=1)].tolist()])
     predict_argv = ["predict", "--model", str(out / "model.json"), "--input", str(q)]
     assert run_cli(*predict_argv, "--out", str(tmp_path / "p")) == 0
-
-    for c in model["candidates"]:
-        c["ridged"] = False
-    for record in (model, model["training"]):
-        record["fit_options"]["ridge"] = 1e-8
+    model = json.loads((out / "model.json").read_text())
+    edit(model)
     (out / "model.json").write_text(json.dumps(model))
+    return predict_argv, train, tmp_path / "p" / "predictions.csv", out / "model.json"
+
+
+def _grad_tol_of_older_fits(model):
+    # Fits once also stopped on max|score| <= grad_tol, recorded as "score",
+    # and recorded grad_tol among their fit_options.
+    for c in model["candidates"]:
+        c["stop"] = "score"
+    for record in (model, model["training"]):
+        record["fit_options"]["grad_tol"] = 1e-8
+
+
+def test_cli_predict_scores_a_model_json_whose_fits_stopped_on_score(tmp_path):
+    predict_argv, _, new, _ = _older_model_run(tmp_path, _grad_tol_of_older_fits)
     assert run_cli(*predict_argv, "--out", str(tmp_path / "p-old")) == 0
-    new, old = (tmp_path / "p" / "predictions.csv", tmp_path / "p-old" / "predictions.csv")
-    assert old.read_bytes() == new.read_bytes()
+    assert (tmp_path / "p-old" / "predictions.csv").read_bytes() == new.read_bytes()
+
+
+def test_cli_predict_train_names_the_grad_tol_of_an_older_model_json(tmp_path):
+    predict_argv, train, _, path = _older_model_run(tmp_path, _grad_tol_of_older_fits)
+    assert run_cli(*predict_argv, "--train", str(train), "--response", "y",
+                   "--out", str(tmp_path / "p-train")) == 2
+    error = json.loads((tmp_path / "p-train" / "error.json").read_text())
+    assert error["error"] == "DataError" and error["message"].startswith(f"{path}: fit_options: ")
+    assert "'grad_tol'" in error["message"]
+
+
+def test_cli_predict_reads_a_model_json_with_the_ridge_keys_of_older_fits(tmp_path):
+    # Fits once recorded "ridged" per candidate and "ridge" among their
+    # fit_options.  Without --train nothing reads either; with --train the
+    # fit_options name an option the fit no longer has: refit the model.
+    def ridge_of_older_fits(model):
+        for c in model["candidates"]:
+            c["ridged"] = False
+        for record in (model, model["training"]):
+            record["fit_options"]["ridge"] = 1e-8
+
+    predict_argv, train, new, path = _older_model_run(tmp_path, ridge_of_older_fits)
+    assert run_cli(*predict_argv, "--out", str(tmp_path / "p-old")) == 0
+    assert (tmp_path / "p-old" / "predictions.csv").read_bytes() == new.read_bytes()
 
     assert run_cli(*predict_argv, "--train", str(train), "--response", "y",
                    "--out", str(tmp_path / "p-train")) == 2
     error = json.loads((tmp_path / "p-train" / "error.json").read_text())
-    assert error["error"] == "DataError" and error["message"].startswith(
-        f"{out / 'model.json'}: fit_options: "
-    )
+    assert error["error"] == "DataError" and error["message"].startswith(f"{path}: fit_options: ")
     assert "'ridge'" in error["message"]
 
 
@@ -614,13 +647,12 @@ def test_cli_bad_method_or_cell_is_input_error(tmp_path, argv):
         ["fit", "--lambda", "abc"],
         ["fit", "--lambda", "-1"],
         ["fit", "--max-iter", "-3"],
-        ["fit", "--grad-tol", "-1"],
         ["screen", "--keep", "0"],
         ["compare", "--split", "0"],
         ["compare", "--split", "-0.5"],
         ["predict", "--train"],
     ],
-    ids=["lambda-text", "lambda-negative", "max-iter", "grad-tol", "keep",
+    ids=["lambda-text", "lambda-negative", "max-iter", "keep",
          "split-zero", "split-negative", "predict-train-no-response"],
 )
 def test_cli_bad_argument_is_input_error(tmp_path, argv):
@@ -800,7 +832,6 @@ BAD_JSON = [
     ("model", "lambda-negative", lambda m: {**m, "lambda_n": -1}),
     ("model", "zero-impute-string", lambda m: {**m, "zero_impute": "false"}),
     ("model", "max-iter-bool", lambda m: {**m, "fit_options": {"max_iter": True}}),
-    ("model", "grad-tol-bool", lambda m: {**m, "fit_options": {"grad_tol": True}}),
     ("model", "converged-string", lambda m: _first_candidate(m, converged="false")),
     ("model", "p-k-float", lambda m: _first_candidate(m, p_k=1.9)),
     ("model", "p-k-not-pattern-length",
@@ -816,6 +847,12 @@ BAD_JSON = [
     ("model", "beta-combined-bool", lambda m: {**m, "beta_combined": [True]}),
     ("model", "weights-bool", lambda m: _first_candidate_alone(m, True)),
     ("model", "criterion-value-string", lambda m: {**m, "criterion_value": "abc"}),
+    ("model", "column-names-string",
+     lambda m: {**m, "column_names": "x" * len(m["column_names"])}),
+    ("model", "column-names-numbers",
+     lambda m: {**m, "column_names": list(range(len(m["column_names"])))}),
+    ("model", "column-names-repeated",
+     lambda m: {**m, "column_names": [m["column_names"][0]] * len(m["column_names"])}),
 ]
 # the whole message after the file's path, where a case pins it
 BAD_JSON_MESSAGES = {
@@ -825,7 +862,6 @@ BAD_JSON_MESSAGES = {
     "lambda-negative": "lambda_n must be null or a nonnegative finite number, got -1",
     "zero-impute-string": "zero_impute must be true or false, got 'false'",
     "max-iter-bool": "fit_options: max_iter must be an integer, got True",
-    "grad-tol-bool": "fit_options: grad_tol must be a number, got True",
     "converged-string": "candidate 0: converged must be true or false, got 'false'",
     "p-k-float": "candidate 0: p_k must be an integer, got 1.9",
     "iterations-float": "candidate 0: iterations must be an integer, got 2.7",
@@ -838,6 +874,7 @@ BAD_JSON_MESSAGES = {
     "beta-combined-bool": "beta_combined must be a list of numbers, got [True]",
     "weights-bool": "weights must be a list of numbers, got [True]",
     "criterion-value-string": "criterion_value must be null or a number, got 'abc'",
+    "column-names-string": f"column_names must be a list of distinct strings, got {'x' * 19!r}",
 }
 
 
@@ -1048,8 +1085,7 @@ def test_cli_defaults_and_choices_are_the_library_declarations():
 
     for command in ("fit", "compare"):
         parser = _subparser(command)
-        for flag, field in [("--max-iter", "max_iter"), ("--grad-tol", "grad_tol")]:
-            assert _option(parser, flag).default == getattr(FitOptions(), field)
+        assert _option(parser, "--max-iter").default == FitOptions().max_iter
         assert list(_option(parser, "--family").choices) == sorted(FAMILIES)
     for command in ("fit", "predict", "compare", "screen"):
         assert _option(_subparser(command), "--na-marker").default == NA_MARKER
@@ -1273,7 +1309,7 @@ def test_cli_predict_parses_or_refits_what_the_fit_s_record_does_not_cover(
         record.update(shape=list(values.shape), sha256=digest.hexdigest())
         (fit_out / "model.json").write_text(json.dumps(model_json))
     else:
-        opts = FitOptions(max_iter=2, grad_tol=1e-6)
+        opts = FitOptions(max_iter=2)
         model_json["fit_options"] = dataclasses.asdict(opts)
         (fit_out / "model.json").write_text(json.dumps(model_json))
     parsed, fitted, stdout = _counted_predict(
