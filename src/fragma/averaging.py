@@ -385,7 +385,8 @@ def combine_coefficients(
 def resolve_lambda(lambda_n, n_1: int) -> float:
     """Penalty level: 2 for ``opt1``, log(n_1) for ``opt2``, else a nonnegative float.
 
-    An unknown mode or any other value is a DataError.
+    An unknown mode or any other value (a bool, None or a string of a
+    number included) is a DataError.
     """
     if isinstance(lambda_n, str):
         if n_1 < 1:
@@ -395,10 +396,11 @@ def resolve_lambda(lambda_n, n_1: int) -> float:
         if lambda_n == "opt2":
             return float(np.log(n_1))
         raise DataError(f"unknown lambda mode {lambda_n!r}; choose 'opt1' or 'opt2'")
-    value = float(lambda_n)
-    if not 0 <= value < np.inf:
-        raise DataError(f"lambda_n must be a nonnegative finite number, got {value!r}")
-    return value
+    # a bool is an int, so it is excluded by name; np.bool_ is no numpy number
+    number = isinstance(lambda_n, (int, float, np.integer, np.floating))
+    if isinstance(lambda_n, bool) or not (number and 0 <= lambda_n < np.inf):
+        raise DataError(f"lambda_n must be a nonnegative finite number, got {lambda_n!r:.40}")
+    return float(lambda_n)
 
 
 def fit_averaged(store: CandidateStore, lambda_n="opt1", columns=None) -> AveragedModel:
@@ -453,12 +455,13 @@ def fit_averaged(store: CandidateStore, lambda_n="opt1", columns=None) -> Averag
 def predict(model: AveragedModel, x):
     """Prediction for one query row (length p) or an (m, p) block of rows.
 
-    Rows must observe the model's support (NaN marks unobserved; else a
-    DataError) unless the model zero-imputes.  Returns ``(theta_hat,
-    mean_hat)``, mean = b'(theta): floats for a row, arrays for a block.
-    A row scores the same bits alone as anywhere in any block.
+    Rows must have one entry per model column and observe the model's
+    support (NaN marks unobserved), unless the model zero-imputes, or the
+    query is a DataError.  Returns ``(theta_hat, mean_hat)``, mean =
+    b'(theta): floats for a row, arrays for a block.  A row scores the same
+    bits alone as anywhere in any block.
     """
-    x = np.asarray(x, dtype=float)
+    x = _query_rows(model, x)
     if model.zero_impute:
         x = np.where(np.isfinite(x), x, 0.0)
     support = model.support
@@ -475,6 +478,15 @@ def predict(model: AveragedModel, x):
     if theta.ndim == 0:
         return float(theta), float(mean)
     return theta, mean
+
+
+def _query_rows(model: AveragedModel, x) -> np.ndarray:
+    """``x`` as floats; rows of another width than the model's columns are a DataError."""
+    x = np.asarray(x, dtype=float)
+    width, p = (x.shape[-1] if x.ndim else None), len(model.column_names)
+    if width != p:
+        raise DataError(f"query rows of width {width} for a model of {p} columns")
+    return x
 
 
 def predict_for_pattern(store: CandidateStore, lambda_n, x_star):
@@ -513,10 +525,12 @@ def score_rows(model: AveragedModel, x, load_store):
     ``restricted``: one :func:`predict_for_pattern` call on the group's
     rows, from the training store that ``load_store()`` returns (None:
     there is none).  ``load_store`` is called only while a restricted group
-    has no store, and an exception it raises ends the scoring.  Returns
-    theta (NaN where a group failed) and per group ``(rows, rule, error)``.
+    has no store, and an exception it raises ends the scoring, as does a
+    query whose rows are not as wide as the model's columns (a DataError).
+    Returns theta (NaN where a group failed) and per group ``(rows, rule,
+    error)``.
     """
-    x = np.asarray(x, dtype=float)
+    x = _query_rows(model, x)
     observed = np.isfinite(x)
     lead = list(model.candidates[0].pattern.indices)
     theta = np.full(x.shape[0], np.nan)

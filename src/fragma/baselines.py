@@ -1,7 +1,7 @@
 """Comparator methods: CC, smoothed AIC/BIC, zero-imputation averaging, group lasso.
 
 Each baseline takes the run's :class:`~fragma.glm.CandidateStore`, which
-holds the data, family and IRLS options, and returns an
+holds the data, family, patterns and candidate fits, and returns an
 :class:`~fragma.averaging.AveragedModel` whose coefficients are embedded
 into the full coefficient space, so every method predicts through one code
 path.  CC, the smoothed criteria and the group lasso's refit draw their
@@ -31,7 +31,6 @@ from .glm import (
     CandidateModel,
     CandidateStore,
     ExponentialFamily,
-    FitOptions,
     check_full_rank,
     fit_glm,
     get_family,
@@ -405,13 +404,11 @@ def group_lasso_kkt_residual(X, y, family, beta, lam, groups) -> float:
     return float(np.max(parts))
 
 
-def lambda_max_group_lasso(
-    X, y, family, groups, unpenalized, opts: FitOptions | None = None
-) -> tuple[float, dict | None]:
+def lambda_max_group_lasso(X, y, family, groups, unpenalized) -> tuple[float, dict | None]:
     """Smallest penalty level at which every group is zeroed, and the fit behind it.
 
-    The unpenalized coordinates are fitted by :func:`~fragma.glm.fit_glm`
-    with ``opts``; the second value records that fit's ``converged``,
+    The unpenalized coordinates are fitted by :func:`~fragma.glm.fit_glm`;
+    the second value records that fit's ``converged``,
     ``iterations`` and ``stop`` (``None`` when every coordinate is in a
     group).
     """
@@ -420,7 +417,7 @@ def lambda_max_group_lasso(
     beta = np.zeros(p)
     record = None
     if len(unpenalized):
-        sub, info = fit_glm(X[:, unpenalized], y, family, opts)
+        sub, info = fit_glm(X[:, unpenalized], y, family)
         beta[unpenalized] = sub
         record = {k: info[k] for k in ("converged", "iterations", "stop")}
     grad = X.T @ (family.b_prime(X @ beta) - y)
@@ -461,8 +458,7 @@ def fit_glasso(store: CandidateStore, groups: dict, seed: int = 0) -> AveragedMo
     at the previous level; every subject is scored under the fit of the
     fold that holds it out, and the groups are those of the all-rows fit at
     the chosen level.  The final model is ``store``'s candidate on the
-    selected columns (the store's options also fit the largest level): the
-    GLM on every subject that observes them all.
+    selected columns: the GLM on every subject that observes them all.
     ``diagnostics`` records the selected groups, the chosen and largest
     penalty levels, the CV losses, as ``lambda_max_fit`` the convergence
     record of the unpenalized fit behind the largest level and, from the
@@ -497,7 +493,7 @@ def fit_glasso(store: CandidateStore, groups: dict, seed: int = 0) -> AveragedMo
     blocks = _Blocks.of(len(lead), group_pos)
     unpenalized = blocks.order[: blocks.u]
 
-    lam_max, lam_max_fit = lambda_max_group_lasso(X, y, family, group_pos, unpenalized, store.opts)
+    lam_max, lam_max_fit = lambda_max_group_lasso(X, y, family, group_pos, unpenalized)
     lambdas = np.geomspace(lam_max, lam_max * _LAMBDA_MIN_RATIO, _N_LAMBDAS)
 
     folds = _stratified_folds(y, _CV_FOLDS, seed)

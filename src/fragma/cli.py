@@ -14,13 +14,15 @@ reads, arranges and writes.  ``fit`` saves its parsed input as
 ``training.npy`` beside ``model.json``.  ``predict --train`` (which needs
 ``--response``) takes that matrix only when both files hash as recorded
 (:func:`~fragma.io.reread_matrix_csv`), and the model's candidate fits only
-with that matrix and under the recorded family and options.
+with that matrix and under the recorded family.  A ``model.json`` whose
+``training`` record has another layout still predicts; with ``--train`` its
+training CSV is parsed and the candidates it needs are refitted.  Every
+candidate is fitted at the default :class:`~fragma.glm.FitOptions`.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,7 +33,7 @@ from . import __version__
 from .averaging import AveragedModel, fit_averaged, score_rows
 from .baselines import DEFAULT_METHODS, check_methods, fit_method
 from .errors import DataError, NumericalError
-from .glm import FAMILIES, CandidateStore, FitOptions
+from .glm import FAMILIES, CandidateStore
 from .io import (
     NA_MARKER,
     TRAINING_FILE,
@@ -82,11 +84,6 @@ def _parse_lambda(text: str):
         raise DataError(f"--lambda must be 2, log-n1 or a number, got {text!r}") from None
 
 
-def _fitted_under(model, fopts: FitOptions) -> dict:
-    """The ``model.json`` entries a model's candidate fits depend on besides their data."""
-    return {"family": model.family.name, "fit_options": dataclasses.asdict(fopts)}
-
-
 def _patterns_report(data: FragmentaryDataset, index) -> str:
     lines = []
     lines.append(f"subjects: {data.n}    columns: {data.p}    patterns: {index.K}")
@@ -120,22 +117,18 @@ def cmd_fit(args) -> int:
     out = _out_dir(args)
     _write_config(out, args)
     lam = _parse_lambda(args.lam)
-    fopts = FitOptions(max_iter=args.max_iter)
     header, values = read_matrix_csv(args.input, args.na_marker)
     data = matrix_to_dataset(args.input, header, values, args.response, args.add_intercept)
     index = build_pattern_index(data)
     report = _patterns_report(data, index)
     (out / "report.txt").write_text(report)
 
-    store = CandidateStore(data, args.family, fopts)
-    model = fit_averaged(store, lam)
-    # predict refits sub-pattern candidates under these IRLS options, and takes
-    # these fits with training.npy while both files hash as recorded
-    fitted = _fitted_under(model, store.opts)
-    training = save_matrix(out / TRAINING_FILE, args.input, args.na_marker, header, values, fitted)
-    (out / "model.json").write_text(
-        json.dumps({**model.to_dict(), **fitted, "training": training}, indent=2)
+    model = fit_averaged(CandidateStore(data, args.family), lam)
+    # predict takes these fits with training.npy while both files hash as recorded
+    training = save_matrix(
+        out / TRAINING_FILE, args.input, args.na_marker, header, values, model.family.name
     )
+    (out / "model.json").write_text(json.dumps({**model.to_dict(), "training": training}, indent=2))
 
     w = np.asarray(model.weights)
     lines = [report, "candidates and weights:"]
@@ -184,29 +177,23 @@ def cmd_predict(args) -> int:
     header, values = read_matrix_csv(args.input, args.na_marker)
     q = _align_query(header, values, model.column_names)
 
-    fopts = None
-    if args.train:
-        if args.response is None:
-            raise DataError("--train needs --response")
-        try:
-            fopts = FitOptions(**saved.get("fit_options", {}))
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{args.model}: fit_options: {exc}") from exc
+    if args.train and args.response is None:
+        raise DataError("--train needs --response")
     loaded = []
 
     def load_train():
-        if fopts is None:
+        if not args.train:
             return None
         header, values, reuse, source = reread_matrix_csv(
             args.train, args.na_marker, saved.get("training"),
-            Path(args.model).with_name(TRAINING_FILE), _fitted_under(model, fopts),
+            Path(args.model).with_name(TRAINING_FILE), model.family.name,
         )
         train = matrix_to_dataset(args.train, header, values, args.response, args.add_intercept)
         if train.column_names != model.column_names:
             raise DataError("training CSV columns do not match the model's columns")
         # Given the model's columns, the fit's header and values fix its
         # response and intercept too: the model's candidates are this data's.
-        store = CandidateStore(train, model.family, fopts, saved=model.candidates if reuse else ())
+        store = CandidateStore(train, model.family, saved=model.candidates if reuse else ())
         loaded.append((store, source, reuse))
         return store
 
@@ -224,7 +211,7 @@ def cmd_predict(args) -> int:
     for store, source, reuse in loaded:
         fits = f"reused {store.reused} of the {len(model.candidates)} fits in {args.model}"
         if not reuse:
-            fits += " (not recorded as fitted on these data, family and fit_options)"
+            fits += " (not recorded as fitted on these data and family)"
         print(f"training data: {source}; {fits}")
     print(f"wrote {out / 'predictions.csv'} ({q.shape[0]} rows)")
     return 0
@@ -235,7 +222,6 @@ def cmd_compare(args) -> int:
     _write_config(out, args)
     if not 0.0 < args.split < 1.0:
         raise DataError(f"--split must lie strictly between 0 and 1, got {args.split}")
-    fopts = FitOptions(max_iter=args.max_iter)
     data = read_fragmentary_csv(
         args.input, args.response, args.na_marker, args.add_intercept
     )
@@ -253,7 +239,7 @@ def cmd_compare(args) -> int:
         raise DataError("test split is empty; lower --split")
     train, test = data.take(train_rows), data.take(test_rows)
 
-    store = CandidateStore(train, args.family, fopts)
+    store = CandidateStore(train, args.family)
     family = store.family
     fits = {m: fit_method(m, store, groups=groups, seed=args.seed) for m in methods}
 
@@ -378,13 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     fitlike.add_argument("--add-intercept", action="store_true", dest="add_intercept")
     fitlike.add_argument("--na-marker", default=NA_MARKER, dest="na_marker")
     fitlike.add_argument("--family", default="binomial", choices=sorted(FAMILIES))
-    fitlike.add_argument(
-        "--max-iter",
-        type=int,
-        default=FitOptions.max_iter,
-        dest="max_iter",
-        help="cap on IRLS iterations per GLM fit; a fit stopped by it is not converged",
-    )
 
     p_fit = sub.add_parser("fit", parents=[common, fitlike], help="fit an averaged model")
     p_fit.add_argument(

@@ -105,13 +105,14 @@ def get_family(name) -> ExponentialFamily:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs for the IRLS fit (exposed as CLI flags).
+    """The IRLS fit's iteration budget, an argument of :func:`fit_glm` alone.
 
     ``max_iter`` caps the Fisher-scoring iterations; it must be a
     nonnegative integer, not a bool, or the options are a
-    :class:`~fragma.errors.DataError`.  The fit has no tolerance to set:
-    it stops when the Newton decrement reaches the roundoff of the
-    log-likelihood (see :func:`fit_glm`).
+    :class:`~fragma.errors.DataError`.  Every candidate the program fits
+    takes the default, so a saved model records no options.  The fit has
+    no tolerance to set: it stops when the Newton decrement reaches the
+    roundoff of the log-likelihood (see :func:`fit_glm`).
     """
 
     max_iter: int = 100
@@ -439,10 +440,7 @@ def fit_glm(
 
 
 def fit_candidate(
-    data: FragmentaryDataset,
-    pattern: Pattern,
-    family: ExponentialFamily,
-    opts: FitOptions | None = None,
+    data: FragmentaryDataset, pattern: Pattern, family: ExponentialFamily
 ) -> CandidateModel:
     """Fit the GLM on ``pattern``'s columns on every subject observing them.
 
@@ -460,47 +458,39 @@ def fit_candidate(
         )
     X = data.x[np.ix_(rows, cols)]
     y = data.y[rows]
-    beta, info = fit_glm(
-        X, y, family, opts, column_names=[data.column_names[j] for j in cols]
-    )
+    beta, info = fit_glm(X, y, family, column_names=[data.column_names[j] for j in cols])
     return CandidateModel(pattern, beta, n_k, p_k, **info)
 
 
 def fit_all_candidates(
-    data: FragmentaryDataset,
-    index: PatternIndex,
-    family: ExponentialFamily,
-    opts: FitOptions | None = None,
+    data: FragmentaryDataset, index: PatternIndex, family: ExponentialFamily
 ) -> list[CandidateModel]:
     """Fit every candidate model of the index, in pattern order."""
-    return [fit_candidate(data, pattern, family, opts) for pattern in index.patterns]
+    return [fit_candidate(data, pattern, family) for pattern in index.patterns]
 
 
 class CandidateStore:
-    """One run: its dataset, GLM family, IRLS options, pattern index and candidate fits.
+    """One run: its dataset, GLM family, pattern index and candidate fits.
 
     Every method of :mod:`fragma.averaging` and :mod:`fragma.baselines`
-    takes the store and reads ``data``, ``family``, ``opts`` and ``index``
-    (built on ``data`` at first use) from it, so a run cannot mix the fits
-    or patterns of one dataset or family with another.  A candidate on
-    columns C is fitted on every subject observing C, in row order,
+    takes the store and reads ``data``, ``family`` and ``index`` (built on
+    ``data`` at first use) from it, so a run cannot mix the fits or
+    patterns of one dataset or family with another.  A candidate on
+    columns C is fitted by :func:`fit_candidate` (at the default
+    :class:`FitOptions`) on every subject observing C, in row order,
     whichever pattern index asks for it, so fits are keyed by C and shared
     by the main model, sub-pattern refits and baselines.  ``family`` is a
-    name or an :class:`ExponentialFamily`; ``opts`` defaults to
-    :class:`FitOptions`.  A response outside the family's support is a
-    :class:`~fragma.errors.DataError`.  ``saved`` are candidates already
-    fitted on ``data`` under ``family`` and ``opts`` (those of a saved
-    model): the store returns them for their columns instead of fitting,
-    and ``reused`` counts the column sets it so took.
+    name or an :class:`ExponentialFamily`.  A response outside the family's
+    support is a :class:`~fragma.errors.DataError`.  ``saved`` are
+    candidates already fitted on ``data`` under ``family`` (those of a
+    saved model): the store returns them for their columns instead of
+    fitting, and ``reused`` counts the column sets it so took.
     """
 
-    def __init__(
-        self, data: FragmentaryDataset, family, opts: FitOptions | None = None, saved=()
-    ):
+    def __init__(self, data: FragmentaryDataset, family, saved=()):
         self.data = data
         self.family = get_family(family)
         self.family.check_response(data.y)
-        self.opts = opts or FitOptions()
         self._fits: dict[tuple[int, ...], CandidateModel] = {}
         self._saved = {c.pattern.indices: c for c in saved}
         self.reused = 0
@@ -520,7 +510,7 @@ class CandidateStore:
                 # zero-filling changed no cell of these columns: the same fit
                 cand = source.fit(pattern)
             else:
-                cand = fit_candidate(self.data, pattern, self.family, self.opts)
+                cand = fit_candidate(self.data, pattern, self.family)
             self._fits[pattern.indices] = cand
         return replace(cand, pattern=pattern, beta=cand.beta.copy())
 
@@ -536,9 +526,9 @@ class CandidateStore:
         return [self.fit(pattern) for pattern in index.patterns]
 
     def filled(self) -> "CandidateStore":
-        """This run's store on ``data.filled()``: same family, options, index; fits kept."""
+        """This run's store on ``data.filled()``: same family and index; fits kept."""
         if self._filled is None:
             self._filled = (self.data.filled(), {})
-        store = CandidateStore(self._filled[0], self.family, self.opts)
+        store = CandidateStore(self._filled[0], self.family)
         store._fits, store._source = self._filled[1], self
         return store

@@ -2,8 +2,9 @@
 prediction table's writer (:func:`write_predictions`).
 
 A parsed CSV can be saved beside a model as ``.npy`` with a record that
-names the CSV and the ``.npy`` by their SHA-256 (:func:`save_matrix`).  A
-later read takes the saved matrix only when both files still hash as
+names the CSV and the ``.npy`` by their SHA-256, and the family of the
+model's fits (:func:`save_matrix`).  A later read takes the saved matrix
+only when the record has exactly those keys and both files still hash as
 recorded, and otherwise parses the CSV (:func:`reread_matrix_csv`).  This
 module alone hashes, saves and loads files.
 """
@@ -21,6 +22,9 @@ from .errors import DataError
 from .patterns import FragmentaryDataset
 
 NA_MARKER = "NA"  # the default text of a missing cell
+# Input files are UTF-8 whatever the locale; a leading byte-order mark, as
+# spreadsheet "CSV UTF-8" exports write, is dropped.
+_ENCODING = "utf-8-sig"
 
 
 def _parse_cell(raw: str, na_marker: str) -> float:
@@ -51,8 +55,9 @@ def read_matrix_csv(path, na_marker: str = NA_MARKER) -> tuple[list[str], np.nda
     Every other cell must be a finite number: ``inf``, ``-inf`` or ``nan``
     (unless it is the marker) is a :class:`~fragma.errors.DataError`, as is
     a ragged row, each naming the offending line.  So is a file that does
-    not decode as text or that ``csv`` rejects (a cell longer than
-    ``csv.field_size_limit()``), naming ``path``.
+    not decode as UTF-8 (a leading byte-order mark is dropped) or that
+    ``csv`` rejects (a cell longer than ``csv.field_size_limit()``), naming
+    ``path``.
     """
     try:
         parsed = _read_plain(path, na_marker)
@@ -90,7 +95,7 @@ def _read_plain(path, na_marker: str) -> tuple[list[str], np.ndarray] | None:
         return None
     limit = csv.field_size_limit()
     na = dict.fromkeys(("", na_marker), "nan")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding=_ENCODING) as fh:
         first = fh.readline()
         if not first.strip() or '"' in first or len(first) > limit:
             return None
@@ -129,7 +134,7 @@ def _read_plain(path, na_marker: str) -> tuple[list[str], np.ndarray] | None:
 def _read_cells(path, na_marker: str) -> tuple[list[str], np.ndarray]:
     """:func:`read_matrix_csv` one ``csv`` row and one cell at a time."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding=_ENCODING) as fh:
             reader = csv.reader(fh)
             try:
                 header = [h.strip() for h in next(reader)]
@@ -219,16 +224,21 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
+# The keys of :func:`save_matrix`'s record; a record with any other set is
+# another layout, whose matrix and fits are not taken.
+_RECORD_KEYS = {"csv_sha256", "npy_sha256", "na_marker", "header", "family"}
+
+
 def save_matrix(
-    npy_path, path, na_marker: str, header: list[str], values: np.ndarray, fitted: dict
+    npy_path, path, na_marker: str, header: list[str], values: np.ndarray, family: str
 ) -> dict:
     """Save ``read_matrix_csv(path, na_marker)``'s ``values`` as ``npy_path``.
 
     Returns the record :func:`reread_matrix_csv` checks: the SHA-256 of
-    ``path``'s bytes and of the ``npy_path`` just written, the marker and
-    the header, plus the entries of ``fitted``, what fits made on these
-    values depend on besides them.  ``np.save`` writes a fixed header and
-    the raw bytes, nothing dated, so one input always gives the same file.
+    ``path``'s bytes and of the ``npy_path`` just written, the marker, the
+    header and the name of the ``family`` that fits made on these values
+    are fitted under.  ``np.save`` writes a fixed header and the raw bytes,
+    nothing dated, so one input always gives the same file.
     """
     np.save(npy_path, values)
     return {
@@ -236,31 +246,31 @@ def save_matrix(
         "npy_sha256": file_sha256(npy_path),
         "na_marker": na_marker,
         "header": list(header),
-        **fitted,
+        "family": family,
     }
 
 
 def reread_matrix_csv(
-    path, na_marker: str, record, npy_path, fitted: dict
+    path, na_marker: str, record, npy_path, family: str
 ) -> tuple[list[str], np.ndarray, bool, str]:
     """:func:`read_matrix_csv`, taken from ``npy_path`` when ``record`` names both files.
 
-    ``record`` is :func:`save_matrix`'s (or None).  Only when ``na_marker``
-    is its marker, ``path`` hashes to its ``csv_sha256`` and ``npy_path`` to
-    its ``npy_sha256`` is ``npy_path`` opened (no pickles), and its matrix
-    is used if the recorded header names each of its columns.  Otherwise
-    ``path`` is parsed.  A record without ``npy_sha256`` names no saved
-    file, so its ``path`` is parsed.  Returns the header, the values,
-    whether the fits saved with ``record`` apply to them (the values are the
-    saved matrix and ``fitted`` is as recorded), and a note naming where
-    the values came from.
+    ``record`` is :func:`save_matrix`'s (or None).  Only when it has exactly
+    that record's keys, ``na_marker`` is its marker, ``path`` hashes to its
+    ``csv_sha256`` and ``npy_path`` to its ``npy_sha256`` is ``npy_path``
+    opened (no pickles), and its matrix is used if the recorded header
+    names each of its columns.  Otherwise ``path`` is parsed: a record of
+    another layout, such as one naming no ``.npy`` digest, is not read.
+    Returns the header, the values, whether the fits saved with ``record``
+    apply to them (the values are the saved matrix and ``family`` is the
+    recorded one), and a note naming where the values came from.
     """
     reason = _unsaved(path, na_marker, record, npy_path)
     if reason is None:
         values = np.load(npy_path, allow_pickle=False)
-        header = record.get("header")
+        header = record["header"]
         if isinstance(header, list) and values.shape[1:] == (len(header),):
-            applies = all(record.get(k) == v for k, v in fitted.items())
+            applies = record["family"] == family
             return header, values, applies, f"{npy_path}, saved from the same bytes as {path}"
         reason = f"the recorded header does not name {npy_path}'s columns"
     header, values = read_matrix_csv(path, na_marker)
@@ -271,11 +281,11 @@ def _unsaved(path, na_marker: str, record, npy_path) -> str | None:
     """Why ``record`` does not name ``na_marker`` and both files' bytes; None when it does."""
     if not isinstance(record, dict):
         return "no record of a saved matrix"
-    if record.get("na_marker") != na_marker:
+    if record.keys() != _RECORD_KEYS:
+        return "a record of another layout than a fit writes"
+    if record["na_marker"] != na_marker:
         return "another missing-value marker than the saved one's"
-    if "npy_sha256" not in record:
-        return f"the record names no digest of {npy_path}"
-    if record.get("csv_sha256") != file_sha256(path):
+    if record["csv_sha256"] != file_sha256(path):
         return "its bytes differ from those saved"
     try:
         if record["npy_sha256"] == file_sha256(npy_path):
@@ -288,10 +298,11 @@ def _unsaved(path, na_marker: str, record, npy_path) -> str | None:
 def read_groups_sidecar(path, column_names: list[str]) -> dict[str, list[int]]:
     """Column-group declaration: JSON mapping group name -> list of column names.
 
-    Invalid JSON or any other shape, an empty group included, is a
+    The file is UTF-8 (a leading byte-order mark is dropped).  Invalid JSON
+    or any other shape, an empty group included, is a
     :class:`~fragma.errors.DataError` naming ``path``.
     """
-    with open(path) as fh:
+    with open(path, encoding=_ENCODING) as fh:
         try:
             raw = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -383,6 +383,21 @@ def test_predict_requires_leading_pattern(rng):
         predict(model, x)
 
 
+def test_a_query_of_another_width_than_the_model_is_a_data_error():
+    data, _ = adni_like(seed=0, scale=0.5)
+    store = CandidateStore(data, BINOMIAL)
+    p = data.p
+    for model in (fit_averaged(store, "opt1"), fit_imp(store, "opt1")):
+        for width in (p + 3, p - 1):
+            for x in (np.ones(width), np.ones((4, width))):
+                message = f"query rows of width {width} for a model of {p} columns"
+                with pytest.raises(DataError, match=message):
+                    predict(model, x)
+                # raised once for the query, not recorded per row group
+                with pytest.raises(DataError, match=message):
+                    score_rows(model, np.atleast_2d(x), lambda: store)
+
+
 def test_predict_block_matches_rows_and_rejects_missing_support(rng):
     data, index, candidates, ctx, fam = fragmentary_pipeline(rng, n=90, p=4)
     model = fit_averaged(CandidateStore(data, fam), 2.0)
@@ -688,6 +703,13 @@ def test_lambda_default():
         resolve_lambda("opt3", 10)
     assert resolve_lambda("opt2", 10) == pytest.approx(np.log(10))
     assert resolve_lambda(3.5, 10) == 3.5
+    assert resolve_lambda(np.float64(0.5), 10) == 0.5 and resolve_lambda(3, 10) == 3.0
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, None, b"2", [2.0], -1, np.inf, np.nan])
+def test_resolve_lambda_rejects_what_is_not_a_nonnegative_number(value):
+    with pytest.raises(DataError, match="lambda_n must be a nonnegative finite number"):
+        resolve_lambda(value, 10)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

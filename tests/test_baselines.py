@@ -327,12 +327,25 @@ def test_group_lasso_path_records_why_each_solve_stopped(rng):
         assert none.kkt[i, 0] == pytest.approx(ref, rel=1e-12)
 
 
-def test_lambda_max_fits_unpenalized_coordinates_with_given_options(rng):
+def test_lambda_max_fits_unpenalized_coordinates_with_given_options(rng, monkeypatch):
+    import fragma.baselines
+
     X, y, groups = grouped_glm_data(rng)
-    # no IRLS iteration: the unpenalized intercept stays at zero
-    lam_max, record = lambda_max_group_lasso(
-        X, y, BINOMIAL, groups, np.array([0]), FitOptions(max_iter=0)
-    )
+    # the record is that of fit_glm's own fit of the unpenalized intercept
+    beta, info = fit_glm(X[:, [0]], y, BINOMIAL)
+    lam_max, record = lambda_max_group_lasso(X, y, BINOMIAL, groups, np.array([0]))
+    assert record == {k: info[k] for k in ("converged", "iterations", "stop")}
+    grad = X.T @ (expit(X[:, 0] * beta[0]) - y)
+    expected = max(np.linalg.norm(grad[g]) / np.sqrt(len(g)) for g in groups)
+    assert lam_max == pytest.approx(expected, rel=1e-12)
+
+    # given no IRLS iteration, the unpenalized intercept stays at zero
+    def capped(X, y, family, opts=None, column_names=None):
+        return fit_glm(X, y, family, FitOptions(max_iter=0), column_names=column_names)
+
+    monkeypatch.setattr(fragma.baselines, "fit_glm", capped)
+    lam_max, record = lambda_max_group_lasso(X, y, BINOMIAL, groups, np.array([0]))
+    assert record == {"converged": False, "iterations": 0, "stop": "max_iter"}
     grad = X.T @ (0.5 - y)
     expected = max(np.linalg.norm(grad[g]) / np.sqrt(len(g)) for g in groups)
     assert lam_max == pytest.approx(expected)
@@ -397,16 +410,34 @@ def test_fit_glasso_refits_through_the_store(monkeypatch):
     assert res.diagnostics["n_refit"] == held.n_k
 
 
-def test_fit_glasso_records_the_lambda_max_fit():
+def test_fit_glasso_records_the_lambda_max_fit(monkeypatch):
+    import fragma.baselines
+
     data, groups = adni_like(seed=2, scale=0.5)
-    res = fit_glasso(CandidateStore(data, BINOMIAL, FitOptions(max_iter=1)), groups)
+    infos = []
+
+    def recording(X, y, family, opts=None, column_names=None):
+        beta, info = fit_glm(X, y, family, opts, column_names=column_names)
+        infos.append(info)
+        return beta, info
+
+    monkeypatch.setattr(fragma.baselines, "fit_glm", recording)
+    record = fit_glasso(CandidateStore(data, BINOMIAL), groups).diagnostics["lambda_max_fit"]
+    # the one direct fit_glm call is lambda_max's, on the unpenalized intercept
+    (info,) = infos
+    assert record == {k: info[k] for k in ("converged", "iterations", "stop")}
+    assert record["converged"] and record["stop"] == "decrement"
+
+    def capped(X, y, family, opts=None, column_names=None):
+        return fit_glm(X, y, family, FitOptions(max_iter=1), column_names=column_names)
+
+    monkeypatch.setattr(fragma.baselines, "fit_glm", capped)
+    res = fit_glasso(CandidateStore(data, BINOMIAL), groups)
     assert res.diagnostics["lambda_max_fit"] == {
         "converged": False,
         "iterations": 1,
         "stop": "max_iter",
     }
-    record = fit_glasso(CandidateStore(data, BINOMIAL), groups).diagnostics["lambda_max_fit"]
-    assert record["converged"] and record["stop"] == "decrement"
 
 
 @pytest.mark.parametrize("seed", [0, 1])

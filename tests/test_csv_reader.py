@@ -131,3 +131,25 @@ def test_program_written_csvs_take_the_fast_path(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "_read_cells", per_cell)
     assert [_outcome(read_matrix_csv, path, "NA") for path in paths] == expected
 
+
+
+def test_a_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    # Spreadsheets' "CSV UTF-8" exports begin with a UTF-8 byte-order mark.
+    bom = b"\xef\xbb\xbf"
+    plain = _program_csvs(tmp_path)[1]
+    quoted = tmp_path / "quoted.csv"  # a quoted cell: the per-cell reader's file
+    quoted.write_text('"y",a,b\n1,"2",NA\n0,3.5,\n')
+    for path in (plain, quoted):
+        marked = path.with_name("bom-" + path.name)
+        marked.write_bytes(bom + path.read_bytes())
+        for read in (read_matrix_csv, io._read_cells):
+            assert _outcome(read, marked, "NA") == _outcome(read, path, "NA")
+    assert io._read_plain(plain.with_name("bom-" + plain.name), "NA") is not None
+
+    data, groups = adni_like(seed=3, scale=0.5)
+    g = tmp_path / "bom-groups.json"
+    g.write_bytes(bom + json.dumps(
+        {n: [data.column_names[j] for j in cols] for n, cols in groups.items()}).encode())
+    assert io.read_groups_sidecar(g, data.column_names) == groups
+    assert main(["fit", "--input", str(plain.with_name("bom-" + plain.name)),
+                 "--response", "y", "--out", str(tmp_path / "fit")]) == 0

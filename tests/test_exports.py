@@ -32,6 +32,22 @@ def test_no_function_taking_a_store_takes_a_pattern_index():
     assert offenders == []
 
 
+def test_only_fit_glm_takes_fit_options():
+    # Every candidate is fitted at FitOptions()'s budget: no store, method or
+    # candidate fit can be handed other options.
+    from fragma.baselines import lambda_max_group_lasso
+    from fragma.glm import fit_all_candidates
+
+    functions = [getattr(fragma, name) for name in fragma.__all__]
+    functions += [fit_method, fit_all_candidates, lambda_max_group_lasso]
+    taking = sorted(
+        f.__name__ for f in functions
+        if (inspect.isfunction(f) or inspect.isclass(f) and not issubclass(f, Exception))
+        and "opts" in inspect.signature(f).parameters
+    )
+    assert taking == ["fit_glm"]
+
+
 def test_only_the_model_combines_coefficients():
     # AveragedModel derives beta_combined from its candidates and weights;
     # no other module computes a combined coefficient vector of its own.

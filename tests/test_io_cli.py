@@ -18,14 +18,13 @@ from fragma.averaging import (
     AveragedModel,
     fit_averaged,
     predict,
-    predict_for_pattern,
     score_rows,
 )
 from fragma.baselines import fit_cc, fit_imp
 from fragma.cli import main
 from fragma.datasets import adni_like, table1_toy
 from fragma.errors import DataError
-from fragma.glm import CandidateStore, FitOptions
+from fragma.glm import CandidateStore
 from fragma.io import (
     read_fragmentary_csv,
     read_groups_sidecar,
@@ -380,48 +379,6 @@ def test_cli_predict_subpattern_requires_train(tmp_path, capsys):
     assert np.isfinite(float(row["theta"]))
 
 
-def test_cli_predict_refits_under_the_model_fit_options(tmp_path):
-    data, _ = adni_like(seed=4, scale=0.15)
-    train = tmp_path / "train.csv"
-    dataset_to_csv(data, train)
-    out = tmp_path / "fit"
-    assert run_cli(
-        "fit", "--input", str(train), "--response", "y", "--max-iter", "2",
-        "--out", str(out),
-    ) == 0
-    model = json.loads((out / "model.json").read_text())
-    assert model["fit_options"] == {"max_iter": 2}
-
-    cols = data.column_names
-    x_star = np.array([np.nan if c.startswith("CSF") else (1.0 if c == "intercept" else 0.1)
-                       for c in cols])
-    q = tmp_path / "q.csv"
-    q.write_text(",".join(cols) + "\n" + ",".join(
-        "NA" if np.isnan(v) else repr(float(v)) for v in x_star) + "\n")
-    assert run_cli(
-        "predict", "--model", str(out / "model.json"), "--input", str(q),
-        "--train", str(train), "--response", "y", "--out", str(tmp_path / "p"),
-    ) == 0
-    with open(tmp_path / "p" / "predictions.csv") as fh:
-        row = next(csv.DictReader(fh))
-
-    train_data = read_fragmentary_csv(train, "y")
-    opts = FitOptions(max_iter=2)
-    theta, mean, _ = predict_for_pattern(
-        CandidateStore(train_data, "binomial", opts), model["lambda_n"], x_star
-    )
-    assert row["rule"].startswith("restricted:")
-    assert float(row["theta"]) == theta
-    assert float(row["mean"]) == mean
-
-    model["fit_options"]["step"] = 1.0
-    (out / "model.json").write_text(json.dumps(model))
-    assert run_cli(
-        "predict", "--model", str(out / "model.json"), "--input", str(q),
-        "--train", str(train), "--response", "y", "--out", str(tmp_path / "p2"),
-    ) == 2
-
-
 def _older_model_run(tmp_path, edit):
     """Fit, predict complete cases, then ``edit`` model.json as an earlier fit wrote it.
 
@@ -444,13 +401,52 @@ def _older_model_run(tmp_path, edit):
     return predict_argv, train, tmp_path / "p" / "predictions.csv", out / "model.json"
 
 
+def _assert_train_refits(tmp_path, capsys, model_json, train):
+    """``predict --train`` on a query of every pattern parses ``train`` and refits.
+
+    The record of an earlier model.json has another layout than a fit
+    writes: its fit options are not read, and the candidates a sub-pattern
+    query needs are refitted at the default budget.
+    """
+    data = read_fragmentary_csv(train, "y")
+    xq = np.where(data.mask, data.x, np.nan)
+    xq = xq[[int(g[0]) for g in split_rows_by_pattern(data.mask)]]
+    q = tmp_path / "q-every-pattern.csv"
+    write_csv(q, data.column_names,
+              [["NA" if np.isnan(v) else repr(v) for v in row] for row in xq.tolist()])
+    capsys.readouterr()
+    assert run_cli("predict", "--model", str(model_json), "--input", str(q), "--train",
+                   str(train), "--response", "y", "--out", str(tmp_path / "p-train")) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.startswith(f"training data: parsed {train} (a record of another layout")
+    assert "reused 0 of" in stdout
+    model = AveragedModel.from_dict(json.loads(model_json.read_text()))
+    theta, _ = score_rows(model, xq, lambda: CandidateStore(data, "binomial"))
+    rows = _theta_column(tmp_path / "p-train" / "predictions.csv")
+    assert [t for _, t in rows] == theta.tolist()
+    assert any(r.startswith("restricted:") for r, _ in rows)
+
+
+def test_cli_predict_train_refits_an_earlier_model_json_with_fit_options(tmp_path, capsys):
+    # Fits once recorded their IRLS budget, and any option named there, as
+    # fit_options in model.json and in its training record.
+    def fit_options_of_earlier_fits(model):
+        for record in (model, model["training"]):
+            record["fit_options"] = {"max_iter": 2, "step": 1.0}
+
+    predict_argv, train, new, path = _older_model_run(tmp_path, fit_options_of_earlier_fits)
+    assert run_cli(*predict_argv, "--out", str(tmp_path / "p-old")) == 0
+    assert (tmp_path / "p-old" / "predictions.csv").read_bytes() == new.read_bytes()
+    _assert_train_refits(tmp_path, capsys, path, train)
+
+
 def _grad_tol_of_older_fits(model):
     # Fits once also stopped on max|score| <= grad_tol, recorded as "score",
     # and recorded grad_tol among their fit_options.
     for c in model["candidates"]:
         c["stop"] = "score"
     for record in (model, model["training"]):
-        record["fit_options"]["grad_tol"] = 1e-8
+        record["fit_options"] = {"max_iter": 100, "grad_tol": 1e-8}
 
 
 def test_cli_predict_scores_a_model_json_whose_fits_stopped_on_score(tmp_path):
@@ -459,34 +455,24 @@ def test_cli_predict_scores_a_model_json_whose_fits_stopped_on_score(tmp_path):
     assert (tmp_path / "p-old" / "predictions.csv").read_bytes() == new.read_bytes()
 
 
-def test_cli_predict_train_names_the_grad_tol_of_an_older_model_json(tmp_path):
-    predict_argv, train, _, path = _older_model_run(tmp_path, _grad_tol_of_older_fits)
-    assert run_cli(*predict_argv, "--train", str(train), "--response", "y",
-                   "--out", str(tmp_path / "p-train")) == 2
-    error = json.loads((tmp_path / "p-train" / "error.json").read_text())
-    assert error["error"] == "DataError" and error["message"].startswith(f"{path}: fit_options: ")
-    assert "'grad_tol'" in error["message"]
+def test_cli_predict_train_refits_an_older_model_json_with_grad_tol(tmp_path, capsys):
+    _, train, _, path = _older_model_run(tmp_path, _grad_tol_of_older_fits)
+    _assert_train_refits(tmp_path, capsys, path, train)
 
 
-def test_cli_predict_reads_a_model_json_with_the_ridge_keys_of_older_fits(tmp_path):
+def test_cli_predict_reads_a_model_json_with_the_ridge_keys_of_older_fits(tmp_path, capsys):
     # Fits once recorded "ridged" per candidate and "ridge" among their
-    # fit_options.  Without --train nothing reads either; with --train the
-    # fit_options name an option the fit no longer has: refit the model.
+    # fit_options.  Nothing reads either, with or without --train.
     def ridge_of_older_fits(model):
         for c in model["candidates"]:
             c["ridged"] = False
         for record in (model, model["training"]):
-            record["fit_options"]["ridge"] = 1e-8
+            record["fit_options"] = {"max_iter": 100, "ridge": 1e-8}
 
     predict_argv, train, new, path = _older_model_run(tmp_path, ridge_of_older_fits)
     assert run_cli(*predict_argv, "--out", str(tmp_path / "p-old")) == 0
     assert (tmp_path / "p-old" / "predictions.csv").read_bytes() == new.read_bytes()
-
-    assert run_cli(*predict_argv, "--train", str(train), "--response", "y",
-                   "--out", str(tmp_path / "p-train")) == 2
-    error = json.loads((tmp_path / "p-train" / "error.json").read_text())
-    assert error["error"] == "DataError" and error["message"].startswith(f"{path}: fit_options: ")
-    assert "'ridge'" in error["message"]
+    _assert_train_refits(tmp_path, capsys, path, train)
 
 
 def test_cli_compare_runs_and_is_reproducible(tmp_path):
@@ -646,13 +632,12 @@ def test_cli_bad_method_or_cell_is_input_error(tmp_path, argv):
     [
         ["fit", "--lambda", "abc"],
         ["fit", "--lambda", "-1"],
-        ["fit", "--max-iter", "-3"],
         ["screen", "--keep", "0"],
         ["compare", "--split", "0"],
         ["compare", "--split", "-0.5"],
         ["predict", "--train"],
     ],
-    ids=["lambda-text", "lambda-negative", "max-iter", "keep",
+    ids=["lambda-text", "lambda-negative", "keep",
          "split-zero", "split-negative", "predict-train-no-response"],
 )
 def test_cli_bad_argument_is_input_error(tmp_path, argv):
@@ -813,7 +798,6 @@ BAD_JSON = [
     ("model", "no-candidates", lambda m: {k: v for k, v in m.items() if k != "candidates"}),
     ("model", "unknown-family", lambda m: {**m, "family": "weibull"}),
     ("model", "short-beta", lambda m: {**m, "beta_combined": m["beta_combined"][:-1]}),
-    ("model", "max-iter-float", lambda m: {**m, "fit_options": {"max_iter": 5.5}}),
     ("model", "weight-short", lambda m: {**m, "weights": m["weights"][:-1]}),
     ("model", "weights-scaled", lambda m: {**m, "weights": [2.0 * w for w in m["weights"]]}),
     ("model", "weight-negative",
@@ -831,7 +815,6 @@ BAD_JSON = [
     ("model", "lambda-list", lambda m: {**m, "lambda_n": [2.0]}),
     ("model", "lambda-negative", lambda m: {**m, "lambda_n": -1}),
     ("model", "zero-impute-string", lambda m: {**m, "zero_impute": "false"}),
-    ("model", "max-iter-bool", lambda m: {**m, "fit_options": {"max_iter": True}}),
     ("model", "converged-string", lambda m: _first_candidate(m, converged="false")),
     ("model", "p-k-float", lambda m: _first_candidate(m, p_k=1.9)),
     ("model", "p-k-not-pattern-length",
@@ -861,7 +844,6 @@ BAD_JSON_MESSAGES = {
     "lambda-list": "lambda_n must be null or a nonnegative finite number, got [2.0]",
     "lambda-negative": "lambda_n must be null or a nonnegative finite number, got -1",
     "zero-impute-string": "zero_impute must be true or false, got 'false'",
-    "max-iter-bool": "fit_options: max_iter must be an integer, got True",
     "converged-string": "candidate 0: converged must be true or false, got 'false'",
     "p-k-float": "candidate 0: p_k must be an integer, got 1.9",
     "iterations-float": "candidate 0: iterations must be an integer, got 2.7",
@@ -990,6 +972,8 @@ DEAD_FLAGS = [
     ["fit", "--seed", "1"],
     ["fit", "--ridge", "1e-3"],
     ["compare", "--ridge", "1e-3"],
+    ["fit", "--max-iter", "2"],
+    ["compare", "--max-iter", "2"],
     ["predict", "--family", "gaussian"],
     ["predict", "--seed", "1"],
     ["simulate", "--family", "gaussian"],
@@ -1085,7 +1069,6 @@ def test_cli_defaults_and_choices_are_the_library_declarations():
 
     for command in ("fit", "compare"):
         parser = _subparser(command)
-        assert _option(parser, "--max-iter").default == FitOptions().max_iter
         assert list(_option(parser, "--family").choices) == sorted(FAMILIES)
     for command in ("fit", "predict", "compare", "screen"):
         assert _option(_subparser(command), "--na-marker").default == NA_MARKER
@@ -1265,7 +1248,7 @@ def test_cli_predict_takes_the_fit_s_matrix_and_fits_for_the_same_train(
 
 
 MISSES = ["cell-edited", "na-marker", "npy-deleted", "npy-replaced", "npy-header-corrupt",
-          "old-record", "fit-options-edited"]
+          "old-record", "fit-options-record"]
 
 
 @pytest.mark.parametrize("case", MISSES)
@@ -1277,7 +1260,6 @@ def test_cli_predict_parses_or_refits_what_the_fit_s_record_does_not_cover(
     )
     npy, extra = fit_out / "training.npy", []
     model_json = json.loads((fit_out / "model.json").read_text())
-    opts = FitOptions()
     if case == "cell-edited":
         lines = train.read_text().splitlines(keepends=True)
         cells = lines[1].split(",")
@@ -1309,27 +1291,25 @@ def test_cli_predict_parses_or_refits_what_the_fit_s_record_does_not_cover(
         record.update(shape=list(values.shape), sha256=digest.hexdigest())
         (fit_out / "model.json").write_text(json.dumps(model_json))
     else:
-        opts = FitOptions(max_iter=2)
-        model_json["fit_options"] = dataclasses.asdict(opts)
+        # a fit that also recorded its IRLS budget: the record has another layout
+        for record in (model_json, model_json["training"]):
+            record["fit_options"] = {"max_iter": 100}
         (fit_out / "model.json").write_text(json.dumps(model_json))
     parsed, fitted, stdout = _counted_predict(
         tmp_path, monkeypatch, capsys, fit_out, q, train, tmp_path / "p", *extra
     )
-    if case == "fit-options-edited":
-        # the matrix still applies (same bytes, same marker); the saved fits do not
-        assert train not in parsed
-        assert stdout.startswith(f"training data: {npy}, saved from the same bytes as {train}; ")
-    else:
-        assert train in parsed
-        assert stdout.startswith(f"training data: parsed {train} (")
+    assert train in parsed
+    assert stdout.startswith(f"training data: parsed {train} (")
+    if case in ("old-record", "fit-options-record"):
+        assert stdout.startswith(f"training data: parsed {train} (a record of another layout")
     model = AveragedModel.from_dict(model_json)
     fresh = CandidateStore(read_fragmentary_csv(train, "y", extra[-1] if extra else "NA"),
-                           "binomial", opts)
+                           "binomial")
     theta, _ = score_rows(model, xq, lambda: fresh)
     rows = _theta_column(tmp_path / "p" / "predictions.csv")
     assert [t for _, t in rows] == theta.tolist()
     assert any(r.startswith("restricted:") for r, _ in rows)
-    # the model's fits come only with the saved matrix and the recorded options
+    # the model's fits come only with the saved matrix
     assert "reused 0 of" in stdout
     assert {tuple(c["pattern"]) for c in model_json["candidates"]} & set(fitted)
 
@@ -1345,13 +1325,16 @@ def test_cli_fit_writes_the_same_bytes_twice(tmp_path):
     assert "training.npy" in names and names == sorted(p.name for p in outs[1].iterdir())
     for name in set(names) - {"config.json"}:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
-    record = json.loads((outs[0] / "model.json").read_text())["training"]
+    model = json.loads((outs[0] / "model.json").read_text())
+    config = json.loads((outs[0] / "config.json").read_text())
+    # every candidate is fitted at FitOptions()'s budget: no file records options
+    assert not {"fit_options", "max_iter"} & (set(model) | set(config))
+    record = model["training"]
     assert record["csv_sha256"] == hashlib.sha256(train.read_bytes()).hexdigest()
     npy = (outs[0] / "training.npy").read_bytes()
     assert record["npy_sha256"] == hashlib.sha256(npy).hexdigest()
     assert record["header"] == ["y"] + data.column_names
-    assert sorted(record) == ["csv_sha256", "family", "fit_options", "header", "na_marker",
-                              "npy_sha256"]
+    assert sorted(record) == ["csv_sha256", "family", "header", "na_marker", "npy_sha256"]
 
 
 # ---------------------------------------------------------------------------
