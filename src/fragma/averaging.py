@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .glm import CandidateModel, CandidateStore, ExponentialFamily, get_family, number_array
+from .glm import BOOLEAN, FAMILIES, NUMBER, NUMBERS, REQUIRED, Kind, get_family, read_record
+from .glm import CandidateModel, CandidateStore, ExponentialFamily
 from .patterns import FragmentaryDataset, PatternIndex, build_pattern_index, split_rows_by_pattern
 
 PROB_CLAMP = 1e-12
@@ -246,6 +247,15 @@ def optimize_weights(ctx: CriterionContext, lambda_n: float) -> WeightFit:
     )
 
 
+_FAMILY = Kind(f"one of {sorted(FAMILIES)}", lambda v: v in sorted(FAMILIES), get_family)
+_NAMES = Kind("a list of distinct strings", lambda v: isinstance(v, list)
+              and all(isinstance(c, str) for c in v) and len(set(v)) == len(v))
+_LAMBDA = Kind("null or a nonnegative finite number",
+               lambda v: v is None or NUMBER.test(v) and 0 <= v < np.inf)
+_OBJECT = Kind("an object", lambda v: isinstance(v, dict), dict)  # read as a copy
+_RECORDS = Kind("a list of objects", lambda v: isinstance(v, list) and all(map(_OBJECT.test, v)))
+
+
 @dataclass
 class AveragedModel:
     """Candidate set and simplex weights; ``beta_combined`` is derived from them.
@@ -286,6 +296,18 @@ class AveragedModel:
             cols.update(c.pattern.indices)
         return sorted(cols)
 
+    LAYOUT = {  # the keys of to_dict, in order
+        "family": (_FAMILY, REQUIRED),
+        "column_names": (_NAMES, REQUIRED),
+        "lambda_n": (_LAMBDA, None),
+        "criterion_value": (Kind("null or a number", lambda v: v is None or NUMBER.test(v)), None),
+        "zero_impute": (BOOLEAN, False),
+        "weights": (NUMBERS, REQUIRED),
+        "beta_combined": (NUMBERS, REQUIRED),
+        "candidates": (_RECORDS, REQUIRED),
+        "diagnostics": (_OBJECT, {}),
+    }
+
     def to_dict(self) -> dict:
         return {
             "family": self.family.name,
@@ -300,64 +322,21 @@ class AveragedModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AveragedModel":
+    def from_dict(cls, d) -> "AveragedModel":
         """The model :meth:`to_dict` wrote; a malformed or inconsistent one is a DataError."""
-        try:
-            candidates = []
-            for k, c in enumerate(d["candidates"]):
-                try:
-                    candidates.append(CandidateModel.from_dict(c))
-                except DataError as exc:
-                    raise DataError(f"candidate {k}: {exc}") from exc
-            names = d["column_names"]
-            if not (
-                isinstance(names, list)
-                and all(isinstance(c, str) for c in names)
-                and len(set(names)) == len(names)
-            ):
-                raise DataError(
-                    f"column_names must be a list of distinct strings, got {names!r:.40}"
-                )
-            p = len(names)
-            outside = sorted({j for c in candidates for j in c.pattern.indices if not 0 <= j < p})
-            if outside:
-                raise DataError(f"candidate columns {outside} outside 0..{p - 1}")
-            for k, c in enumerate(candidates):
-                if c.beta.shape != (len(c.pattern.indices),):
-                    raise DataError(
-                        f"candidate {k}: {c.beta.size} coefficients for {len(c.pattern.indices)} columns"
-                    )
-            weights = number_array("weights", d["weights"])
-            lambda_n = d.get("lambda_n")
-            # type(), not isinstance(): a JSON true is a bool, and bool is an int
-            number = type(lambda_n) in (int, float) and 0 <= lambda_n < np.inf
-            if not (lambda_n is None or number):
-                raise DataError(
-                    f"lambda_n must be null or a nonnegative finite number, got {lambda_n!r:.40}"
-                )
-            criterion_value = d.get("criterion_value")
-            if not (criterion_value is None or type(criterion_value) in (int, float)):
-                raise DataError(
-                    f"criterion_value must be null or a number, got {criterion_value!r:.40}"
-                )
-            zero_impute = d.get("zero_impute", False)
-            if not isinstance(zero_impute, bool):
-                raise DataError(f"zero_impute must be true or false, got {zero_impute!r:.40}")
-            model = cls(
-                candidates=candidates,
-                weights=weights,
-                family=get_family(d["family"]),
-                column_names=list(names),
-                lambda_n=lambda_n,
-                criterion_value=criterion_value,
-                zero_impute=zero_impute,
-                diagnostics=dict(d.get("diagnostics", {})),
-            )
-            saved = number_array("beta_combined", d["beta_combined"])
-        except KeyError as exc:
-            raise DataError(f"missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise DataError(str(exc)) from exc
+        r = read_record(d, cls.LAYOUT)
+        candidates = []
+        for k, c in enumerate(r.pop("candidates")):
+            try:
+                candidates.append(CandidateModel.from_dict(c))
+            except DataError as exc:
+                raise DataError(f"candidate {k}: {exc}") from exc
+        p = len(r["column_names"])
+        outside = sorted({j for c in candidates for j in c.pattern.indices if not 0 <= j < p})
+        if outside:
+            raise DataError(f"candidate columns {outside} outside 0..{p - 1}")
+        saved = r.pop("beta_combined")
+        model = cls(candidates=candidates, **r)
         if saved.shape != (p,):
             raise DataError(f"{saved.size} beta_combined entries for {p} columns")
         # Every model the program writes combines its candidates this way,
@@ -365,9 +344,7 @@ class AveragedModel:
         expected = model.beta_combined
         gap = np.max(np.abs(saved - expected), initial=0.0)
         if not gap <= 1e-12 * max(1.0, np.max(np.abs(expected), initial=0.0)):
-            raise DataError(
-                f"beta_combined differs from the weighted candidates by {gap:.3g}"
-            )
+            raise DataError(f"beta_combined differs from the weighted candidates by {gap:.3g}")
         return model
 
 

@@ -10,14 +10,14 @@ through :func:`~fragma.baselines.fit_method` and write their fit records
 and failures to ``diagnostics.json``.  ``predict`` and ``compare`` score
 rows through :func:`~fragma.averaging.score_rows`, and ``compare`` holds
 out rows with :func:`~fragma.patterns.holdout_rows`; this module only
-reads, arranges and writes.  ``fit`` saves its parsed input as
-``training.npy`` beside ``model.json``.  ``predict --train`` (which needs
-``--response``) takes that matrix only when both files hash as recorded
-(:func:`~fragma.io.reread_matrix_csv`), and the model's candidate fits only
-with that matrix and under the recorded family.  A ``model.json`` whose
-``training`` record has another layout still predicts; with ``--train`` its
-training CSV is parsed and the candidates it needs are refitted.  Every
-candidate is fitted at the default :class:`~fragma.glm.FitOptions`.
+reads, arranges and writes.  ``predict`` reads ``model.json`` with
+:func:`~fragma.io.read_model`.  ``fit`` saves its parsed input beside it as
+``training.npy``, which ``predict --train`` (needing ``--response``) takes
+only when both files hash as recorded (:func:`~fragma.io.reread_matrix_csv`),
+and the model's candidate fits only with that matrix and under the recorded
+family.  A ``model.json`` whose ``training`` record has another layout still
+predicts; with ``--train`` its training CSV is parsed and the candidates it
+needs are refitted at the default :class:`~fragma.glm.FitOptions`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .averaging import AveragedModel, fit_averaged, score_rows
+from .averaging import fit_averaged, score_rows
 from .baselines import DEFAULT_METHODS, check_methods, fit_method
 from .errors import DataError, NumericalError
 from .glm import FAMILIES, CandidateStore
@@ -42,6 +42,7 @@ from .io import (
     read_fragmentary_csv,
     read_groups_sidecar,
     read_matrix_csv,
+    read_model,
     reread_matrix_csv,
     save_matrix,
     write_csv,
@@ -166,14 +167,7 @@ def _align_query(header, values, column_names):
 def cmd_predict(args) -> int:
     out = _out_dir(args)
     _write_config(out, args)
-    try:
-        with open(args.model) as fh:
-            saved = json.load(fh)
-        model = AveragedModel.from_dict(saved)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{args.model}: invalid JSON: {exc}") from exc
-    except DataError as exc:
-        raise DataError(f"{args.model}: {exc}") from exc
+    model, training = read_model(args.model)
     header, values = read_matrix_csv(args.input, args.na_marker)
     q = _align_query(header, values, model.column_names)
 
@@ -185,7 +179,7 @@ def cmd_predict(args) -> int:
         if not args.train:
             return None
         header, values, reuse, source = reread_matrix_csv(
-            args.train, args.na_marker, saved.get("training"),
+            args.train, args.na_marker, training,
             Path(args.model).with_name(TRAINING_FILE), model.family.name,
         )
         train = matrix_to_dataset(args.train, header, values, args.response, args.add_intercept)

@@ -18,6 +18,7 @@ array around it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -124,6 +125,41 @@ class FitOptions:
             raise DataError(f"max_iter must be nonnegative, got {self.max_iter!r}")
 
 
+# What a value of a JSON record must be: in words, as a test, and how it is read.
+Kind = namedtuple("Kind", "text test read", defaults=(lambda v: v,))
+# type(), not isinstance(): a JSON true is a bool, and bool is an int
+INTEGER = Kind("an integer", lambda v: type(v) is int)
+NUMBER = Kind("a number", lambda v: type(v) in (int, float), float)
+BOOLEAN = Kind("true or false", lambda v: type(v) is bool)
+NUMBERS = Kind("a list of numbers", lambda v: isinstance(v, list) and all(map(NUMBER.test, v)),
+               lambda v: np.array(v, dtype=float))
+_COLUMNS = Kind("a list of column numbers in increasing order", lambda v: isinstance(v, list)
+                and all(map(INTEGER.test, v)) and all(a < b for a, b in zip(v, v[1:])))
+# fit_glm's stop reasons, and "score": earlier fits' stop on an absolute score bound
+_STOPS = ("score", "decrement", "no_step", "max_iter")
+_STOP = Kind(f"null or one of {list(_STOPS)}", lambda v: v is None or v in _STOPS)
+REQUIRED = object()  # the default of a key that every record carries
+
+
+def read_record(d, layout: dict[str, tuple[Kind, object]]) -> dict:
+    """``d``'s value of each key of ``layout``, which maps a key to its kind and default.
+
+    A non-object ``d``, a missing key whose default is REQUIRED or a value
+    of another kind is a DataError; keys ``layout`` does not name are not read.
+    """
+    if not isinstance(d, dict):
+        raise DataError(f"expected an object, got {d!r:.40}")
+    record = {}
+    for key, (kind, default) in layout.items():
+        value = d.get(key, default)
+        if value is REQUIRED:
+            raise DataError(f"missing key {key!r}")
+        if not kind.test(value):
+            raise DataError(f"{key} must be {kind.text}, got {value!r:.40}")
+        record[key] = kind.read(value)
+    return record
+
+
 @dataclass
 class CandidateModel:
     """A fitted per-pattern GLM."""
@@ -136,6 +172,18 @@ class CandidateModel:
     converged: bool
     iterations: int
     stop: str | None = None
+
+    LAYOUT = {  # the keys of to_dict, in order
+        "pattern": (_COLUMNS, REQUIRED),
+        "pattern_id": (INTEGER, 0),
+        "beta": (NUMBERS, REQUIRED),
+        "n_k": (INTEGER, REQUIRED),
+        "p_k": (INTEGER, REQUIRED),
+        "loglik": (NUMBER, REQUIRED),
+        "converged": (BOOLEAN, REQUIRED),
+        "iterations": (INTEGER, REQUIRED),
+        "stop": (_STOP, None),
+    }
 
     def to_dict(self) -> dict:
         return {
@@ -151,60 +199,15 @@ class CandidateModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CandidateModel":
-        """The fit record :meth:`to_dict` wrote, read as stated; any other is a DataError.
-
-        ``pattern`` is a list of column numbers in increasing order and
-        ``beta`` a list of numbers in that order; ``n_k``, ``p_k`` and
-        ``iterations`` are integers, ``p_k`` the pattern's length;
-        ``loglik`` is a number; ``converged`` is a boolean; ``stop`` is
-        null, a :func:`fit_glm` stop reason or the ``score`` that earlier
-        fits recorded.  Other keys are not read.
-        """
-        pattern, p_k, stop = d["pattern"], d["p_k"], d.get("stop")
-        # type(), not isinstance(): a JSON true is a bool, and bool is an int
-        if not (
-            isinstance(pattern, list)
-            and all(type(j) is int for j in pattern)
-            and all(a < b for a, b in zip(pattern, pattern[1:]))
-        ):
-            raise DataError(
-                f"pattern must be a list of column numbers in increasing order, got {pattern!r:.40}"
-            )
-        for name in ("n_k", "p_k", "iterations"):
-            if type(d[name]) is not int:
-                raise DataError(f"{name} must be an integer, got {d[name]!r:.40}")
-        if p_k != len(pattern):
-            raise DataError(f"p_k is {p_k} for a pattern of {len(pattern)} columns")
-        if type(d["loglik"]) not in (int, float):
-            raise DataError(f"loglik must be a number, got {d['loglik']!r:.40}")
-        if not isinstance(d["converged"], bool):
-            raise DataError(f"converged must be true or false, got {d['converged']!r:.40}")
-        if stop not in _STOPS:
-            raise DataError(f"stop must be null or one of {list(_STOPS[1:])}, got {stop!r:.40}")
-        return cls(
-            pattern=Pattern(tuple(pattern), id=d.get("pattern_id", 0)),
-            beta=number_array("beta", d["beta"]),
-            n_k=d["n_k"],
-            p_k=p_k,
-            loglik=float(d["loglik"]),
-            converged=d["converged"],
-            iterations=d["iterations"],
-            stop=stop,
-        )
-
-
-def number_array(name: str, value) -> np.ndarray:
-    """A JSON list of numbers as a float array; anything else is a DataError."""
-    # type(), not isinstance(): a JSON true is a bool, and bool is an int
-    if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
-        raise DataError(f"{name} must be a list of numbers, got {value!r:.40}")
-    return np.array(value, dtype=float)
-
-
-# the stop reasons of fit_glm, None for a fit record that names none, and
-# "score", which earlier fits recorded when they stopped on an absolute score bound
-_STOPS = (None, "score", "decrement", "no_step", "max_iter")
+    def from_dict(cls, d) -> "CandidateModel":
+        """The fit record :meth:`to_dict` wrote; p_k and len(beta) are the pattern's length."""
+        r = read_record(d, cls.LAYOUT)
+        pattern = Pattern(tuple(r.pop("pattern")), id=r.pop("pattern_id"))
+        if r["p_k"] != pattern.size:
+            raise DataError(f"p_k is {r['p_k']} for a pattern of {pattern.size} columns")
+        if r["beta"].shape != (pattern.size,):
+            raise DataError(f"{r['beta'].size} coefficients for {pattern.size} columns")
+        return cls(pattern=pattern, **r)
 
 
 def loglik(family: ExponentialFamily, theta: np.ndarray, y: np.ndarray) -> float:

@@ -1,5 +1,5 @@
-"""CSV ingestion with missing-value masks, JSON sidecar parsing, and the
-prediction table's writer (:func:`write_predictions`).
+"""CSV ingestion with missing-value masks, the JSON readers (the groups
+sidecar, :func:`read_model`) and the prediction table's writer.
 
 A parsed CSV can be saved beside a model as ``.npy`` with a record that
 names the CSV and the ``.npy`` by their SHA-256, and the family of the
@@ -18,6 +18,7 @@ from math import isfinite
 
 import numpy as np
 
+from .averaging import AveragedModel
 from .errors import DataError
 from .patterns import FragmentaryDataset
 
@@ -101,7 +102,7 @@ def _read_plain(path, na_marker: str) -> tuple[list[str], np.ndarray] | None:
             return None
         header = [h.strip() for h in first.rstrip("\r\n").split(",")]
         p = len(header)
-        if len(set(header)) != p:
+        if _header_fault(header):
             return None
         blocks = []
         for lines in iter(lambda: fh.readlines(_BLOCK_CHARS), []):
@@ -140,8 +141,8 @@ def _read_cells(path, na_marker: str) -> tuple[list[str], np.ndarray]:
                 header = [h.strip() for h in next(reader)]
             except StopIteration:
                 raise DataError(f"{path}: file is empty")
-            if len(set(header)) != len(header):
-                raise DataError(f"{path}: duplicate column names in header")
+            if fault := _header_fault(header):
+                raise DataError(f"{path}: {fault}")
             rows = []
             for lineno, row in enumerate(reader, start=2):
                 if not row or (len(row) == 1 and row[0].strip() == ""):
@@ -162,6 +163,14 @@ def _read_cells(path, na_marker: str) -> tuple[list[str], np.ndarray]:
     if not rows:
         raise DataError(f"{path}: no data rows")
     return header, np.asarray(rows, dtype=float)
+
+
+def _header_fault(header: list[str]) -> str | None:
+    """What is wrong with ``header``'s first column with no name or a repeated one, or None."""
+    for j, name in enumerate(header):
+        if not name or header.index(name) < j:
+            return f"column {j + 1} of the header: {f'duplicate {name!r}' if name else 'no name'}"
+    return None
 
 
 def read_fragmentary_csv(
@@ -331,6 +340,22 @@ def read_groups_sidecar(path, column_names: list[str]) -> dict[str, list[int]]:
     if not groups:
         raise DataError(f"{path}: no groups declared")
     return groups
+
+
+def read_model(path) -> tuple[AveragedModel, dict | None]:
+    """``path``'s model, read by ``AveragedModel.LAYOUT``, and its ``training`` record or None.
+
+    The file is UTF-8 (a leading byte-order mark is dropped).  Invalid JSON
+    or a malformed or inconsistent model is a DataError naming ``path``.
+    """
+    try:
+        with open(path, encoding=_ENCODING) as fh:
+            saved = json.load(fh)
+        return AveragedModel.from_dict(saved), saved.get("training")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_csv(path, header: list[str], rows) -> None:

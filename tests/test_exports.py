@@ -69,6 +69,24 @@ def test_only_the_model_combines_coefficients():
     assert naming == ["averaging.py"]
 
 
+def test_only_io_parses_json():
+    # fragma.io reads every JSON file the program loads (the groups sidecar
+    # and model.json); no other module parses JSON of its own.
+    def parses_json(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "json" and node.attr in ("load", "loads"):
+                    return True
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                if {alias.name for alias in node.names} & {"load", "loads"}:
+                    return True
+        return False
+
+    modules = sorted(Path(fragma.__file__).parent.glob("*.py"))
+    assert modules
+    assert [m.name for m in modules if parses_json(ast.parse(m.read_text()))] == ["io.py"]
+
+
 def test_a_family_declares_only_its_cumulant_link_and_support():
     # The dispersion is 1 in every family, so no formula divides by one, and
     # b'' is V(b'(theta)), read through ``variance``.

@@ -24,7 +24,7 @@ from fragma.baselines import fit_cc, fit_imp
 from fragma.cli import main
 from fragma.datasets import adni_like, table1_toy
 from fragma.errors import DataError
-from fragma.glm import CandidateStore
+from fragma.glm import CandidateModel, CandidateStore
 from fragma.io import (
     read_fragmentary_csv,
     read_groups_sidecar,
@@ -836,6 +836,13 @@ BAD_JSON = [
      lambda m: {**m, "column_names": list(range(len(m["column_names"])))}),
     ("model", "column-names-repeated",
      lambda m: {**m, "column_names": [m["column_names"][0]] * len(m["column_names"])}),
+    ("model", "top-level-list", lambda m: [1, 2]),
+    ("model", "candidate-number", lambda m: {**m, "candidates": [3]}),
+    ("model", "candidates-object", lambda m: {**m, "candidates": {"a": 1}}),
+    ("model", "family-list", lambda m: {**m, "family": ["binomial"]}),
+    ("model", "diagnostics-string", lambda m: {**m, "diagnostics": "ab"}),
+    ("model", "diagnostics-pairs", lambda m: {**m, "diagnostics": [["a", 1]]}),
+    ("model", "pattern-id-string", lambda m: _first_candidate(m, pattern_id="x")),
 ]
 # the whole message after the file's path, where a case pins it
 BAD_JSON_MESSAGES = {
@@ -857,6 +864,13 @@ BAD_JSON_MESSAGES = {
     "weights-bool": "weights must be a list of numbers, got [True]",
     "criterion-value-string": "criterion_value must be null or a number, got 'abc'",
     "column-names-string": f"column_names must be a list of distinct strings, got {'x' * 19!r}",
+    "top-level-list": "expected an object, got [1, 2]",
+    "candidate-number": "candidates must be a list of objects, got [3]",
+    "candidates-object": "candidates must be a list of objects, got {'a': 1}",
+    "family-list": "family must be one of ['binomial', 'gaussian', 'poisson'], got ['binomial']",
+    "diagnostics-string": "diagnostics must be an object, got 'ab'",
+    "diagnostics-pairs": "diagnostics must be an object, got [['a', 1]]",
+    "pattern-id-string": "candidate 0: pattern_id must be an integer, got 'x'",
 }
 
 
@@ -900,6 +914,48 @@ def test_cli_empty_group_exits_2_naming_the_file(tmp_path, command):
     assert error["exit_code"] == 2 and error["message"] == f"{g}: group 'EMPTY' is empty"
     with pytest.raises(DataError, match="is empty"):
         read_groups_sidecar(g, data.column_names)
+
+
+def test_cli_predict_reads_a_model_json_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    train, fit_out, q, _ = _fit_with_subpattern_queries(tmp_path)
+    model_json = fit_out / "model.json"
+
+    def predict(out):
+        capsys.readouterr()
+        assert run_cli("predict", "--model", str(model_json), "--input", str(q), "--train",
+                       str(train), "--response", "y", "--out", str(out)) == 0
+        return (out / "predictions.csv").read_bytes(), capsys.readouterr().out.splitlines()[0]
+
+    plain = predict(tmp_path / "plain")
+    # as an editor writes the file when it re-saves it as "UTF-8 with BOM"
+    model_json.write_bytes(b"\xef\xbb\xbf" + model_json.read_bytes())
+    assert predict(tmp_path / "bom") == plain
+    assert "saved from the same bytes" in plain[1]
+
+
+@pytest.mark.parametrize("header, fault", [
+    ("y,,b", "column 2 of the header: no name"),
+    ('y, ,"b"', "column 2 of the header: no name"),
+    ("y,b,b", "column 3 of the header: duplicate 'b'"),
+    ('y,b," b"', "column 3 of the header: duplicate 'b'"),
+])
+def test_cli_an_empty_or_repeated_column_name_exits_2_naming_its_position(
+    tmp_path, header, fault
+):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(header + "\n1,0.5,0.2\n0,-0.2,0.1\n1,1.5,-0.3\n0,0.1,0.4\n")
+    _, q, _ = _saved_model_run(tmp_path, lambda s: fit_averaged(s, "opt1"), slice(0, 5))
+    argvs = {
+        "fit": ["fit", "--input", str(bad), "--response", "y"],
+        "predict": ["predict", "--model", str(tmp_path / "model.json"), "--input", str(bad)],
+    }
+    for command, argv in argvs.items():
+        out = tmp_path / command
+        assert run_cli(*argv, "--out", str(out)) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "DataError" and error["message"] == f"{bad}: {fault}"
+    with pytest.raises(DataError, match=fault):
+        read_matrix_csv(bad)
 
 
 @pytest.mark.parametrize("case", ["not-utf8", "oversized-cell", "input-directory"])
@@ -966,6 +1022,22 @@ def test_model_from_dict_checks_coefficients_against_candidates():
     short = [{**saved["candidates"][0], "beta": saved["candidates"][0]["beta"][:-1]}]
     with pytest.raises(DataError, match="candidate 0: .* coefficients for"):
         AveragedModel.from_dict({**saved, "candidates": short + saved["candidates"][1:]})
+
+
+def test_to_dict_writes_the_keys_of_its_layout_in_order():
+    # A key is declared once, in LAYOUT, and to_dict writes it in that place.
+    data, _ = adni_like(seed=0, scale=0.25)
+    store = CandidateStore(data, "binomial")
+    candidate = store.fit(store.index.patterns[0])
+    assert list(candidate.to_dict()) == list(CandidateModel.LAYOUT)
+    for model in (fit_averaged(store, "opt1"), fit_imp(store, "opt1")):
+        keys = [k for k in AveragedModel.LAYOUT if model.zero_impute or k != "zero_impute"]
+        assert list(model.to_dict()) == keys
+    # a model.json without diagnostics reads a new dict each time
+    saved = {k: v for k, v in model.to_dict().items() if k != "diagnostics"}
+    first = AveragedModel.from_dict(saved)
+    first.diagnostics["edited"] = True
+    assert AveragedModel.from_dict(saved).diagnostics == {}
 
 
 DEAD_FLAGS = [
