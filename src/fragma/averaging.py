@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .glm import BOOLEAN, FAMILIES, NUMBER, NUMBERS, REQUIRED, Kind, get_family, read_record
-from .glm import CandidateModel, CandidateStore, ExponentialFamily
+from .glm import CandidateModel, CandidateStore, ExponentialFamily, roundoff
 from .patterns import FragmentaryDataset, PatternIndex, build_pattern_index, split_rows_by_pattern
 
 PROB_CLAMP = 1e-12
@@ -174,7 +174,7 @@ def optimize_weights(ctx: CriterionContext, lambda_n: float) -> WeightFit:
     the KKT residual is within ``_KKT_TOL`` (1e-7).  ``stop`` names why the
     loop ended: ``kkt`` (the residual is within tolerance), ``max_iter``
     (the budget is spent) or ``no_step`` (60 backtracking halvings found no
-    sufficient decrease).
+    sufficient decrease, up to :func:`~fragma.glm.roundoff` of G's terms).
     """
     K = ctx.K
     vertices = np.eye(K)
@@ -186,6 +186,7 @@ def optimize_weights(ctx: CriterionContext, lambda_n: float) -> WeightFit:
         raise NumericalError("criterion is not finite at any vertex of the simplex")
     g = criterion_gradient(ctx, w, lambda_n)
     res = kkt_residual(w, g)
+    y_theta = ctx.y_cc @ ctx.theta_matrix  # b >= 0: G's terms sum to f + 4 max(y_theta @ w, 0)
     iters = 0
     stop = "kkt"
     while res > _KKT_TOL:
@@ -220,7 +221,7 @@ def optimize_weights(ctx: CriterionContext, lambda_n: float) -> WeightFit:
         neg = d < 0
         a = min(1.0, float(np.min(-w[A][neg] / d[neg])))
         slope = float(gA @ d)
-        slack = 4.0 * np.finfo(float).eps * abs(f)
+        slack = roundoff(f + 4.0 * max(y_theta @ w, 0.0))
         for _ in range(60):
             w_try = np.zeros(K)
             w_try[A] = np.maximum(w[A] + a * d, 0.0)

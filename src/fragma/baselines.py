@@ -35,6 +35,7 @@ from .glm import (
     fit_glm,
     get_family,
     loglik,
+    roundoff,
 )
 from .patterns import Pattern
 
@@ -230,13 +231,12 @@ def _group_lasso_path(
     it takes one backtracked proximal-gradient step, which releases the
     violating group.  Each problem's step is accepted under its own Armijo
     test, on the gradient's first-order change plus the exact penalty
-    change, with a roundoff slack of 4 eps (|loss| + penalty): the loss
-    and the penalty can cancel, so 4 eps |f| can fall below the roundoff
-    of evaluating them.  At each level a problem stops, and is frozen,
-    when both its residuals are within ``tol`` (``kkt``; see
-    :func:`group_lasso_kkt_residual`), when its last step decreased
-    neither the objective beyond roundoff nor the residual (``stall``),
-    when no step is accepted or its Newton system is singular
+    change, with a slack of :func:`~fragma.glm.roundoff` of the objective's
+    terms, sum b(theta) + |y^T theta| + penalty.  At each level a problem
+    stops, and is frozen, when both its residuals are within ``tol``
+    (``kkt``; see :func:`group_lasso_kkt_residual`), when its last step
+    decreased neither the objective beyond that slack nor the residual
+    (``stall``), when no step is accepted or its Newton system is singular
     (``no_step``), or after ``max_iter`` iterations of the level
     (``max_iter``), the problems sharing that budget.  The returned
     :class:`_Path` records, per level and problem, the coefficients, the
@@ -253,7 +253,7 @@ def _group_lasso_path(
     same_group = seg[:, None] == seg[None, :]
     diag = np.arange(p)
     spectral = None  # ||X_f||_2^2 of each problem, on the first proximal step
-    roundoff = 4.0 * np.finfo(float).eps
+    y_masked = np.where(mask, y, 0.0)
 
     def evaluate(B):
         """theta and the loss of every problem at the block-layout coefficients ``B``."""
@@ -339,9 +339,10 @@ def _group_lasso_path(
                     out = np.where(prox[:, None], z * blocks.spread(shrink, fill=1.0), out)
                 return out
 
-            # the roundoff of f is that of its larger part, even where they cancel
+            # b >= 0, so the terms of f = sum b - y^T theta + pen sum to f + |yt| + yt
             f = loss + pen
-            slack = roundoff * (np.abs(loss) + pen)
+            yt = np.einsum("fn,fn->f", y_masked, theta)
+            slack = roundoff(f + np.abs(yt) + yt)
             a = np.ones(F)
             searching = ~done
             B_new, theta_new = B.copy(), theta.copy()

@@ -272,7 +272,7 @@ def check_full_rank(X: np.ndarray, column_names=None, gram=None):
     if gram is None:
         gram = X.T @ X
     if np.all(np.isfinite(gram)):
-        delta = (n + p) * np.finfo(float).eps * np.trace(gram)
+        delta = (n + p) * _EPS * np.trace(gram)
         t2 = (2 * _PIVOT_TOL) ** 2 * np.max(np.diag(gram), initial=0.0)
         if np.linalg.eigvalsh(gram).min(initial=np.inf) > 2 * delta + 4 * t2:
             return
@@ -323,9 +323,20 @@ def _pivoted_qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, piv
 
 
-# A Newton decrement this small relative to the log-likelihood's sums is at its roundoff floor.
-_DECREMENT_EPS = 16 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
 _PIVOT_TOL = 1e-10  # a QR pivot below this share of the largest marks a dependent column
+
+
+def roundoff(scale):
+    """The slack of every descent test in the package: 16 eps max(scale, 1).
+
+    ``scale`` sums the magnitudes of the objective's terms: an objective that
+    is a difference of large sums has rounding error on their scale, not on
+    its own (Higham, *Accuracy and Stability of Numerical Algorithms*, sec. 4.2).
+    Elementwise on an array; ``max`` on a number is the cheaper call per step.
+    """
+    floor = np.maximum(scale, 1.0) if isinstance(scale, np.ndarray) else max(scale, 1.0)
+    return 16 * _EPS * floor
 
 
 def fit_glm(
@@ -343,7 +354,7 @@ def fit_glm(
     reason, on the first of:
 
     * ``decrement``: the Newton decrement ``score @ direction`` is at most
-      ``16 * eps * max(|y^T theta| + sum b(theta), 1)``, so a full Newton
+      :func:`roundoff` of |y^T theta| + sum b(theta), so a full Newton
       step gains no more than the roundoff of the log-likelihood, the
       difference of those two sums (Boyd & Vandenberghe, *Convex
       Optimization*, 9.5).  Step halving cannot judge such a step, so the
@@ -401,7 +412,7 @@ def fit_glm(
             direction = np.linalg.solve(fisher, score)
         except np.linalg.LinAlgError:
             direction = np.linalg.lstsq(fisher, score, rcond=None)[0]
-        floor = _DECREMENT_EPS * max(ll_scale, 1.0)
+        floor = roundoff(ll_scale)
         if score @ direction <= floor:
             # Too small a gain for step halving to judge: take the full step
             # unless it loses more than the roundoff, and stop.

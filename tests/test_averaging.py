@@ -321,6 +321,35 @@ def test_optimizer_kkt_residual(rng):
         assert np.isclose(kkt_residual(np.asarray(fit.weights), g), fit.kkt_residual)
 
 
+def poisson_ctx(seed):
+    """A well-posed Poisson criterion whose G is far below the sums it cancels."""
+    rng = np.random.default_rng([11, seed])
+    n, K = int(rng.integers(50, 300)), int(rng.integers(2, 5))
+    x = rng.standard_normal((n, 3))
+    y = rng.poisson(np.exp(1.0 + x @ [0.5, 0.3, 0.2])).astype(float)
+    cols = []
+    for _ in range(K):
+        b = np.array([0.5, 0.3, 0.2]) * (rng.random(3) < 0.7) + 0.02 * rng.standard_normal(3)
+        cols.append(1.0 + x @ b + 0.01 * rng.standard_normal())
+    return CriterionContext(np.column_stack(cols), y, np.arange(2.0, K + 2), POISSON)
+
+
+# G at the minimum, as the optimizer that allowed 4 eps |G| found it after its
+# 500-iteration budget (KKT residuals 9.0e-7 and 3.4e-6): 1772 has n = 93 and
+# K = 2, Hessian eigenvalues 82 and 1,768; 1965 has n = 150, K = 3, one weight 0.
+@pytest.mark.parametrize(
+    "seed, g_min", [(1772, -108.69005221241817), (1965, -60.056343157905104)], ids=["1772", "1965"]
+)
+def test_optimizer_converges_where_g_cancels_its_terms(seed, g_min):
+    # G = 2 sum b(theta) - 2 y^T theta + penalty: its roundoff is that of the
+    # sums, so a slack on |G| alone lets the Armijo test decide on noise.
+    fit = optimize_weights(poisson_ctx(seed), 2.0)
+    assert (fit.stop, fit.converged) == ("kkt", True)
+    assert fit.iterations <= 10
+    assert fit.kkt_residual <= 1e-10
+    assert fit.criterion_value == pytest.approx(g_min, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------

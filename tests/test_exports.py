@@ -87,6 +87,24 @@ def test_only_io_parses_json():
     assert [m.name for m in modules if parses_json(ast.parse(m.read_text()))] == ["io.py"]
 
 
+def test_only_glm_reads_the_machine_epsilon():
+    # glm.roundoff is the slack of every descent test (IRLS, the weight
+    # optimizer, the group lasso) and glm's rank rule the only other use of
+    # eps, so no other module writes a roundoff rule of its own.
+    def reads_epsilon(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("finfo", "float_info"):
+                return True
+            if isinstance(node, ast.ImportFrom) and node.module in ("numpy", "sys"):
+                if {alias.name for alias in node.names} & {"finfo", "float_info"}:
+                    return True
+        return False
+
+    modules = sorted(Path(fragma.__file__).parent.glob("*.py"))
+    assert modules
+    assert [m.name for m in modules if reads_epsilon(ast.parse(m.read_text()))] == ["glm.py"]
+
+
 def test_a_family_declares_only_its_cumulant_link_and_support():
     # The dispersion is 1 in every family, so no formula divides by one, and
     # b'' is V(b'(theta)), read through ``variance``.
