@@ -2,9 +2,9 @@
 
 Splits the block-missing dataset 75/25 within each availability pattern,
 fits everything on the training part and scores the held-out rows, each
-pattern group by the rule ``fragma compare`` uses; the predictive deviance
-is taken on the held-out complete cases.  The same protocol is available
-from the shell:
+pattern group by the rule ``fragma compare`` uses, and scores the held-out
+complete cases with ``kl_loss`` against their responses: the predictive
+deviance per observation.  The same protocol is available from the shell:
 
     fragma compare --input data.csv --response y --groups groups.json \
         --methods opt1,opt2,cc,saic,sbic,imp1,imp2,glasso --out results/
@@ -12,7 +12,7 @@ from the shell:
 
 import numpy as np
 
-from fragma.averaging import score_rows
+from fragma.averaging import kl_loss, score_rows
 from fragma.baselines import ALL_METHODS, fit_method
 from fragma.datasets import adni_like
 from fragma.glm import BINOMIAL, CandidateStore
@@ -33,6 +33,5 @@ print(f"{'method':8s}  scored rows  test deviance per obs")
 for name in ALL_METHODS:
     fit = fit_method(name, store, groups=groups, seed=7)
     theta = score_rows(fit, x_test, lambda: store)[0]
-    t = theta[eval_rows]
-    deviance = 2.0 * float(np.mean(BINOMIAL.b(t) - y_eval * t))
+    deviance = kl_loss(theta[eval_rows], y_eval, BINOMIAL, per_obs=True)
     print(f"{name:8s}  {np.isfinite(theta).sum():>7d}/{test.n}  {deviance:.4f}")

@@ -26,7 +26,6 @@ from .glm import BOOLEAN, FAMILIES, NUMBER, NUMBERS, REQUIRED, Kind, get_family,
 from .glm import CandidateModel, CandidateStore, ExponentialFamily, roundoff
 from .patterns import FragmentaryDataset, PatternIndex, build_pattern_index, split_rows_by_pattern
 
-PROB_CLAMP = 1e-12
 ACTIVE_TOL = 1e-10
 
 
@@ -405,8 +404,6 @@ def fit_averaged(store: CandidateStore, lambda_n="opt1", columns=None) -> Averag
     keep = [bool(observed[list(c.pattern.indices)].all()) for c in candidates]
     usable = [c for c, k in zip(candidates, keep) if k]
     dropped = [list(c.pattern.indices) for c, k in zip(candidates, keep) if not k]
-    if not usable:
-        raise NumericalError("no usable candidate model")
 
     ctx = build_criterion_context(data, index, usable, family)
     wfit = optimize_weights(ctx, lam)
@@ -540,24 +537,17 @@ def score_rows(model: AveragedModel, x, load_store):
     return theta, scored
 
 
-def clamp_means(mu):
-    """Binomial true means clipped into ``[PROB_CLAMP, 1 - PROB_CLAMP]``.
-
-    :func:`kl_loss` takes the canonical link of these; a mean that this
-    changes is one whose loss is clamped.
-    """
-    return np.clip(mu, PROB_CLAMP, 1.0 - PROB_CLAMP)
-
-
 def kl_loss(theta_hat, theta_true_or_mu, family, per_obs: bool = False) -> float:
     """Twice the summed KL divergence between true and fitted distributions.
 
     The second argument is the true mean vector (for the gaussian family
     the mean and the canonical parameter coincide, so the true theta is
-    accepted unchanged).  Binomial means are clamped to
-    ``[1e-12, 1 - 1e-12]`` before taking the canonical link, so a true
-    mean of 0 or 1 gives a finite loss.  A poisson true mean of 0 gives the
-    limit as the mean tends to 0, ``b(theta_hat)``.
+    accepted unchanged).  Each term is b(theta_hat) - b(theta0) -
+    mu * (theta_hat - theta0) at the canonical link theta0 of the true
+    mean.  A true mean on the edge of the family's support (binomial 0 or
+    1, poisson 0) has theta0 = +-inf and b(theta0) - mu * theta0 -> 0, so
+    its term is the limit b(theta_hat) - mu * theta_hat; a mean outside the
+    support gives NaN.  Against a response, the loss is the deviance.
 
     With ``per_obs=True`` the value is divided by the number of
     observations (the per-observation evaluation metric).
@@ -567,13 +557,11 @@ def kl_loss(theta_hat, theta_true_or_mu, family, per_obs: bool = False) -> float
     mu = np.atleast_1d(np.asarray(theta_true_or_mu, dtype=float))
     if th.shape != mu.shape:
         raise ValueError("theta_hat and the true mean must have equal length")
-    if family.name == "binomial":
-        mu = clamp_means(mu)
-    # at a true mean of 0 take the limit: θ₀ → −∞, b(θ₀) → 0, μ(θ̂ − θ₀) → 0
     with np.errstate(divide="ignore"):
         theta0 = family.theta_from_mean(mu)
-    gap = np.where(mu == 0, 0.0, th - theta0)
-    val = 2.0 * np.sum(family.b(th) - family.b(theta0) - mu * gap)
+    edge = np.isinf(theta0)
+    gap = np.where(edge, th, th - theta0)
+    val = 2.0 * np.sum(family.b(th) - np.where(edge, 0.0, family.b(theta0)) - mu * gap)
     if per_obs:
         val /= th.size
     return float(val)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .averaging import fit_averaged, score_rows
+from .averaging import fit_averaged, kl_loss, score_rows
 from .baselines import DEFAULT_METHODS, check_methods, fit_method
 from .errors import DataError, NumericalError
 from .glm import FAMILIES, CandidateStore
@@ -167,12 +167,11 @@ def _align_query(header, values, column_names):
 def cmd_predict(args) -> int:
     out = _out_dir(args)
     _write_config(out, args)
+    if args.train and args.response is None:
+        raise DataError("--train needs --response")
     model, training = read_model(args.model)
     header, values = read_matrix_csv(args.input, args.na_marker)
     q = _align_query(header, values, model.column_names)
-
-    if args.train and args.response is None:
-        raise DataError("--train needs --response")
     loaded = []
 
     def load_train():
@@ -216,12 +215,12 @@ def cmd_compare(args) -> int:
     _write_config(out, args)
     if not 0.0 < args.split < 1.0:
         raise DataError(f"--split must lie strictly between 0 and 1, got {args.split}")
+    methods = check_methods(_parse_methods(args.methods))
     data = read_fragmentary_csv(
         args.input, args.response, args.na_marker, args.add_intercept
     )
     # before the split, so that an error names the input's rows
     FAMILIES[args.family].check_response(data.y)
-    methods = check_methods(_parse_methods(args.methods))
     groups = None
     if args.groups:
         groups = read_groups_sidecar(args.groups, data.column_names)
@@ -254,7 +253,7 @@ def cmd_compare(args) -> int:
 
         ok_rows = eval_rows[np.isfinite(theta[eval_rows])]
         t, y = theta[ok_rows], test.y[ok_rows]
-        loss = 2.0 * float(np.mean(family.b(t) - y * t)) if ok_rows.size else np.nan
+        loss = kl_loss(t, y, family, per_obs=True) if ok_rows.size else np.nan
         summary.append([m, ok_rows.size, f"{loss:.10g}"])
     write_csv(out / "kl_summary.csv", ["method", "n_eval", "loss_per_obs"], summary)
     _write_json(out / "diagnostics.json", diagnostics)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import clamp_means, kl_loss, predict
+from .averaging import kl_loss, predict
 from .baselines import DEFAULT_METHODS, check_methods, fit_method
 from .errors import DataError, NumericalError
 from .glm import BINOMIAL, CandidateStore, expit
@@ -150,16 +150,12 @@ def run_study(cfg: SimConfig) -> SimResult:
     """Run all replications of one cell; deterministic given cfg.seed.
 
     ``diagnostics`` holds the regenerated-draw count, the failed (rep, method)
-    fits, in fitting order every weight optimizer's KKT residual, and the
-    number of complete-case true means that :func:`~fragma.averaging.kl_loss`
-    clamps, counted once per replication.
+    fits and, in fitting order, every weight optimizer's KKT residual.
     """
     methods = list(cfg.methods)
     per_rep = np.full((cfg.reps, len(methods)), np.nan)
     cc_frac = np.zeros(cfg.reps)
-    diagnostics: dict = {
-        "regenerated": 0, "failures": [], "kkt_residuals": [], "clamped_means": 0
-    }
+    diagnostics: dict = {"regenerated": 0, "failures": [], "kkt_residuals": []}
 
     groups = sim_groups()
     min_cc = cfg.p - 1  # leading pattern has p - 1 columns
@@ -185,7 +181,6 @@ def run_study(cfg: SimConfig) -> SimResult:
         cc_rows = index.s_sets[0]
         cc_frac[rep] = cc_fraction(index, data.n)
         mu = truth.mean[cc_rows]
-        diagnostics["clamped_means"] += int(np.count_nonzero(clamp_means(mu) != mu))
         for m, method in enumerate(methods):
             try:
                 model = fit_method(method, store, groups=groups, seed=cfg.seed + rep)

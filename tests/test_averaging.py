@@ -706,10 +706,29 @@ def test_kl_loss_nonnegative_and_per_obs(rng):
     assert kl_loss(theta, mu, GAUSSIAN) >= -1e-12
 
 
-def test_kl_loss_clamps_extreme_means():
-    theta = np.array([0.0, 0.0])
-    clamped = kl_loss(theta, np.array([1e-12, 1.0 - 1e-12]), BINOMIAL)
-    assert kl_loss(theta, np.array([0.0, 1.0]), BINOMIAL) == clamped
+def test_kl_loss_takes_the_exact_limit_at_the_edge_of_the_support():
+    # at mu = 0 or 1, theta0 = -inf or +inf and b(theta0) - mu * theta0 -> 0,
+    # so each term is b(theta_hat) - mu * theta_hat, bit for bit
+    theta_hat = np.array([0.7, -2.0, 30.0, -40.0, 0.0])
+    edges = {BINOMIAL: np.array([1.0, 0.0, 1.0, 0.0, 1.0]), POISSON: np.zeros(5)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for family, mu in edges.items():
+            exact = 2.0 * np.sum(family.b(theta_hat) - mu * theta_hat)
+            assert kl_loss(theta_hat, mu, family) == exact
+        value = kl_loss(np.array([0.7]), np.array([1.0]), BINOMIAL)
+        assert value == pytest.approx(2.0 * np.log1p(np.exp(-0.7)), rel=4e-16, abs=0)
+        # the edge terms add to the interior ones as in separate calls
+        mixed = kl_loss(np.array([0.7, 0.2]), np.array([1.0, 0.3]), BINOMIAL)
+    interior = kl_loss(np.array([0.2]), np.array([0.3]), BINOMIAL)
+    assert mixed == pytest.approx(value + interior, rel=1e-15)
+
+
+@pytest.mark.parametrize("family, mu", [(BINOMIAL, 1.3), (BINOMIAL, -0.2), (POISSON, -1.0)])
+def test_kl_loss_is_nan_at_a_mean_outside_the_support(family, mu):
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        value = kl_loss(np.array([0.0, 0.5]), np.array([0.5, mu]), family)
+    assert np.isnan(value)
 
 
 def test_kl_loss_takes_the_limit_at_a_poisson_mean_of_zero():

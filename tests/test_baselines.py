@@ -565,6 +565,55 @@ def test_fit_glasso_counts_the_solves_that_ran_out_of_budget(monkeypatch):
     assert d["path_iterations"] <= 300 and path.iterations.max() == 1
 
 
+def _batched_solve_raising(monkeypatch, fail_singles=0):
+    """Make ``np.linalg.solve`` raise on stacked (3-d) systems; count the raises.
+
+    After the first raise, the next ``fail_singles`` single-system solves
+    raise too.
+    """
+    real = np.linalg.solve
+    state = {"batched": 0, "fail": 0}
+
+    def solve(a, b):
+        if np.ndim(a) == 3:
+            state["batched"] += 1
+            if state["batched"] == 1:
+                state["fail"] = fail_singles
+            raise np.linalg.LinAlgError("forced")
+        if state["fail"]:
+            state["fail"] -= 1
+            raise np.linalg.LinAlgError("forced")
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    return state
+
+
+def test_glasso_path_solves_problem_by_problem_when_the_batch_solve_raises(monkeypatch):
+    data, groups = adni_like(seed=0)
+    base = fit_glasso(CandidateStore(data, BINOMIAL), groups).diagnostics
+    state = _batched_solve_raising(monkeypatch)
+    d = fit_glasso(CandidateStore(data, BINOMIAL), groups).diagnostics
+    assert state["batched"] > 100
+    assert d["cv_loss"] == base["cv_loss"]
+    assert d["path_iterations"] == base["path_iterations"] == 881
+    assert d["path_stops"] == base["path_stops"]
+    assert d["selected_groups"] == base["selected_groups"]
+
+
+def test_glasso_path_stops_only_the_problem_whose_own_solve_raises(monkeypatch):
+    data, groups = adni_like(seed=0)
+    calls = _counting_group_lasso(monkeypatch)
+    _batched_solve_raising(monkeypatch, fail_singles=1)
+    d = fit_glasso(CandidateStore(data, BINOMIAL), groups).diagnostics
+    ((_, _, path),) = calls
+    assert d["path_stops"] == {"kkt": 299, "stall": 0, "no_step": 1, "max_iter": 0}
+    ((level, problem),) = np.argwhere(path.stop == "no_step")
+    # the other problems of that level went on to converge
+    others = np.delete(path.stop[level], problem)
+    assert np.all(others == "kkt") and path.kkt[level, problem] > 1e-8
+
+
 def test_every_method_reads_the_one_pattern_index_of_its_store(monkeypatch):
     # The index is the store's: built once for all 8 methods, and kept by the
     # zero-filled store that imp1 and imp2 average on.

@@ -162,3 +162,22 @@ def test_every_function_the_bench_wraps_is_bound_in_fragma(monkeypatch):
         probe.begin(trace=True)
     finally:
         probe.end()
+
+
+def test_only_the_fitting_modules_evaluate_a_cumulant():
+    # IRLS, the weight criterion, the group lasso and kl_loss evaluate b;
+    # the CLI and the demos score through kl_loss, with no loss formula of
+    # their own.
+    def evaluates_b(tree):
+        return any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "b"
+            for node in ast.walk(tree)
+        )
+
+    modules = sorted(Path(fragma.__file__).parent.glob("*.py"))
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    assert modules and demos
+    evaluating = [m.name for m in modules + demos if evaluates_b(ast.parse(m.read_text()))]
+    assert evaluating == ["averaging.py", "baselines.py", "glm.py"]

@@ -17,12 +17,13 @@ import fragma
 from fragma.averaging import (
     AveragedModel,
     fit_averaged,
+    kl_loss,
     predict,
     score_rows,
 )
 from fragma.baselines import fit_cc, fit_imp
 from fragma.cli import main
-from fragma.datasets import adni_like, table1_toy
+from fragma.datasets import adni_like, random_fragmentary, table1_toy
 from fragma.errors import DataError
 from fragma.glm import CandidateModel, CandidateStore
 from fragma.io import (
@@ -32,7 +33,7 @@ from fragma.io import (
     write_csv,
     write_predictions,
 )
-from fragma.patterns import split_rows_by_pattern
+from fragma.patterns import build_pattern_index, holdout_rows, split_rows_by_pattern
 from fragma.screening import screen_groups
 
 
@@ -635,18 +636,21 @@ def test_cli_bad_method_or_cell_is_input_error(tmp_path, argv):
         ["screen", "--keep", "0"],
         ["compare", "--split", "0"],
         ["compare", "--split", "-0.5"],
-        ["predict", "--train"],
+        ["predict", "--train", "model.json"],
+        ["predict", "--train", "missing/model.json"],
     ],
-    ids=["lambda-text", "lambda-negative", "keep",
-         "split-zero", "split-negative", "predict-train-no-response"],
+    ids=["lambda-text", "lambda-negative", "keep", "split-zero", "split-negative",
+         "predict-train-no-response", "predict-train-no-response-no-model"],
 )
 def test_cli_bad_argument_is_input_error(tmp_path, argv):
     data, groups = adni_like(seed=6, scale=0.1)
     f = tmp_path / "d.csv"
     dataset_to_csv(data, f)
     if argv[0] == "predict":
+        # the flags are checked before model.json or the query is read
         _, q, _ = _saved_model_run(tmp_path, fit_cc, [0])
-        argv = argv + [str(f), "--model", str(tmp_path / "model.json"), "--input", str(q)]
+        model = tmp_path / argv[-1]
+        argv = argv[:-1] + [str(f), "--model", str(model), "--input", str(q)]
     else:
         argv = argv + ["--input", str(f), "--response", "y"]
     if argv[0] == "screen":
@@ -699,6 +703,99 @@ def test_cli_simulate_writes_diagnostics(tmp_path):
     assert diag["regenerated"] >= 0 and diag["failures"] == []
     assert len(diag["kkt_residuals"]) == 3
     assert all(0.0 <= r <= 1e-7 for r in diag["kkt_residuals"])
+
+
+@pytest.mark.parametrize("family", ["gaussian", "poisson"])
+def test_cli_compare_scores_every_family_by_kl_loss(tmp_path, family):
+    # loss_per_obs is kl_loss of the written theta against the held-out
+    # response on the evaluated rows: the deviance per observation, >= 0
+    for seed in (0, 1):
+        data = random_fragmentary(np.random.default_rng(seed), 600, 4, family, ensure_full=True)
+        f = tmp_path / f"d{seed}.csv"
+        dataset_to_csv(data, f)
+        out = tmp_path / f"c{seed}"
+        assert run_cli(
+            "compare", "--input", str(f), "--response", "y", "--family", family,
+            "--add-intercept", "--seed", str(seed), "--out", str(out),
+        ) == 0
+        data = read_fragmentary_csv(f, "y", add_intercept=True)
+        train_rows, test_rows = holdout_rows(
+            build_pattern_index(data), 0.75, np.random.default_rng(seed)
+        )
+        lead = list(build_pattern_index(data.take(train_rows)).patterns[0].indices)
+        test = data.take(test_rows)
+        evaluated = test.mask[:, lead].all(axis=1)
+        with open(out / "kl_summary.csv") as fh:
+            summary = list(csv.DictReader(fh))
+        assert len(summary) == 7
+        for r in summary:
+            theta = np.array([t for _, t in _theta_column(out / f"predictions_{r['method']}.csv")])
+            ok = evaluated & np.isfinite(theta)
+            expected = kl_loss(theta[ok], test.y[ok], family, per_obs=True)
+            assert int(r["n_eval"]) == ok.sum() > 0
+            assert r["loss_per_obs"] == f"{expected:.10g}" and expected >= 0.0, r
+
+
+def test_cli_fit_lambda_names_write_the_bytes_of_their_modes(tmp_path):
+    data, _ = adni_like(seed=0)
+    train = tmp_path / "train.csv"
+    dataset_to_csv(data, train)
+
+    def model_bytes(lam):
+        out = tmp_path / lam
+        assert run_cli(
+            "fit", "--input", str(train), "--response", "y", "--lambda", lam, "--out", str(out)
+        ) == 0
+        return (out / "model.json").read_bytes()
+
+    assert model_bytes("log-n1") == model_bytes("opt2")
+    assert model_bytes("2") == model_bytes("opt1")
+    model = json.loads(model_bytes("log-n1"))
+    assert model["lambda_n"] == np.log(model["diagnostics"]["n_weighting"]) == 6.013715156042802
+    expected = fit_averaged(CandidateStore(data, "binomial"), "opt2")
+    assert model["weights"] == np.asarray(expected.weights).tolist()
+
+
+def test_cli_predict_train_without_the_fit_s_intercept_exits_2(tmp_path):
+    rng = np.random.default_rng(7)
+    rows = np.column_stack([(rng.random(60) < 0.5), rng.standard_normal((60, 2))]).tolist()
+    train = tmp_path / "train.csv"
+    write_csv(train, ["y", "a", "b"], [[repr(float(v)) for v in row] for row in rows])
+    fit_out = tmp_path / "fit"
+    assert run_cli("fit", "--input", str(train), "--response", "y", "--add-intercept",
+                   "--out", str(fit_out)) == 0
+    q = tmp_path / "q.csv"
+    q.write_text("a\n0.3\n")  # b unobserved: the sub-pattern refit reads --train
+    out = tmp_path / "p"
+    assert run_cli("predict", "--model", str(fit_out / "model.json"), "--input", str(q),
+                   "--train", str(train), "--response", "y", "--out", str(out)) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "DataError"
+    assert error["message"] == "training CSV columns do not match the model's columns"
+    assert not (out / "predictions.csv").exists()
+
+
+def test_cli_fit_add_intercept_on_an_intercept_column_exits_2(tmp_path):
+    data, _ = adni_like(seed=6, scale=0.1)
+    assert "intercept" in data.column_names
+    f = tmp_path / "d.csv"
+    dataset_to_csv(data, f)
+    out = tmp_path / "o"
+    assert run_cli("fit", "--input", str(f), "--response", "y", "--add-intercept",
+                   "--out", str(out)) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "DataError"
+    assert error["message"] == "column 'intercept' already present; drop --add-intercept"
+    assert not (out / "model.json").exists()
+
+
+def test_cli_simulate_without_a_usable_draw_exits_1(tmp_path):
+    out = tmp_path / "s"
+    assert run_cli("simulate", "--n", "20", "--reps", "1", "--seed", "0", "--out", str(out)) == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "NumericalError"
+    assert error["message"] == "replication 0: no usable draw in 20 attempts"
+    assert not (out / "kl_per_rep.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1320,7 +1417,7 @@ def test_cli_predict_takes_the_fit_s_matrix_and_fits_for_the_same_train(
 
 
 MISSES = ["cell-edited", "na-marker", "npy-deleted", "npy-replaced", "npy-header-corrupt",
-          "old-record", "fit-options-record"]
+          "old-record", "fit-options-record", "header-short"]
 
 
 @pytest.mark.parametrize("case", MISSES)
@@ -1362,10 +1459,14 @@ def test_cli_predict_parses_or_refits_what_the_fit_s_record_does_not_cover(
         del record["npy_sha256"]
         record.update(shape=list(values.shape), sha256=digest.hexdigest())
         (fit_out / "model.json").write_text(json.dumps(model_json))
-    else:
+    elif case == "fit-options-record":
         # a fit that also recorded its IRLS budget: the record has another layout
         for record in (model_json, model_json["training"]):
             record["fit_options"] = {"max_iter": 100}
+        (fit_out / "model.json").write_text(json.dumps(model_json))
+    else:
+        # both digests match, but the recorded header has lost a name
+        model_json["training"]["header"].pop()
         (fit_out / "model.json").write_text(json.dumps(model_json))
     parsed, fitted, stdout = _counted_predict(
         tmp_path, monkeypatch, capsys, fit_out, q, train, tmp_path / "p", *extra
@@ -1374,6 +1475,10 @@ def test_cli_predict_parses_or_refits_what_the_fit_s_record_does_not_cover(
     assert stdout.startswith(f"training data: parsed {train} (")
     if case in ("old-record", "fit-options-record"):
         assert stdout.startswith(f"training data: parsed {train} (a record of another layout")
+    if case == "header-short":
+        assert stdout.startswith(
+            f"training data: parsed {train} (the recorded header does not name {npy}'s columns)"
+        )
     model = AveragedModel.from_dict(model_json)
     fresh = CandidateStore(read_fragmentary_csv(train, "y", extra[-1] if extra else "NA"),
                            "binomial")

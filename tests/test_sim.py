@@ -180,6 +180,17 @@ def test_run_study_deterministic_and_reduces_at_one_rep():
         assert a.summary[m]["q25"] == a.summary[m]["median"]
 
 
+def test_run_study_redraws_a_degenerate_replication_deterministically():
+    # at n = 60 one draw of the two has a candidate with fewer subjects than
+    # columns; it is drawn again from the next sub-stream, the same way each run
+    cfg = SimConfig(n=60, rho=0.3, reps=2, seed=0, methods=("opt1", "cc"))
+    a, b = run_study(cfg), run_study(cfg)
+    assert a.diagnostics["regenerated"] == 1 and a.diagnostics["failures"] == []
+    assert np.array_equal(a.per_rep_kl, b.per_rep_kl) and np.all(np.isfinite(a.per_rep_kl))
+    assert np.array_equal(a.cc_fraction_per_rep, b.cc_fraction_per_rep)
+    assert a.diagnostics == b.diagnostics
+
+
 def test_run_study_records_method_failures_as_nan(monkeypatch):
     import fragma.sim as simmod
 
@@ -199,22 +210,43 @@ def test_run_study_records_method_failures_as_nan(monkeypatch):
     assert len(res.diagnostics["failures"]) == 2
 
 
-def test_run_study_counts_the_clamped_true_means_once_per_replication(monkeypatch):
+def test_run_study_scores_a_sure_true_mean_at_its_limit(monkeypatch):
+    # a complete case whose true mean is 1 adds b(theta) - theta to its
+    # method's loss, the limit at theta0 = +inf; nothing is clamped
     import fragma.sim as simmod
 
     real = simmod.generate_replication
+    sure = []
 
     def with_a_sure_case(cfg, rep, attempt):
         data, truth = real(cfg, rep, attempt)
-        truth.mean[build_pattern_index(data).s_sets[0][0]] = 1.0
+        i = build_pattern_index(data).s_sets[0][0]
+        sure.append(truth.mean[i])
+        truth.mean[i] = 1.0
         return data, truth
 
     cfg = SimConfig(n=200, rho=0.3, reps=2, seed=41, methods=("opt1", "cc"))
-    assert run_study(cfg).diagnostics["clamped_means"] == 0
+    base = run_study(cfg)
     monkeypatch.setattr(simmod, "generate_replication", with_a_sure_case)
     res = simmod.run_study(cfg)
-    assert res.diagnostics["clamped_means"] == 2
     assert np.all(np.isfinite(res.per_rep_kl))
+    assert set(res.diagnostics) == {"regenerated", "failures", "kkt_residuals"}
+    for rep in range(cfg.reps):
+        data, truth = real(cfg, rep, 0)
+        index = build_pattern_index(data)
+        cc_rows = index.s_sets[0]
+        model = fit_method("opt1", CandidateStore(data, BINOMIAL))
+        theta = predict(model, data.x[cc_rows])[0]
+        mu = truth.mean[cc_rows].copy()
+        assert mu[0] == sure[rep] and base.per_rep_kl[rep, 0] == kl_loss(
+            theta, mu, BINOMIAL, per_obs=True
+        )
+        mu[0] = 1.0
+        expected = kl_loss(theta, mu, BINOMIAL, per_obs=True)
+        assert res.per_rep_kl[rep, 0] == expected
+        limit = 2.0 * (BINOMIAL.b(theta[0]) - theta[0]) / theta.size
+        rest = kl_loss(theta[1:], mu[1:], BINOMIAL) / theta.size
+        assert expected == pytest.approx(limit + rest, rel=1e-13)
 
 
 def test_run_study_sim_groups_shape():
