@@ -391,19 +391,18 @@ def fit_averaged(store: CandidateStore, lambda_n="opt1", columns=None) -> Averag
     settings, sub-pattern refits and baselines.  The weighting rows are the
     subjects of ``store.data`` observing the leading pattern's columns; a
     candidate whose columns some weighting row does not observe is dropped
-    and listed in ``diagnostics["dropped_candidates"]``.  For an index
-    built on the store's data these are the candidates not contained in the
-    leading pattern; on a zero-imputed ``store.filled()`` none is dropped.
+    before any fit, never fitted, and listed in
+    ``diagnostics["dropped_candidates"]``.  For an index built on the
+    store's data these are the candidates not contained in the leading
+    pattern; on a zero-imputed ``store.filled()`` none is dropped.
     """
     data, family = store.data, store.family
     index = store.index if columns is None else build_pattern_index(data, columns=columns)
     rows, observed = _weighting_rows(data, index)
     lam = resolve_lambda(lambda_n, rows.size)
-    candidates = store.fit_all(index)
-
-    keep = [bool(observed[list(c.pattern.indices)].all()) for c in candidates]
-    usable = [c for c, k in zip(candidates, keep) if k]
-    dropped = [list(c.pattern.indices) for c, k in zip(candidates, keep) if not k]
+    keep = [bool(observed[list(pattern.indices)].all()) for pattern in index.patterns]
+    usable = [store.fit(pattern) for pattern, k in zip(index.patterns, keep) if k]
+    dropped = [list(pattern.indices) for pattern, k in zip(index.patterns, keep) if not k]
 
     ctx = build_criterion_context(data, index, usable, family)
     wfit = optimize_weights(ctx, lam)

@@ -152,14 +152,17 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _align_query(header, values, column_names):
+def _align_query(header, values, column_names, training):
     """Arrange query CSV columns to the model's column order (absent = unobserved)."""
+    # an absent intercept reads 1.0 if the fit added it: its recorded header (if any) lacks it
+    fit_header = training.get("header") if isinstance(training, dict) else None
+    added = not (isinstance(fit_header, list) and "intercept" in fit_header)
     q = np.full((values.shape[0], len(column_names)), np.nan)
     pos = {name: j for j, name in enumerate(header)}
     for t, name in enumerate(column_names):
         if name in pos:
             q[:, t] = values[:, pos[name]]
-        elif name == "intercept":
+        elif name == "intercept" and added:
             q[:, t] = 1.0
     return q
 
@@ -171,7 +174,7 @@ def cmd_predict(args) -> int:
         raise DataError("--train needs --response")
     model, training = read_model(args.model)
     header, values = read_matrix_csv(args.input, args.na_marker)
-    q = _align_query(header, values, model.column_names)
+    q = _align_query(header, values, model.column_names, training)
     loaded = []
 
     def load_train():

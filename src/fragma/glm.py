@@ -18,6 +18,7 @@ array around it.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -350,19 +351,22 @@ def fit_glm(
 
     Returns the coefficient vector and a diagnostics dict (loglik,
     converged, iterations, stop: the fit fields of
-    :class:`CandidateModel`).  The fit ends, with ``stop`` set to the
-    reason, on the first of:
+    :class:`CandidateModel`).  Each iteration tries the steps 1, 1/2, ...
+    along its Newton direction in one loop and keeps the first whose
+    log-likelihood is finite and not lower; a trial whose linear predictor
+    is not finite is a rejected step, wherever it occurs.  The fit ends,
+    with ``stop`` set to the reason, on the first of:
 
     * ``decrement``: the Newton decrement ``score @ direction`` is at most
       :func:`roundoff` of |y^T theta| + sum b(theta), so a full Newton
       step gains no more than the roundoff of the log-likelihood, the
       difference of those two sums (Boyd & Vandenberghe, *Convex
       Optimization*, 9.5).  Step halving cannot judge such a step, so the
-      full step is taken unless it loses more than that roundoff: as the
-      last step of Newton's quadratic convergence it brings the
-      coefficients to machine precision;
-    * ``no_step``: 30 step halvings found no step that keeps the
-      log-likelihood non-decreasing;
+      full step is the loop's only trial, kept unless it loses more than
+      that roundoff, and the fit stops either way: as the last step of
+      Newton's quadratic convergence it brings beta to machine precision;
+    * ``no_step``: 30 trials found no step that keeps the log-likelihood
+      non-decreasing;
     * ``max_iter``: ``max_iter`` iterations were spent.
 
     ``converged`` is true exactly when the fit stopped on ``decrement``.
@@ -400,49 +404,40 @@ def fit_glm(
         raise NumericalError(f"Fisher information overflows at beta = 0; rescale columns {names}")
 
     ll, ll_scale = _loglik_sums(family, theta, y)
-    stop = "max_iter"
     iterations = 0
 
     for iterations in range(1, opts.max_iter + 1):
         score = X.T @ (y - mu)
-        if fisher is None:
-            w = family.variance(mu)
-            fisher = X.T @ (w[:, None] * X)
         try:
             direction = np.linalg.solve(fisher, score)
         except np.linalg.LinAlgError:
             direction = np.linalg.lstsq(fisher, score, rcond=None)[0]
         floor = roundoff(ll_scale)
-        if score @ direction <= floor:
-            # Too small a gain for step halving to judge: take the full step
-            # unless it loses more than the roundoff, and stop.
-            beta_try = beta + direction
-            theta_try = X @ beta_try
-            ll_try = loglik(family, theta_try, y)
-            if ll_try >= ll - floor:
-                beta, theta, ll = beta_try, theta_try, ll_try
-            stop = "decrement"
-            break
-
-        # Step halving keeps the log-likelihood non-decreasing.
+        # A decrement step is the last: tried once, kept unless it loses more
+        # than the roundoff, and the fit stops whether or not it is kept.
+        last = score @ direction <= floor
+        slack = floor if last else 0.0
+        stop = "decrement" if last else "no_step"  # if the fit ends in this iteration
         step = 1.0
-        accepted = False
-        for _ in range(30):
+        for _ in range(1 if last else 30):
             beta_try = beta + step * direction
             theta_try = X @ beta_try
             try:
                 ll_try, scale_try = _loglik_sums(family, theta_try, y)
-            except NumericalError:  # a non-finite linear predictor
-                ll_try = -np.inf
-            if np.isfinite(ll_try) and ll_try >= ll:
+            except NumericalError:  # a non-finite linear predictor rejects the step
+                ll_try = -math.inf
+            if ll_try >= ll - slack and math.isfinite(ll_try):
                 beta, theta, ll, ll_scale = beta_try, theta_try, ll_try, scale_try
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
-            stop = "no_step"
+        else:
             break
-        mu, fisher = family.b_prime(theta), None
+        if last:
+            break
+        mu = family.b_prime(theta)
+        fisher = X.T @ (family.variance(mu)[:, None] * X)
+    else:
+        stop = "max_iter"
 
     info = {
         "loglik": ll,

@@ -160,8 +160,7 @@ def run_study(cfg: SimConfig) -> SimResult:
     groups = sim_groups()
     min_cc = cfg.p - 1  # leading pattern has p - 1 columns
     for rep in range(cfg.reps):
-        attempt = 0
-        while True:
+        for attempt in range(20):
             data, truth = generate_replication(cfg, rep, attempt)
             store = CandidateStore(data, BINOMIAL)
             index = store.index
@@ -174,10 +173,9 @@ def run_study(cfg: SimConfig) -> SimResult:
             )
             if sizes_ok:
                 break
-            attempt += 1
             diagnostics["regenerated"] += 1
-            if attempt > 20:
-                raise NumericalError(f"replication {rep}: no usable draw in 20 attempts")
+        else:
+            raise NumericalError(f"replication {rep}: no usable draw in 20 attempts")
         cc_rows = index.s_sets[0]
         cc_frac[rep] = cc_fraction(index, data.n)
         mu = truth.mean[cc_rows]

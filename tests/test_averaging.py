@@ -24,7 +24,7 @@ from fragma.averaging import (
 )
 from fragma.baselines import fit_cc, fit_imp
 from fragma.datasets import adni_like, random_fragmentary
-from fragma.errors import DataError
+from fragma.errors import DataError, NumericalError
 from fragma.glm import (
     BINOMIAL,
     GAUSSIAN,
@@ -286,6 +286,32 @@ def test_optimizer_records_why_it_stopped(rng, monkeypatch):
     assert (fit.stop, fit.iterations, fit.converged) == ("no_step", 1, False)
     assert len(calls) == ctx.K + 60
     assert np.count_nonzero(np.asarray(fit.weights)) == 1
+
+
+def test_optimizer_raises_when_no_vertex_has_a_finite_criterion():
+    # b(theta) = e^theta overflows at 800 and 900, in every candidate column
+    theta = np.array([[800.0, 900.0], [900.0, 800.0], [800.0, 900.0]])
+    ctx = CriterionContext(theta, np.array([1.0, 0.0, 2.0]), np.array([1.0, 2.0]), POISSON)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericalError, match="^criterion is not finite at any vertex"):
+            optimize_weights(ctx, 2.0)
+
+
+def test_a_failed_kkt_solve_still_returns_a_truthful_record(monkeypatch):
+    # The candidates are cached by the first fit, so only the optimizer's
+    # KKT solve fails on the second; it takes the projected gradient.
+    store = CandidateStore(adni_like(seed=0)[0], BINOMIAL)
+    newton = fit_averaged(store, "opt1")
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    fallback = fit_averaged(store, "opt1")
+    diag = fallback.diagnostics
+    assert diag["optimizer_converged"] == (diag["kkt_residual"] <= 1e-7)
+    gap = abs(fallback.criterion_value - newton.criterion_value)
+    assert gap <= 1e-12 * abs(newton.criterion_value)
 
 
 def test_fit_averaged_reports_the_optimizer_stop(rng):
@@ -655,6 +681,41 @@ def test_criterion_context_rejects_a_candidate_the_weighting_rows_do_not_observe
     build_criterion_context(data, index, candidates[:1], BINOMIAL)
     with pytest.raises(DataError, match=r"\(0, 2\) not contained in the weighting pattern"):
         build_criterion_context(data, index, candidates, BINOMIAL)
+
+
+def test_fit_averaged_never_fits_a_candidate_it_does_not_weight(tmp_path, monkeypatch):
+    # Rows 0-49 observe (intercept, a, b), rows 50-58 (intercept, a) and row
+    # 59 alone (intercept, c): one row for c's two columns, and no weighting
+    # row observes c.  That candidate is dropped before any fit, so it
+    # cannot abort the fit.
+    import fragma.glm as glm
+    from fragma.cli import main
+    from fragma.io import write_csv
+
+    rng = np.random.default_rng(5)
+    mask = np.zeros((60, 4), dtype=bool)
+    mask[:, 0] = mask[:50, 2] = mask[:59, 1] = mask[59, 3] = True
+    x = rng.standard_normal((60, 4))
+    x[:, 0] = 1.0
+    y = (rng.random(60) < expit(x[:, 1] - x[:, 2])).astype(float)
+    data = FragmentaryDataset(y, np.where(mask, x, np.nan), mask, ["intercept", "a", "b", "c"])
+
+    fitted, fit = [], glm.fit_glm
+    with monkeypatch.context() as counted:
+        counted.setattr(glm, "fit_glm", lambda X, y, family, opts=None, column_names=None: (
+            fitted.append(column_names) or fit(X, y, family, opts, column_names)))
+        model = fit_averaged(CandidateStore(data, BINOMIAL))
+    assert [c.pattern.indices for c in model.candidates] == [(0, 1, 2), (0, 1)]
+    assert model.diagnostics["dropped_candidates"] == [[0, 3]]
+    assert fitted == [["intercept", "a", "b"], ["intercept", "a"]]
+
+    f = tmp_path / "d.csv"
+    write_csv(f, ["y", "a", "b", "c"], [
+        [yi] + ["NA" if np.isnan(v) else v for v in row[1:]]
+        for yi, row in zip(y.tolist(), data.x.tolist())
+    ])
+    argv = ["fit", "--input", str(f), "--response", "y", "--add-intercept"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
 
 
 def test_imp_without_complete_cases_keeps_every_candidate(rng):

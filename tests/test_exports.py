@@ -181,3 +181,34 @@ def test_only_the_fitting_modules_evaluate_a_cumulant():
     assert modules and demos
     evaluating = [m.name for m in modules + demos if evaluates_b(ast.parse(m.read_text()))]
     assert evaluating == ["averaging.py", "baselines.py", "glm.py"]
+
+
+def _function(module, name):
+    """The ``def`` of ``name`` in the fragma module ``module``."""
+    tree = ast.parse((Path(fragma.__file__).parent / module).read_text())
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    return node
+
+
+def _called(node):
+    """The names ``node`` calls, bare or as an attribute."""
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            yield func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_fit_glm_evaluates_every_step_in_one_place():
+    # Each IRLS iteration tries its steps in one loop, the decrement step
+    # included: one log-likelihood evaluation per trial, through
+    # _loglik_sums, and none through loglik.
+    fit_glm = _function("glm.py", "fit_glm")
+    (loop,) = [n for n in fit_glm.body if isinstance(n, ast.For)]
+    assert list(_called(loop)).count("_loglik_sums") == 1
+    assert "loglik" not in set(_called(fit_glm))
+
+
+def test_fit_averaged_fits_only_the_candidates_it_weights():
+    # fit_averaged chooses its candidates from the pattern index before any
+    # fit, so it never fits every candidate of the index.
+    assert "fit_all" not in set(_called(_function("averaging.py", "fit_averaged")))

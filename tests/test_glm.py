@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit, logit
 
 from fragma.datasets import adni_like, random_fragmentary
-from fragma.errors import RankDeficientError
+from fragma.errors import NumericalError, RankDeficientError
 from fragma.glm import (
     BINOMIAL,
     GAUSSIAN,
@@ -444,6 +444,55 @@ def test_intercept_only_fit_is_logit_of_mean():
     assert info["converged"]
     assert info["iterations"] <= 10
     assert abs(beta[0] - logit(y.mean())) <= 1e-12
+
+
+def _failing_loglik_sums(monkeypatch, fails):
+    """Patch fit_glm's log-likelihood so that ``fails(call)`` raises or returns in its place."""
+    import fragma.glm as glm
+
+    calls, original = [], glm._loglik_sums
+
+    def patched(family, theta, y):
+        calls.append(len(calls) + 1)
+        failure = fails(len(calls))
+        if isinstance(failure, Exception):
+            raise failure
+        return failure or original(family, theta, y)
+
+    monkeypatch.setattr(glm, "_loglik_sums", patched)
+    return calls
+
+
+def test_a_non_finite_decrement_step_is_rejected_and_the_fit_stops(monkeypatch):
+    # A 5-iteration logistic fit evaluates its log-likelihood 6 times: at
+    # beta = 0, at each of 4 full steps and at the decrement step.  When the
+    # last finds a non-finite linear predictor, that step is rejected like
+    # any other and the fit stops on the decrement with the 4th step's beta.
+    X, y = logistic_design(np.random.default_rng(0), n=40, p=3)
+    _, info = fit_glm(X, y, BINOMIAL)
+    assert (info["stop"], info["iterations"]) == ("decrement", 5)
+    before, before_info = fit_glm(X, y, BINOMIAL, FitOptions(max_iter=4))
+    calls = _failing_loglik_sums(
+        monkeypatch, lambda call: NumericalError("non-finite") if call == 6 else None
+    )
+    beta, info = fit_glm(X, y, BINOMIAL)
+    assert len(calls) == 6
+    assert info == {**before_info, "converged": True, "iterations": 5, "stop": "decrement"}
+    assert beta.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("rejection", [NumericalError("non-finite"), (np.inf, np.inf)])
+def test_a_fit_whose_every_trial_is_rejected_stops_on_no_step(monkeypatch, rejection):
+    # Every step after beta = 0 has a non-finite linear predictor (a
+    # NumericalError) or log-likelihood: 30 trials are rejected, and the fit
+    # stops at beta = 0 after one iteration, not converged.
+    X, y = logistic_design(np.random.default_rng(0), n=40, p=3)
+    at_zero = loglik(BINOMIAL, np.zeros(40), y)
+    calls = _failing_loglik_sums(monkeypatch, lambda call: rejection if call > 1 else None)
+    beta, info = fit_glm(X, y, BINOMIAL)
+    assert len(calls) == 31
+    assert info == {"loglik": at_zero, "converged": False, "iterations": 1, "stop": "no_step"}
+    assert not beta.any()
 
 
 def test_separation_guard_keeps_estimates_finite(rng):

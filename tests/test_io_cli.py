@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from fragma.averaging import (
     fit_averaged,
     kl_loss,
     predict,
+    predict_for_pattern,
     score_rows,
 )
 from fragma.baselines import fit_cc, fit_imp
@@ -789,13 +791,92 @@ def test_cli_fit_add_intercept_on_an_intercept_column_exits_2(tmp_path):
     assert not (out / "model.json").exists()
 
 
-def test_cli_simulate_without_a_usable_draw_exits_1(tmp_path):
+def test_cli_simulate_without_a_usable_draw_exits_1(tmp_path, monkeypatch):
+    import fragma.sim as sim
+
+    draws, generate = [], sim.generate_replication
+    monkeypatch.setattr(sim, "generate_replication", lambda *a: draws.append(a) or generate(*a))
     out = tmp_path / "s"
     assert run_cli("simulate", "--n", "20", "--reps", "1", "--seed", "0", "--out", str(out)) == 1
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "NumericalError"
     assert error["message"] == "replication 0: no usable draw in 20 attempts"
+    assert len(draws) == 20
     assert not (out / "kl_per_rep.csv").exists()
+
+
+def test_cli_predict_fills_only_an_intercept_the_fit_added(tmp_path):
+    # Here "intercept" is a data column of the training CSV, fitted without
+    # --add-intercept: a query that does not state it does not observe it,
+    # and is scored by the refit on the columns it does observe.
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((200, 3))
+    y = (rng.random(200) < 1.0 / (1.0 + np.exp(-x @ [0.5, 1.0, -1.0]))).astype(float)
+    x[rng.random(200) < 0.3, 2] = np.nan
+    train = tmp_path / "train.csv"
+    write_csv(train, ["y", "intercept", "x1", "x2"], [
+        [yi] + ["NA" if np.isnan(v) else v for v in row] for yi, row in zip(y.tolist(), x.tolist())
+    ])
+    fit_out = tmp_path / "fit"
+    assert run_cli("fit", "--input", str(train), "--response", "y", "--out", str(fit_out)) == 0
+    q = tmp_path / "q.csv"
+    q.write_text("x1,x2\n0.5,0.1\n")
+    out = tmp_path / "p"
+    assert run_cli("predict", "--model", str(fit_out / "model.json"), "--input", str(q),
+                   "--train", str(train), "--response", "y", "--out", str(out)) == 0
+    with open(out / "predictions.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["rule"] == "restricted:x1+x2"
+    model = json.loads((fit_out / "model.json").read_text())
+    store = CandidateStore(read_fragmentary_csv(train, "y"), "binomial")
+    theta = predict_for_pattern(store, model["lambda_n"], np.array([np.nan, 0.5, 0.1]))[0]
+    assert float(row["theta"]) == theta
+
+
+def _input_error(tmp_path, *argv) -> str:
+    """The message of ``argv``'s input error (exit 2)."""
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "DataError"
+    return error["message"]
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    (["intercept"], ": expected an object mapping group names to column lists"),
+    ({"groups": {}}, ": no groups declared"),
+], ids=["list", "no-groups"])
+def test_cli_malformed_groups_sidecar_is_input_error(tmp_path, sidecar, message):
+    data, _ = adni_like(seed=6, scale=0.1)
+    f, g = tmp_path / "d.csv", tmp_path / "groups.json"
+    dataset_to_csv(data, f)
+    g.write_text(json.dumps(sidecar))
+    assert re.search(re.escape(message) + "$", _input_error(
+        tmp_path, "compare", "--input", str(f), "--response", "y", "--groups", str(g)
+    ))
+
+
+@pytest.mark.parametrize("complete_cases, blocks, message", [
+    (6, None, "complete-case sample (4) smaller than 5 CV folds"),
+    (0, ["CSF"], "no group overlaps the complete-case columns"),
+], ids=["too-few-complete-cases", "no-complete-cases"])
+def test_cli_glasso_without_enough_complete_cases_is_input_error(
+    tmp_path, complete_cases, blocks, message
+):
+    data, groups = adni_like(seed=0)
+    complete = np.flatnonzero(data.mask.all(axis=1))
+    assert complete.size == 409
+    data = data.take(np.setdiff1d(np.arange(data.n), complete[complete_cases:]))
+    f, g = tmp_path / "d.csv", tmp_path / "groups.json"
+    dataset_to_csv(data, f)
+    g.write_text(json.dumps({
+        b: [data.column_names[j] for j in cols] for b, cols in groups.items()
+        if blocks is None or b in blocks
+    }))
+    assert re.search(re.escape(message) + "$", _input_error(
+        tmp_path, "compare", "--input", str(f), "--response", "y", "--groups", str(g),
+        "--methods", "glasso",
+    ))
 
 
 # ---------------------------------------------------------------------------
