@@ -31,17 +31,21 @@ ACTIVE_TOL = 1e-10
 
 @dataclass
 class CriterionContext:
-    """Everything the weight criterion needs, frozen after construction.
+    """Everything the weight criterion needs, and the last point it was evaluated at.
 
     ``theta_matrix`` has one column per candidate: the candidate's linear
     predictor evaluated on the weighting (complete-case) rows, so that
-    ``theta_matrix @ w`` is the combined predictor for any weights w.
+    ``theta_matrix @ w`` is the combined predictor for any weights w.  The
+    context keeps a copy of the last weights it evaluated, with their theta
+    and, once asked for, their mean b'(theta), so :func:`criterion`, its
+    gradient and its Hessian compute each once per point.
     """
 
     theta_matrix: np.ndarray
     y_cc: np.ndarray
     p_sizes: np.ndarray
     family: ExponentialFamily
+    _point: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.theta_matrix = np.asarray(self.theta_matrix, dtype=float)
@@ -62,6 +66,24 @@ class CriterionContext:
     @property
     def n_cc(self) -> int:
         return self.theta_matrix.shape[0]
+
+    def _at(self, w: np.ndarray) -> list:
+        """``[key, theta, mean or None]`` of the float weights w, theta computed once."""
+        key = (w.shape, w.tobytes())  # a copy: w changed in place is another point
+        if self._point is None or self._point[0] != key:
+            self._point = [key, self.theta_matrix @ w, None]
+        return self._point
+
+    def theta(self, w: np.ndarray) -> np.ndarray:
+        """The combined predictor theta_matrix @ w (read-only)."""
+        return self._at(w)[1]
+
+    def mean(self, w: np.ndarray) -> np.ndarray:
+        """b'(theta) at w (read-only)."""
+        point = self._at(w)
+        if point[2] is None:
+            point[2] = self.family.b_prime(point[1])
+        return point[2]
 
 
 def _weighting_rows(data: FragmentaryDataset, index: PatternIndex):
@@ -88,41 +110,41 @@ def build_criterion_context(
     """
     family = get_family(family)
     rows, observed = _weighting_rows(data, index)
-    cols = []
     for cand in candidates:
-        idx = list(cand.pattern.indices)
-        if not observed[idx].all():
+        if not observed[list(cand.pattern.indices)].all():
             raise DataError(
                 f"candidate pattern {cand.pattern.indices} not contained in the "
                 f"weighting pattern {index.patterns[0].indices}"
             )
-        cols.append(data.x[np.ix_(rows, idx)] @ cand.beta)
-    theta_matrix = np.column_stack(cols)
+    return _criterion_context(data, rows, candidates, family)
+
+
+def _criterion_context(
+    data: FragmentaryDataset, rows: np.ndarray, candidates: list[CandidateModel],
+    family: ExponentialFamily,
+) -> CriterionContext:
+    """The context on ``rows``, every candidate's columns observed there."""
+    cols = [data.x[np.ix_(rows, list(c.pattern.indices))] @ c.beta for c in candidates]
     p_sizes = np.array([c.p_k for c in candidates], dtype=float)
-    return CriterionContext(theta_matrix, data.y[rows], p_sizes, family)
+    return CriterionContext(np.column_stack(cols), data.y[rows], p_sizes, family)
 
 
 def criterion(ctx: CriterionContext, w, lambda_n: float) -> float:
     """Penalized complete-case criterion G(w)."""
     w = np.asarray(w, dtype=float)
-    theta = ctx.theta_matrix @ w
-    fam = ctx.family
-    fit_term = 2.0 * (np.sum(fam.b(theta)) - ctx.y_cc @ theta)
+    theta = ctx.theta(w)
+    fit_term = 2.0 * (np.sum(ctx.family.b(theta)) - ctx.y_cc @ theta)
     return float(fit_term + lambda_n * (ctx.p_sizes @ w))
 
 
 def criterion_gradient(ctx: CriterionContext, w, lambda_n: float) -> np.ndarray:
     """Exact gradient of :func:`criterion` at w."""
-    w = np.asarray(w, dtype=float)
-    theta = ctx.theta_matrix @ w
-    fam = ctx.family
-    resid = fam.b_prime(theta) - ctx.y_cc
+    resid = ctx.mean(np.asarray(w, dtype=float)) - ctx.y_cc
     return 2.0 * (ctx.theta_matrix.T @ resid) + lambda_n * ctx.p_sizes
 
 
 def _criterion_hessian(ctx: CriterionContext, w) -> np.ndarray:
-    theta = ctx.theta_matrix @ np.asarray(w, dtype=float)
-    d = ctx.family.variance(ctx.family.b_prime(theta))
+    d = ctx.family.variance(ctx.mean(np.asarray(w, dtype=float)))
     return 2.0 * (ctx.theta_matrix.T @ (d[:, None] * ctx.theta_matrix))
 
 
@@ -176,11 +198,16 @@ def optimize_weights(ctx: CriterionContext, lambda_n: float) -> WeightFit:
     sufficient decrease, up to :func:`~fragma.glm.roundoff` of G's terms).
     """
     K = ctx.K
-    vertices = np.eye(K)
-    vals = np.array([criterion(ctx, v, lambda_n) for v in vertices])
+    # G at every vertex in one pass over the columns, each column contiguous
+    # as criterion sums it, so the values (and the choice) have criterion's
+    # bits; criterion then evaluates the chosen vertex alone.
+    columns = np.ascontiguousarray(ctx.theta_matrix.T)
+    y_cols = np.array([ctx.y_cc @ col for col in columns])
+    vals = 2.0 * (np.sum(ctx.family.b(columns), axis=1) - y_cols) + lambda_n * ctx.p_sizes
     vals[~np.isfinite(vals)] = np.inf
-    k = int(np.argmin(vals))
-    w, f = vertices[k], float(vals[k])
+    w = np.zeros(K)
+    w[np.argmin(vals)] = 1.0
+    f = criterion(ctx, w, lambda_n)
     if not np.isfinite(f):
         raise NumericalError("criterion is not finite at any vertex of the simplex")
     g = criterion_gradient(ctx, w, lambda_n)
@@ -394,7 +421,9 @@ def fit_averaged(store: CandidateStore, lambda_n="opt1", columns=None) -> Averag
     before any fit, never fitted, and listed in
     ``diagnostics["dropped_candidates"]``.  For an index built on the
     store's data these are the candidates not contained in the leading
-    pattern; on a zero-imputed ``store.filled()`` none is dropped.
+    pattern; on a zero-imputed ``store.filled()`` none is dropped.  The
+    store keeps the criterion context of its last weighting sample, so
+    opt2 after opt1 (and imp2 after imp1) builds none.
     """
     data, family = store.data, store.family
     index = store.index if columns is None else build_pattern_index(data, columns=columns)
@@ -404,7 +433,13 @@ def fit_averaged(store: CandidateStore, lambda_n="opt1", columns=None) -> Averag
     usable = [store.fit(pattern) for pattern, k in zip(index.patterns, keep) if k]
     dropped = [list(pattern.indices) for pattern, k in zip(index.patterns, keep) if not k]
 
-    ctx = build_criterion_context(data, index, usable, family)
+    # the last weighting sample's context, reused while the patterns are the same
+    key = tuple(pattern.indices for pattern in index.patterns)
+    ctx = store.weighting.get(key)
+    if ctx is None:
+        ctx = _criterion_context(data, rows, usable, family)
+        store.weighting.clear()
+        store.weighting[key] = ctx
     wfit = optimize_weights(ctx, lam)
     return AveragedModel(
         candidates=usable,

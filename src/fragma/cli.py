@@ -140,8 +140,14 @@ def cmd_fit(args) -> int:
             f"loglik={cand.loglik:.4f} converged={cand.converged} "
             f"iterations={cand.iterations} stop={cand.stop} columns={cols}"
         )
-    lines.append(f"lambda_n={model.lambda_n:.6g}  criterion={model.criterion_value:.8g}")
     diag = model.diagnostics
+    ids = {pattern.indices: pattern.id for pattern in index.patterns}
+    if diag["dropped_candidates"]:
+        lines.append("dropped (a weighting row does not observe their columns):")
+    for cols in diag["dropped_candidates"]:
+        names = [model.column_names[j] for j in cols]
+        lines.append(f"  pattern {ids[tuple(cols)]}: columns={names}")
+    lines.append(f"lambda_n={model.lambda_n:.6g}  criterion={model.criterion_value:.8g}")
     lines.append(
         f"optimizer: stop={diag['optimizer_stop']} iterations={diag['optimizer_iterations']} "
         f"kkt_residual={diag['kkt_residual']:.3g} converged={diag['optimizer_converged']}"

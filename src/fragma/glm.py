@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -494,6 +494,9 @@ class CandidateStore:
     candidates already fitted on ``data`` under ``family`` (those of a
     saved model): the store returns them for their columns instead of
     fitting, and ``reused`` counts the column sets it so took.
+    ``weighting`` is one slot, filled by
+    :func:`~fragma.averaging.fit_averaged`: the criterion context of the
+    last weighting sample, keyed by its index's pattern columns.
     """
 
     def __init__(self, data: FragmentaryDataset, family, saved=()):
@@ -504,8 +507,9 @@ class CandidateStore:
         self._saved = {c.pattern.indices: c for c in saved}
         self.reused = 0
         self._source: CandidateStore | None = None  # the store this one zero-fills
-        # data.filled() and its fits, kept apart from their store: no reference cycle
-        self._filled: tuple[FragmentaryDataset, dict] | None = None
+        self.weighting: dict = {}
+        # data.filled(), its fits and weighting slot, kept apart from their store: no cycle
+        self._filled: tuple[FragmentaryDataset, dict, dict] | None = None
 
     def fit(self, pattern: Pattern) -> CandidateModel:
         """The candidate on ``pattern``'s columns, fitted at most once per store."""
@@ -521,7 +525,8 @@ class CandidateStore:
             else:
                 cand = fit_candidate(self.data, pattern, self.family)
             self._fits[pattern.indices] = cand
-        return replace(cand, pattern=pattern, beta=cand.beta.copy())
+        return CandidateModel(pattern, cand.beta.copy(), cand.n_k, cand.p_k, cand.loglik,
+                              cand.converged, cand.iterations, cand.stop)
 
     @cached_property
     def index(self) -> PatternIndex:
@@ -535,9 +540,10 @@ class CandidateStore:
         return [self.fit(pattern) for pattern in index.patterns]
 
     def filled(self) -> "CandidateStore":
-        """This run's store on ``data.filled()``: same family and index; fits kept."""
+        """This run's store on ``data.filled()``: same family and index; fits and context kept."""
         if self._filled is None:
-            self._filled = (self.data.filled(), {})
+            self._filled = (self.data.filled(), {}, {})
         store = CandidateStore(self._filled[0], self.family)
-        store._fits, store._source = self._filled[1], self
+        store._fits, store.weighting = self._filled[1:]
+        store._source = self
         return store

@@ -3,9 +3,10 @@
 Nothing here imports the solver code paths it checks; everything is a
 direct transcription of a definition (double loops, dense grids, finite
 differences, fixed-step proximal iterations).  The one exception is the
-reference IRLS fit at the end, an earlier ``fit_glm`` kept verbatim so that
-the current one can be held to its bits; it shares ``loglik``,
-``FitOptions`` and the families' b and b' with the package.
+reference IRLS fit and the reference weight optimizer at the end, earlier
+``fit_glm`` and ``optimize_weights`` kept verbatim so that the current ones
+can be held to their bits; they share ``loglik``, ``FitOptions`` and the
+families' b, b' and variance with the package.
 """
 
 import numpy as np
@@ -350,3 +351,83 @@ def reference_fit_glm(X, y, family, opts=None, column_names=None):
         "stop": stop,
     }
     return beta, info
+
+
+def reference_optimize_weights(theta_matrix, y, p_sizes, family, lambda_n):
+    """The simplex weight optimizer as it was before it kept a point's theta.
+
+    It evaluates G at each of the K vertices one by one and computes theta
+    afresh in every criterion, gradient and Hessian.  Returns the starting
+    vertex and ``(weights, criterion, kkt_residual, iterations, stop)``.
+    """
+    def criterion(w):
+        theta = theta_matrix @ w
+        return float(2.0 * (np.sum(family.b(theta)) - y @ theta) + lambda_n * (p_sizes @ w))
+
+    def gradient(w):
+        resid = family.b_prime(theta_matrix @ w) - y
+        return 2.0 * (theta_matrix.T @ resid) + lambda_n * p_sizes
+
+    def kkt(w, g):
+        return float(np.max(g[w > 1e-10]) - np.min(g))
+
+    K = theta_matrix.shape[1]
+    vertices = np.eye(K)
+    vals = np.array([criterion(v) for v in vertices])
+    vals[~np.isfinite(vals)] = np.inf
+    k = int(np.argmin(vals))
+    w, f = vertices[k], float(vals[k])
+    g = gradient(w)
+    res = kkt(w, g)
+    y_theta = y @ theta_matrix
+    iters = 0
+    stop = "kkt"
+    while res > 1e-7:
+        if iters >= 500:
+            stop = "max_iter"
+            break
+        iters += 1
+        face = w > 0
+        g_min = float(np.min(g[face]))
+        violation = np.where(face, -np.inf, g_min - g)
+        j = int(np.argmax(violation))
+        released = bool(violation[j] > np.max(g[face]) - g_min)
+        face[j] |= released
+        A = np.flatnonzero(face)
+        gA = g[A]
+        m = A.size
+        kkt_mat = np.ones((m + 1, m + 1))
+        kkt_mat[m, m] = 0.0
+        v = family.variance(family.b_prime(theta_matrix @ w))
+        H = (2.0 * (theta_matrix.T @ (v[:, None] * theta_matrix)))[np.ix_(A, A)]
+        kkt_mat[:m, :m] = H + 1e-12 * max(np.trace(H) / m, 1.0) * np.eye(m)
+        try:
+            d = np.linalg.solve(kkt_mat, np.append(-gA, 0.0))[:m]
+        except np.linalg.LinAlgError:
+            d = np.full(m, np.nan)
+        if (
+            not np.all(np.isfinite(d))
+            or gA @ d >= 0
+            or (released and d[np.searchsorted(A, j)] <= 0)
+        ):
+            d = np.mean(gA) - gA
+        neg = d < 0
+        a = min(1.0, float(np.min(-w[A][neg] / d[neg])))
+        slope = float(gA @ d)
+        slack = _DECREMENT_EPS * max(f + 4.0 * max(y_theta @ w, 0.0), 1.0)
+        for _ in range(60):
+            w_try = np.zeros(K)
+            w_try[A] = np.maximum(w[A] + a * d, 0.0)
+            w_try[w_try <= 1e-10] = 0.0
+            w_try /= w_try.sum()
+            f_try = criterion(w_try)
+            if f_try <= f + 1e-4 * a * slope + slack:
+                break
+            a *= 0.5
+        else:
+            stop = "no_step"
+            break
+        w, f = w_try, f_try
+        g = gradient(w)
+        res = kkt(w, g)
+    return k, (w, f, res, iters, stop)

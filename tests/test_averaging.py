@@ -22,7 +22,7 @@ from fragma.averaging import (
     resolve_lambda,
     score_rows,
 )
-from fragma.baselines import fit_cc, fit_imp
+from fragma.baselines import fit_cc, fit_imp, fit_method
 from fragma.datasets import adni_like, random_fragmentary
 from fragma.errors import DataError, NumericalError
 from fragma.glm import (
@@ -43,6 +43,7 @@ from oracles import (
     logistic_criterion_by_terms,
     poisoned,
     project_to_simplex,
+    reference_optimize_weights,
     simplex_grid,
 )
 
@@ -273,18 +274,18 @@ def test_optimizer_records_why_it_stopped(rng, monkeypatch):
         fit = optimize_weights(ctx, 2.0)
     assert (fit.stop, fit.iterations, fit.converged) == ("max_iter", 1, False)
 
-    # the K vertex evaluations pass; every trial point of the line search fails
+    # the chosen vertex's evaluation passes; every trial point of the line search fails
     calls = []
     true_criterion = averaging.criterion
 
     def failing_line_search(ctx, w, lambda_n):
         calls.append(1)
-        return true_criterion(ctx, w, lambda_n) if len(calls) <= ctx.K else np.inf
+        return true_criterion(ctx, w, lambda_n) if len(calls) <= 1 else np.inf
 
     monkeypatch.setattr(averaging, "criterion", failing_line_search)
     fit = optimize_weights(ctx, 2.0)
     assert (fit.stop, fit.iterations, fit.converged) == ("no_step", 1, False)
-    assert len(calls) == ctx.K + 60
+    assert len(calls) == 1 + 60
     assert np.count_nonzero(np.asarray(fit.weights)) == 1
 
 
@@ -374,6 +375,87 @@ def test_optimizer_converges_where_g_cancels_its_terms(seed, g_min):
     assert fit.iterations <= 10
     assert fit.kkt_residual <= 1e-10
     assert fit.criterion_value == pytest.approx(g_min, rel=1e-12, abs=0.0)
+
+
+def test_weights_changed_in_place_are_a_new_point(rng):
+    # The context keeps the last point's theta and mean; weights changed in
+    # place between two calls must never be scored with the old ones.
+    ctx = random_logistic_ctx(rng, n1=40, K=4)
+
+    def fresh():
+        return CriterionContext(ctx.theta_matrix, ctx.y_cc, ctx.p_sizes, ctx.family)
+
+    w = np.full(4, 0.25)
+    for point in ([1.0, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 0.5, 0.5]):
+        criterion(ctx, w, 2.0)
+        w[:] = point  # theta kept, no mean yet
+        assert np.array_equal(criterion_gradient(ctx, w, 2.0), criterion_gradient(fresh(), w, 2.0))
+        w[:] = w[::-1].copy()  # theta and mean kept
+        assert np.array_equal(criterion_gradient(ctx, w, 2.0), criterion_gradient(fresh(), w, 2.0))
+        w[:] = np.roll(w, 1)
+        assert criterion(ctx, w, 2.0) == criterion(fresh(), w, 2.0)
+
+
+def _reference_case(case):
+    """A seeded criterion and penalty.
+
+    Cases 0-29 are logistic sets of 2 to 40 candidates (every fifth with two
+    equal candidates), 30-41 ``poisson_ctx`` sets, and 42-47 ties that only
+    rounding settles: y = 0 and four columns that permute one column's
+    entries, so G is the same at every vertex in exact arithmetic.
+    """
+    rng = np.random.default_rng([35, case])
+    if case >= 42:
+        col = 2.0 * rng.standard_normal(int(rng.integers(50, 400)))
+        cols = np.column_stack([rng.permutation(col) for _ in range(4)])
+        return CriterionContext(cols, np.zeros(col.size), np.full(4, 3.0), BINOMIAL), 2.0
+    if case >= 30:
+        return poisson_ctx(case - 30 if case < 40 else (1772, 1965)[case - 40]), 2.0
+    n1 = int(rng.integers(20, 200))
+    ctx = random_logistic_ctx(rng, n1=n1, K=int(rng.integers(2, 13 if case < 25 else 41)))
+    if case % 5 == 4:
+        ctx.theta_matrix[:, -1] = ctx.theta_matrix[:, 0]
+        ctx.p_sizes[-1] = ctx.p_sizes[0]
+    return ctx, float(rng.choice([0.0, 2.0, np.log(n1)]))
+
+
+@pytest.mark.parametrize("case", range(48))
+def test_optimizer_matches_the_reference_optimizer(case, monkeypatch):
+    # The one-pass vertex scan picks the vertex that scoring every vertex by
+    # criterion picked, and theta and mean kept per point change no bit.
+    from fragma import averaging
+
+    ctx, lam = _reference_case(case)
+    k, expected = reference_optimize_weights(ctx.theta_matrix, ctx.y_cc, ctx.p_sizes,
+                                             ctx.family, lam)
+    points, true_criterion = [], averaging.criterion
+    monkeypatch.setattr(averaging, "criterion", lambda c, w, lambda_n: (
+        points.append(np.array(w)) or true_criterion(c, w, lambda_n)))
+    fit = optimize_weights(ctx, lam)
+    assert np.flatnonzero(points[0]).tolist() == [k]
+    weights, value, residual, iterations, stop = expected
+    assert fit.weights.tobytes() == weights.tobytes()
+    assert (fit.criterion_value, fit.kkt_residual) == (value, residual)
+    assert (fit.iterations, fit.stop) == (iterations, stop)
+
+
+def test_opt2_after_opt1_and_imp2_after_imp1_give_the_model_each_gives_alone(monkeypatch):
+    # A store builds one criterion context per weighting sample: opt2 reuses
+    # opt1's and imp2 reuses imp1's, and each model keeps its bits.
+    from fragma import averaging
+
+    data = adni_like(seed=1)[0]
+    built, build = [], averaging._criterion_context
+    monkeypatch.setattr(averaging, "_criterion_context", lambda *args: (
+        built.append(1) or build(*args)))
+    store = CandidateStore(data, BINOMIAL)
+    models = {m: fit_method(m, store) for m in ("opt1", "opt2", "imp1", "imp2")}
+    assert len(built) == 2
+    for method in ("opt2", "imp2"):
+        alone = fit_method(method, CandidateStore(data, BINOMIAL))
+        assert models[method].to_dict() == alone.to_dict()
+        assert models[method].weights.tobytes() == alone.weights.tobytes()
+    assert len(built) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -716,6 +798,10 @@ def test_fit_averaged_never_fits_a_candidate_it_does_not_weight(tmp_path, monkey
     ])
     argv = ["fit", "--input", str(f), "--response", "y", "--add-intercept"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    at = report.index("dropped (a weighting row does not observe their columns):")
+    assert report[at + 1] == "  pattern 3: columns=['intercept', 'c']"
+    assert report[at + 2].startswith("lambda_n=")
 
 
 def test_imp_without_complete_cases_keeps_every_candidate(rng):

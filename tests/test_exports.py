@@ -212,3 +212,21 @@ def test_fit_averaged_fits_only_the_candidates_it_weights():
     # fit_averaged chooses its candidates from the pattern index before any
     # fit, so it never fits every candidate of the index.
     assert "fit_all" not in set(_called(_function("averaging.py", "fit_averaged")))
+
+
+def test_only_the_criterion_context_evaluates_theta_matrix_at_weights():
+    # The context computes theta = theta_matrix @ w once per point and keeps
+    # it; the criterion, its gradient and its Hessian read it from there.
+    def evaluating(tree, scope):
+        for node in ast.iter_child_nodes(tree):
+            inner = node.name if isinstance(node, ast.ClassDef) else scope
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                    and isinstance(node.left, ast.Attribute) and node.left.attr == "theta_matrix"):
+                yield scope
+            yield from evaluating(node, inner)
+
+    modules = sorted(Path(fragma.__file__).parent.glob("*.py"))
+    assert modules
+    scopes = [(m.name, scope) for m in modules
+              for scope in evaluating(ast.parse(m.read_text()), None)]
+    assert scopes == [("averaging.py", "CriterionContext")]
