@@ -9,7 +9,7 @@ minimize, over the complete cases, the penalized criterion
 where theta(w) stacks the per-candidate linear predictors on the
 complete-case rows (so theta(w) is linear in w and G is convex).  The
 minimizer is found by a primal active-set Newton method on the simplex,
-which stops once the simplex KKT residual is within tolerance.
+which stops, as IRLS does, once its Newton decrement reaches roundoff.
 
 :func:`score_rows` scores query rows one availability-pattern group at a
 time, by the model itself or by weights refitted on the group's columns.
@@ -161,9 +161,8 @@ def kkt_residual(w, grad) -> float:
     return float(np.max(grad[active]) - np.min(grad))
 
 
-# Iteration budget and KKT tolerance of the simplex weight optimizer.
+# Iteration budget of the simplex weight optimizer.
 _OPT_MAX_ITER = 500
-_KKT_TOL = 1e-7
 
 
 @dataclass
@@ -172,10 +171,10 @@ class WeightFit:
 
     weights: np.ndarray
     criterion_value: float
-    kkt_residual: float
-    converged: bool
-    iterations: int
-    stop: str  # "kkt", "max_iter" or "no_step"
+    kkt_residual: float  # at the returned weights, a record and not the stop
+    converged: bool  # stop == "decrement"
+    iterations: int  # Newton directions solved
+    stop: str  # "decrement", "max_iter" or "no_step"
 
 
 def optimize_weights(ctx: CriterionContext, lambda_n: float) -> WeightFit:
@@ -184,18 +183,19 @@ def optimize_weights(ctx: CriterionContext, lambda_n: float) -> WeightFit:
     Primal active-set Newton method (Nocedal & Wright, *Numerical
     Optimization*, ch. 16) started at the best vertex.  Each iteration
     releases the most KKT-violating zero weight into the face when its
-    violation exceeds the face's own gradient spread, takes a Newton step
-    on the face (sum w = 1, the other weights pinned at zero), clips it at
-    the nonnegativity boundary and backtracks on G.  When the Newton
-    direction is unusable (non-finite, not a descent direction, or not
-    moving the released weight off zero) the face-projected gradient is
-    used instead.  The criterion is convex in w (b convex, theta linear in
-    w), so a KKT point is a global minimum.  Every iteration counts against
-    the budget of ``_OPT_MAX_ITER`` (500); ``converged`` is true only when
-    the KKT residual is within ``_KKT_TOL`` (1e-7).  ``stop`` names why the
-    loop ended: ``kkt`` (the residual is within tolerance), ``max_iter``
-    (the budget is spent) or ``no_step`` (60 backtracking halvings found no
-    sufficient decrease, up to :func:`~fragma.glm.roundoff` of G's terms).
+    violation exceeds the face's own gradient spread, solves for the Newton
+    direction d on the face (sum w = 1, the other weights pinned at zero),
+    clips the step at the nonnegativity boundary and backtracks on G; G is
+    convex in w (b convex, theta linear in w), so a KKT point is a global
+    minimum.  The loop stops as :func:`~fragma.glm.fit_glm` does: on
+    ``decrement`` once -g^T d is within :func:`~fragma.glm.roundoff` of G's
+    terms, when the clipped full step is the one trial, kept if it passes the
+    same Armijo test, within that roundoff; on ``no_step`` when the KKT solve fails or 60
+    halvings find no sufficient decrease; on ``max_iter`` after
+    ``_OPT_MAX_ITER`` (500) directions.  No stop sees units: the decrement
+    and the roundoff scale together, ``ACTIVE_TOL`` acts on weights, which
+    have none, and the ridge's floor max(trace/m, 1), in G's units, binds
+    only when trace(H)/m < 1.
     """
     K = ctx.K
     # G at every vertex in one pass over the columns, each column contiguous
@@ -211,21 +211,14 @@ def optimize_weights(ctx: CriterionContext, lambda_n: float) -> WeightFit:
     if not np.isfinite(f):
         raise NumericalError("criterion is not finite at any vertex of the simplex")
     g = criterion_gradient(ctx, w, lambda_n)
-    res = kkt_residual(w, g)
     y_theta = ctx.y_cc @ ctx.theta_matrix  # b >= 0: G's terms sum to f + 4 max(y_theta @ w, 0)
     iters = 0
-    stop = "kkt"
-    while res > _KKT_TOL:
-        if iters >= _OPT_MAX_ITER:
-            stop = "max_iter"
-            break
-        iters += 1
+    for iters in range(1, _OPT_MAX_ITER + 1):
         face = w > 0
         g_min = float(np.min(g[face]))
         violation = np.where(face, -np.inf, g_min - g)
         j = int(np.argmax(violation))
-        released = bool(violation[j] > np.max(g[face]) - g_min)
-        face[j] |= released
+        face[j] |= violation[j] > np.max(g[face]) - g_min
         A = np.flatnonzero(face)
         gA = g[A]
         m = A.size
@@ -237,41 +230,34 @@ def optimize_weights(ctx: CriterionContext, lambda_n: float) -> WeightFit:
             d = np.linalg.solve(kkt_mat, np.append(-gA, 0.0))[:m]
         except np.linalg.LinAlgError:
             d = np.full(m, np.nan)
-        if (
-            not np.all(np.isfinite(d))
-            or gA @ d >= 0
-            or (released and d[np.searchsorted(A, j)] <= 0)
-        ):
-            d = np.mean(gA) - gA
-        # d sums to zero and is nonzero, so some weight decreases.
-        neg = d < 0
-        a = min(1.0, float(np.min(-w[A][neg] / d[neg])))
-        slope = float(gA @ d)
+        slope = float(gA @ d)  # not finite when d is not
         slack = roundoff(f + 4.0 * max(y_theta @ w, 0.0))
-        for _ in range(60):
+        last = -slope <= slack  # the decrement step is the last, kept or not
+        stop = "decrement" if last else "no_step"  # if the loop ends in this iteration
+        if not np.isfinite(slope):
+            break
+        neg = d < 0
+        a = float(np.min(-w[A][neg] / d[neg], initial=1.0))
+        for _ in range(1 if last else 60):
             w_try = np.zeros(K)
             w_try[A] = np.maximum(w[A] + a * d, 0.0)
             w_try[w_try <= ACTIVE_TOL] = 0.0
             w_try /= w_try.sum()
             f_try = criterion(ctx, w_try, lambda_n)
             if f_try <= f + 1e-4 * a * slope + slack:
+                w, f = w_try, f_try
+                g = criterion_gradient(ctx, w, lambda_n)
                 break
             a *= 0.5
         else:
-            stop = "no_step"
             break
-        w, f = w_try, f_try
-        g = criterion_gradient(ctx, w, lambda_n)
-        res = kkt_residual(w, g)
+        if last:
+            break
+    else:
+        stop = "max_iter"
 
-    return WeightFit(
-        weights=w,
-        criterion_value=f,
-        kkt_residual=res,
-        converged=bool(res <= _KKT_TOL),
-        iterations=iters,
-        stop=stop,
-    )
+    return WeightFit(weights=w, criterion_value=f, kkt_residual=kkt_residual(w, g),
+                     converged=stop == "decrement", iterations=iters, stop=stop)
 
 
 _FAMILY = Kind(f"one of {sorted(FAMILIES)}", lambda v: v in sorted(FAMILIES), get_family)

@@ -50,7 +50,7 @@ from .io import (
 )
 from .patterns import FragmentaryDataset, build_pattern_index, holdout_rows
 from .screening import screen_groups
-from .sim import BETA_CASES, SimConfig, run_study
+from .sim import BETA_CASES, SimConfig, check_seed, run_study
 
 
 def _out_dir(args) -> Path:
@@ -224,6 +224,7 @@ def cmd_compare(args) -> int:
     _write_config(out, args)
     if not 0.0 < args.split < 1.0:
         raise DataError(f"--split must lie strictly between 0 and 1, got {args.split}")
+    check_seed(args.seed)
     methods = check_methods(_parse_methods(args.methods))
     data = read_fragmentary_csv(
         args.input, args.response, args.na_marker, args.add_intercept

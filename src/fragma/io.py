@@ -307,8 +307,9 @@ def _unsaved(path, na_marker: str, record, npy_path) -> str | None:
 def read_groups_sidecar(path, column_names: list[str]) -> dict[str, list[int]]:
     """Column-group declaration: JSON mapping group name -> list of column names.
 
-    The file is UTF-8 (a leading byte-order mark is dropped).  Invalid JSON
-    or any other shape, an empty group included, is a
+    Wrapped as ``{"groups": {...}}`` or not: a list under ``groups`` is a
+    group.  The file is UTF-8 (a leading byte-order mark is dropped).
+    Invalid JSON or any other shape, an empty group included, is a
     :class:`~fragma.errors.DataError` naming ``path``.
     """
     with open(path, encoding=_ENCODING) as fh:
@@ -316,7 +317,7 @@ def read_groups_sidecar(path, column_names: list[str]) -> dict[str, list[int]]:
             raw = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    if isinstance(raw, dict) and "groups" in raw:
+    if isinstance(raw, dict) and isinstance(raw.get("groups"), dict):
         raw = raw["groups"]
     if not isinstance(raw, dict):
         raise DataError(f"{path}: expected an object mapping group names to column lists")

@@ -62,7 +62,14 @@ class SimConfig:
             raise DataError(f"unknown beta case {self.beta_case!r}")
         if self.reps < 1:
             raise DataError("reps must be at least 1")
+        check_seed(self.seed)
         check_methods(self.methods)
+
+
+def check_seed(seed) -> None:
+    """A seed is a nonnegative integer, as numpy's generators take; else a DataError."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DataError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass
@@ -150,12 +157,14 @@ def run_study(cfg: SimConfig) -> SimResult:
     """Run all replications of one cell; deterministic given cfg.seed.
 
     ``diagnostics`` holds the regenerated-draw count, the failed (rep, method)
-    fits and, in fitting order, every weight optimizer's KKT residual.
+    fits and, in fitting order, every weight optimizer's KKT residual and
+    stop (``decrement`` when it converged).
     """
     methods = list(cfg.methods)
     per_rep = np.full((cfg.reps, len(methods)), np.nan)
     cc_frac = np.zeros(cfg.reps)
-    diagnostics: dict = {"regenerated": 0, "failures": [], "kkt_residuals": []}
+    diagnostics: dict = {"regenerated": 0, "failures": [],
+                         "kkt_residuals": [], "optimizer_stops": []}
 
     groups = sim_groups()
     min_cc = cfg.p - 1  # leading pattern has p - 1 columns
@@ -189,6 +198,7 @@ def run_study(cfg: SimConfig) -> SimResult:
                 continue
             if "kkt_residual" in model.diagnostics:
                 diagnostics["kkt_residuals"].append(model.diagnostics["kkt_residual"])
+                diagnostics["optimizer_stops"].append(model.diagnostics["optimizer_stop"])
 
     summary = {}
     for m, method in enumerate(methods):

@@ -354,11 +354,14 @@ def reference_fit_glm(X, y, family, opts=None, column_names=None):
 
 
 def reference_optimize_weights(theta_matrix, y, p_sizes, family, lambda_n):
-    """The simplex weight optimizer as it was before it kept a point's theta.
+    """The simplex weight optimizer without its per-point cache.
 
     It evaluates G at each of the K vertices one by one and computes theta
-    afresh in every criterion, gradient and Hessian.  Returns the starting
-    vertex and ``(weights, criterion, kkt_residual, iterations, stop)``.
+    afresh in every criterion, gradient and Hessian.  It stops as the
+    optimizer does: on the Newton decrement at roundoff (one trial, the
+    clipped full step), on 60 failed halvings or a failed solve, or after
+    500 directions.  Returns the starting vertex and ``(weights, criterion,
+    kkt_residual, iterations, stop)``.
     """
     def criterion(w):
         theta = theta_matrix @ w
@@ -368,9 +371,6 @@ def reference_optimize_weights(theta_matrix, y, p_sizes, family, lambda_n):
         resid = family.b_prime(theta_matrix @ w) - y
         return 2.0 * (theta_matrix.T @ resid) + lambda_n * p_sizes
 
-    def kkt(w, g):
-        return float(np.max(g[w > 1e-10]) - np.min(g))
-
     K = theta_matrix.shape[1]
     vertices = np.eye(K)
     vals = np.array([criterion(v) for v in vertices])
@@ -378,21 +378,15 @@ def reference_optimize_weights(theta_matrix, y, p_sizes, family, lambda_n):
     k = int(np.argmin(vals))
     w, f = vertices[k], float(vals[k])
     g = gradient(w)
-    res = kkt(w, g)
     y_theta = y @ theta_matrix
-    iters = 0
-    stop = "kkt"
-    while res > 1e-7:
-        if iters >= 500:
-            stop = "max_iter"
-            break
+    iters, stop = 0, "max_iter"
+    while iters < 500:
         iters += 1
         face = w > 0
         g_min = float(np.min(g[face]))
         violation = np.where(face, -np.inf, g_min - g)
         j = int(np.argmax(violation))
-        released = bool(violation[j] > np.max(g[face]) - g_min)
-        face[j] |= released
+        face[j] |= violation[j] > np.max(g[face]) - g_min
         A = np.flatnonzero(face)
         gA = g[A]
         m = A.size
@@ -404,30 +398,32 @@ def reference_optimize_weights(theta_matrix, y, p_sizes, family, lambda_n):
         try:
             d = np.linalg.solve(kkt_mat, np.append(-gA, 0.0))[:m]
         except np.linalg.LinAlgError:
-            d = np.full(m, np.nan)
-        if (
-            not np.all(np.isfinite(d))
-            or gA @ d >= 0
-            or (released and d[np.searchsorted(A, j)] <= 0)
-        ):
-            d = np.mean(gA) - gA
+            stop = "no_step"
+            break
+        if not np.all(np.isfinite(d)):
+            stop = "no_step"
+            break
         neg = d < 0
-        a = min(1.0, float(np.min(-w[A][neg] / d[neg])))
+        a = min(1.0, float(np.min(-w[A][neg] / d[neg]))) if neg.any() else 1.0
         slope = float(gA @ d)
         slack = _DECREMENT_EPS * max(f + 4.0 * max(y_theta @ w, 0.0), 1.0)
-        for _ in range(60):
+        last = -slope <= slack
+        accepted = False
+        for _ in range(1 if last else 60):
             w_try = np.zeros(K)
             w_try[A] = np.maximum(w[A] + a * d, 0.0)
             w_try[w_try <= 1e-10] = 0.0
             w_try /= w_try.sum()
             f_try = criterion(w_try)
             if f_try <= f + 1e-4 * a * slope + slack:
+                accepted = True
                 break
             a *= 0.5
-        else:
-            stop = "no_step"
+        if accepted:
+            w, f = w_try, f_try
+            g = gradient(w)
+        if last or not accepted:
+            stop = "decrement" if last else "no_step"
             break
-        w, f = w_try, f_try
-        g = gradient(w)
-        res = kkt(w, g)
+    res = float(np.max(g[w > 1e-10]) - np.min(g))
     return k, (w, f, res, iters, stop)

@@ -253,10 +253,10 @@ def test_optimizer_flags_non_convergence_on_tiny_budget(rng, monkeypatch):
     from fragma import averaging
 
     ctx = random_logistic_ctx(rng, n1=120, K=6)
+    assert optimize_weights(ctx, 2.0).iterations > 1
     monkeypatch.setattr(averaging, "_OPT_MAX_ITER", 1)
-    monkeypatch.setattr(averaging, "_KKT_TOL", 1e-14)
     fit = optimize_weights(ctx, 2.0)
-    assert not fit.converged
+    assert (fit.stop, fit.converged) == ("max_iter", False)
     assert fit.iterations <= 1
     assert np.all(np.asarray(fit.weights) >= 0)
     assert abs(np.asarray(fit.weights).sum() - 1.0) < 1e-12
@@ -267,10 +267,10 @@ def test_optimizer_records_why_it_stopped(rng, monkeypatch):
 
     ctx = random_logistic_ctx(rng, n1=120, K=6)
     fit = optimize_weights(ctx, 2.0)
-    assert (fit.stop, fit.converged) == ("kkt", True)
+    assert (fit.stop, fit.converged) == ("decrement", True)
+    assert fit.iterations > 1
     with monkeypatch.context() as budget:
         budget.setattr(averaging, "_OPT_MAX_ITER", 1)
-        budget.setattr(averaging, "_KKT_TOL", 1e-14)
         fit = optimize_weights(ctx, 2.0)
     assert (fit.stop, fit.iterations, fit.converged) == ("max_iter", 1, False)
 
@@ -299,26 +299,32 @@ def test_optimizer_raises_when_no_vertex_has_a_finite_criterion():
 
 
 def test_a_failed_kkt_solve_still_returns_a_truthful_record(monkeypatch):
-    # The candidates are cached by the first fit, so only the optimizer's
-    # KKT solve fails on the second; it takes the projected gradient.
+    # The candidates and the context are cached by the first fit, so only
+    # the optimizer's KKT solve fails on the second; it stops at its start.
     store = CandidateStore(adni_like(seed=0)[0], BINOMIAL)
-    newton = fit_averaged(store, "opt1")
+    fit_averaged(store, "opt1")
+    (ctx,) = store.weighting.values()
 
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
-    fallback = fit_averaged(store, "opt1")
-    diag = fallback.diagnostics
-    assert diag["optimizer_converged"] == (diag["kkt_residual"] <= 1e-7)
-    gap = abs(fallback.criterion_value - newton.criterion_value)
-    assert gap <= 1e-12 * abs(newton.criterion_value)
+    failed = fit_averaged(store, "opt1")
+    diag = failed.diagnostics
+    vertices = np.eye(ctx.K)
+    start = vertices[np.argmin([criterion(ctx, v, 2.0) for v in vertices])]
+    assert (diag["optimizer_stop"], diag["optimizer_converged"]) == ("no_step", False)
+    assert diag["optimizer_iterations"] == 1
+    assert failed.weights.tolist() == start.tolist()
+    assert failed.criterion_value == criterion(ctx, start, 2.0)
+    assert diag["kkt_residual"] == kkt_residual(start, criterion_gradient(ctx, start, 2.0))
+    assert diag["kkt_residual"] > 0
 
 
 def test_fit_averaged_reports_the_optimizer_stop(rng):
     data = random_fragmentary(rng, 200, 4, family="binomial")
     diag = fit_averaged(CandidateStore(data, BINOMIAL)).diagnostics
-    assert diag["optimizer_stop"] == "kkt"
+    assert diag["optimizer_stop"] == "decrement"
     assert diag["optimizer_converged"] is True
 
 
@@ -371,10 +377,26 @@ def test_optimizer_converges_where_g_cancels_its_terms(seed, g_min):
     # G = 2 sum b(theta) - 2 y^T theta + penalty: its roundoff is that of the
     # sums, so a slack on |G| alone lets the Armijo test decide on noise.
     fit = optimize_weights(poisson_ctx(seed), 2.0)
-    assert (fit.stop, fit.converged) == ("kkt", True)
+    assert (fit.stop, fit.converged) == ("decrement", True)
     assert fit.iterations <= 10
     assert fit.kkt_residual <= 1e-10
     assert fit.criterion_value == pytest.approx(g_min, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("s", range(3))
+def test_optimizer_stop_does_not_see_the_units_of_the_response(s):
+    # A gaussian G is in units of y squared.  The decrement and its roundoff
+    # scale together, so the stop is reached at every scale of y; an
+    # absolute tolerance on the KKT residual spent the budget from 1e4 up.
+    base = random_fragmentary(np.random.default_rng([3, s]), 400, 5, family="gaussian",
+                              ensure_full=True)
+    for k in range(-4, 7):
+        data = FragmentaryDataset(y=base.y * 10.0**k, x=base.x, mask=base.mask,
+                                  column_names=base.column_names)
+        for mode in ("opt1", "opt2"):
+            diag = fit_averaged(CandidateStore(data, GAUSSIAN), mode).diagnostics
+            assert (diag["optimizer_stop"], diag["optimizer_converged"]) == ("decrement", True)
+            assert diag["optimizer_iterations"] <= 20
 
 
 def test_weights_changed_in_place_are_a_new_point(rng):

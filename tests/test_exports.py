@@ -208,6 +208,21 @@ def test_fit_glm_evaluates_every_step_in_one_place():
     assert "loglik" not in set(_called(fit_glm))
 
 
+def test_optimize_weights_solves_one_direction_and_stops_on_its_decrement():
+    # Each iteration solves for one Newton direction and scores its trials
+    # in one place; the KKT residual is recorded after the loop, so neither
+    # a second direction nor a residual stop can come back.
+    optimize = _function("averaging.py", "optimize_weights")
+    loops = (ast.For, ast.While)
+    (loop,) = [n for n in optimize.body if isinstance(n, loops)]
+    inner = set(ast.walk(loop))
+    assert all(n in inner for n in ast.walk(optimize) if isinstance(n, loops))
+    called = list(_called(loop))
+    assert (called.count("solve"), called.count("criterion")) == (1, 1)
+    assert "kkt_residual" not in called
+    assert list(_called(optimize)).count("kkt_residual") == 1
+
+
 def test_fit_averaged_fits_only_the_candidates_it_weights():
     # fit_averaged chooses its candidates from the pattern index before any
     # fit, so it never fits every candidate of the index.

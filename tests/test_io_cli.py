@@ -141,6 +141,17 @@ def test_groups_sidecar(tmp_path):
         read_groups_sidecar(f, ["a"])
 
 
+
+@pytest.mark.parametrize("layout", [
+    {"groups": ["a"], "g2": ["b", "c"]},
+    {"groups": {"groups": ["a"], "g2": ["b", "c"]}},
+], ids=["flat", "wrapped"])
+def test_groups_sidecar_may_name_a_group_groups(tmp_path, layout):
+    # Only an object under "groups" is the wrapped layout; a list there is a group.
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(layout))
+    assert read_groups_sidecar(f, ["a", "b", "c"]) == {"groups": [0], "g2": [1, 2]}
+
 # ---------------------------------------------------------------------------
 # screening
 # ---------------------------------------------------------------------------
@@ -239,8 +250,8 @@ def test_cli_fit_fully_observed(tmp_path):
     stop = model["candidates"][0]["stop"]
     assert stop == "decrement"
     assert f"converged=True iterations={model['candidates'][0]['iterations']} stop={stop} " in report
-    assert model["diagnostics"]["optimizer_stop"] == "kkt"
-    assert "optimizer: stop=kkt iterations=0 " in report
+    assert model["diagnostics"]["optimizer_stop"] == "decrement"
+    assert "optimizer: stop=decrement iterations=1 " in report
     assert (out / "config.json").exists()
 
 
@@ -640,9 +651,12 @@ def test_cli_bad_method_or_cell_is_input_error(tmp_path, argv):
         ["compare", "--split", "-0.5"],
         ["predict", "--train", "model.json"],
         ["predict", "--train", "missing/model.json"],
+        ["compare", "--seed", "-1"],
+        ["simulate", "--seed", "-1"],
     ],
     ids=["lambda-text", "lambda-negative", "keep", "split-zero", "split-negative",
-         "predict-train-no-response", "predict-train-no-response-no-model"],
+         "predict-train-no-response", "predict-train-no-response-no-model",
+         "compare-seed-negative", "simulate-seed-negative"],
 )
 def test_cli_bad_argument_is_input_error(tmp_path, argv):
     data, groups = adni_like(seed=6, scale=0.1)
@@ -653,6 +667,8 @@ def test_cli_bad_argument_is_input_error(tmp_path, argv):
         _, q, _ = _saved_model_run(tmp_path, fit_cc, [0])
         model = tmp_path / argv[-1]
         argv = argv[:-1] + [str(f), "--model", str(model), "--input", str(q)]
+    elif argv[0] == "simulate":
+        argv = argv + ["--n", "200", "--reps", "1"]
     else:
         argv = argv + ["--input", str(f), "--response", "y"]
     if argv[0] == "screen":
@@ -669,6 +685,8 @@ def test_cli_bad_argument_is_input_error(tmp_path, argv):
     if argv[0] == "predict":
         assert error["message"] == "--train needs --response"
         assert not (out / "predictions.csv").exists()
+    if "--seed" in argv:
+        assert error["message"] == "seed must be a nonnegative integer, got -1"
 
 
 def test_cli_compare_writes_diagnostics(tmp_path):
@@ -705,6 +723,7 @@ def test_cli_simulate_writes_diagnostics(tmp_path):
     assert diag["regenerated"] >= 0 and diag["failures"] == []
     assert len(diag["kkt_residuals"]) == 3
     assert all(0.0 <= r <= 1e-7 for r in diag["kkt_residuals"])
+    assert diag["optimizer_stops"] == ["decrement"] * 3
 
 
 @pytest.mark.parametrize("family", ["gaussian", "poisson"])

@@ -230,7 +230,7 @@ def test_run_study_scores_a_sure_true_mean_at_its_limit(monkeypatch):
     monkeypatch.setattr(simmod, "generate_replication", with_a_sure_case)
     res = simmod.run_study(cfg)
     assert np.all(np.isfinite(res.per_rep_kl))
-    assert set(res.diagnostics) == {"regenerated", "failures", "kkt_residuals"}
+    assert set(res.diagnostics) == {"regenerated", "failures", "kkt_residuals", "optimizer_stops"}
     for rep in range(cfg.reps):
         data, truth = real(cfg, rep, 0)
         index = build_pattern_index(data)
