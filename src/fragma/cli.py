@@ -153,7 +153,8 @@ def cmd_fit(args) -> int:
         f"kkt_residual={diag['kkt_residual']:.3g} converged={diag['optimizer_converged']}"
     )
     (out / "report.txt").write_text("\n".join(lines) + "\n")
-    print(f"fit: K={index.K} candidates, weighting sample {model.diagnostics['n_weighting']}")
+    print(f"fit: {len(model.candidates)} candidates weighted, {len(diag['dropped_candidates'])} "
+          f"dropped, weighting sample {diag['n_weighting']}")
     print(f"wrote {out / 'model.json'}")
     return 0
 

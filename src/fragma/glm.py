@@ -494,9 +494,9 @@ class CandidateStore:
     candidates already fitted on ``data`` under ``family`` (those of a
     saved model): the store returns them for their columns instead of
     fitting, and ``reused`` counts the column sets it so took.
-    ``weighting`` is one slot, filled by
-    :func:`~fragma.averaging.fit_averaged`: the criterion context of the
-    last weighting sample, keyed by its index's pattern columns.
+    ``weighting`` is :func:`~fragma.averaging.fit_averaged`'s table: one
+    weighting sample per column set a run sees, built once and kept (7
+    query patterns at n = 11,700 cost about 1 MB of peak RSS).
     """
 
     def __init__(self, data: FragmentaryDataset, family, saved=()):
@@ -508,7 +508,7 @@ class CandidateStore:
         self.reused = 0
         self._source: CandidateStore | None = None  # the store this one zero-fills
         self.weighting: dict = {}
-        # data.filled(), its fits and weighting slot, kept apart from their store: no cycle
+        # data.filled(), its fits and weighting table, kept apart from their store: no cycle
         self._filled: tuple[FragmentaryDataset, dict, dict] | None = None
 
     def fit(self, pattern: Pattern) -> CandidateModel:

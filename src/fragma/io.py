@@ -323,21 +323,21 @@ def read_groups_sidecar(path, column_names: list[str]) -> dict[str, list[int]]:
         raise DataError(f"{path}: expected an object mapping group names to column lists")
     pos = {name: j for j, name in enumerate(column_names)}
     groups: dict[str, list[int]] = {}
-    seen: set[int] = set()
+    seen: dict[str, str] = {}  # column name -> the group that named it first
     for gname, cols in raw.items():
         if not isinstance(cols, list) or not all(isinstance(c, str) for c in cols):
             raise DataError(f"{path}: group {gname!r} is not a list of column names: {cols!r}")
         if not cols:
             raise DataError(f"{path}: group {gname!r} is empty")
-        idx = []
         for c in cols:
             if c not in pos:
                 raise DataError(f"{path}: group {gname!r} names unknown column {c!r}")
-            if pos[c] in seen:
-                raise DataError(f"{path}: column {c!r} appears in more than one group")
-            seen.add(pos[c])
-            idx.append(pos[c])
-        groups[gname] = idx
+            if c in seen:
+                where = f"twice in group {gname!r}" if seen[c] == gname else (
+                    f"in more than one group: {seen[c]!r} and {gname!r}")
+                raise DataError(f"{path}: column {c!r} appears {where}")
+            seen[c] = gname
+        groups[gname] = [pos[c] for c in cols]
     if not groups:
         raise DataError(f"{path}: no groups declared")
     return groups

@@ -24,7 +24,7 @@ from fragma.averaging import (
 )
 from fragma.baselines import fit_cc, fit_imp, fit_method
 from fragma.datasets import adni_like, random_fragmentary
-from fragma.errors import DataError, NumericalError
+from fragma.errors import DataError, NumericalError, RankDeficientError
 from fragma.glm import (
     BINOMIAL,
     GAUSSIAN,
@@ -303,7 +303,7 @@ def test_a_failed_kkt_solve_still_returns_a_truthful_record(monkeypatch):
     # the optimizer's KKT solve fails on the second; it stops at its start.
     store = CandidateStore(adni_like(seed=0)[0], BINOMIAL)
     fit_averaged(store, "opt1")
-    (ctx,) = store.weighting.values()
+    ((*_, ctx),) = store.weighting.values()
 
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular matrix")
@@ -787,23 +787,25 @@ def test_criterion_context_rejects_a_candidate_the_weighting_rows_do_not_observe
         build_criterion_context(data, index, candidates, BINOMIAL)
 
 
-def test_fit_averaged_never_fits_a_candidate_it_does_not_weight(tmp_path, monkeypatch):
-    # Rows 0-49 observe (intercept, a, b), rows 50-58 (intercept, a) and row
-    # 59 alone (intercept, c): one row for c's two columns, and no weighting
-    # row observes c.  That candidate is dropped before any fit, so it
-    # cannot abort the fit.
-    import fragma.glm as glm
-    from fragma.cli import main
-    from fragma.io import write_csv
-
+def _one_row_observes_c():
+    """Rows 0-49 observe (intercept, a, b), rows 50-58 (intercept, a) and row 59 (intercept, c)."""
     rng = np.random.default_rng(5)
     mask = np.zeros((60, 4), dtype=bool)
     mask[:, 0] = mask[:50, 2] = mask[:59, 1] = mask[59, 3] = True
     x = rng.standard_normal((60, 4))
     x[:, 0] = 1.0
     y = (rng.random(60) < expit(x[:, 1] - x[:, 2])).astype(float)
-    data = FragmentaryDataset(y, np.where(mask, x, np.nan), mask, ["intercept", "a", "b", "c"])
+    return FragmentaryDataset(y, np.where(mask, x, np.nan), mask, ["intercept", "a", "b", "c"])
 
+
+def test_fit_averaged_never_fits_a_candidate_it_does_not_weight(tmp_path, monkeypatch, capsys):
+    # One row observes c's two columns, and no weighting row observes c.
+    # That candidate is dropped before any fit, so it cannot abort the fit.
+    import fragma.glm as glm
+    from fragma.cli import main
+    from fragma.io import write_csv
+
+    data = _one_row_observes_c()
     fitted, fit = [], glm.fit_glm
     with monkeypatch.context() as counted:
         counted.setattr(glm, "fit_glm", lambda X, y, family, opts=None, column_names=None: (
@@ -816,14 +818,36 @@ def test_fit_averaged_never_fits_a_candidate_it_does_not_weight(tmp_path, monkey
     f = tmp_path / "d.csv"
     write_csv(f, ["y", "a", "b", "c"], [
         [yi] + ["NA" if np.isnan(v) else v for v in row[1:]]
-        for yi, row in zip(y.tolist(), data.x.tolist())
+        for yi, row in zip(data.y.tolist(), data.x.tolist())
     ])
     argv = ["fit", "--input", str(f), "--response", "y", "--add-intercept"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith(
+        "fit: 2 candidates weighted, 1 dropped, weighting sample 50\n")
     report = (tmp_path / "out" / "report.txt").read_text().splitlines()
     at = report.index("dropped (a weighting row does not observe their columns):")
     assert report[at + 1] == "  pattern 3: columns=['intercept', 'c']"
     assert report[at + 2].startswith("lambda_n=")
+
+
+def test_a_weighting_sample_that_fails_is_not_kept():
+    # Seen through (intercept, c), row 59 leads alone: one row for two
+    # columns.  Every penalty on one store meets the same error, and the
+    # store's table keeps no entry for the failed column set.
+    store = CandidateStore(_one_row_observes_c(), BINOMIAL)
+    query = np.array([1.0, np.nan, np.nan, 0.5])
+    errors = []
+    for lam in ("opt1", "opt2", 2.0):
+        with pytest.raises(RankDeficientError, match="sample size 1 below dimension 2") as exc:
+            predict_for_pattern(store, lam, query)
+        errors.append((str(exc.value), exc.value.columns))
+    assert errors == [errors[0]] * 3
+    # as many columns as the data have, but not theirs: no entry either
+    with pytest.raises(DataError, match=r"columns \[1, 2, 3, 4\] reference columns outside"):
+        fit_averaged(store, "opt1", columns=[4, 3, 2, 1])
+    assert store.weighting == {}
+    fit_averaged(store, "opt1")
+    assert list(store.weighting) == [(0, 1, 2, 3)]
 
 
 def test_imp_without_complete_cases_keeps_every_candidate(rng):

@@ -136,6 +136,11 @@ def test_groups_sidecar(tmp_path):
     f.write_text(json.dumps({"g1": ["a"], "g2": ["a"]}))
     with pytest.raises(DataError, match="more than one group"):
         read_groups_sidecar(f, ["a"])
+    with pytest.raises(DataError, match="'a' appears in more than one group: 'g1' and 'g2'$"):
+        read_groups_sidecar(f, ["a"])
+    f.write_text(json.dumps({"g1": ["a", "b", "a"]}))
+    with pytest.raises(DataError, match="'a' appears twice in group 'g1'$"):
+        read_groups_sidecar(f, ["a", "b"])
     f.write_text(json.dumps({"g1": ["zz"]}))
     with pytest.raises(DataError, match="unknown column"):
         read_groups_sidecar(f, ["a"])
@@ -534,10 +539,20 @@ def test_cli_compare_refits_per_method(tmp_path):
 def test_cli_compare_fits_each_candidate_column_set_once(tmp_path, monkeypatch):
     # the main fits, the baselines, every sub-pattern refit, the imp fits and
     # the group-lasso refit share one store of candidate fits: no GLM input
-    # (X, y) is fitted twice
+    # (X, y) is fitted twice.  opt1 and opt2 refit on the same 7 query
+    # patterns, and each pattern's index and criterion context are built
+    # once, as are the full fits' contexts, one per store (zero-filled too).
+    import fragma.averaging
     import fragma.baselines
     import fragma.glm
 
+    calls = []
+    for name in ("build_pattern_index", "_criterion_context"):
+        def counted(*args, _name=name, _original=getattr(fragma.averaging, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fragma.averaging, name, counted)
     inputs = []
     original = fragma.glm.fit_glm
 
@@ -563,6 +578,8 @@ def test_cli_compare_fits_each_candidate_column_set_once(tmp_path, monkeypatch):
         assert any(r["rule"] == "restricted" for r in csv.DictReader(fh))
     assert inputs
     assert len(inputs) == len(set(inputs))
+    assert calls.count("build_pattern_index") == 7
+    assert calls.count("_criterion_context") == 9
 
 
 def test_cli_simulate_outputs_and_determinism(tmp_path):
