@@ -17,6 +17,7 @@ time, by the model itself or by weights refitted on the group's columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,7 +126,7 @@ def _criterion_context(
     family: ExponentialFamily,
 ) -> CriterionContext:
     """The context on ``rows``, every candidate's columns observed there."""
-    cols = [data.x[np.ix_(rows, list(c.pattern.indices))] @ c.beta for c in candidates]
+    cols = [data.x[rows[:, None], list(c.pattern.indices)] @ c.beta for c in candidates]
     p_sizes = np.array([c.p_k for c in candidates], dtype=float)
     return CriterionContext(np.column_stack(cols), data.y[rows], p_sizes, family)
 
@@ -134,7 +135,7 @@ def criterion(ctx: CriterionContext, w, lambda_n: float) -> float:
     """Penalized complete-case criterion G(w)."""
     w = np.asarray(w, dtype=float)
     theta = ctx.theta(w)
-    fit_term = 2.0 * (np.sum(ctx.family.b(theta)) - ctx.y_cc @ theta)
+    fit_term = 2.0 * (ctx.family.b(theta).sum() - ctx.y_cc @ theta)
     return float(fit_term + lambda_n * (ctx.p_sizes @ w))
 
 
@@ -159,7 +160,7 @@ def kkt_residual(w, grad) -> float:
     w = np.asarray(w, dtype=float)
     grad = np.asarray(grad, dtype=float)
     active = w > ACTIVE_TOL
-    return float(np.max(grad[active]) - np.min(grad))
+    return float(grad[active].max() - grad.min())
 
 
 # Iteration budget of the simplex weight optimizer.
@@ -216,32 +217,35 @@ def optimize_weights(ctx: CriterionContext, lambda_n: float) -> WeightFit:
     iters = 0
     for iters in range(1, _OPT_MAX_ITER + 1):
         face = w > 0
-        g_min = float(np.min(g[face]))
+        g_min = float(g[face].min())
         violation = np.where(face, -np.inf, g_min - g)
-        j = int(np.argmax(violation))
-        face[j] |= violation[j] > np.max(g[face]) - g_min
+        j = int(violation.argmax())
+        face[j] |= violation[j] > g[face].max() - g_min
         A = np.flatnonzero(face)
-        gA = g[A]
+        gA, wA = g[A], w[A]
         m = A.size
         kkt_mat = np.ones((m + 1, m + 1))
         kkt_mat[m, m] = 0.0
-        H = _criterion_hessian(ctx, w)[np.ix_(A, A)]
-        kkt_mat[:m, :m] = H + 1e-12 * max(np.trace(H) / m, 1.0) * np.eye(m)
+        H = _criterion_hessian(ctx, w)[A[:, None], A]
+        H.flat[:: m + 1] += 1e-12 * max(H.trace() / m, 1.0)  # the ridge, on the diagonal
+        kkt_mat[:m, :m] = H
+        rhs = np.zeros(m + 1)
+        np.negative(gA, out=rhs[:m])
         try:
-            d = np.linalg.solve(kkt_mat, np.append(-gA, 0.0))[:m]
+            d = np.linalg.solve(kkt_mat, rhs)[:m]
         except np.linalg.LinAlgError:
             d = np.full(m, np.nan)
         slope = float(gA @ d)  # not finite when d is not
         slack = roundoff(f + 4.0 * max(y_theta @ w, 0.0))
         last = -slope <= slack  # the decrement step is the last, kept or not
         stop = "decrement" if last else "no_step"  # if the loop ends in this iteration
-        if not np.isfinite(slope):
+        if not math.isfinite(slope):
             break
         neg = d < 0
-        a = float(np.min(-w[A][neg] / d[neg], initial=1.0))
+        a = float((-wA[neg] / d[neg]).min(initial=1.0))
         for _ in range(1 if last else 60):
             w_try = np.zeros(K)
-            w_try[A] = np.maximum(w[A] + a * d, 0.0)
+            w_try[A] = np.maximum(wA + a * d, 0.0)
             w_try[w_try <= ACTIVE_TOL] = 0.0
             w_try /= w_try.sum()
             f_try = criterion(ctx, w_try, lambda_n)

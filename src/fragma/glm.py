@@ -31,8 +31,14 @@ from .patterns import FragmentaryDataset, Pattern, PatternIndex, build_pattern_i
 
 def expit(t):
     """Logistic function 1 / (1 + exp(-t)): exactly 0 or 1 far in the tails."""
+    t = np.asarray(t, dtype=float)
+    e = np.negative(t)  # an array's one temporary; a numpy scalar for a 0-d t
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=float)))
+        if t.ndim == 0:  # a ufunc cannot write into a scalar
+            return 1.0 / (1.0 + np.exp(e))
+        np.exp(e, out=e)
+    np.add(1.0, e, out=e)
+    return np.divide(1.0, e, out=e)
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,15 @@ class ExponentialFamily:
 def _binomial_b(theta):
     # e^-|theta| <= 1 cannot overflow; b(+inf) = inf, b(-inf) = 0, NaN stays NaN.
     theta = np.asarray(theta, dtype=float)
-    return np.maximum(theta, 0.0) + np.log1p(np.exp(-np.abs(theta)))
+    if theta.ndim == 0:  # a ufunc cannot write into a scalar
+        return np.maximum(theta, 0.0) + np.log1p(np.exp(-np.abs(theta)))
+    t = np.abs(theta)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    b = np.maximum(theta, 0.0)
+    b += t  # max(theta, 0) stays the first operand: of two NaNs, x86 returns the first
+    return b
 
 
 BINOMIAL = ExponentialFamily(
@@ -227,9 +241,9 @@ def _loglik_sums(family: ExponentialFamily, theta, y) -> tuple[float, float]:
     y = np.asarray(y, dtype=float)
     if theta.shape != y.shape:
         raise ValueError("theta and y must have the same length")
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise NumericalError("non-finite linear predictor in loglik")
-    y_theta, b_sum = y @ theta, np.sum(family.b(theta))
+    y_theta, b_sum = y @ theta, family.b(theta).sum()
     return float(y_theta - b_sum), float(abs(y_theta) + b_sum)
 
 
@@ -407,6 +421,9 @@ def fit_glm(
     iterations = 0
 
     for iterations in range(1, opts.max_iter + 1):
+        if iterations > 1:  # the first iteration's mu and Fisher information are at beta = 0
+            mu = family.b_prime(theta)
+            fisher = X.T @ (family.variance(mu)[:, None] * X)
         score = X.T @ (y - mu)
         try:
             direction = np.linalg.solve(fisher, score)
@@ -434,8 +451,6 @@ def fit_glm(
             break
         if last:
             break
-        mu = family.b_prime(theta)
-        fisher = X.T @ (family.variance(mu)[:, None] * X)
     else:
         stop = "max_iter"
 
@@ -465,7 +480,7 @@ def fit_candidate(
             f"candidate {pattern.id}: sample size {n_k} below dimension {p_k}",
             columns=[data.column_names[j] for j in cols],
         )
-    X = data.x[np.ix_(rows, cols)]
+    X = data.x[rows[:, None], cols]
     y = data.y[rows]
     beta, info = fit_glm(X, y, family, column_names=[data.column_names[j] for j in cols])
     return CandidateModel(pattern, beta, n_k, p_k, **info)

@@ -304,19 +304,38 @@ def _unsaved(path, na_marker: str, record, npy_path) -> str | None:
     return f"{npy_path} is not the file saved"
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a key repeated in one object is a DataError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DataError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
+def _load_json(fh):
+    """``fh``'s JSON; a repeated key is a DataError, where ``json.load`` keeps its last value."""
+    return json.load(fh, object_pairs_hook=_unique_keys)
+
+
 def read_groups_sidecar(path, column_names: list[str]) -> dict[str, list[int]]:
     """Column-group declaration: JSON mapping group name -> list of column names.
 
     Wrapped as ``{"groups": {...}}`` or not: a list under ``groups`` is a
     group.  The file is UTF-8 (a leading byte-order mark is dropped).
-    Invalid JSON or any other shape, an empty group included, is a
-    :class:`~fragma.errors.DataError` naming ``path``.
+    Invalid JSON, a key repeated in one object or any other shape, an empty
+    group included, is a :class:`~fragma.errors.DataError` naming ``path``.
     """
     with open(path, encoding=_ENCODING) as fh:
         try:
-            raw = json.load(fh)
+            raw = _load_json(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: invalid JSON: {exc}") from exc
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
     if isinstance(raw, dict) and isinstance(raw.get("groups"), dict):
         raw = raw["groups"]
     if not isinstance(raw, dict):
@@ -346,12 +365,13 @@ def read_groups_sidecar(path, column_names: list[str]) -> dict[str, list[int]]:
 def read_model(path) -> tuple[AveragedModel, dict | None]:
     """``path``'s model, read by ``AveragedModel.LAYOUT``, and its ``training`` record or None.
 
-    The file is UTF-8 (a leading byte-order mark is dropped).  Invalid JSON
-    or a malformed or inconsistent model is a DataError naming ``path``.
+    The file is UTF-8 (a leading byte-order mark is dropped).  Invalid JSON,
+    a key repeated in one object or a malformed or inconsistent model is a
+    DataError naming ``path``.
     """
     try:
         with open(path, encoding=_ENCODING) as fh:
-            saved = json.load(fh)
+            saved = _load_json(fh)
         return AveragedModel.from_dict(saved), saved.get("training")
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc

@@ -389,6 +389,94 @@ def test_binomial_b_of_a_block_is_each_element_alone():
             assert BINOMIAL.b(block[perm]).tobytes() == want[perm].tobytes()
 
 
+# Each family function as one numpy expression, one temporary per operation:
+# the kernels must keep these bits, array types and memory layouts.
+_KERNEL_EXPRESSIONS = {
+    "expit": lambda t: 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=float))),
+    "binomial.b": lambda t: (np.maximum(np.asarray(t, dtype=float), 0.0)
+                             + np.log1p(np.exp(-np.abs(np.asarray(t, dtype=float))))),
+    "binomial.b_prime": lambda t: 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=float))),
+    "binomial.variance": lambda mu: mu * (1.0 - mu),
+    "gaussian.b": lambda t: 0.5 * np.square(t),
+    "gaussian.b_prime": lambda t: np.asarray(t, dtype=float),
+    "gaussian.variance": np.ones_like,
+    "poisson.b": np.exp,
+    "poisson.b_prime": np.exp,
+    "poisson.variance": lambda mu: mu,
+}
+_KERNEL_VALUES = [0.0, -0.0, 745.0, -745.0, np.inf, -np.inf, np.nan, -np.nan]
+
+
+def _kernel(name):
+    from fragma.glm import expit as fragma_expit
+
+    if name == "expit":
+        return fragma_expit
+    family, function = name.split(".")
+    return getattr(get_family(family), function)
+
+
+def _kernel_inputs():
+    rng = np.random.default_rng(38)
+    values = np.array(_KERNEL_VALUES)
+    assert np.signbit(values[-2:]).tolist() == [False, True]  # NaN of both signs
+    grid = np.concatenate([values, rng.normal(0.0, 20.0, 88), rng.uniform(-800, 800, 64)])
+    yield from ((f"scalar-{v!r}", v) for v in _KERNEL_VALUES)
+    yield from ((f"0-d-{v!r}", np.asarray(v)) for v in values)
+    yield "1-d", grid
+    yield "1-d-strided", grid[::3]
+    yield "2-d", grid.reshape(8, 20)
+    yield "2-d-fortran", np.asfortranarray(grid.reshape(20, 8))
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_EXPRESSIONS))
+def test_family_kernels_keep_the_bits_types_and_layout_of_their_expressions(name):
+    kernel, expression = _kernel(name), _KERNEL_EXPRESSIONS[name]
+    for label, t in _kernel_inputs():
+        with np.errstate(all="ignore"):
+            want = expression(t)
+            got = kernel(t)
+        assert type(got) is type(want), (label, type(got))
+        assert np.shape(got) == np.shape(want), label
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), label
+        if isinstance(want, np.ndarray):
+            assert got.strides == want.strides, label
+    assert type(kernel(np.asarray(0.0))) is type(expression(np.asarray(0.0)))
+
+
+@pytest.mark.parametrize("family", [BINOMIAL, GAUSSIAN, POISSON], ids=lambda f: f.name)
+def test_loglik_keeps_the_bits_of_its_sums_and_rejects_non_finite_theta(family):
+    rng = np.random.default_rng(11)
+    y = rng.integers(0, 2, 20).astype(float)
+    for theta in ([0.0, -0.0, 745.0, -745.0], rng.normal(0.0, 20.0, 20)):
+        theta = np.resize(np.asarray(theta), 20)
+        if family is POISSON:
+            theta = np.minimum(theta, 700.0)  # exp(745) is not finite
+        with np.errstate(all="ignore"):
+            want = float(y @ theta - np.sum(_KERNEL_EXPRESSIONS[f"{family.name}.b"](theta)))
+        assert np.float64(loglik(family, theta, y)).tobytes() == np.float64(want).tobytes()
+    for bad in (np.inf, -np.inf, np.nan, -np.nan):
+        with pytest.raises(NumericalError, match="non-finite"):
+            loglik(family, np.array([0.0, bad]), np.array([1.0, 0.0]))
+
+
+def test_a_capped_fit_computes_no_fisher_information_after_its_last_iteration(rng):
+    # The weights of a Fisher information come from the variance function;
+    # a fit capped at 2 iterations needs those at beta = 0 and after step 1.
+    calls = []
+
+    def variance(mu):
+        calls.append(mu.size)
+        return BINOMIAL.variance(mu)
+
+    X, y = logistic_design(rng, n=50, p=3, scale=2.0)
+    beta, info = fit_glm(X, y, replace(BINOMIAL, variance=variance), FitOptions(max_iter=2))
+    assert (info["stop"], info["iterations"]) == ("max_iter", 2)
+    assert calls == [50, 50]
+    ref_beta, ref_info = fit_glm(X, y, BINOMIAL, FitOptions(max_iter=2))
+    assert (beta.tobytes(), info) == (ref_beta.tobytes(), ref_info)
+
+
 def test_non_convergence_is_flagged(rng):
     X, y = logistic_design(rng, n=50, p=3, scale=2.0)
     beta, info = fit_glm(X, y, BINOMIAL, FitOptions(max_iter=1))

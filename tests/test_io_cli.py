@@ -1022,6 +1022,11 @@ BAD_JSON = [
                 + m["candidates"][1:]}),
     ("groups", "invalid-json", lambda g: "{"),
     ("groups", "not-a-list", lambda g: {"groups": {"A": 3}}),
+    # json.load would keep the last value of a repeated key: CSF_1 in no group,
+    # and the valid weights after scaled ones
+    ("groups", "repeated-key", lambda g: '{"g1": ["CSF_1"], "g1": ["CSF_2"]}'),
+    ("model", "repeated-key",
+     lambda m: '{"weights": %s, %s' % ([2.0 * w for w in m["weights"]], json.dumps(m)[1:])),
     ("model", "beta-combined-zero",
      lambda m: {**m, "beta_combined": [0.0] * len(m["beta_combined"])}),
     ("model", "weights-null", lambda m: {**m, "weights": None}),
@@ -1058,7 +1063,7 @@ BAD_JSON = [
     ("model", "diagnostics-pairs", lambda m: {**m, "diagnostics": [["a", 1]]}),
     ("model", "pattern-id-string", lambda m: _first_candidate(m, pattern_id="x")),
 ]
-# the whole message after the file's path, where a case pins it
+# the whole message after the file's path, where a case (or its test id) pins it
 BAD_JSON_MESSAGES = {
     "weights-null": "weights must be a list of numbers, got None",
     "lambda-mode-string": "lambda_n must be null or a nonnegative finite number, got 'opt2'",
@@ -1085,6 +1090,8 @@ BAD_JSON_MESSAGES = {
     "diagnostics-string": "diagnostics must be an object, got 'ab'",
     "diagnostics-pairs": "diagnostics must be an object, got [['a', 1]]",
     "pattern-id-string": "candidate 0: pattern_id must be an integer, got 'x'",
+    "groups-repeated-key": "repeated key 'g1'",
+    "model-repeated-key": "repeated key 'weights'",
 }
 
 
@@ -1107,8 +1114,9 @@ def test_cli_bad_model_or_groups_json_exits_2_naming_the_file(tmp_path, which, c
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "DataError" and error["exit_code"] == 2
     assert error["message"].startswith(f"{path}: ")
-    if case in BAD_JSON_MESSAGES:
-        assert error["message"] == f"{path}: {BAD_JSON_MESSAGES[case]}"
+    message = BAD_JSON_MESSAGES.get(f"{which}-{case}", BAD_JSON_MESSAGES.get(case))
+    if message is not None:
+        assert error["message"] == f"{path}: {message}"
     assert not (out / "predictions.csv").exists() and not (out / "kl_summary.csv").exists()
 
 
